@@ -15,7 +15,9 @@
 //!    [`QUANTILE_EPS`] (relative) of the exact ranks.
 //!
 //! Wall time, event rate and the allocation-counter peak-RSS proxy are
-//! appended to `BENCH_fleet.json` (schema 2). The request count is
+//! appended to `BENCH_fleet.json` (schema 2), along with the streaming
+//! run's trace-generation time and its end-to-end time (trace generation
+//! plus simulation). The request count is
 //! `SMOKE_REQUESTS` unless the `SMOKE_MILLION_REQUESTS` env var
 //! overrides it (useful for a quick local pass); the recorded entry
 //! carries whichever count ran.
@@ -55,7 +57,9 @@ fn requests() -> usize {
     }
 }
 
-fn run(mode: ReportMode, trace_len: usize) -> (FleetReport, FleetRunStats, f64) {
+/// One mode's run: the report, the engine stats, and the wall seconds of
+/// trace generation and of simulation.
+fn run(mode: ReportMode, trace_len: usize) -> (FleetReport, FleetRunStats, f64, f64) {
     let design = AcceleratorDesign::new(
         &ModelConfig::tiny(),
         AttentionMode::paper_sparse(),
@@ -63,12 +67,14 @@ fn run(mode: ReportMode, trace_len: usize) -> (FleetReport, FleetRunStats, f64) 
         64,
     );
     let fleet = homogeneous_fleet(&design, SMOKE_SHARDS);
+    let t0 = std::time::Instant::now();
     let trace = poisson_trace(
         &DatasetSpec::rte(),
         SMOKE_RATE_SEQ_S,
         trace_len,
         harness_seed(),
     );
+    let trace_s = t0.elapsed().as_secs_f64();
     let cfg = BatcherConfig::default();
     let t0 = std::time::Instant::now();
     let (report, stats) = simulate_fleet_instrumented(
@@ -79,7 +85,7 @@ fn run(mode: ReportMode, trace_len: usize) -> (FleetReport, FleetRunStats, f64) 
         &cfg,
         mode,
     );
-    (report, stats, t0.elapsed().as_secs_f64())
+    (report, stats, trace_s, t0.elapsed().as_secs_f64())
 }
 
 fn main() {
@@ -90,8 +96,9 @@ fn main() {
          {SMOKE_SHARDS} shards, seed {seed:#x})\n"
     );
 
-    let (stream, stream_stats, stream_wall_s) = run(ReportMode::Streaming, n);
-    let (exact, exact_stats, exact_wall_s) = run(ReportMode::Exact, n);
+    let (stream, stream_stats, trace_s, stream_wall_s) = run(ReportMode::Streaming, n);
+    let (exact, exact_stats, _, exact_wall_s) = run(ReportMode::Exact, n);
+    let end_to_end_s = trace_s + stream_wall_s;
 
     // 1. Bounded memory: nothing per-request survives the streaming run.
     assert_eq!(
@@ -151,7 +158,9 @@ fn main() {
     let events = stream_stats.events_processed;
     let events_per_s = events as f64 / stream_wall_s.max(1e-9);
     println!(
-        "\nstreaming: {events} events in {stream_wall_s:.3} s ({events_per_s:.0} ev/s), \
+        "\ntrace:     {n} requests generated in {trace_s:.3} s \
+         (end to end {end_to_end_s:.3} s)\n\
+         streaming: {events} events in {stream_wall_s:.3} s ({events_per_s:.0} ev/s), \
          peak tracked {stream_bytes} B (heap {} events)\n\
          exact:     {:.3} s, peak tracked {exact_bytes} B \
          ({retention_avoided} B of report retention avoided)\n",
@@ -172,6 +181,8 @@ fn main() {
         ("requests".into(), Value::UInt(n as u64)),
         ("wall_s".into(), Value::Float(stream_wall_s)),
         ("wall_s_exact".into(), Value::Float(exact_wall_s)),
+        ("trace_s".into(), Value::Float(trace_s)),
+        ("end_to_end_s".into(), Value::Float(end_to_end_s)),
         ("events_per_s".into(), Value::Float(events_per_s.round())),
         ("peak_tracked_bytes".into(), Value::UInt(stream_bytes)),
         ("peak_tracked_bytes_exact".into(), Value::UInt(exact_bytes)),

@@ -40,7 +40,7 @@ fn main() {
         .iter()
         .map(|d| {
             // Verify the sampler reproduces the table statistics.
-            let sample: Vec<usize> = (0..20_000).map(|_| d.sample_length(&mut rng)).collect();
+            let sample = d.sample_batch(&mut rng, 20_000);
             let mean = sample.iter().sum::<usize>() as f64 / sample.len() as f64;
             let max = *sample.iter().max().expect("non-empty");
             vec![

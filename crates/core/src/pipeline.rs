@@ -208,115 +208,185 @@ pub fn schedule_batch<T: StageTiming>(
     timing: &T,
     policy: SchedulingPolicy,
 ) -> Schedule {
+    let mut entries = Vec::with_capacity(layers * lengths.len() * timing.num_stages());
+    let run = run_policy(lengths, layers, timing, policy, &mut entries);
+    Schedule {
+        entries,
+        num_stages: timing.num_stages(),
+        makespan: run.makespan,
+        stage_busy: run.stage_busy,
+        billed_tokens: run.billed_tokens,
+        real_tokens: run.real_tokens,
+    }
+}
+
+/// The makespan [`schedule_batch`] would report, without materializing
+/// its `layers × batch × stages` occupancy intervals.
+///
+/// # Panics
+///
+/// Same panics as [`schedule_batch`].
+pub fn batch_makespan<T: StageTiming>(
+    lengths: &[usize],
+    layers: usize,
+    timing: &T,
+    policy: SchedulingPolicy,
+) -> u64 {
+    run_policy(lengths, layers, timing, policy, &mut NoEntries).makespan
+}
+
+/// Where the flow-shop recurrence writes its occupancy intervals:
+/// [`schedule_batch`] keeps them, [`batch_makespan`] drops them.
+trait EntrySink {
+    fn push(&mut self, entry: ScheduleEntry);
+}
+
+impl EntrySink for Vec<ScheduleEntry> {
+    fn push(&mut self, entry: ScheduleEntry) {
+        Vec::push(self, entry);
+    }
+}
+
+struct NoEntries;
+
+impl EntrySink for NoEntries {
+    fn push(&mut self, _entry: ScheduleEntry) {}
+}
+
+/// Everything a [`Schedule`] holds besides its entries.
+struct PolicyRun {
+    makespan: u64,
+    stage_busy: Vec<u64>,
+    billed_tokens: u64,
+    real_tokens: u64,
+}
+
+fn run_policy<T: StageTiming, E: EntrySink>(
+    lengths: &[usize],
+    layers: usize,
+    timing: &T,
+    policy: SchedulingPolicy,
+    sink: &mut E,
+) -> PolicyRun {
     assert!(!lengths.is_empty(), "empty batch");
     assert!(layers > 0, "layers must be >= 1");
     let mut sorted: Vec<usize> = lengths.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
     let real_tokens: u64 = sorted.iter().map(|&l| l as u64).sum();
+    let mut stage_busy = vec![0u64; timing.num_stages()];
 
-    match policy {
+    let (makespan, billed_tokens) = match policy {
         SchedulingPolicy::LengthAware => {
-            let billed = sorted.clone();
-            flow_shop(&billed, layers, timing, 0, real_tokens)
+            flow_shop(&sorted, layers, timing, 0, 0, &mut stage_busy, sink)
         }
         SchedulingPolicy::PadToMax => {
             let max = *sorted.first().expect("non-empty");
             let billed = vec![max; sorted.len()];
-            flow_shop(&billed, layers, timing, 0, real_tokens)
+            flow_shop(&billed, layers, timing, 0, 0, &mut stage_busy, sink)
         }
         SchedulingPolicy::MicroBatch { size } => {
             assert!(size > 0, "micro-batch size must be >= 1");
-            let mut merged_entries = Vec::new();
             let mut offset = 0u64;
-            let mut stage_busy = vec![0u64; timing.num_stages()];
             let mut billed_tokens = 0u64;
-            let mut seq_base = 0usize;
-            for chunk in sorted.chunks(size) {
+            for (i, chunk) in sorted.chunks(size).enumerate() {
                 let max = *chunk.iter().max().expect("non-empty chunk");
                 let billed = vec![max; chunk.len()];
-                let sub = flow_shop(&billed, layers, timing, offset, 0);
-                for mut e in sub.entries.iter().copied() {
-                    e.seq += seq_base;
-                    merged_entries.push(e);
-                }
-                for (acc, &b) in stage_busy.iter_mut().zip(&sub.stage_busy) {
-                    *acc += b;
-                }
-                billed_tokens += sub.billed_tokens;
+                let (end, billed_chunk) = flow_shop(
+                    &billed,
+                    layers,
+                    timing,
+                    offset,
+                    i * size,
+                    &mut stage_busy,
+                    sink,
+                );
+                billed_tokens += billed_chunk;
                 // Pipeline drains fully between micro-batches.
-                offset = sub.makespan;
-                seq_base += chunk.len();
+                offset = end;
             }
-            let makespan = offset;
-            Schedule {
-                entries: merged_entries,
-                num_stages: timing.num_stages(),
-                makespan,
-                stage_busy,
-                billed_tokens,
-                real_tokens,
-            }
+            (offset, billed_tokens)
         }
+    };
+    PolicyRun {
+        makespan,
+        stage_busy,
+        billed_tokens,
+        real_tokens,
     }
 }
 
 /// Permutation flow-shop schedule of `billed` lengths across
-/// `layers × stages`, starting at cycle `start_offset`.
+/// `layers × stages`, starting at cycle `start_offset`, with sequence
+/// indices numbered from `seq_base`. Adds each stage's busy cycles to
+/// `stage_busy` and returns the absolute end cycle and the billed token
+/// count.
 ///
 /// Jobs are issued layer-major (`layer 0: seq 0..B`, `layer 1: seq 0..B`,
 /// …); stage `k` of job `j` starts when stage `k` is free (previous job
 /// finished it) *and* stage `k-1` of job `j` finished; additionally layer
 /// `l` of sequence `i` cannot enter stage 0 before layer `l-1` of the same
 /// sequence left the last stage.
-fn flow_shop<T: StageTiming>(
+fn flow_shop<T: StageTiming, E: EntrySink>(
     billed: &[usize],
     layers: usize,
     timing: &T,
     start_offset: u64,
-    real_tokens: u64,
-) -> Schedule {
+    seq_base: usize,
+    stage_busy: &mut [u64],
+    sink: &mut E,
+) -> (u64, u64) {
     let stages = timing.num_stages();
-    let batch = billed.len();
+    // Stage times depend on (sequence, stage) only, never on the layer:
+    // price each sequence once. `billed` is sorted, so equal lengths are
+    // adjacent and share the previous row.
+    let mut cost: Vec<u64> = Vec::with_capacity(billed.len() * stages);
+    let mut prev_len = None;
+    for &len in billed {
+        if prev_len == Some(len) {
+            cost.extend_from_within(cost.len() - stages..);
+        } else {
+            cost.extend((0..stages).map(|stage| timing.stage_cycles(stage, len)));
+        }
+        prev_len = Some(len);
+    }
     let mut stage_free = vec![start_offset; stages];
     // finish[(seq)] = completion time of the previous layer's last stage.
-    let mut layer_done = vec![start_offset; batch];
-    let mut entries = Vec::with_capacity(layers * batch * stages);
-    let mut stage_busy = vec![0u64; stages];
+    let mut layer_done = vec![start_offset; billed.len()];
     let mut makespan = start_offset;
 
     for layer in 0..layers {
-        for (seq, &len) in billed.iter().enumerate() {
-            let mut prev_stage_done = layer_done[seq];
-            for stage in 0..stages {
-                let t = timing.stage_cycles(stage, len);
-                let start = prev_stage_done.max(stage_free[stage]);
+        for ((seq, done), row) in layer_done
+            .iter_mut()
+            .enumerate()
+            .zip(cost.chunks(stages.max(1)))
+        {
+            let mut prev_stage_done = *done;
+            for (stage, ((&t, free), busy)) in row
+                .iter()
+                .zip(stage_free.iter_mut())
+                .zip(stage_busy.iter_mut())
+                .enumerate()
+            {
+                let start = prev_stage_done.max(*free);
                 let end = start + t;
-                entries.push(ScheduleEntry {
-                    seq,
+                sink.push(ScheduleEntry {
+                    seq: seq_base + seq,
                     layer,
                     stage,
                     start,
                     end,
                 });
-                stage_free[stage] = end;
-                stage_busy[stage] += t;
+                *free = end;
+                *busy += t;
                 prev_stage_done = end;
             }
-            layer_done[seq] = prev_stage_done;
+            *done = prev_stage_done;
             makespan = makespan.max(prev_stage_done);
         }
     }
 
-    let billed_tokens: u64 =
-        billed.iter().map(|&l| l as u64).sum::<u64>() * layers as u64 / layers as u64;
-    Schedule {
-        entries,
-        num_stages: stages,
-        makespan: makespan - start_offset + start_offset, // absolute end
-        stage_busy,
-        billed_tokens,
-        real_tokens,
-    }
+    let billed_tokens: u64 = billed.iter().map(|&l| l as u64).sum();
+    (makespan, billed_tokens)
 }
 
 /// Schedules a batch whose sequences have *release times* (arrival

@@ -21,7 +21,7 @@
 
 use crate::report::FpgaRunReport;
 use crate::spec::FpgaSpec;
-use lat_core::pipeline::{schedule_batch, Schedule, SchedulingPolicy, StageTiming};
+use lat_core::pipeline::{batch_makespan, schedule_batch, Schedule, SchedulingPolicy, StageTiming};
 use lat_core::stage_alloc::{allocate_stages, ResourceModel, StageAllocation};
 use lat_model::config::ModelConfig;
 use lat_model::graph::{AttentionMode, OpKind, OperatorGraph};
@@ -248,18 +248,32 @@ impl AcceleratorDesign {
     /// Schedules `lengths` through the design under `policy` and returns
     /// the raw schedule (cycle-level).
     pub fn schedule(&self, lengths: &[usize], policy: SchedulingPolicy) -> Schedule {
-        let timing = DesignTiming {
-            design: self,
-            batch: lengths.len(),
-            attention_only: false,
-        };
-        schedule_batch(lengths, self.cfg.layers, &timing, policy)
+        schedule_batch(
+            lengths,
+            self.cfg.layers,
+            &self.timing(lengths.len()),
+            policy,
+        )
     }
 
     /// Simulates a batch end-to-end and reports throughput/energy.
     pub fn run_batch(&self, lengths: &[usize], policy: SchedulingPolicy) -> FpgaRunReport {
         let schedule = self.schedule(lengths, policy);
         self.report_from_schedule(lengths, policy, &schedule)
+    }
+
+    /// Service time of a batch: `run_batch(lengths, policy).seconds`, bit
+    /// for bit, without building the schedule's intervals or the report
+    /// (FLOP counts, utilization, energy). The serving engines price every
+    /// batch through this.
+    ///
+    /// # Panics
+    ///
+    /// Same panics as [`AcceleratorDesign::run_batch`].
+    pub fn service_seconds(&self, lengths: &[usize], policy: SchedulingPolicy) -> f64 {
+        let timing = self.timing(lengths.len());
+        let makespan = batch_makespan(lengths, self.cfg.layers, &timing, policy);
+        self.spec.cycles_to_seconds(makespan)
     }
 
     /// Simulates only the self-attention portion of the workload — the

@@ -222,9 +222,10 @@ fn decode_payload<'a, P: LengthSampler + ?Sized, O: LengthSampler + ?Sized>(
         "high_fraction outside [0, 1]"
     );
     let mut aux = SplitMix64::new(seed ^ DECODE_AUX_STREAM);
+    let (prefill, output) = (prefill.prepare(), output.prepare());
     move |rng, t| {
-        let prefill_len = prefill.sample_length(rng);
-        let output_len = output.sample_length(&mut aux).max(1);
+        let prefill_len = prefill.sample(rng);
+        let output_len = output.sample(&mut aux).max(1);
         let priority = if aux.next_f64() < high_fraction {
             Priority::High
         } else {
@@ -651,9 +652,7 @@ impl DecodeCore<'_> {
         if let Some(c) = self.shards[s].decode_cost_cache[batch] {
             return c;
         }
-        let c = self.designs[s]
-            .run_batch(&vec![1usize; batch], self.policy)
-            .seconds;
+        let c = self.designs[s].service_seconds(&vec![1usize; batch], self.policy);
         self.shards[s].decode_cost_cache[batch] = Some(c);
         c
     }
@@ -810,7 +809,7 @@ impl DecodeCore<'_> {
         let cost = if lens.len() == old {
             self.decode_cost(s, old) // pure-decode iteration: cached
         } else {
-            self.designs[s].run_batch(&lens, self.policy).seconds
+            self.designs[s].service_seconds(&lens, self.policy)
         } * self.slowdown[s];
         let done = now + cost;
         let sh = &mut self.shards[s];

@@ -107,6 +107,8 @@ use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::{P2Quantile, ReportMode};
 use lat_tensor::stats::percentile;
 use serde::{Deserialize, Serialize};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 // ───────────────────────────── fault plans ─────────────────────────────
@@ -541,6 +543,124 @@ pub struct DecodeFailureReport {
     pub affected_drain_s: f64,
 }
 
+// ──────────────────────────── client timeouts ───────────────────────────
+
+/// Pending client timeouts (at most one per request) and the due set both
+/// injectors fire from.
+///
+/// First-attempt timeouts are `arrival_s + timeout_s` over a trace the
+/// engines require sorted by arrival, so they come due in index order and
+/// a cursor walks them. Only retry timeouts go on a heap, which holds just
+/// the requests currently retrying.
+struct ClientTimeouts {
+    /// Pending timeout instant per request (`f64::INFINITY` = none).
+    at: Vec<f64>,
+    /// First request whose first-attempt timeout has not come due.
+    cursor: usize,
+    /// Retry timeouts, earliest first.
+    retries: BinaryHeap<Reverse<RetryTimeout>>,
+    /// Every `(now, request)` fired, in firing order.
+    #[cfg(test)]
+    fired: Vec<(f64, usize)>,
+}
+
+/// One retry's timeout instant on the [`ClientTimeouts`] heap.
+#[derive(Clone, Copy, PartialEq)]
+struct RetryTimeout {
+    at: f64,
+    req: usize,
+}
+
+impl Eq for RetryTimeout {}
+
+impl PartialOrd for RetryTimeout {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RetryTimeout {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.at.total_cmp(&other.at).then(self.req.cmp(&other.req))
+    }
+}
+
+impl ClientTimeouts {
+    fn new(n_requests: usize) -> Self {
+        Self {
+            at: vec![f64::INFINITY; n_requests],
+            cursor: 0,
+            retries: BinaryHeap::new(),
+            #[cfg(test)]
+            fired: Vec::new(),
+        }
+    }
+
+    /// Arms every first-attempt timeout and returns their instants, for
+    /// the caller to schedule control events at. `arrivals` must be the
+    /// (sorted) trace's arrival times.
+    fn arm_first_attempts(
+        &mut self,
+        arrivals: impl Iterator<Item = f64>,
+        timeout_s: f64,
+    ) -> &[f64] {
+        for (at, arrival_s) in self.at.iter_mut().zip(arrivals) {
+            *at = arrival_s + timeout_s;
+        }
+        &self.at
+    }
+
+    /// Arms request `r`'s retry timeout at `at`.
+    fn arm_retry(&mut self, r: usize, at: f64) {
+        self.at[r] = at;
+        self.retries.push(Reverse(RetryTimeout { at, req: r }));
+    }
+
+    /// Takes every timeout due at `now` off the pending set, in ascending
+    /// request index — the order a scan over all requests fires them in.
+    fn take_due(&mut self, now: f64) -> Vec<usize> {
+        #[cfg(test)]
+        let expected = self.due_by_scan(now);
+        let mut due = Vec::new();
+        while self.at.get(self.cursor).is_some_and(|&t| t <= now) {
+            due.push(self.cursor);
+            self.cursor += 1;
+        }
+        while let Some(&Reverse(next)) = self.retries.peek() {
+            if next.at > now {
+                break;
+            }
+            self.retries.pop();
+            due.push(next.req);
+        }
+        due.sort_unstable();
+        due.dedup();
+        // A stale heap entry (its request re-armed later) is not due.
+        due.retain(|&r| self.at[r] <= now);
+        for &r in &due {
+            self.at[r] = f64::INFINITY;
+        }
+        #[cfg(test)]
+        {
+            assert_eq!(due, expected, "due set diverged from the scan at {now}");
+            self.fired.extend(due.iter().map(|&r| (now, r)));
+        }
+        due
+    }
+
+    /// True when no timeout is pending.
+    fn is_empty(&self) -> bool {
+        self.retries.is_empty() && self.at.get(self.cursor).is_none_or(|t| t.is_infinite())
+    }
+
+    /// Reference for [`ClientTimeouts::take_due`]: the O(n) scan over
+    /// every request the injectors used to run at each control event.
+    #[cfg(test)]
+    fn due_by_scan(&self, now: f64) -> Vec<usize> {
+        (0..self.at.len()).filter(|&r| self.at[r] <= now).collect()
+    }
+}
+
 // ─────────────────────────── fleet injector ────────────────────────────
 
 /// [`FleetController`] that applies a [`FaultPlan`] and enforces
@@ -552,8 +672,7 @@ struct FleetFaultInjector<C: FleetController> {
     actions: Vec<(f64, Action)>,
     next_action: usize,
     client: ClientConfig,
-    /// Pending timeout instant per request (`f64::INFINITY` = none).
-    timeout_at: Vec<f64>,
+    timeouts: ClientTimeouts,
     /// Retries performed per request.
     attempts: Vec<u32>,
     /// Total retry events.
@@ -567,7 +686,7 @@ impl<C: FleetController> FleetFaultInjector<C> {
             actions: plan.actions(),
             next_action: 0,
             client,
-            timeout_at: vec![f64::INFINITY; n_requests],
+            timeouts: ClientTimeouts::new(n_requests),
             attempts: vec![0; n_requests],
             retries: 0,
         }
@@ -580,9 +699,12 @@ impl<C: FleetController> FleetFaultInjector<C> {
             core.schedule_control(t);
         }
         if self.client.timeout_s.is_finite() {
-            for r in 0..core.trace.len() {
-                self.timeout_at[r] = core.trace[r].arrival_s + self.client.timeout_s;
-                core.schedule_control(self.timeout_at[r]);
+            let arrivals = core.trace.iter().map(|r| r.arrival_s);
+            for &t in self
+                .timeouts
+                .arm_first_attempts(arrivals, self.client.timeout_s)
+            {
+                core.schedule_control(t);
             }
         }
     }
@@ -627,11 +749,7 @@ impl<C: FleetController> FleetFaultInjector<C> {
     /// abandoned. Requests already executing are left alone — their
     /// timeout simply lapses.
     fn apply_due_timeouts(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        for r in 0..self.timeout_at.len() {
-            if self.timeout_at[r] > now {
-                continue;
-            }
-            self.timeout_at[r] = f64::INFINITY;
+        for r in self.timeouts.take_due(now) {
             if core.completion_s[r].is_finite() {
                 continue; // dispatched (or done): the client got service
             }
@@ -650,7 +768,7 @@ impl<C: FleetController> FleetFaultInjector<C> {
                     self.retries += 1;
                     core.schedule_arrival(r, retry_at);
                     if timeout_at.is_finite() {
-                        self.timeout_at[r] = timeout_at;
+                        self.timeouts.arm_retry(r, timeout_at);
                         core.schedule_control(timeout_at);
                     }
                 }
@@ -669,7 +787,7 @@ impl<C: FleetController> FleetFaultInjector<C> {
     /// relaunch it, so the run must keep ticking.
     fn fleet_dead_end(&self, core: &FleetCore<'_>) -> bool {
         self.next_action >= self.actions.len()
-            && self.timeout_at.iter().all(|t| t.is_infinite())
+            && self.timeouts.is_empty()
             && core.dead.iter().all(|&d| d)
             && core.state.iter().all(|st| !st.busy && st.queue.is_empty())
     }
@@ -731,7 +849,7 @@ struct DecodeFaultInjector<C: DecodeController> {
     actions: Vec<(f64, Action)>,
     next_action: usize,
     client: ClientConfig,
-    timeout_at: Vec<f64>,
+    timeouts: ClientTimeouts,
     attempts: Vec<u32>,
     retries: usize,
     straggler_response: DecodeScaleDown,
@@ -755,7 +873,7 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
             actions: plan.actions(),
             next_action: 0,
             client,
-            timeout_at: vec![f64::INFINITY; n_requests],
+            timeouts: ClientTimeouts::new(n_requests),
             attempts: vec![0; n_requests],
             retries: 0,
             straggler_response,
@@ -771,9 +889,12 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
             core.schedule_control(t);
         }
         if self.client.timeout_s.is_finite() {
-            for r in 0..core.trace.len() {
-                self.timeout_at[r] = core.trace[r].arrival_s + self.client.timeout_s;
-                core.schedule_control(self.timeout_at[r]);
+            let arrivals = core.trace.iter().map(|r| r.arrival_s);
+            for &t in self
+                .timeouts
+                .arm_first_attempts(arrivals, self.client.timeout_s)
+            {
+                core.schedule_control(t);
             }
         }
     }
@@ -864,11 +985,7 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
     /// is live, and mid-generation timeouts are not part of this client
     /// model ([`DecodeCore::cancel_waiting`] refuses them).
     fn apply_due_timeouts(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        for r in 0..self.timeout_at.len() {
-            if self.timeout_at[r] > now {
-                continue;
-            }
-            self.timeout_at[r] = f64::INFINITY;
+        for r in self.timeouts.take_due(now) {
             if core.completion_s[r].is_finite() || !core.cancel_waiting(r, now) {
                 continue;
             }
@@ -884,7 +1001,7 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
                     self.retries += 1;
                     core.schedule_arrival(r, retry_at);
                     if timeout_at.is_finite() {
-                        self.timeout_at[r] = timeout_at;
+                        self.timeouts.arm_retry(r, timeout_at);
                         core.schedule_control(timeout_at);
                     }
                 }
@@ -2002,6 +2119,145 @@ mod tests {
         // Everyone exhausts exactly the retry budget, no more.
         assert!(report.outcomes.iter().all(|o| o.attempts == 3));
         assert_eq!(report.retries, 3 * trace.len());
+    }
+
+    /// True when no request has a pending timeout, by the reference scan.
+    fn scan_is_empty(t: &ClientTimeouts) -> bool {
+        t.at.iter().all(|at| at.is_infinite())
+    }
+
+    /// Asserts a run exercised the due set's hard cases: several timeouts
+    /// on one instant, and retries coming due after later requests' first
+    /// attempts (out of index order).
+    fn assert_fired_hard_cases(fired: &[(f64, usize)]) {
+        assert!(
+            fired.windows(2).any(|w| w[0].0 == w[1].0),
+            "no instant fired several timeouts"
+        );
+        let mut max_seen = 0;
+        let out_of_order = fired.iter().any(|&(_, r)| {
+            let behind = r < max_seen;
+            max_seen = max_seen.max(r);
+            behind
+        });
+        assert!(out_of_order, "timeouts never came due out of index order");
+    }
+
+    #[test]
+    fn client_timeouts_match_the_scan_step_by_step() {
+        // `take_due` asserts against the scan on every call in test
+        // builds; this drives it through retries, ties and re-arms.
+        let mut t = ClientTimeouts::new(6);
+        assert!(t.is_empty());
+        let arrivals = [0.0, 0.0, 0.1, 0.1, 0.1, 0.4];
+        t.arm_first_attempts(arrivals.iter().copied(), 0.5);
+        assert!(!t.is_empty());
+        assert!(t.take_due(0.4).is_empty());
+        assert_eq!(t.take_due(0.5), vec![0, 1]);
+        t.arm_retry(1, 0.6);
+        t.arm_retry(0, 0.6);
+        assert_eq!(t.take_due(0.6), vec![0, 1, 2, 3, 4]);
+        t.arm_retry(3, 0.7);
+        assert_eq!(t.take_due(0.7), vec![3]);
+        assert!(!t.is_empty());
+        assert_eq!(t.take_due(0.9), vec![5]);
+        assert!(t.is_empty() && scan_is_empty(&t));
+        t.arm_retry(2, 1.0);
+        assert!(!t.is_empty());
+        assert_eq!(t.take_due(2.0), vec![2]);
+        assert!(t.is_empty() && scan_is_empty(&t));
+        let fired: Vec<usize> = t.fired.iter().map(|&(_, r)| r).collect();
+        assert_eq!(fired, vec![0, 1, 0, 1, 2, 3, 4, 3, 5, 2]);
+    }
+
+    #[test]
+    fn due_set_fires_like_the_scan_in_both_injectors() {
+        // Bursts of four identical arrivals put first-attempt timeouts
+        // four to an instant; an outage (fleet) or a straggling sole shard
+        // (decode) makes requests time out and retry, and the retries'
+        // timeouts fall between later requests' first attempts.
+        let client = ClientConfig {
+            timeout_s: 0.01,
+            max_retries: 3,
+            backoff_s: 0.002,
+            deadline_s: f64::INFINITY,
+        };
+        let arrival = |i: usize| (i / 4) as f64 * 0.003;
+
+        let fleet = homogeneous_fleet(&tiny_design(64), 1);
+        let trace: Vec<Request> = (0..48)
+            .map(|i| Request {
+                arrival_s: arrival(i),
+                len: 64,
+            })
+            .collect();
+        let plan = FaultPlan {
+            faults: vec![Fault {
+                shard: 0,
+                kind: FaultKind::Crash {
+                    at_s: 0.0,
+                    recover_s: Some(0.03),
+                },
+            }],
+        };
+        let batcher = batcher();
+        let mut core = FleetCore::new(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::RoundRobin,
+            &batcher,
+            vec![true],
+        );
+        let mut injector = FleetFaultInjector::new(NullController, &plan, client, trace.len());
+        injector.prime(&mut core);
+        core.run(&mut injector);
+        assert!(injector.retries > 0);
+        assert_fired_hard_cases(&injector.timeouts.fired);
+        assert!(injector.timeouts.is_empty() && scan_is_empty(&injector.timeouts));
+
+        let fleet = homogeneous_fleet(&tiny_design(64), 1);
+        let trace: Vec<DecodeRequest> = (0..48)
+            .map(|i| DecodeRequest {
+                arrival_s: arrival(i),
+                prefill_len: 48,
+                output_len: 40,
+                priority: Priority::Normal,
+            })
+            .collect();
+        let cfg = DecodeConfig::default();
+        let mut core = DecodeCore::new(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::RoundRobin,
+            DecodeScheduler::Continuous,
+            &cfg,
+            vec![true],
+        );
+        let plan = FaultPlan {
+            faults: vec![Fault {
+                shard: 0,
+                kind: FaultKind::Straggler {
+                    from_s: 0.0,
+                    until_s: 0.03,
+                    slowdown: 500.0,
+                },
+            }],
+        };
+        let mut injector = DecodeFaultInjector::new(
+            NullDecodeController,
+            &plan,
+            client,
+            trace.len(),
+            1,
+            DecodeScaleDown::Drain,
+        );
+        injector.prime(&mut core);
+        core.run(&mut injector);
+        assert!(injector.retries > 0);
+        assert_fired_hard_cases(&injector.timeouts.fired);
+        assert!(injector.timeouts.is_empty() && scan_is_empty(&injector.timeouts));
     }
 
     #[test]

@@ -119,9 +119,10 @@ pub fn poisson_trace<S: LengthSampler + ?Sized>(
     num_requests: usize,
     seed: u64,
 ) -> Vec<Request> {
+    let lengths = sampler.prepare();
     poisson_process(arrival_rate, num_requests, seed, |rng, t| Request {
         arrival_s: t,
-        len: sampler.sample_length(rng),
+        len: lengths.sample(rng),
     })
 }
 
@@ -428,9 +429,10 @@ pub fn nonstationary_poisson_trace<S: LengthSampler + ?Sized>(
     num_requests: usize,
     seed: u64,
 ) -> Vec<Request> {
+    let lengths = sampler.prepare();
     nonstationary_poisson_process(profile, num_requests, seed, |rng, t| Request {
         arrival_s: t,
-        len: sampler.sample_length(rng),
+        len: lengths.sample(rng),
     })
 }
 
@@ -912,8 +914,7 @@ impl<'a> FleetCore<'a> {
                 .take(take)
                 .map(|&r| self.trace[r].len)
                 .collect();
-            let service =
-                self.shards[s].run_batch(&lengths, self.policy).seconds * self.slowdown[s];
+            let service = self.shards[s].service_seconds(&lengths, self.policy) * self.slowdown[s];
             let completion = now + service;
             for _ in 0..take {
                 let r = st.queue.pop_front().expect("counted above");

@@ -2,7 +2,7 @@
 //! batches and reports accuracy, with anchoring helpers to present results
 //! in the paper's F1/accuracy units.
 
-use crate::datasets::DatasetSpec;
+use crate::datasets::{DatasetSpec, LengthSampler};
 use crate::task::TaskGenerator;
 use lat_model::attention::AttentionOp;
 use lat_model::ModelError;
@@ -42,9 +42,10 @@ pub fn evaluate_on_dataset(
 ) -> Result<AccuracyReport, ModelError> {
     let mut rng = SplitMix64::new(seed);
     let min_len = 1 + generator.config().evidence_true + generator.config().evidence_decoy;
+    let lengths = dataset.prepare();
     let mut correct = 0usize;
     for _ in 0..trials {
-        let len = dataset.sample_length(&mut rng).max(min_len);
+        let len = lengths.sample(&mut rng).max(min_len);
         let inst = generator.generate(&mut rng, len);
         if generator.predict(op, &inst)? == inst.label {
             correct += 1;

@@ -26,6 +26,16 @@ pub trait LengthSampler {
 
     /// Display label for reports.
     fn label(&self) -> String;
+
+    /// The distribution with its per-distribution constants computed once,
+    /// for drawing many lengths: it yields exactly the stream repeated
+    /// [`LengthSampler::sample_length`] calls would. The default wraps
+    /// `sample_length` itself, for samplers with nothing to precompute.
+    fn prepare(&self) -> PreparedSampler<'_> {
+        PreparedSampler(Prepared::Custom(Box::new(move |rng| {
+            self.sample_length(rng)
+        })))
+    }
 }
 
 impl LengthSampler for DatasetSpec {
@@ -35,6 +45,10 @@ impl LengthSampler for DatasetSpec {
 
     fn label(&self) -> String {
         self.name.clone()
+    }
+
+    fn prepare(&self) -> PreparedSampler<'_> {
+        PreparedSampler(Prepared::Dataset(self.truncated_exp()))
     }
 }
 
@@ -51,6 +65,76 @@ impl LengthSampler for MixedWorkload {
             .collect();
         format!("mix({})", names.join("+"))
     }
+
+    fn prepare(&self) -> PreparedSampler<'_> {
+        PreparedSampler(Prepared::Mix {
+            components: self
+                .components
+                .iter()
+                .map(|(d, w)| (d.truncated_exp(), *w))
+                .collect(),
+            total: self.total_weight(),
+        })
+    }
+}
+
+/// A [`LengthSampler`] ready to draw: built once by
+/// [`LengthSampler::prepare`], then sampled per request.
+pub struct PreparedSampler<'a>(Prepared<'a>);
+
+enum Prepared<'a> {
+    Dataset(TruncatedExp),
+    Mix {
+        components: Vec<(TruncatedExp, f64)>,
+        total: f64,
+    },
+    Custom(Box<dyn Fn(&mut SplitMix64) -> usize + 'a>),
+}
+
+impl PreparedSampler<'_> {
+    /// Samples one sequence length.
+    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
+        match &self.0 {
+            Prepared::Dataset(d) => d.sample(rng),
+            Prepared::Mix { components, total } => {
+                pick(components, *total, rng.next_f64()).sample(rng)
+            }
+            Prepared::Custom(f) => f(rng),
+        }
+    }
+
+    /// Samples a batch of lengths.
+    pub fn sample_batch(&self, rng: &mut SplitMix64, batch_size: usize) -> Vec<usize> {
+        (0..batch_size).map(|_| self.sample(rng)).collect()
+    }
+}
+
+/// A dataset's truncated shifted exponential with its calibrated scale.
+#[derive(Debug, Clone, Copy)]
+struct TruncatedExp {
+    min_len: usize,
+    max_len: usize,
+    scale: f64,
+}
+
+impl TruncatedExp {
+    fn sample(&self, rng: &mut SplitMix64) -> usize {
+        let u = rng.next_f64().clamp(1e-12, 1.0 - 1e-12);
+        let x = self.min_len as f64 - self.scale * (1.0 - u).ln();
+        (x.round() as usize).clamp(self.min_len, self.max_len)
+    }
+}
+
+/// Picks a mix component by weight from one uniform draw `u`.
+fn pick<T>(components: &[(T, f64)], total: f64, u: f64) -> &T {
+    let mut x = u * total;
+    for (c, w) in components {
+        if x < *w {
+            return c;
+        }
+        x -= w;
+    }
+    &components.last().expect("non-empty mix").0
 }
 
 /// A dataset's sequence-length statistics.
@@ -143,17 +227,15 @@ impl DatasetSpec {
     /// Samples one sequence length.
     ///
     /// Shifted exponential with rate tuned so the *truncated* mean lands on
-    /// `avg_len`, clipped to `[min_len, max_len]`.
+    /// `avg_len`, clipped to `[min_len, max_len]`. Each call calibrates the
+    /// rate afresh; draw many lengths through [`LengthSampler::prepare`].
     pub fn sample_length(&self, rng: &mut SplitMix64) -> usize {
-        let scale = self.calibrated_scale();
-        let u = rng.next_f64().clamp(1e-12, 1.0 - 1e-12);
-        let x = self.min_len as f64 - scale * (1.0 - u).ln();
-        (x.round() as usize).clamp(self.min_len, self.max_len)
+        self.prepare().sample(rng)
     }
 
     /// Samples a batch of lengths.
     pub fn sample_batch(&self, rng: &mut SplitMix64, batch_size: usize) -> Vec<usize> {
-        (0..batch_size).map(|_| self.sample_length(rng)).collect()
+        self.prepare().sample_batch(rng, batch_size)
     }
 
     /// Samples `n_batches` batches of `batch_size` lengths each.
@@ -163,8 +245,9 @@ impl DatasetSpec {
         batch_size: usize,
         n_batches: usize,
     ) -> Vec<Vec<usize>> {
+        let lengths = self.prepare();
         (0..n_batches)
-            .map(|_| self.sample_batch(rng, batch_size))
+            .map(|_| lengths.sample_batch(rng, batch_size))
             .collect()
     }
 
@@ -181,6 +264,15 @@ impl DatasetSpec {
             min_len: 1,
             avg_len: self.avg_len,
             max_len: self.max_len,
+        }
+    }
+
+    /// The distribution with its calibrated scale.
+    fn truncated_exp(&self) -> TruncatedExp {
+        TruncatedExp {
+            min_len: self.min_len,
+            max_len: self.max_len,
+            scale: self.calibrated_scale(),
         }
     }
 
@@ -256,7 +348,7 @@ impl MixedWorkload {
 
     /// The component datasets and normalized weights.
     pub fn components(&self) -> Vec<(&DatasetSpec, f64)> {
-        let total: f64 = self.components.iter().map(|&(_, w)| w).sum();
+        let total = self.total_weight();
         self.components
             .iter()
             .map(|(d, w)| (d, w / total))
@@ -266,24 +358,16 @@ impl MixedWorkload {
     /// Samples one length: picks a component by weight, then samples from
     /// it.
     pub fn sample_length(&self, rng: &mut SplitMix64) -> usize {
-        let total: f64 = self.components.iter().map(|&(_, w)| w).sum();
-        let mut x = rng.next_f64() * total;
-        for (d, w) in &self.components {
-            if x < *w {
-                return d.sample_length(rng);
-            }
-            x -= w;
-        }
-        self.components
-            .last()
-            .expect("non-empty mix")
-            .0
-            .sample_length(rng)
+        pick(&self.components, self.total_weight(), rng.next_f64()).sample_length(rng)
     }
 
     /// Samples a batch of lengths from the mix.
     pub fn sample_batch(&self, rng: &mut SplitMix64, batch_size: usize) -> Vec<usize> {
-        (0..batch_size).map(|_| self.sample_length(rng)).collect()
+        self.prepare().sample_batch(rng, batch_size)
+    }
+
+    fn total_weight(&self) -> f64 {
+        self.components.iter().map(|&(_, w)| w).sum()
     }
 
     /// Weighted expected average length of the mix.
@@ -444,6 +528,21 @@ mod tests {
         let _ = MixedWorkload::new(vec![]);
     }
 
+    /// Asserts the prepared sampler draws exactly the per-call stream.
+    fn assert_prepared_matches_per_call(s: &impl LengthSampler, seed: u64) {
+        let prepared = s.prepare();
+        let (mut a, mut b) = (SplitMix64::new(seed), SplitMix64::new(seed));
+        for _ in 0..2000 {
+            assert_eq!(
+                prepared.sample(&mut a),
+                s.sample_length(&mut b),
+                "{}",
+                s.label()
+            );
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "{}: rng drift", s.label());
+    }
+
     #[test]
     fn length_sampler_trait_matches_inherent_methods() {
         // The trait must be a pure forwarding layer: same rng stream, same
@@ -466,6 +565,31 @@ mod tests {
         }
         assert_eq!(LengthSampler::label(&spec), "RTE");
         assert!(LengthSampler::label(&mix).contains("RTE"));
+
+        // The prepared sampler (calibrated once) draws the same stream as
+        // per-call sampling (calibrated every draw).
+        for (i, d) in DatasetSpec::all_datasets().into_iter().enumerate() {
+            assert_prepared_matches_per_call(&d, 100 + i as u64);
+            assert_prepared_matches_per_call(&d.decode_output(), 200 + i as u64);
+        }
+        assert_prepared_matches_per_call(&mix, 13);
+        assert_prepared_matches_per_call(&mix.decode_output(), 14);
+        let lopsided = MixedWorkload::new(vec![
+            (DatasetSpec::squad_v2(), 0.7),
+            (DatasetSpec::mrpc(), 2.9),
+            (DatasetSpec::wikitext2(), 0.45),
+        ]);
+        assert_prepared_matches_per_call(&lopsided, 15);
+
+        // The batch helpers ride the prepared sampler too.
+        let (mut a, mut b) = (SplitMix64::new(16), SplitMix64::new(16));
+        let per_call: Vec<usize> = (0..64).map(|_| lopsided.sample_length(&mut b)).collect();
+        assert_eq!(lopsided.sample_batch(&mut a, 64), per_call);
+        let (mut a, mut b) = (SplitMix64::new(17), SplitMix64::new(17));
+        let per_call: Vec<Vec<usize>> = (0..3)
+            .map(|_| (0..8).map(|_| spec.sample_length(&mut b)).collect())
+            .collect();
+        assert_eq!(spec.sample_batches(&mut a, 8, 3), per_call);
     }
 
     #[test]

@@ -109,6 +109,15 @@ fn bench_fleet_json_is_valid_schema_2() {
                     positive_number(e, "requests") >= 1_000_000.0,
                     "entry {i}: the 1M smoke ran fewer than a million requests"
                 );
+                // Older entries predate the trace-generation split.
+                if e.contains_key("trace_s") || e.contains_key("end_to_end_s") {
+                    let trace = positive_number(e, "trace_s");
+                    let end_to_end = positive_number(e, "end_to_end_s");
+                    assert!(
+                        end_to_end >= trace,
+                        "entry {i}: end-to-end {end_to_end} s is below trace generation {trace} s"
+                    );
+                }
             }
             _ => {}
         }

@@ -7,6 +7,7 @@ use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn design() -> AcceleratorDesign {
     AcceleratorDesign::new(
@@ -19,6 +20,41 @@ fn design() -> AcceleratorDesign {
 
 fn batch_strategy() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(16usize..512, 1..12)
+}
+
+/// `tiny` and `bert_base`, each sparse and dense, built once per process.
+fn pricing_designs() -> &'static [AcceleratorDesign] {
+    static DESIGNS: OnceLock<Vec<AcceleratorDesign>> = OnceLock::new();
+    DESIGNS.get_or_init(|| {
+        let mut designs = Vec::new();
+        for (cfg, s_avg) in [(ModelConfig::tiny(), 64), (ModelConfig::bert_base(), 177)] {
+            for mode in [AttentionMode::paper_sparse(), AttentionMode::Dense] {
+                designs.push(AcceleratorDesign::new(
+                    &cfg,
+                    mode,
+                    FpgaSpec::alveo_u280(),
+                    s_avg,
+                ));
+            }
+        }
+        designs
+    })
+}
+
+/// Batches of 1–32 sequences: as drawn, all equal to the first length,
+/// or with every other sequence cut to a single token.
+fn pricing_batch_strategy() -> impl Strategy<Value = Vec<usize>> {
+    (proptest::collection::vec(1usize..400, 1..=32), 0usize..3).prop_map(|(mut batch, shape)| {
+        match shape {
+            1 => {
+                let first = batch[0];
+                batch.iter_mut().for_each(|l| *l = first);
+            }
+            2 => batch.iter_mut().step_by(2).for_each(|l| *l = 1),
+            _ => {}
+        }
+        batch
+    })
 }
 
 proptest! {
@@ -101,5 +137,23 @@ proptest! {
         prop_assert!(h.round_robin_makespan(&buffers) >= h.transfer_cycles(total, h.channels));
         let eff = h.round_robin_efficiency(&buffers);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&eff));
+    }
+
+    /// The serving engines' makespan-only pricing is `run_batch`'s
+    /// seconds, bit for bit, under every policy.
+    #[test]
+    fn service_seconds_matches_run_batch(batch in pricing_batch_strategy()) {
+        let policies = [SchedulingPolicy::LengthAware, SchedulingPolicy::PadToMax]
+            .into_iter()
+            .chain((1..=8).map(|size| SchedulingPolicy::MicroBatch { size }));
+        for d in pricing_designs() {
+            for policy in policies.clone() {
+                prop_assert_eq!(
+                    d.service_seconds(&batch, policy).to_bits(),
+                    d.run_batch(&batch, policy).seconds.to_bits(),
+                    "{} {:?} {} {:?}", d.config().name, d.mode(), policy, batch
+                );
+            }
+        }
     }
 }
