@@ -107,7 +107,8 @@
 
 use crate::accelerator::AcceleratorDesign;
 use crate::fleet::{
-    push_event, route, BatchRecord, DispatchPolicy, Event, FleetReport, RateProfile, ShardReport,
+    route, BatchRecord, DispatchPolicy, EventQueue, FleetReport, RateProfile, ShardReport,
+    TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::{P2Quantile, QuantileSketch, ReportMode};
@@ -115,7 +116,7 @@ use lat_tensor::rng::SplitMix64;
 use lat_tensor::stats::{percentile, percentiles};
 use lat_workloads::datasets::LengthSampler;
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// XOR'd into the trace seed to derive the auxiliary RNG stream that draws
@@ -538,6 +539,16 @@ enum DecodeEventKind {
     Control,
 }
 
+impl TraceEvent for DecodeEventKind {
+    type Req = DecodeRequest;
+    fn arrival_s(req: &DecodeRequest) -> f64 {
+        req.arrival_s
+    }
+    fn arrival(r: usize) -> Self {
+        DecodeEventKind::Arrival(r)
+    }
+}
+
 /// Hooks a controller drives the decode engine through;
 /// [`simulate_decode`] runs with the no-op `NullDecodeController`, the
 /// decode autoscaler ([`crate::autoscale`]) with a policy-driven one.
@@ -571,7 +582,7 @@ impl DecodeController for NullDecodeController {}
 /// The decode engine's mutable core, shared by [`simulate_decode`] (fixed
 /// membership, no control events) and
 /// [`crate::autoscale::simulate_decode_autoscale`] (runtime shard
-/// join/retire): per-shard queues and resident sets, the event heap, and
+/// join/retire): per-shard queues and resident sets, the event queue, and
 /// request bookkeeping.
 ///
 /// `accepting[s]` gates *routing only* — a shard that stops accepting
@@ -597,8 +608,7 @@ pub(crate) struct DecodeCore<'a> {
     /// an exhausted retry budget). Termination checks count
     /// `completed() + abandoned` against the trace length.
     pub(crate) abandoned: usize,
-    heap: BinaryHeap<Event<DecodeEventKind>>,
-    seq: u64,
+    events: EventQueue<'a, DecodeEventKind>,
     admit_seq: u64,
     rr_next: usize,
     dispatch: DispatchPolicy,
@@ -833,13 +843,8 @@ impl DecodeCore<'_> {
                 size: live,
             });
         }
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            done,
-            1,
-            DecodeEventKind::StepEnd { shard: s, epoch },
-        );
+        self.events
+            .push(done, 1, DecodeEventKind::StepEnd { shard: s, epoch });
     }
 
     /// Routes request `r` among accepting shards and queues it; returns
@@ -932,13 +937,7 @@ impl DecodeCore<'_> {
 
     /// Schedules a [`DecodeController::on_control`] callback at `time`.
     pub(crate) fn schedule_control(&mut self, time: f64) {
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            time,
-            2,
-            DecodeEventKind::Control,
-        );
+        self.events.push(time, 2, DecodeEventKind::Control);
     }
 
     /// Requests completed so far across the fleet.
@@ -1049,13 +1048,8 @@ impl DecodeCore<'_> {
                 .expect("stepping shard has a step record");
             self.step_log[rec_idx].completion_s = done;
         }
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            done,
-            1,
-            DecodeEventKind::StepEnd { shard: s, epoch },
-        );
+        self.events
+            .push(done, 1, DecodeEventKind::StepEnd { shard: s, epoch });
     }
 
     /// Schedules an arrival event for request `r` at `time` — the
@@ -1063,13 +1057,7 @@ impl DecodeCore<'_> {
     /// Indistinguishable from a trace arrival when it pops, so it
     /// re-counts in `arrivals_seen` (a retry *is* offered load).
     pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            time,
-            0,
-            DecodeEventKind::Arrival(r),
-        );
+        self.events.push(time, 0, DecodeEventKind::Arrival(r));
     }
 
     /// Removes request `r` from the shard queue it is waiting in so a
@@ -1164,7 +1152,8 @@ impl DecodeCore<'_> {
 }
 
 impl<'a> DecodeCore<'a> {
-    /// Validates the inputs and seeds the heap with every arrival.
+    /// Validates the inputs. Trace arrivals are not queued up front: the
+    /// [`EventQueue`] reads them from `trace` as the run reaches them.
     ///
     /// # Panics
     ///
@@ -1192,7 +1181,9 @@ impl<'a> DecodeCore<'a> {
             "arrival times must be finite and non-negative"
         );
         assert!(
-            trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
+            trace
+                .windows(2)
+                .all(|w| w[0].arrival_s.total_cmp(&w[1].arrival_s).is_le()),
             "trace must be sorted by arrival time"
         );
         assert!(
@@ -1206,17 +1197,6 @@ impl<'a> DecodeCore<'a> {
         );
 
         let n = trace.len();
-        let mut heap: BinaryHeap<Event<DecodeEventKind>> = BinaryHeap::with_capacity(n * 2);
-        let mut seq = 0u64;
-        for (r, req) in trace.iter().enumerate() {
-            push_event(
-                &mut heap,
-                &mut seq,
-                req.arrival_s,
-                0,
-                DecodeEventKind::Arrival(r),
-            );
-        }
         Self {
             designs: shards,
             trace,
@@ -1230,8 +1210,7 @@ impl<'a> DecodeCore<'a> {
             dead: vec![false; shards.len()],
             slowdown: vec![1.0; shards.len()],
             abandoned: 0,
-            heap,
-            seq,
+            events: EventQueue::new(trace),
             admit_seq: 0,
             rr_next: 0,
             dispatch,
@@ -1265,7 +1244,9 @@ impl<'a> DecodeCore<'a> {
 
     /// Runs the event loop to completion, calling `ctl`'s hooks.
     pub(crate) fn run<C: DecodeController>(&mut self, ctl: &mut C) {
-        while let Some(ev) = self.heap.pop() {
+        // Shards an arrival burst queued work on; reused across bursts.
+        let mut touched = Vec::new();
+        while let Some(ev) = self.events.pop() {
             match ev.kind {
                 DecodeEventKind::Arrival(r) => {
                     // Admit ALL same-instant arrivals before any iteration
@@ -1273,11 +1254,11 @@ impl<'a> DecodeCore<'a> {
                     // instead of launching a singleton iteration.
                     self.arrivals_seen += 1;
                     ctl.on_arrival(self, r, ev.time);
-                    let mut touched = vec![self.route_request(r, ev.time)];
-                    while let Some(next) = self.heap.peek() {
+                    touched.push(self.route_request(r, ev.time));
+                    while let Some(next) = self.events.peek() {
                         match next.kind {
                             DecodeEventKind::Arrival(r2) if next.time == ev.time => {
-                                self.heap.pop();
+                                self.events.pop();
                                 self.arrivals_seen += 1;
                                 ctl.on_arrival(self, r2, ev.time);
                                 let s = self.route_request(r2, ev.time);
@@ -1288,7 +1269,7 @@ impl<'a> DecodeCore<'a> {
                             _ => break,
                         }
                     }
-                    for s in touched {
+                    for s in touched.drain(..) {
                         self.start_iteration(s, ev.time);
                     }
                 }
@@ -1307,7 +1288,7 @@ impl<'a> DecodeCore<'a> {
         }
     }
 
-    /// Assembles the [`DecodeReport`] after the heap drained.
+    /// Assembles the [`DecodeReport`] after the queue drained.
     ///
     /// Requests that never completed (timed out, lost to an unrecovered
     /// outage) are absent from the latency/TTFT populations, and their

@@ -615,21 +615,107 @@ impl<K> Ord for Event<K> {
     }
 }
 
-/// Pushes an event and bumps the insertion-order tie-breaker.
-pub(crate) fn push_event<K>(
-    heap: &mut BinaryHeap<Event<K>>,
-    seq: &mut u64,
-    time: f64,
-    rank: u8,
-    kind: K,
-) {
-    heap.push(Event {
-        time,
-        rank,
-        seq: *seq,
-        kind,
-    });
-    *seq += 1;
+/// An event kind whose arrivals come from a time-sorted trace, so
+/// [`EventQueue`] can synthesize trace arrival `r` instead of storing it.
+pub(crate) trait TraceEvent: Copy {
+    /// The trace entry type.
+    type Req;
+    /// Arrival instant of a trace entry.
+    fn arrival_s(req: &Self::Req) -> f64;
+    /// The arrival event kind of trace entry `r`.
+    fn arrival(r: usize) -> Self;
+}
+
+impl TraceEvent for EventKind {
+    type Req = Request;
+    fn arrival_s(req: &Request) -> f64 {
+        req.arrival_s
+    }
+    fn arrival(r: usize) -> Self {
+        EventKind::Arrival(r)
+    }
+}
+
+/// The event queue shared by the fleet and decode engines. Trace arrivals
+/// are read lazily through a cursor into the time-sorted trace, so the
+/// heap holds only in-flight events (completions, window closes, control
+/// callbacks, retry arrivals).
+///
+/// The pop order is that of a heap pre-seeded with every trace arrival:
+/// trace arrival `r` carries rank 0 and the virtual seq `r`, pushed events
+/// take seqs from `trace.len()` on, and each pop yields the earlier of the
+/// cursor's arrival and the heap top under the `(time, rank, seq)` order.
+/// So a trace arrival still pops before a retry arrival at the same
+/// instant. This needs the trace sorted under `total_cmp`, which both
+/// cores assert.
+pub(crate) struct EventQueue<'a, K: TraceEvent> {
+    /// Trace arrivals not yet popped, in trace order.
+    arrivals: std::slice::Iter<'a, K::Req>,
+    /// Trace index of the first entry of `arrivals`.
+    next: usize,
+    heap: BinaryHeap<Event<K>>,
+    /// Insertion-order tie-breaker of the next pushed event.
+    seq: u64,
+}
+
+impl<K: TraceEvent> EventQueue<'_, K> {
+    pub(crate) fn new(trace: &[K::Req]) -> EventQueue<'_, K> {
+        EventQueue {
+            arrivals: trace.iter(),
+            next: 0,
+            heap: BinaryHeap::new(),
+            seq: trace.len() as u64,
+        }
+    }
+
+    /// Pushes an event and bumps the insertion-order tie-breaker.
+    pub(crate) fn push(&mut self, time: f64, rank: u8, kind: K) {
+        self.heap.push(Event {
+            time,
+            rank,
+            seq: self.seq,
+            kind,
+        });
+        self.seq += 1;
+    }
+
+    /// Pushed events not yet popped; pending trace arrivals do not count.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The next event, and whether it is the cursor's trace arrival.
+    fn front(&self) -> Option<(Event<K>, bool)> {
+        let arrival = self.arrivals.as_slice().first().map(|req| Event {
+            time: K::arrival_s(req),
+            rank: 0,
+            seq: self.next as u64,
+            kind: K::arrival(self.next),
+        });
+        match (arrival, self.heap.peek()) {
+            // `Event`'s order is reversed: the earlier event is the greater.
+            (Some(a), Some(top)) if *top > a => Some((*top, false)),
+            (Some(a), _) => Some((a, true)),
+            (None, top) => top.map(|&e| (e, false)),
+        }
+    }
+
+    /// The next event to pop, if any.
+    pub(crate) fn peek(&self) -> Option<Event<K>> {
+        self.front().map(|(ev, _)| ev)
+    }
+
+    /// Pops the next event.
+    pub(crate) fn pop(&mut self) -> Option<Event<K>> {
+        let (ev, from_trace) = self.front()?;
+        if from_trace {
+            self.arrivals.next();
+            self.next += 1;
+        } else {
+            self.heap.pop();
+        }
+        Some(ev)
+    }
 }
 
 pub(crate) struct ShardState {
@@ -725,7 +811,7 @@ impl FleetController for NullController {}
 /// The fleet engine's mutable core, shared by [`simulate_fleet`] (fixed
 /// membership, no control events) and
 /// [`crate::autoscale::simulate_autoscale`] (runtime shard join/retire):
-/// per-shard queues, the event heap, and dispatch bookkeeping.
+/// per-shard queues, the event queue, and dispatch bookkeeping.
 ///
 /// `accepting[s]` gates *routing only* — a shard that stops accepting
 /// still drains its own queue through the normal window/cap machinery,
@@ -754,8 +840,7 @@ pub(crate) struct FleetCore<'a> {
     /// an exhausted retry budget). Termination and conservation checks
     /// count `completed() + abandoned` against the trace length.
     pub(crate) abandoned: usize,
-    heap: BinaryHeap<Event<EventKind>>,
-    seq: u64,
+    events: EventQueue<'a, EventKind>,
     rr_next: usize,
     pub(crate) completion_s: Vec<f64>,
     /// Trace arrivals processed so far — the RNG-free, wall-clock-free
@@ -773,17 +858,18 @@ pub(crate) struct FleetCore<'a> {
     /// Running max of valid completion-event times — the streaming
     /// replacement for folding over the batch log.
     stream_makespan_s: f64,
-    /// Events popped off the heap (all modes; cheap counter for
+    /// Events popped off the queue (all modes; cheap counter for
     /// events/second scaling benches).
     pub(crate) events_processed: u64,
-    /// Peak event-heap population — the dominant transient allocation of
-    /// a run, tracked engine-side because the workspace forbids a
-    /// counting global allocator (`unsafe_code = "forbid"`).
+    /// Peak in-flight event population ([`EventQueue::in_flight`]),
+    /// tracked engine-side because the workspace forbids a counting
+    /// global allocator (`unsafe_code = "forbid"`).
     pub(crate) peak_heap_events: usize,
 }
 
 impl<'a> FleetCore<'a> {
-    /// Validates the inputs and seeds the heap with every arrival.
+    /// Validates the inputs. Trace arrivals are not queued up front: the
+    /// [`EventQueue`] reads them from `trace` as the run reaches them.
     ///
     /// # Panics
     ///
@@ -809,7 +895,9 @@ impl<'a> FleetCore<'a> {
             "arrival times must be finite and non-negative"
         );
         assert!(
-            trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
+            trace
+                .windows(2)
+                .all(|w| w[0].arrival_s.total_cmp(&w[1].arrival_s).is_le()),
             "trace must be sorted by arrival time"
         );
         assert_eq!(accepting.len(), shards.len(), "accepting mask length");
@@ -818,11 +906,6 @@ impl<'a> FleetCore<'a> {
             "at least one shard must accept work"
         );
 
-        let mut heap: BinaryHeap<Event<EventKind>> = BinaryHeap::with_capacity(trace.len() * 2);
-        let mut seq = 0u64;
-        for (r, req) in trace.iter().enumerate() {
-            push_event(&mut heap, &mut seq, req.arrival_s, 0, EventKind::Arrival(r));
-        }
         Self {
             shards,
             trace,
@@ -835,8 +918,7 @@ impl<'a> FleetCore<'a> {
             slowdown: vec![1.0; shards.len()],
             parked: Vec::new(),
             abandoned: 0,
-            heap,
-            seq,
+            events: EventQueue::new(trace),
             rr_next: 0,
             completion_s: vec![f64::NAN; trace.len()],
             arrivals_seen: 0,
@@ -858,7 +940,7 @@ impl<'a> FleetCore<'a> {
 
     /// Schedules a [`FleetController::on_control`] callback at `time`.
     pub(crate) fn schedule_control(&mut self, time: f64) {
-        push_event(&mut self.heap, &mut self.seq, time, 3, EventKind::Control);
+        self.events.push(time, 3, EventKind::Control);
     }
 
     /// Requests completed so far across the fleet.
@@ -937,22 +1019,12 @@ impl<'a> FleetCore<'a> {
                     size: take,
                 });
             }
-            push_event(
-                &mut self.heap,
-                &mut self.seq,
-                completion,
-                1,
-                EventKind::Completion { shard: s, epoch },
-            );
+            self.events
+                .push(completion, 1, EventKind::Completion { shard: s, epoch });
         } else if self.state[s].window_scheduled_for != Some(head) {
             self.state[s].window_scheduled_for = Some(head);
-            push_event(
-                &mut self.heap,
-                &mut self.seq,
-                window_close,
-                2,
-                EventKind::WindowClose { shard: s, head },
-            );
+            self.events
+                .push(window_close, 2, EventKind::WindowClose { shard: s, head });
         }
     }
 
@@ -1049,13 +1121,8 @@ impl<'a> FleetCore<'a> {
                 rec.completion_s = completion;
             }
         }
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            completion,
-            1,
-            EventKind::Completion { shard: s, epoch },
-        );
+        self.events
+            .push(completion, 1, EventKind::Completion { shard: s, epoch });
     }
 
     /// Schedules an arrival event for request `r` at `time` — the re-entry
@@ -1063,13 +1130,7 @@ impl<'a> FleetCore<'a> {
     /// trace arrival when it pops, so it re-counts in `arrivals_seen`
     /// (a retry *is* offered load, and forecasters should see it).
     pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            time,
-            0,
-            EventKind::Arrival(r),
-        );
+        self.events.push(time, 0, EventKind::Arrival(r));
     }
 
     /// Removes request `r` from wherever it is waiting (parked or queued)
@@ -1097,9 +1158,11 @@ impl<'a> FleetCore<'a> {
 
     /// Runs the event loop to completion, calling `ctl`'s hooks.
     pub(crate) fn run<C: FleetController>(&mut self, ctl: &mut C) {
+        // Shards an arrival burst queued work on; reused across bursts.
+        let mut touched = Vec::new();
         loop {
-            self.peak_heap_events = self.peak_heap_events.max(self.heap.len());
-            let Some(ev) = self.heap.pop() else { break };
+            self.peak_heap_events = self.peak_heap_events.max(self.events.in_flight());
+            let Some(ev) = self.events.pop() else { break };
             self.events_processed += 1;
             let now = ev.time;
             match ev.kind {
@@ -1107,18 +1170,17 @@ impl<'a> FleetCore<'a> {
                     // Admit ALL same-instant arrivals before any dispatch
                     // decision, so a zero (or exactly-elapsed) window can't
                     // split a simultaneous burst that the serial batcher
-                    // would have admitted into one batch. Arrival events
-                    // are pushed in trace order, so ties are contiguous in
-                    // pop order.
+                    // would have admitted into one batch. Arrivals rank
+                    // first among same-instant events, so ties are
+                    // contiguous in pop order.
                     self.arrivals_seen += 1;
-                    let mut touched = Vec::new();
                     if let Some(s) = self.admit(r, now) {
                         touched.push(s);
                     }
-                    while let Some(next) = self.heap.peek() {
+                    while let Some(next) = self.events.peek() {
                         match next.kind {
                             EventKind::Arrival(r2) if next.time == now => {
-                                self.heap.pop();
+                                self.events.pop();
                                 self.events_processed += 1;
                                 self.arrivals_seen += 1;
                                 if let Some(s) = self.admit(r2, now) {
@@ -1130,7 +1192,7 @@ impl<'a> FleetCore<'a> {
                             _ => break,
                         }
                     }
-                    for s in touched {
+                    for s in touched.drain(..) {
                         self.try_dispatch(s, now);
                     }
                 }
@@ -1169,7 +1231,7 @@ impl<'a> FleetCore<'a> {
         }
     }
 
-    /// Assembles the [`FleetReport`] after the heap drained.
+    /// Assembles the [`FleetReport`] after the queue drained.
     ///
     /// Requests that never completed (timed out, lost to an unrecovered
     /// outage) are simply absent from the latency population: the report
@@ -1315,10 +1377,13 @@ pub fn simulate_fleet_mode(
 /// off the table and peak memory is tracked structurally instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetRunStats {
-    /// Events popped off the heap (arrivals, completions, window closes,
+    /// Events popped off the queue (arrivals, completions, window closes,
     /// control callbacks).
     pub events_processed: u64,
-    /// Peak event-heap population — the dominant transient allocation.
+    /// Peak event-heap population. Trace arrivals are read from the trace
+    /// as the run reaches them, so this counts only in-flight events
+    /// (completions, window closes, control callbacks, retry arrivals):
+    /// it follows the work in flight, not the trace length.
     pub peak_heap_events: usize,
     /// Per-request latency samples retained at report time (0 under
     /// [`ReportMode::Streaming`]).
@@ -1928,5 +1993,128 @@ mod tests {
         assert_eq!(r.mean_batch_size, 0.0, "0/0 batch-size NaN regression");
         assert!(r.throughput_seq_s.is_finite());
         assert!(r.shards.iter().all(|s| s.mean_batch_size == 0.0));
+    }
+
+    /// The heap [`EventQueue`] replaces: every trace arrival pushed up
+    /// front, in trace order, before any other event.
+    struct PreSeeded {
+        heap: BinaryHeap<Event<EventKind>>,
+        seq: u64,
+    }
+
+    impl PreSeeded {
+        fn new(trace: &[Request]) -> Self {
+            let mut q = Self {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            };
+            for (r, req) in trace.iter().enumerate() {
+                q.push(req.arrival_s, 0, EventKind::Arrival(r));
+            }
+            q
+        }
+
+        fn push(&mut self, time: f64, rank: u8, kind: EventKind) {
+            self.heap.push(Event {
+                time,
+                rank,
+                seq: self.seq,
+                kind,
+            });
+            self.seq += 1;
+        }
+    }
+
+    /// Everything that identifies a popped event, the kind included.
+    fn key(ev: Option<Event<EventKind>>) -> Option<(u64, u8, u64, EventKind)> {
+        ev.map(|e| (e.time.to_bits(), e.rank, e.seq, e.kind))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The lazy queue pops exactly the pre-seeded heap's sequence. The
+        /// trace has many equal timestamps, and pushes land on trace
+        /// arrival instants: retry arrivals (rank 0) tie with pending trace
+        /// arrivals, completions, window closes and control events (ranks
+        /// 1–3) tie with both.
+        #[test]
+        fn event_queue_pops_the_pre_seeded_order(
+            gaps in proptest::collection::vec(0usize..5, 1..=40),
+            ops in proptest::collection::vec((0usize..4, 0usize..256), 0..120),
+        ) {
+            let mut at = 0.0;
+            let trace: Vec<Request> = gaps
+                .iter()
+                .map(|&g| {
+                    at += [0.0, 0.0, 0.0, 0.5, 1.0][g];
+                    Request { arrival_s: at, len: 64 }
+                })
+                .collect();
+            let n = trace.len();
+            let mut lazy = EventQueue::new(&trace);
+            let mut reference = PreSeeded::new(&trace);
+            for (i, &(op, pick)) in ops.iter().enumerate() {
+                if op == 0 {
+                    proptest::prop_assert_eq!(key(lazy.peek()), key(reference.heap.peek().copied()));
+                    proptest::prop_assert_eq!(key(lazy.pop()), key(reference.heap.pop()));
+                } else {
+                    // On a trace arrival instant, or just after one.
+                    let base = trace[(pick / 4) % n].arrival_s;
+                    let time = if op == 3 { base + 0.25 } else { base };
+                    let (rank, kind) = match pick % 4 {
+                        0 => (0, EventKind::Arrival(pick % n)),
+                        1 => (1, EventKind::Completion { shard: i, epoch: 0 }),
+                        2 => (2, EventKind::WindowClose { shard: i, head: pick % n }),
+                        _ => (3, EventKind::Control),
+                    };
+                    lazy.push(time, rank, kind);
+                    reference.push(time, rank, kind);
+                }
+                // The heap holds only pushed events; pending trace
+                // arrivals live in the trace.
+                proptest::prop_assert_eq!(
+                    lazy.in_flight() + lazy.arrivals.len(),
+                    reference.heap.len()
+                );
+            }
+            loop {
+                let (a, b) = (lazy.pop(), reference.heap.pop());
+                proptest::prop_assert_eq!(key(a), key(b));
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Peak event-heap population follows in-flight work, not the trace
+    /// length: ten times the requests at the same rate leave it flat.
+    #[test]
+    fn peak_heap_events_is_independent_of_trace_length() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 4);
+        let peak = |n: usize| {
+            let trace = poisson_trace(&DatasetSpec::rte(), 5_000.0, n, 5);
+            let (_, stats) = simulate_fleet_instrumented(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &BatcherConfig::default(),
+                ReportMode::Streaming,
+            );
+            stats.peak_heap_events
+        };
+        let (small, large) = (peak(2_000), peak(20_000));
+        // Stale window closes wait in the heap until their instant, so the
+        // peak follows the arrival rate; at 5k seq/s it is about 20.
+        assert!(
+            small * 50 <= 2_000,
+            "peak {small} is not far below n = 2000"
+        );
+        assert!(
+            large <= small + 4,
+            "peak grew from {small} to {large} with 10x the requests"
+        );
     }
 }

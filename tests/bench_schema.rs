@@ -46,7 +46,7 @@ fn bench_fleet_json_is_valid_schema_2() {
     };
     assert!(!entries.is_empty(), "trajectory must not be empty");
 
-    let mut saw_streaming_1m = false;
+    let mut newest_streaming_1m = None;
     for (i, entry) in entries.iter().enumerate() {
         let Value::Obj(e) = entry else {
             panic!("entry {i} must be an object");
@@ -98,7 +98,7 @@ fn bench_fleet_json_is_valid_schema_2() {
                 }
             }
             "fleet-streaming-1m" => {
-                saw_streaming_1m = true;
+                newest_streaming_1m = Some((i, e));
                 let stream = positive_number(e, "peak_tracked_bytes");
                 let exact = positive_number(e, "peak_tracked_bytes_exact");
                 assert!(
@@ -122,8 +122,18 @@ fn bench_fleet_json_is_valid_schema_2() {
             _ => {}
         }
     }
+    let Some((i, e)) = newest_streaming_1m else {
+        panic!("BENCH_fleet.json must record the million-request streaming smoke");
+    };
+    // Trace arrivals are read lazily, so the event heap holds only
+    // in-flight events. Older entries predate this and recorded a heap
+    // pre-seeded with every arrival.
+    let (peak, requests) = (
+        positive_number(e, "peak_heap_events"),
+        positive_number(e, "requests"),
+    );
     assert!(
-        saw_streaming_1m,
-        "BENCH_fleet.json must record the million-request streaming smoke"
+        peak <= requests / 1000.0,
+        "entry {i}: event heap peaked at {peak} events for {requests} requests"
     );
 }
