@@ -980,6 +980,22 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
         }
     }
 
+    /// Latest completion among the requests KV-resident on a faulty
+    /// shard at fault onset: 0 if none, `f64::INFINITY` if one never
+    /// finished.
+    fn affected_drain_s(&self, completion_s: &[f64]) -> f64 {
+        self.affected
+            .iter()
+            .map(|&r| {
+                if completion_s[r].is_finite() {
+                    completion_s[r]
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .fold(0.0f64, f64::max)
+    }
+
     /// Decode twin of the fleet injector's timeout pass. A request that
     /// already started emitting tokens is never abandoned — its KV state
     /// is live, and mid-generation timeouts are not part of this client
@@ -1043,16 +1059,219 @@ impl<C: DecodeController> DecodeController for DecodeFaultInjector<C> {
     }
 }
 
-// ──────────────────────── outcome / phase assembly ─────────────────────
+// ──────────────────────────── client summary ───────────────────────────
 
-/// Builds per-request client outcomes from final completion times and
-/// retry counts. `arrivals` are the *original* trace arrivals.
-fn assemble_outcomes(
+/// The client's view of one run: per-request outcomes, disposition
+/// tallies, SLO attainment and the incident phases.
+#[cfg_attr(test, derive(Debug))]
+struct ClientSummary {
+    /// Empty under [`ReportMode::Streaming`].
+    outcomes: Vec<ClientOutcome>,
+    completed: usize,
+    timed_out: usize,
+    retried: usize,
+    slo_attainment: f64,
+    phases: Vec<IncidentPhase>,
+}
+
+/// Request `r`'s completion − original arrival; `f64::INFINITY` if it
+/// never completed.
+fn end_to_end_latency(completion_s: &[f64], arrivals: &[f64], r: usize) -> f64 {
+    if completion_s[r].is_finite() {
+        completion_s[r] - arrivals[r]
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Request `r`'s time to first token; `f64::INFINITY` if it never got one.
+fn ttft_latency(ttft_s: &[f64], r: usize) -> f64 {
+    if ttft_s[r].is_finite() {
+        ttft_s[r]
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// One incident phase's running counts while [`summarize_clients`] walks
+/// the trace.
+struct PhaseTally {
+    lo: f64,
+    hi: f64,
+    arrivals: usize,
+    completed: usize,
+    slo_hits: usize,
+    delivered: usize,
+    /// The phase's finite latencies in trace order (exact p95).
+    latencies: Vec<f64>,
+    /// The same latencies, sketched (streaming p95).
+    sketch: P2Quantile,
+}
+
+/// Builds the [`ClientSummary`] of a finished run in one pass over the
+/// trace. `arrivals` are the *original* trace arrivals; `latency_of(r)`
+/// is the SLO/phase latency metric (end-to-end for the fleet client, TTFT
+/// for the decode client), `f64::INFINITY` when the request never got
+/// there.
+///
+/// The run is sliced into pre / during / post incident phases along
+/// `window`. With no window the whole run is one phase; an unrecovered
+/// incident leaves the post phase empty (`[∞, ∞)`), keeping the
+/// three-phase shape stable for downstream indexing.
+///
+/// `mode` decides only two things: whether the outcome vector is kept,
+/// and whether a phase's p95 is the exact percentile of its latencies or
+/// a P² estimate fed the same latencies in the same order.
+#[allow(clippy::too_many_arguments)]
+fn summarize_clients(
+    mode: ReportMode,
+    window: Option<(f64, f64)>,
     arrivals: &[f64],
     completion_s: &[f64],
     attempts: &[u32],
-) -> Vec<ClientOutcome> {
-    (0..arrivals.len())
+    latency_of: impl Fn(usize) -> f64,
+    slo: f64,
+    makespan: f64,
+    scale_events: &[ScaleEvent],
+) -> ClientSummary {
+    let edges: Vec<f64> = match window {
+        None => vec![0.0, f64::INFINITY],
+        Some((w0, w1)) => vec![0.0, w0, w1, f64::INFINITY],
+    };
+    let mut tallies: Vec<PhaseTally> = edges
+        .windows(2)
+        .map(|w| PhaseTally {
+            lo: w[0],
+            hi: w[1],
+            arrivals: 0,
+            completed: 0,
+            slo_hits: 0,
+            delivered: 0,
+            latencies: Vec::new(),
+            sketch: P2Quantile::new(0.95),
+        })
+        .collect();
+    let mut outcomes = Vec::new();
+    let (mut completed, mut retried, mut slo_hits) = (0, 0, 0);
+    for r in 0..arrivals.len() {
+        let done = completion_s[r].is_finite();
+        let latency = latency_of(r);
+        completed += usize::from(done);
+        retried += usize::from(done && attempts[r] > 0);
+        slo_hits += usize::from(latency <= slo);
+        if mode == ReportMode::Exact {
+            outcomes.push(ClientOutcome {
+                disposition: if !done {
+                    Disposition::TimedOut
+                } else if attempts[r] > 0 {
+                    Disposition::Retried(attempts[r])
+                } else {
+                    Disposition::Completed
+                },
+                attempts: attempts[r],
+                completion_s: if done { completion_s[r] } else { f64::INFINITY },
+                latency_s: end_to_end_latency(completion_s, arrivals, r),
+            });
+        }
+        for t in &mut tallies {
+            if done && completion_s[r] >= t.lo && completion_s[r] < t.hi {
+                t.delivered += 1;
+            }
+            if arrivals[r] >= t.lo && arrivals[r] < t.hi {
+                t.arrivals += 1;
+                if latency.is_finite() {
+                    t.completed += 1;
+                    t.slo_hits += usize::from(latency <= slo);
+                    match mode {
+                        ReportMode::Exact => t.latencies.push(latency),
+                        ReportMode::Streaming => t.sketch.observe(latency),
+                    }
+                }
+            }
+        }
+    }
+    let phases = tallies
+        .into_iter()
+        .map(|t| {
+            let hi_eff = if t.hi.is_finite() {
+                t.hi
+            } else {
+                makespan.max(t.lo)
+            };
+            IncidentPhase {
+                start_s: t.lo,
+                end_s: t.hi,
+                arrivals: t.arrivals,
+                completed: t.completed,
+                timed_out: t.arrivals - t.completed,
+                slo_attainment: if t.arrivals == 0 {
+                    1.0
+                } else {
+                    t.slo_hits as f64 / t.arrivals as f64
+                },
+                goodput_seq_s: t.delivered as f64 / (hi_eff - t.lo).max(1e-12),
+                p95_latency_s: match mode {
+                    ReportMode::Exact => percentile(&t.latencies, 0.95).unwrap_or(0.0),
+                    ReportMode::Streaming if t.completed == 0 => 0.0,
+                    ReportMode::Streaming => t.sketch.quantile(),
+                },
+                scale_events: scale_events
+                    .iter()
+                    .filter(|e| e.time_s >= t.lo && e.time_s < t.hi)
+                    .count(),
+            }
+        })
+        .collect();
+    let summary = ClientSummary {
+        outcomes,
+        completed,
+        timed_out: arrivals.len() - completed,
+        retried,
+        // The engines reject an empty trace, so the divisor is positive.
+        slo_attainment: slo_hits as f64 / arrivals.len() as f64,
+        phases,
+    };
+    #[cfg(test)]
+    if mode == ReportMode::Exact {
+        let reference = reference_summary(
+            window,
+            arrivals,
+            completion_s,
+            attempts,
+            &latency_of,
+            slo,
+            makespan,
+            scale_events,
+        );
+        // `Debug` prints every f64 in its shortest round-trip form, so
+        // equal strings mean equal bits.
+        assert_eq!(
+            format!("{summary:?}"),
+            format!("{reference:?}"),
+            "client summary diverged from the reference chain"
+        );
+    }
+    summary
+}
+
+/// Reference for [`summarize_clients`] under [`ReportMode::Exact`]: the
+/// chain the entry points ran before it, one step after another. Build
+/// the outcomes, tally them, override each outcome's latency with
+/// `latency_of` (TTFT for decode, a no-op for the fleet), then slice
+/// phases and fold SLO attainment over the overridden outcomes.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn reference_summary(
+    window: Option<(f64, f64)>,
+    arrivals: &[f64],
+    completion_s: &[f64],
+    attempts: &[u32],
+    latency_of: &dyn Fn(usize) -> f64,
+    slo: f64,
+    makespan: f64,
+    scale_events: &[ScaleEvent],
+) -> ClientSummary {
+    let outcomes: Vec<ClientOutcome> = (0..arrivals.len())
         .map(|r| {
             let done = completion_s[r].is_finite();
             ClientOutcome {
@@ -1072,32 +1291,34 @@ fn assemble_outcomes(
                 },
             }
         })
-        .collect()
-}
-
-/// Slices the run into pre / during / post incident phases. With no
-/// window the whole run is one phase; an unrecovered incident leaves the
-/// post phase empty (`[∞, ∞)`), keeping the three-phase shape stable for
-/// downstream indexing.
-fn build_phases(
-    window: Option<(f64, f64)>,
-    arrivals: &[f64],
-    outcomes: &[ClientOutcome],
-    slo: f64,
-    makespan: f64,
-    scale_events: &[ScaleEvent],
-) -> Vec<IncidentPhase> {
+        .collect();
+    let completed = outcomes
+        .iter()
+        .filter(|o| o.completion_s.is_finite())
+        .count();
+    let retried = outcomes
+        .iter()
+        .filter(|o| matches!(o.disposition, Disposition::Retried(_)))
+        .count();
+    let overridden: Vec<ClientOutcome> = outcomes
+        .iter()
+        .enumerate()
+        .map(|(r, o)| ClientOutcome {
+            latency_s: latency_of(r),
+            ..*o
+        })
+        .collect();
     let edges: Vec<f64> = match window {
         None => vec![0.0, f64::INFINITY],
         Some((w0, w1)) => vec![0.0, w0, w1, f64::INFINITY],
     };
-    edges
+    let phases = edges
         .windows(2)
         .map(|w| {
             let (lo, hi) = (w[0], w[1]);
             let in_phase: Vec<&ClientOutcome> = arrivals
                 .iter()
-                .zip(outcomes)
+                .zip(&overridden)
                 .filter(|(&a, _)| a >= lo && a < hi)
                 .map(|(_, o)| o)
                 .collect();
@@ -1106,7 +1327,7 @@ fn build_phases(
                 .filter(|o| o.latency_s.is_finite())
                 .map(|o| o.latency_s)
                 .collect();
-            let delivered = outcomes
+            let delivered = overridden
                 .iter()
                 .filter(|o| o.completion_s >= lo && o.completion_s < hi)
                 .count();
@@ -1131,114 +1352,13 @@ fn build_phases(
                     .count(),
             }
         })
-        .collect()
-}
-
-/// (completed, timed_out, retried) tallies over an outcome slice.
-fn tally(outcomes: &[ClientOutcome]) -> (usize, usize, usize) {
-    let completed = outcomes
-        .iter()
-        .filter(|o| o.completion_s.is_finite())
-        .count();
-    let retried = outcomes
-        .iter()
-        .filter(|o| matches!(o.disposition, Disposition::Retried(_)))
-        .count();
-    (completed, outcomes.len() - completed, retried)
-}
-
-/// Everything the exact path derives from a materialized
-/// [`ClientOutcome`] vector, computed in streaming passes over the
-/// engine's per-request state instead. `latency_of(r)` is the SLO/phase
-/// latency metric (end-to-end for the fleet client, TTFT for the decode
-/// client), `f64::INFINITY` when the request never got there.
-struct StreamingAssembly {
-    completed: usize,
-    timed_out: usize,
-    retried: usize,
-    slo_attainment: f64,
-    phases: Vec<IncidentPhase>,
-}
-
-/// Streaming twin of the [`assemble_outcomes`] / [`tally`] /
-/// [`build_phases`] / SLO-fold chain: identical counting, but per-phase
-/// p95 latency comes from a P² sketch fed in one pass, and no outcome
-/// vector is ever materialized.
-#[allow(clippy::too_many_arguments)]
-fn assemble_streaming(
-    window: Option<(f64, f64)>,
-    arrivals: &[f64],
-    completion_s: &[f64],
-    attempts: &[u32],
-    latency_of: &dyn Fn(usize) -> f64,
-    slo: f64,
-    makespan: f64,
-    scale_events: &[ScaleEvent],
-) -> StreamingAssembly {
-    let n = arrivals.len();
-    let completed = completion_s.iter().filter(|c| c.is_finite()).count();
-    let retried = (0..n)
-        .filter(|&r| completion_s[r].is_finite() && attempts[r] > 0)
-        .count();
-    let slo_attainment = (0..n).filter(|&r| latency_of(r) <= slo).count() as f64 / n.max(1) as f64;
-    let edges: Vec<f64> = match window {
-        None => vec![0.0, f64::INFINITY],
-        Some((w0, w1)) => vec![0.0, w0, w1, f64::INFINITY],
-    };
-    let phases = edges
-        .windows(2)
-        .map(|w| {
-            let (lo, hi) = (w[0], w[1]);
-            let mut phase_arrivals = 0usize;
-            let mut phase_completed = 0usize;
-            let mut slo_hits = 0usize;
-            let mut delivered = 0usize;
-            let mut p95 = P2Quantile::new(0.95);
-            for r in 0..n {
-                let done = completion_s[r].is_finite();
-                if done && completion_s[r] >= lo && completion_s[r] < hi {
-                    delivered += 1;
-                }
-                if arrivals[r] >= lo && arrivals[r] < hi {
-                    phase_arrivals += 1;
-                    let l = latency_of(r);
-                    if l.is_finite() {
-                        phase_completed += 1;
-                        p95.observe(l);
-                        if l <= slo {
-                            slo_hits += 1;
-                        }
-                    }
-                }
-            }
-            let hi_eff = if hi.is_finite() { hi } else { makespan.max(lo) };
-            IncidentPhase {
-                start_s: lo,
-                end_s: hi,
-                arrivals: phase_arrivals,
-                completed: phase_completed,
-                timed_out: phase_arrivals - phase_completed,
-                slo_attainment: if phase_arrivals == 0 {
-                    1.0
-                } else {
-                    slo_hits as f64 / phase_arrivals as f64
-                },
-                goodput_seq_s: delivered as f64 / (hi_eff - lo).max(1e-12),
-                p95_latency_s: if p95.count() == 0 {
-                    0.0
-                } else {
-                    p95.quantile()
-                },
-                scale_events: scale_events
-                    .iter()
-                    .filter(|e| e.time_s >= lo && e.time_s < hi)
-                    .count(),
-            }
-        })
         .collect();
-    StreamingAssembly {
+    let slo_attainment =
+        overridden.iter().filter(|o| o.latency_s <= slo).count() as f64 / arrivals.len() as f64;
+    ClientSummary {
+        timed_out: outcomes.len() - completed,
+        outcomes,
         completed,
-        timed_out: n - completed,
         retried,
         slo_attainment,
         phases,
@@ -1323,65 +1443,27 @@ pub fn simulate_fleet_failure_mode(
     let completion_s = core.completion_s.clone();
     let fleet = core.into_report();
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    match mode {
-        ReportMode::Exact => {
-            let outcomes = assemble_outcomes(&arrivals, &completion_s, &injector.attempts);
-            let (completed, timed_out, retried) = tally(&outcomes);
-            let phases = build_phases(
-                plan.incident_window(),
-                &arrivals,
-                &outcomes,
-                slo_latency_s,
-                fleet.makespan_s,
-                &[],
-            );
-            let slo_attainment = outcomes
-                .iter()
-                .filter(|o| o.latency_s <= slo_latency_s)
-                .count() as f64
-                / trace.len() as f64;
-            FailureReport {
-                goodput_seq_s: completed as f64 / fleet.makespan_s.max(1e-12),
-                fleet,
-                outcomes,
-                completed,
-                timed_out,
-                retried,
-                retries: injector.retries,
-                slo_attainment,
-                phases,
-            }
-        }
-        ReportMode::Streaming => {
-            let latency_of = |r: usize| {
-                if completion_s[r].is_finite() {
-                    completion_s[r] - arrivals[r]
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let asm = assemble_streaming(
-                plan.incident_window(),
-                &arrivals,
-                &completion_s,
-                &injector.attempts,
-                &latency_of,
-                slo_latency_s,
-                fleet.makespan_s,
-                &[],
-            );
-            FailureReport {
-                goodput_seq_s: asm.completed as f64 / fleet.makespan_s.max(1e-12),
-                fleet,
-                outcomes: Vec::new(),
-                completed: asm.completed,
-                timed_out: asm.timed_out,
-                retried: asm.retried,
-                retries: injector.retries,
-                slo_attainment: asm.slo_attainment,
-                phases: asm.phases,
-            }
-        }
+    let summary = summarize_clients(
+        mode,
+        plan.incident_window(),
+        &arrivals,
+        &completion_s,
+        &injector.attempts,
+        |r| end_to_end_latency(&completion_s, &arrivals, r),
+        slo_latency_s,
+        fleet.makespan_s,
+        &[],
+    );
+    FailureReport {
+        goodput_seq_s: summary.completed as f64 / fleet.makespan_s.max(1e-12),
+        fleet,
+        outcomes: summary.outcomes,
+        completed: summary.completed,
+        timed_out: summary.timed_out,
+        retried: summary.retried,
+        retries: injector.retries,
+        slo_attainment: summary.slo_attainment,
+        phases: summary.phases,
     }
 }
 
@@ -1462,65 +1544,27 @@ pub fn simulate_autoscale_failure_mode(
         injector.inner.close_books(fleet.makespan_s);
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
     let scale_events = std::mem::take(&mut injector.inner.events);
-    let failure = match mode {
-        ReportMode::Exact => {
-            let outcomes = assemble_outcomes(&arrivals, &completion_s, &injector.attempts);
-            let (completed, timed_out, retried) = tally(&outcomes);
-            let phases = build_phases(
-                plan.incident_window(),
-                &arrivals,
-                &outcomes,
-                cfg.slo_latency_s,
-                fleet.makespan_s,
-                &scale_events,
-            );
-            let slo_attainment = outcomes
-                .iter()
-                .filter(|o| o.latency_s <= cfg.slo_latency_s)
-                .count() as f64
-                / trace.len() as f64;
-            FailureReport {
-                goodput_seq_s: completed as f64 / fleet.makespan_s.max(1e-12),
-                fleet,
-                outcomes,
-                completed,
-                timed_out,
-                retried,
-                retries: injector.retries,
-                slo_attainment,
-                phases,
-            }
-        }
-        ReportMode::Streaming => {
-            let latency_of = |r: usize| {
-                if completion_s[r].is_finite() {
-                    completion_s[r] - arrivals[r]
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let asm = assemble_streaming(
-                plan.incident_window(),
-                &arrivals,
-                &completion_s,
-                &injector.attempts,
-                &latency_of,
-                cfg.slo_latency_s,
-                fleet.makespan_s,
-                &scale_events,
-            );
-            FailureReport {
-                goodput_seq_s: asm.completed as f64 / fleet.makespan_s.max(1e-12),
-                fleet,
-                outcomes: Vec::new(),
-                completed: asm.completed,
-                timed_out: asm.timed_out,
-                retried: asm.retried,
-                retries: injector.retries,
-                slo_attainment: asm.slo_attainment,
-                phases: asm.phases,
-            }
-        }
+    let summary = summarize_clients(
+        mode,
+        plan.incident_window(),
+        &arrivals,
+        &completion_s,
+        &injector.attempts,
+        |r| end_to_end_latency(&completion_s, &arrivals, r),
+        cfg.slo_latency_s,
+        fleet.makespan_s,
+        &scale_events,
+    );
+    let failure = FailureReport {
+        goodput_seq_s: summary.completed as f64 / fleet.makespan_s.max(1e-12),
+        fleet,
+        outcomes: summary.outcomes,
+        completed: summary.completed,
+        timed_out: summary.timed_out,
+        retried: summary.retried,
+        retries: injector.retries,
+        slo_attainment: summary.slo_attainment,
+        phases: summary.phases,
     };
     AutoscaleFailureReport {
         failure,
@@ -1619,91 +1663,29 @@ pub fn simulate_decode_failure_mode(
     let ttft_s = core.ttft_s.clone();
     let decode = core.into_report();
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let affected_drain_s = injector
-        .affected
-        .iter()
-        .map(|&r| {
-            if completion_s[r].is_finite() {
-                completion_s[r]
-            } else {
-                f64::INFINITY
-            }
-        })
-        .fold(0.0f64, f64::max);
-    match mode {
-        ReportMode::Exact => {
-            let outcomes = assemble_outcomes(&arrivals, &completion_s, &injector.attempts);
-            let (completed, timed_out, retried) = tally(&outcomes);
-            // The phase / SLO latency metric for decode is TTFT, not
-            // end-to-end completion: it is what generative SLOs are
-            // written against.
-            let ttft_outcomes: Vec<ClientOutcome> = outcomes
-                .iter()
-                .enumerate()
-                .map(|(r, o)| ClientOutcome {
-                    latency_s: if ttft_s[r].is_finite() {
-                        ttft_s[r]
-                    } else {
-                        f64::INFINITY
-                    },
-                    ..*o
-                })
-                .collect();
-            let phases = build_phases(
-                plan.incident_window(),
-                &arrivals,
-                &ttft_outcomes,
-                slo_ttft_s,
-                decode.fleet.makespan_s,
-                &[],
-            );
-            let slo_attainment = ttft_outcomes
-                .iter()
-                .filter(|o| o.latency_s <= slo_ttft_s)
-                .count() as f64
-                / trace.len() as f64;
-            DecodeFailureReport {
-                decode,
-                outcomes,
-                completed,
-                timed_out,
-                retried,
-                retries: injector.retries,
-                slo_attainment,
-                phases,
-                affected_drain_s,
-            }
-        }
-        ReportMode::Streaming => {
-            let latency_of = |r: usize| {
-                if ttft_s[r].is_finite() {
-                    ttft_s[r]
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let asm = assemble_streaming(
-                plan.incident_window(),
-                &arrivals,
-                &completion_s,
-                &injector.attempts,
-                &latency_of,
-                slo_ttft_s,
-                decode.fleet.makespan_s,
-                &[],
-            );
-            DecodeFailureReport {
-                decode,
-                outcomes: Vec::new(),
-                completed: asm.completed,
-                timed_out: asm.timed_out,
-                retried: asm.retried,
-                retries: injector.retries,
-                slo_attainment: asm.slo_attainment,
-                phases: asm.phases,
-                affected_drain_s,
-            }
-        }
+    // The phase / SLO latency metric for decode is TTFT, not end-to-end
+    // completion: it is what generative SLOs are written against.
+    let summary = summarize_clients(
+        mode,
+        plan.incident_window(),
+        &arrivals,
+        &completion_s,
+        &injector.attempts,
+        |r| ttft_latency(&ttft_s, r),
+        slo_ttft_s,
+        decode.fleet.makespan_s,
+        &[],
+    );
+    DecodeFailureReport {
+        decode,
+        outcomes: summary.outcomes,
+        completed: summary.completed,
+        timed_out: summary.timed_out,
+        retried: summary.retried,
+        retries: injector.retries,
+        slo_attainment: summary.slo_attainment,
+        phases: summary.phases,
+        affected_drain_s: injector.affected_drain_s(&completion_s),
     }
 }
 
@@ -1834,91 +1816,29 @@ pub fn simulate_disagg_failure_mode(
     let ttft_s = core.ttft_s.clone();
     let decode = core.into_report();
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let affected_drain_s = injector
-        .affected
-        .iter()
-        .map(|&r| {
-            if completion_s[r].is_finite() {
-                completion_s[r]
-            } else {
-                f64::INFINITY
-            }
-        })
-        .fold(0.0f64, f64::max);
-    let retries = injector.retries;
-    let attempts = injector.attempts.clone();
+    let affected_drain_s = injector.affected_drain_s(&completion_s);
     let disagg = injector.inner.into_report(decode);
-    match mode {
-        ReportMode::Exact => {
-            let outcomes = assemble_outcomes(&arrivals, &completion_s, &attempts);
-            let (completed, timed_out, retried) = tally(&outcomes);
-            let ttft_outcomes: Vec<ClientOutcome> = outcomes
-                .iter()
-                .enumerate()
-                .map(|(r, o)| ClientOutcome {
-                    latency_s: if ttft_s[r].is_finite() {
-                        ttft_s[r]
-                    } else {
-                        f64::INFINITY
-                    },
-                    ..*o
-                })
-                .collect();
-            let phases = build_phases(
-                plan.incident_window(),
-                &arrivals,
-                &ttft_outcomes,
-                slo_ttft_s,
-                disagg.decode.fleet.makespan_s,
-                &[],
-            );
-            let slo_attainment = ttft_outcomes
-                .iter()
-                .filter(|o| o.latency_s <= slo_ttft_s)
-                .count() as f64
-                / trace.len() as f64;
-            DisaggFailureReport {
-                disagg,
-                outcomes,
-                completed,
-                timed_out,
-                retried,
-                retries,
-                slo_attainment,
-                phases,
-                affected_drain_s,
-            }
-        }
-        ReportMode::Streaming => {
-            let latency_of = |r: usize| {
-                if ttft_s[r].is_finite() {
-                    ttft_s[r]
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let asm = assemble_streaming(
-                plan.incident_window(),
-                &arrivals,
-                &completion_s,
-                &attempts,
-                &latency_of,
-                slo_ttft_s,
-                disagg.decode.fleet.makespan_s,
-                &[],
-            );
-            DisaggFailureReport {
-                disagg,
-                outcomes: Vec::new(),
-                completed: asm.completed,
-                timed_out: asm.timed_out,
-                retried: asm.retried,
-                retries,
-                slo_attainment: asm.slo_attainment,
-                phases: asm.phases,
-                affected_drain_s,
-            }
-        }
+    let summary = summarize_clients(
+        mode,
+        plan.incident_window(),
+        &arrivals,
+        &completion_s,
+        &injector.attempts,
+        |r| ttft_latency(&ttft_s, r),
+        slo_ttft_s,
+        disagg.decode.fleet.makespan_s,
+        &[],
+    );
+    DisaggFailureReport {
+        disagg,
+        outcomes: summary.outcomes,
+        completed: summary.completed,
+        timed_out: summary.timed_out,
+        retried: summary.retried,
+        retries: injector.retries,
+        slo_attainment: summary.slo_attainment,
+        phases: summary.phases,
+        affected_drain_s,
     }
 }
 
@@ -2633,5 +2553,218 @@ mod tests {
         assert_eq!(r.timed_out, 0);
         let multi = trace.iter().filter(|q| q.output_len > 1).count();
         assert!(r.disagg.transfers >= multi);
+    }
+
+    // ── exact client summary vs the reference chain ──
+    //
+    // Under `cfg(test)`, `summarize_clients` asserts its exact path
+    // against `reference_summary` on every call, so each test below
+    // checks one entry point bit for bit through a run with crashes,
+    // retries and abandonments.
+
+    /// The seed the property suites run under: `HARNESS_SEED` (decimal
+    /// or `0x` hex) if set, else their default. `lat-bench`, which owns
+    /// the helper, depends on this crate, so it is mirrored here.
+    fn harness_seed() -> u64 {
+        match std::env::var("HARNESS_SEED") {
+            Ok(s) => {
+                let s = s.trim();
+                match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+                    Some(hex) => u64::from_str_radix(hex, 16),
+                    None => s.parse(),
+                }
+                .expect("HARNESS_SEED is not a u64")
+            }
+            Err(_) => 0xDAC2_2022,
+        }
+    }
+
+    /// Shard 0 crashes and recovers; meanwhile shard 1, left alone,
+    /// drags ×100, so queued requests time out, retry and abandon.
+    fn surge_plan() -> FaultPlan {
+        FaultPlan {
+            faults: vec![
+                Fault {
+                    shard: 0,
+                    kind: FaultKind::Crash {
+                        at_s: 0.1,
+                        recover_s: Some(1.0),
+                    },
+                },
+                Fault {
+                    shard: 1,
+                    kind: FaultKind::Straggler {
+                        from_s: 0.15,
+                        until_s: 0.8,
+                        slowdown: 100.0,
+                    },
+                },
+            ],
+        }
+    }
+
+    /// Fires fast, gives up fast: queued requests retry, then abandon.
+    fn hasty_client() -> ClientConfig {
+        ClientConfig {
+            timeout_s: 0.01,
+            max_retries: 3,
+            backoff_s: 0.005,
+            deadline_s: 0.03,
+        }
+    }
+
+    fn assert_stormy(tag: &str, retries: usize, timed_out: usize) {
+        assert!(retries > 0, "{tag}: no client retried");
+        assert!(timed_out > 0, "{tag}: no client abandoned");
+    }
+
+    #[test]
+    fn fleet_exact_summary_matches_reference_chain() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 2);
+        let trace = crate::fleet::poisson_trace(
+            &lat_workloads::datasets::DatasetSpec::rte(),
+            8000.0,
+            2000,
+            harness_seed(),
+        );
+        let r = simulate_fleet_failure(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            &batcher(),
+            &surge_plan(),
+            &hasty_client(),
+            0.25,
+        );
+        assert_stormy("fleet", r.retries, r.timed_out);
+    }
+
+    #[test]
+    fn autoscale_exact_summary_matches_reference_chain() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 2);
+        let trace = crate::fleet::poisson_trace(
+            &lat_workloads::datasets::DatasetSpec::rte(),
+            8000.0,
+            2000,
+            harness_seed(),
+        );
+        let cfg = AutoscaleConfig {
+            min_shards: 1,
+            initial_shards: 2,
+            policy: ScalePolicy::Reactive {
+                scale_up_depth: 4.0,
+                scale_down_depth: 0.5,
+            },
+            retire: RetirePolicy::Evict,
+            eval_interval_s: 0.01,
+            warmup_s: 0.02,
+            cooldown_s: 0.0,
+            slo_latency_s: 0.25,
+            phase_bounds_s: Vec::new(),
+        };
+        let r = simulate_autoscale_failure(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            &batcher(),
+            &cfg,
+            &surge_plan(),
+            &hasty_client(),
+        );
+        assert_stormy("autoscale", r.failure.retries, r.failure.timed_out);
+        assert!(r.failure.phases.iter().any(|p| p.scale_events > 0));
+    }
+
+    #[test]
+    fn decode_exact_summary_matches_reference_chain() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 2);
+        let mrpc = lat_workloads::datasets::DatasetSpec::mrpc();
+        let trace = crate::decode::decode_trace(
+            &mrpc,
+            &mrpc.decode_output(),
+            0.2,
+            8000.0,
+            2000,
+            harness_seed(),
+        );
+        let r = simulate_decode_failure(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            &surge_plan(),
+            &hasty_client(),
+            DecodeScaleDown::Migrate,
+            0.1,
+        );
+        assert_stormy("decode", r.retries, r.timed_out);
+    }
+
+    #[test]
+    fn disagg_exact_summary_matches_reference_chain() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 2);
+        let mrpc = lat_workloads::datasets::DatasetSpec::mrpc();
+        let trace = crate::decode::decode_trace(
+            &mrpc,
+            &mrpc.decode_output(),
+            0.2,
+            8000.0,
+            2000,
+            harness_seed(),
+        );
+        // The surge hits the prefill pool while decode shard 2 crashes,
+        // orphaning its residents onto a second prefill pass.
+        let mut plan = surge_plan();
+        plan.faults.push(Fault {
+            shard: 2,
+            kind: FaultKind::Crash {
+                at_s: 0.2,
+                recover_s: Some(0.6),
+            },
+        });
+        let r = simulate_disagg_failure(
+            &fleet,
+            &fleet,
+            &trace,
+            &[],
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            &disagg_cfg(),
+            &plan,
+            &hasty_client(),
+            DecodeScaleDown::Migrate,
+            0.1,
+        );
+        assert_stormy("disagg", r.retries, r.timed_out);
+    }
+
+    /// Completions landing exactly on both incident edges: each belongs
+    /// to the phase it opens, not the one it closes.
+    #[test]
+    fn summary_buckets_edge_completions_like_the_reference_chain() {
+        let arrivals = [0.0, 0.5, 1.0, 1.5, 2.0];
+        let completion_s = [1.0, 2.0, f64::INFINITY, 3.0, 2.5];
+        let attempts = [0, 1, 2, 0, 1];
+        let latency_of = |r: usize| end_to_end_latency(&completion_s, &arrivals, r);
+        let s = summarize_clients(
+            ReportMode::Exact,
+            Some((1.0, 2.0)),
+            &arrivals,
+            &completion_s,
+            &attempts,
+            latency_of,
+            1.2,
+            3.0,
+            &[],
+        );
+        let delivered: Vec<f64> = s.phases.iter().map(|p| p.goodput_seq_s).collect();
+        assert_eq!(delivered, [0.0, 1.0, 3.0]);
+        assert_eq!((s.completed, s.timed_out, s.retried), (4, 1, 2));
     }
 }

@@ -1456,6 +1456,10 @@ pub fn simulate_fleet_instrumented(
 /// differ in how they measure per-shard load (`load(i)` = waiting +
 /// in-flight requests) and in which shards accept routed work
 /// (`accepting(i)`; the fixed-membership engines accept everywhere).
+///
+/// # Panics
+///
+/// Panics if no shard accepts.
 pub(crate) fn route(
     dispatch: DispatchPolicy,
     shards: &[AcceleratorDesign],
@@ -1465,13 +1469,16 @@ pub(crate) fn route(
     rr_next: &mut usize,
 ) -> usize {
     match dispatch {
-        DispatchPolicy::RoundRobin => loop {
-            let s = *rr_next % shards.len();
-            *rr_next += 1;
-            if accepting(s) {
-                return s;
+        DispatchPolicy::RoundRobin => {
+            for _ in 0..shards.len() {
+                let s = *rr_next % shards.len();
+                *rr_next += 1;
+                if accepting(s) {
+                    return s;
+                }
             }
-        },
+            panic!("at least one accepting shard")
+        }
         DispatchPolicy::JoinShortestQueue => {
             least_loaded(load, (0..shards.len()).filter(|&i| accepting(i)))
         }
@@ -1521,6 +1528,40 @@ mod tests {
 
     fn burst(n: usize, at: f64, len: usize) -> Vec<Request> {
         vec![Request { arrival_s: at, len }; n]
+    }
+
+    /// Round-robin scans one lap for an accepting shard, then panics
+    /// like the other policies instead of spinning forever.
+    #[test]
+    #[should_panic(expected = "at least one accepting shard")]
+    fn round_robin_with_no_accepting_shard_panics() {
+        let shards = homogeneous_fleet(&tiny_design(64), 3);
+        let mut rr_next = 0;
+        route(
+            DispatchPolicy::RoundRobin,
+            &shards,
+            &|_| false,
+            &|_| 0,
+            64,
+            &mut rr_next,
+        );
+    }
+
+    /// With some shard accepting, one lap lands where the unbounded scan
+    /// did: the next accepting shard, with the cursor just past it.
+    #[test]
+    fn round_robin_skips_to_the_next_accepting_shard() {
+        let shards = homogeneous_fleet(&tiny_design(64), 4);
+        let mut rr_next = 5;
+        let s = route(
+            DispatchPolicy::RoundRobin,
+            &shards,
+            &|i| i == 0,
+            &|_| 0,
+            64,
+            &mut rr_next,
+        );
+        assert_eq!((s, rr_next), (0, 9));
     }
 
     #[test]

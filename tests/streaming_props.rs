@@ -6,9 +6,9 @@
 //! bit-identical to the exact run of the same scenario, while the
 //! percentile fields — the only sketch-estimated values — are pinned to
 //! `|sketch − exact| ≤ ε`. The suite covers the healthy fleet and decode
-//! engines and all three failure entry points (fixed fleet, autoscaled
-//! fleet, decode), so the sketch path is exercised through crashes,
-//! stragglers, client retries, and re-priced in-flight work.
+//! engines and all four failure entry points (fixed fleet, autoscaled
+//! fleet, decode, disaggregated), so the sketch path is exercised through
+//! crashes, stragglers, client retries, and re-priced in-flight work.
 
 use lat_bench::scenarios::{
     harness_seed, FAILURE_BACKOFF_S, FAILURE_DEADLINE_S, FAILURE_MAX_RETRIES, FAILURE_TIMEOUT_S,
@@ -17,11 +17,15 @@ use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::core::sketch::ReportMode;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::autoscale::{AutoscaleConfig, DecodeScaleDown, RetirePolicy, ScalePolicy};
-use lat_fpga::hwsim::decode::{decode_trace, simulate_decode_mode, DecodeConfig, DecodeScheduler};
+use lat_fpga::hwsim::decode::{
+    decode_trace, simulate_decode_mode, DecodeConfig, DecodeScheduler, KvTransfer,
+};
+use lat_fpga::hwsim::disagg::DisaggConfig;
 use lat_fpga::hwsim::failure::{
     simulate_autoscale_failure, simulate_autoscale_failure_mode, simulate_decode_failure,
-    simulate_decode_failure_mode, simulate_fleet_failure, simulate_fleet_failure_mode,
-    ClientConfig, Fault, FaultKind, FaultPlan, RetryDecision,
+    simulate_decode_failure_mode, simulate_disagg_failure, simulate_disagg_failure_mode,
+    simulate_fleet_failure, simulate_fleet_failure_mode, ClientConfig, Fault, FaultKind, FaultPlan,
+    IncidentPhase, RetryDecision,
 };
 use lat_fpga::hwsim::fleet::{
     homogeneous_fleet, poisson_trace, simulate_fleet, simulate_fleet_mode, BatcherConfig,
@@ -31,6 +35,7 @@ use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
 use lat_fpga::workloads::datasets::DatasetSpec;
+use lat_fpga::workloads::prefix::PrefixProfile;
 
 /// Relative tolerance pinned for every sketch-estimated percentile. The
 /// P² estimator is far tighter than this on the smooth latency
@@ -215,6 +220,22 @@ fn sorted_latencies(
     lat
 }
 
+/// Every incident-phase field except the p95 (the one sketch-estimated
+/// value) must match the exact run bit for bit.
+fn assert_phase_counters_equal(stream: &[IncidentPhase], exact: &[IncidentPhase]) {
+    assert_eq!(stream.len(), exact.len());
+    for (sp, ep) in stream.iter().zip(exact) {
+        assert_eq!(sp.start_s.to_bits(), ep.start_s.to_bits());
+        assert_eq!(sp.end_s.to_bits(), ep.end_s.to_bits());
+        assert_eq!(sp.arrivals, ep.arrivals);
+        assert_eq!(sp.completed, ep.completed);
+        assert_eq!(sp.timed_out, ep.timed_out);
+        assert_eq!(sp.scale_events, ep.scale_events);
+        assert_eq!(sp.slo_attainment.to_bits(), ep.slo_attainment.to_bits());
+        assert_eq!(sp.goodput_seq_s.to_bits(), ep.goodput_seq_s.to_bits());
+    }
+}
+
 /// The bit-identical portion of the streaming contract: every counter,
 /// the makespan, throughput, batch-size mean, and per-shard stats must
 /// match the exact run exactly — `ReportMode::Streaming` changes
@@ -378,14 +399,8 @@ fn fleet_failure_streaming_matches_exact() {
     assert_quantile_pinned("surge p50", sf.p50_latency_s, ef.p50_latency_s, &all, 0.50);
     assert_quantile_pinned("surge p95", sf.p95_latency_s, ef.p95_latency_s, &all, 0.95);
     assert_quantile_pinned("surge p99", sf.p99_latency_s, ef.p99_latency_s, &all, 0.99);
-    assert_eq!(stream.phases.len(), exact.phases.len());
+    assert_phase_counters_equal(&stream.phases, &exact.phases);
     for (sp, ep) in stream.phases.iter().zip(&exact.phases) {
-        assert_eq!(sp.arrivals, ep.arrivals);
-        assert_eq!(sp.completed, ep.completed);
-        assert_eq!(sp.timed_out, ep.timed_out);
-        assert_eq!(sp.scale_events, ep.scale_events);
-        assert_eq!(sp.slo_attainment.to_bits(), ep.slo_attainment.to_bits());
-        assert_eq!(sp.goodput_seq_s.to_bits(), ep.goodput_seq_s.to_bits());
         // Phase populations are arrival-bucketed slices of the exact
         // outcomes; pin each phase's p95 against its own slice so a
         // phase whose window straddles the fault cliff still has a
@@ -466,9 +481,35 @@ fn autoscale_failure_streaming_matches_exact() {
     assert_eq!(stream.scale_events, exact.scale_events);
     assert_eq!(stream.failure.completed, exact.failure.completed);
     assert_eq!(stream.failure.timed_out, exact.failure.timed_out);
+    assert_eq!(stream.failure.retried, exact.failure.retried);
     assert_eq!(stream.failure.retries, exact.failure.retries);
+    assert_eq!(
+        stream.failure.slo_attainment.to_bits(),
+        exact.failure.slo_attainment.to_bits()
+    );
     assert!(stream.failure.outcomes.is_empty());
     assert_fleet_counters_equal(&stream.failure.fleet, &exact.failure.fleet);
+    // The only entry point whose phases count scale events: the crash
+    // alone logs a `Failed` event inside the incident window.
+    assert!(
+        exact.failure.phases.iter().any(|p| p.scale_events > 0),
+        "no scale event landed in any phase"
+    );
+    assert_phase_counters_equal(&stream.failure.phases, &exact.failure.phases);
+    for (sp, ep) in stream.failure.phases.iter().zip(&exact.failure.phases) {
+        let phase = sorted_latencies(&exact.failure.outcomes, |r| {
+            trace[r].arrival_s >= sp.start_s && trace[r].arrival_s < sp.end_s
+        });
+        if !phase.is_empty() {
+            assert_quantile_pinned(
+                "autoscale phase p95",
+                sp.p95_latency_s,
+                ep.p95_latency_s,
+                &phase,
+                0.95,
+            );
+        }
+    }
     // The autoscaled incident produces a *cliff* latency population: a
     // warm-up-delayed cohort sits orders of magnitude above the healthy
     // bulk, and the CDF jump lands right at p95. Pin those percentiles in
@@ -568,11 +609,168 @@ fn decode_failure_streaming_matches_exact() {
     );
     assert!(stream.outcomes.is_empty());
     assert_fleet_reports_equivalent(&stream.decode.fleet, &exact.decode.fleet);
+    assert_phase_counters_equal(&stream.phases, &exact.phases);
     for (sp, ep) in stream.phases.iter().zip(&exact.phases) {
-        assert_eq!(sp.arrivals, ep.arrivals);
-        assert_eq!(sp.completed, ep.completed);
-        assert_eq!(sp.slo_attainment.to_bits(), ep.slo_attainment.to_bits());
         assert_quantile_close("decode phase p95", sp.p95_latency_s, ep.p95_latency_s);
+    }
+}
+
+/// A storm on the decode pool of a 2 + 2 disaggregated fleet: shard 2
+/// crashes and recovers while shard 3 straggles, so live KV residents
+/// of both re-prefill on the prefill pool and hand off again. The
+/// prefill pool stays healthy, so fresh arrivals always have somewhere
+/// to go.
+fn disagg_storm_plan() -> FaultPlan {
+    FaultPlan {
+        faults: vec![
+            Fault {
+                shard: 2,
+                kind: FaultKind::Crash {
+                    at_s: 0.05,
+                    recover_s: Some(0.12),
+                },
+            },
+            Fault {
+                shard: 3,
+                kind: FaultKind::Straggler {
+                    from_s: 0.02,
+                    until_s: 0.15,
+                    slowdown: 20.0,
+                },
+            },
+        ],
+    }
+}
+
+#[test]
+fn disagg_failure_streaming_matches_exact() {
+    let fleet = homogeneous_fleet(&tiny_design(64), 2);
+    let long_outputs = DatasetSpec {
+        name: "long decode".into(),
+        min_len: 2000,
+        avg_len: 8000,
+        max_len: 30000,
+    };
+    let trace = decode_trace(
+        &DatasetSpec::mrpc(),
+        &long_outputs,
+        0.2,
+        1000.0,
+        300,
+        harness_seed(),
+    );
+    let prefixes = PrefixProfile {
+        num_groups: 3,
+        prefix_len: 32,
+        grouped_fraction: 0.8,
+    }
+    .assign(trace.len(), harness_seed());
+    let cfg = DecodeConfig {
+        max_slots: 4,
+        ttft_deadline_s: 0.05,
+    };
+    let dcfg = DisaggConfig {
+        transfer: KvTransfer::Copy {
+            base_s: 1e-5,
+            per_token_s: 1e-8,
+        },
+        prefix_cache_capacity: 2,
+    };
+    let plan = disagg_storm_plan();
+    let cl = impatient_client();
+    let run = |mode| {
+        simulate_disagg_failure_mode(
+            &fleet,
+            &fleet,
+            &trace,
+            &prefixes,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &cfg,
+            &dcfg,
+            &plan,
+            &cl,
+            DecodeScaleDown::Migrate,
+            0.1,
+            mode,
+        )
+    };
+    let exact = run(ReportMode::Exact);
+    let stream = run(ReportMode::Streaming);
+    assert_eq!(
+        exact,
+        simulate_disagg_failure(
+            &fleet,
+            &fleet,
+            &trace,
+            &prefixes,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &cfg,
+            &dcfg,
+            &plan,
+            &cl,
+            DecodeScaleDown::Migrate,
+            0.1,
+        ),
+        "Exact mode must be simulate_disagg_failure verbatim"
+    );
+    assert_eq!(stream.completed, exact.completed);
+    assert_eq!(stream.timed_out, exact.timed_out);
+    assert_eq!(stream.retried, exact.retried);
+    assert_eq!(stream.retries, exact.retries);
+    assert_eq!(
+        stream.slo_attainment.to_bits(),
+        exact.slo_attainment.to_bits()
+    );
+    assert!(
+        exact.affected_drain_s > 0.0,
+        "the crash caught no KV resident"
+    );
+    assert_eq!(
+        stream.affected_drain_s.to_bits(),
+        exact.affected_drain_s.to_bits()
+    );
+    assert!(stream.outcomes.is_empty());
+    let (sd, ed) = (&stream.disagg, &exact.disagg);
+    assert_eq!(sd.transfers, ed.transfers);
+    assert_eq!(sd.transfer_time_s.to_bits(), ed.transfer_time_s.to_bits());
+    assert_eq!(sd.transferred_tokens, ed.transferred_tokens);
+    assert_eq!(sd.prefix, ed.prefix);
+    assert!(ed.prefix.hits > 0, "the prefix cache never hit");
+    // The crash's orphans re-prefill and finish far behind the bulk, so
+    // the end-to-end percentiles are pinned in rank space as well.
+    assert_fleet_counters_equal(&sd.decode.fleet, &ed.decode.fleet);
+    let lat = sorted_latencies(&exact.outcomes, |_| true);
+    let (sf, ef) = (&sd.decode.fleet, &ed.decode.fleet);
+    assert_quantile_close("disagg mean latency", sf.mean_latency_s, ef.mean_latency_s);
+    assert_quantile_pinned("disagg p50", sf.p50_latency_s, ef.p50_latency_s, &lat, 0.50);
+    assert_quantile_pinned("disagg p95", sf.p95_latency_s, ef.p95_latency_s, &lat, 0.95);
+    assert_quantile_pinned("disagg p99", sf.p99_latency_s, ef.p99_latency_s, &lat, 0.99);
+    assert_phase_counters_equal(&stream.phases, &exact.phases);
+    // The crash cohort puts a TTFT cliff inside the incident phase, so
+    // each phase's p95 is pinned against that phase's exact TTFTs.
+    for (sp, ep) in stream.phases.iter().zip(&exact.phases) {
+        let mut phase: Vec<f64> = trace
+            .iter()
+            .zip(&ed.decode.requests)
+            .filter(|(q, o)| {
+                q.arrival_s >= sp.start_s && q.arrival_s < sp.end_s && o.ttft_s.is_finite()
+            })
+            .map(|(_, o)| o.ttft_s)
+            .collect();
+        phase.sort_by(f64::total_cmp);
+        if !phase.is_empty() {
+            assert_quantile_pinned(
+                "disagg phase p95",
+                sp.p95_latency_s,
+                ep.p95_latency_s,
+                &phase,
+                0.95,
+            );
+        }
     }
 }
 
