@@ -124,7 +124,7 @@
 use crate::accelerator::AcceleratorDesign;
 use crate::decode::{
     DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
-    NullDecodeController,
+    DecodeShard, NullDecodeController,
 };
 use crate::fleet::{
     BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport, NullController, Request,
@@ -133,6 +133,7 @@ use lat_core::pipeline::SchedulingPolicy;
 use lat_tensor::stats::percentile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// One entry of a [`ScalePolicy::Scheduled`] table: hold `shards` shards
 /// from `start_s` until the next entry's start.
@@ -261,7 +262,7 @@ impl ScalePolicy {
     }
 
     /// Whether the policy is a ±1 feedback loop subject to the cooldown.
-    pub(crate) fn is_feedback(&self) -> bool {
+    fn is_feedback(&self) -> bool {
         matches!(
             self,
             ScalePolicy::Reactive { .. } | ScalePolicy::UtilizationTarget { .. }
@@ -433,31 +434,31 @@ fn solve3(a: &[[f64; 3]; 3], b: &[f64; 3]) -> Option<[f64; 3]> {
 /// One evaluation tick's observed inputs to [`PolicyEngine::desired`]:
 /// engine-agnostic numbers both the fleet and decode autoscalers can
 /// produce. All of them are simulation-state reads — no RNG, no clock.
-pub(crate) struct Observation {
+struct Observation {
     /// Shards committed going forward (active + warming, not retiring).
-    pub(crate) staying: usize,
+    staying: usize,
     /// The engine's backlog metric, in requests. The encoder fleet counts
     /// requests waiting in queues; the decode engine counts waiting +
     /// KV-resident requests (slot-pool pressure) — a held slot is as much
     /// a capacity commitment as a queued request, and counting only the
     /// queue would read a fully-occupied-but-unqueued fleet as idle and
     /// flap it down.
-    pub(crate) waiting: usize,
+    waiting: usize,
     /// Shards currently accepting routed work.
-    pub(crate) accepting: usize,
+    accepting: usize,
     /// Paid (committed) shards right now.
-    pub(crate) paid: usize,
+    paid: usize,
     /// Fleet busy time actually elapsed by now.
-    pub(crate) busy_elapsed: f64,
+    busy_elapsed: f64,
     /// Trace arrivals observed by now.
-    pub(crate) arrivals: usize,
+    arrivals: usize,
 }
 
 /// Policy evaluation shared by the request-level and decode autoscalers:
 /// one source of truth for what each [`ScalePolicy`] does with the
 /// observed state, so the two engines cannot drift apart in policy
 /// semantics.
-pub(crate) struct PolicyEngine {
+struct PolicyEngine {
     policy: ScalePolicy,
     initial_shards: usize,
     eval_interval_s: f64,
@@ -468,7 +469,7 @@ pub(crate) struct PolicyEngine {
 }
 
 impl PolicyEngine {
-    pub(crate) fn new(policy: &ScalePolicy, initial_shards: usize, eval_interval_s: f64) -> Self {
+    fn new(policy: &ScalePolicy, initial_shards: usize, eval_interval_s: f64) -> Self {
         let forecaster = match policy {
             ScalePolicy::Predictive {
                 alpha, period_s, ..
@@ -489,7 +490,7 @@ impl PolicyEngine {
     /// policies, absolute for scheduled/predictive. Also advances the
     /// utilization window and the rate estimator — call exactly once per
     /// evaluation tick.
-    pub(crate) fn desired(&mut self, now: f64, obs: &Observation) -> usize {
+    fn desired(&mut self, now: f64, obs: &Observation) -> usize {
         if let Some(f) = &mut self.forecaster {
             f.observe(now, obs.arrivals);
         }
@@ -613,29 +614,54 @@ impl AutoscaleConfig {
     /// Panics unless the configuration is well-formed for a fleet of
     /// `max_shards` designs.
     pub fn validate(&self, max_shards: usize) {
-        assert!(self.min_shards >= 1, "min_shards must be >= 1");
-        assert!(
-            self.min_shards <= max_shards,
-            "min_shards exceeds the fleet size"
+        validate_scaling(
+            max_shards,
+            self.min_shards,
+            self.initial_shards,
+            self.eval_interval_s,
+            self.warmup_s,
+            self.cooldown_s,
+            (self.slo_latency_s > 0.0, "SLO latency must be positive"),
+            &self.phase_bounds_s,
+            &self.policy,
         );
-        assert!(
-            (self.min_shards..=max_shards).contains(&self.initial_shards),
-            "initial_shards outside [min_shards, fleet size]"
-        );
-        assert!(self.eval_interval_s > 0.0, "eval interval must be positive");
-        assert!(self.warmup_s >= 0.0, "negative warm-up");
-        assert!(self.cooldown_s >= 0.0, "negative cooldown");
-        assert!(self.slo_latency_s > 0.0, "SLO latency must be positive");
-        assert!(
-            self.phase_bounds_s.windows(2).all(|w| w[0] < w[1])
-                && self
-                    .phase_bounds_s
-                    .iter()
-                    .all(|b| b.is_finite() && *b > 0.0),
-            "phase bounds must be ascending, positive and finite"
-        );
-        self.policy.validate(self.min_shards, max_shards);
     }
+}
+
+/// The checks of [`AutoscaleConfig::validate`] and
+/// [`DecodeAutoscaleConfig::validate`], in order; `slo` is the one that
+/// differs (its condition and panic message).
+#[allow(clippy::too_many_arguments)]
+fn validate_scaling(
+    max_shards: usize,
+    min_shards: usize,
+    initial_shards: usize,
+    eval_interval_s: f64,
+    warmup_s: f64,
+    cooldown_s: f64,
+    (slo_ok, slo_msg): (bool, &str),
+    phase_bounds_s: &[f64],
+    policy: &ScalePolicy,
+) {
+    assert!(min_shards >= 1, "min_shards must be >= 1");
+    assert!(
+        min_shards <= max_shards,
+        "min_shards exceeds the fleet size"
+    );
+    assert!(
+        (min_shards..=max_shards).contains(&initial_shards),
+        "initial_shards outside [min_shards, fleet size]"
+    );
+    assert!(eval_interval_s > 0.0, "eval interval must be positive");
+    assert!(warmup_s >= 0.0, "negative warm-up");
+    assert!(cooldown_s >= 0.0, "negative cooldown");
+    assert!(slo_ok, "{slo_msg}");
+    assert!(
+        phase_bounds_s.windows(2).all(|w| w[0] < w[1])
+            && phase_bounds_s.iter().all(|b| b.is_finite() && *b > 0.0),
+        "phase bounds must be ascending, positive and finite"
+    );
+    policy.validate(min_shards, max_shards);
 }
 
 /// What a [`ScaleEvent`] records.
@@ -725,7 +751,7 @@ pub struct AutoscaleReport {
 
 /// Lifecycle of one shard under the autoscaler.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Lifecycle {
+enum Lifecycle {
     /// Cold: not paid, not dispatched to.
     Off,
     /// Launched, streaming weights; paid but not yet dispatched to.
@@ -739,35 +765,69 @@ pub(crate) enum Lifecycle {
     Retiring,
 }
 
-/// The policy-driven [`FleetController`]. `pub(crate)` so the failure
-/// layer ([`crate::failure`]) can wrap it inside its fault injector.
-pub(crate) struct Autoscaler<'a> {
-    cfg: &'a AutoscaleConfig,
-    max_shards: usize,
+/// What a [`ShardPool`] asks of the engine whose shards it scales. Each
+/// autoscaler wraps its core in one of these; the lifecycle, policy,
+/// cooldown, event log and billing all live in the pool.
+pub(crate) trait PoolHost {
+    /// Opens (`true`) or closes shard `s` to routed work.
+    fn set_routable(&mut self, s: usize, open: bool);
+    /// Shards of `range` currently routable.
+    fn routable(&self, range: Range<usize>) -> usize;
+    /// Hands the work of shard `s`, just closed to routing, to the
+    /// survivors — as much of it as the engine's scale-down rule moves.
+    fn drain(&mut self, s: usize, now: f64);
+    /// Whether shard `s` holds no work (queued, in flight or resident).
+    fn is_idle(&self, s: usize) -> bool;
+    /// Schedules a control event at `time`.
+    fn schedule_control(&mut self, time: f64);
+}
+
+/// Scaling state of one contiguous range of shard indices: the
+/// [`PolicyEngine`], the per-shard lifecycles and the cost books. The
+/// fleet and decode autoscalers run one pool over the whole fleet; the
+/// disaggregated one runs a pool per phase
+/// ([`crate::disagg::simulate_disagg_autoscale`]).
+pub(crate) struct ShardPool {
+    range: Range<usize>,
+    min_shards: usize,
+    /// The policy is a ±1 feedback loop subject to the cooldown.
+    feedback: bool,
+    warmup_s: f64,
+    cooldown_s: f64,
+    engine: PolicyEngine,
+    /// Per shard of the range (index `s - range.start`), like the two
+    /// vectors below.
     lifecycle: Vec<Lifecycle>,
     /// Time each non-[`Lifecycle::Off`] shard started being paid for.
     on_since: Vec<f64>,
-    shard_seconds: f64,
-    pub(crate) events: Vec<ScaleEvent>,
-    next_eval_s: f64,
-    last_action_s: f64,
-    engine: PolicyEngine,
-    /// Committed (non-Off) shards right now.
-    on_count: usize,
-    pub(crate) peak_on: usize,
-    on_integral: f64,
-    last_on_change_s: f64,
-    done_ticking: bool,
     /// Shards currently crashed by the failure layer: never launch
     /// targets until their [`ScaleEventKind::Recovered`] event.
     failed: Vec<bool>,
+    /// Committed (non-Off) shards right now.
+    on_count: usize,
+    peak_on: usize,
+    on_integral: f64,
+    last_on_change_s: f64,
+    shard_seconds: f64,
+    last_action_s: f64,
+    pub(crate) events: Vec<ScaleEvent>,
 }
 
-impl<'a> Autoscaler<'a> {
-    pub(crate) fn new(cfg: &'a AutoscaleConfig, max_shards: usize) -> Self {
-        let lifecycle = (0..max_shards)
-            .map(|s| {
-                if s < cfg.initial_shards {
+impl ShardPool {
+    /// A pool over `range` whose first `initial_shards` shards start warm.
+    pub(crate) fn new(
+        range: Range<usize>,
+        min_shards: usize,
+        initial_shards: usize,
+        policy: &ScalePolicy,
+        eval_interval_s: f64,
+        warmup_s: f64,
+        cooldown_s: f64,
+    ) -> Self {
+        let n = range.len();
+        let lifecycle = (0..n)
+            .map(|i| {
+                if i < initial_shards {
                     Lifecycle::Active
                 } else {
                     Lifecycle::Off
@@ -775,34 +835,58 @@ impl<'a> Autoscaler<'a> {
             })
             .collect();
         Self {
-            cfg,
-            max_shards,
+            range,
+            min_shards,
+            feedback: policy.is_feedback(),
+            warmup_s,
+            cooldown_s,
+            engine: PolicyEngine::new(policy, initial_shards, eval_interval_s),
             lifecycle,
-            on_since: vec![0.0; max_shards],
-            shard_seconds: 0.0,
-            events: Vec::new(),
-            next_eval_s: cfg.eval_interval_s,
-            last_action_s: f64::NEG_INFINITY,
-            engine: PolicyEngine::new(&cfg.policy, cfg.initial_shards, cfg.eval_interval_s),
-            on_count: cfg.initial_shards,
-            peak_on: cfg.initial_shards,
+            on_since: vec![0.0; n],
+            failed: vec![false; n],
+            on_count: initial_shards,
+            peak_on: initial_shards,
             on_integral: 0.0,
             last_on_change_s: 0.0,
-            done_ticking: false,
-            failed: vec![false; max_shards],
+            shard_seconds: 0.0,
+            last_action_s: f64::NEG_INFINITY,
+            events: Vec::new(),
         }
+    }
+
+    /// The shard indices the pool scales.
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.range.clone()
+    }
+
+    fn local(&self, s: usize) -> usize {
+        s - self.range.start
+    }
+
+    pub(crate) fn is_retiring(&self, s: usize) -> bool {
+        self.lifecycle[self.local(s)] == Lifecycle::Retiring
+    }
+
+    /// Shards committed *going forward* — active or warming, but not
+    /// retiring (those leave as soon as they drain). Scaling decisions
+    /// compare targets against this count, so in-progress drains can't
+    /// stack further retires and push the surviving pool below
+    /// `min_shards`.
+    fn staying(&self) -> usize {
+        self.lifecycle
+            .iter()
+            .filter(|l| matches!(l, Lifecycle::Active | Lifecycle::Warming { .. }))
+            .count()
     }
 
     /// Closes the cost books at `makespan`: Σ paid shard-seconds
     /// (still-on shards charged to the makespan), time-averaged committed
-    /// shard count, and the committed peak. Shared by
-    /// [`simulate_autoscale`] and the failure layer's autoscaled entry
-    /// point so the two can never drift on billing arithmetic.
+    /// shard count, and the committed peak.
     pub(crate) fn close_books(&self, makespan: f64) -> (f64, f64, usize) {
         let mut shard_seconds = self.shard_seconds;
-        for s in 0..self.max_shards {
-            if self.lifecycle[s] != Lifecycle::Off {
-                shard_seconds += (makespan - self.on_since[s]).max(0.0);
+        for (life, since) in self.lifecycle.iter().zip(&self.on_since) {
+            if *life != Lifecycle::Off {
+                shard_seconds += (makespan - since).max(0.0);
             }
         }
         let end = makespan.max(self.last_on_change_s).max(1e-12);
@@ -827,158 +911,142 @@ impl<'a> Autoscaler<'a> {
         });
     }
 
-    fn accepting_count(&self, core: &FleetCore<'_>) -> usize {
-        core.accepting.iter().filter(|&&a| a).count()
+    /// Puts shard `s` in the dispatch set.
+    fn join(&mut self, host: &mut impl PoolHost, s: usize, now: f64) {
+        let l = self.local(s);
+        self.lifecycle[l] = Lifecycle::Active;
+        host.set_routable(s, true);
+        self.record(now, s, ScaleEventKind::Join);
     }
 
-    /// Shards committed *going forward* — active or warming, but not
-    /// retiring (those leave as soon as they drain). Scaling decisions
-    /// compare targets against this count, so in-progress drains can't
-    /// stack further retires and push the surviving fleet below
-    /// `min_shards`.
-    fn staying_count(&self) -> usize {
-        self.lifecycle
-            .iter()
-            .filter(|l| matches!(l, Lifecycle::Active | Lifecycle::Warming { .. }))
-            .count()
+    /// Takes shard `s` out of the paid pool.
+    fn stop_paying(&mut self, s: usize, now: f64) {
+        let l = self.local(s);
+        self.lifecycle[l] = Lifecycle::Off;
+        self.change_on_count(now, -1);
+        self.shard_seconds += now - self.on_since[l];
     }
 
-    /// Fleet busy time actually *elapsed* by `t`: `busy_time_s` charges a
-    /// batch's whole service at dispatch, so clip off the in-flight
-    /// batch's not-yet-elapsed tail. Window deltas of this integral are
-    /// exact even when service times span many evaluation windows.
-    fn busy_elapsed(&self, core: &FleetCore<'_>, t: f64) -> f64 {
-        core.state
-            .iter()
-            .map(|st| {
-                st.busy_time_s
-                    - if st.busy {
-                        (st.busy_until_s - t).max(0.0)
-                    } else {
-                        0.0
-                    }
-            })
-            .sum()
+    /// Joins every shard whose warm-up is over by `now`. Call it before
+    /// tick gating, so a shard can join and receive work decided at the
+    /// very same tick.
+    pub(crate) fn join_warmed(&mut self, host: &mut impl PoolHost, now: f64) {
+        for s in self.range() {
+            if let Lifecycle::Warming { ready_s } = self.lifecycle[self.local(s)] {
+                if ready_s <= now {
+                    self.join(host, s, now);
+                }
+            }
+        }
     }
 
     /// Starts paying for shard `s`; it joins dispatch after the warm-up.
-    fn launch(&mut self, core: &mut FleetCore<'_>, s: usize, now: f64) {
+    fn launch(&mut self, host: &mut impl PoolHost, s: usize, now: f64) {
         self.change_on_count(now, 1);
-        self.on_since[s] = now;
+        let l = self.local(s);
+        self.on_since[l] = now;
         self.record(now, s, ScaleEventKind::Launch);
-        if self.cfg.warmup_s <= 0.0 {
-            self.lifecycle[s] = Lifecycle::Active;
-            core.accepting[s] = true;
-            self.record(now, s, ScaleEventKind::Join);
+        if self.warmup_s <= 0.0 {
+            self.join(host, s, now);
         } else {
-            let ready_s = now + self.cfg.warmup_s;
-            self.lifecycle[s] = Lifecycle::Warming { ready_s };
-            core.schedule_control(ready_s);
+            let ready_s = now + self.warmup_s;
+            self.lifecycle[l] = Lifecycle::Warming { ready_s };
+            host.schedule_control(ready_s);
         }
     }
 
-    /// Removes shard `s` from dispatch; its queue drains or evicts per the
-    /// retire policy, and it leaves the paid fleet once idle.
-    fn retire(&mut self, core: &mut FleetCore<'_>, s: usize, now: f64) {
-        self.lifecycle[s] = Lifecycle::Retiring;
-        core.accepting[s] = false;
+    /// Removes shard `s` from dispatch; the host drains it, and it leaves
+    /// the paid pool once idle.
+    fn retire(&mut self, host: &mut impl PoolHost, s: usize, now: f64) {
+        let l = self.local(s);
+        self.lifecycle[l] = Lifecycle::Retiring;
+        host.set_routable(s, false);
         self.record(now, s, ScaleEventKind::RetireStart);
-        if self.cfg.retire == RetirePolicy::Evict {
-            core.state[s].tick(now);
-            let evicted: Vec<usize> = core.state[s].queue.drain(..).collect();
-            core.state[s].window_scheduled_for = None;
-            let mut touched = Vec::new();
-            for r in evicted {
-                // At least one shard keeps accepting during a retire (the
-                // evaluate() guard), so eviction never parks.
-                let s2 = core.admit(r, now).expect("survivor accepts evicted work");
-                if !touched.contains(&s2) {
-                    touched.push(s2);
-                }
-            }
-            for s2 in touched {
-                core.try_dispatch(s2, now);
-            }
-        }
-        self.maybe_finish_retire(core, s, now);
+        host.drain(s, now);
+        self.finish_retire_if_idle(host, s, now);
     }
 
-    /// Completes a retirement once the shard is idle with an empty queue.
-    fn maybe_finish_retire(&mut self, core: &mut FleetCore<'_>, s: usize, now: f64) {
-        if self.lifecycle[s] == Lifecycle::Retiring
-            && !core.state[s].busy
-            && core.state[s].queue.is_empty()
-        {
-            self.lifecycle[s] = Lifecycle::Off;
-            self.change_on_count(now, -1);
-            self.shard_seconds += now - self.on_since[s];
+    /// Completes the retirement of shard `s` once it is idle.
+    pub(crate) fn finish_retire_if_idle(&mut self, host: &impl PoolHost, s: usize, now: f64) {
+        if self.is_retiring(s) && host.is_idle(s) {
+            self.stop_paying(s, now);
             self.record(now, s, ScaleEventKind::Retired);
         }
     }
 
-    /// One evaluation tick: decide a target and launch/recall/retire
-    /// towards it.
-    fn evaluate(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        let staying = self.staying_count();
+    /// One evaluation tick: decide a target and recall/launch/retire
+    /// towards it. `waiting`, `busy_elapsed` and `arrivals` are the
+    /// engine's readings of the [`Observation`] fields of those names.
+    pub(crate) fn evaluate(
+        &mut self,
+        host: &mut impl PoolHost,
+        now: f64,
+        waiting: usize,
+        busy_elapsed: f64,
+        arrivals: usize,
+    ) {
+        let staying = self.staying();
         let obs = Observation {
             staying,
-            waiting: core.state.iter().map(|st| st.queue.len()).sum(),
-            accepting: self.accepting_count(core),
+            waiting,
+            accepting: host.routable(self.range()),
             paid: self.on_count,
-            busy_elapsed: self.busy_elapsed(core, now),
-            arrivals: core.arrivals_seen,
+            busy_elapsed,
+            arrivals,
         };
         let desired = self
             .engine
             .desired(now, &obs)
-            .clamp(self.cfg.min_shards, self.max_shards);
+            .clamp(self.min_shards, self.range.len());
         if desired == staying {
             return;
         }
-        if self.cfg.policy.is_feedback() && now - self.last_action_s < self.cfg.cooldown_s {
+        if self.feedback && now - self.last_action_s < self.cooldown_s {
             return;
         }
         let mut acted = false;
         if desired > staying {
             let mut need = desired - staying;
             // Recall retiring shards first: they are still warm (weights
-            // resident), so rejoining dispatch is free — no warm-up, no
-            // fresh Launch; the event log shows a bare Join.
-            for s in (0..self.max_shards).rev() {
+            // and any draining residents in place), so rejoining dispatch
+            // is free — no warm-up, no fresh Launch; the event log shows a
+            // bare Join.
+            for s in self.range().rev() {
                 if need == 0 {
                     break;
                 }
-                if self.lifecycle[s] == Lifecycle::Retiring {
-                    self.lifecycle[s] = Lifecycle::Active;
-                    core.accepting[s] = true;
-                    self.record(now, s, ScaleEventKind::Join);
+                if self.is_retiring(s) {
+                    self.join(host, s, now);
                     need -= 1;
                     acted = true;
                 }
             }
-            for s in 0..self.max_shards {
+            for s in self.range() {
                 if need == 0 {
                     break;
                 }
-                if self.lifecycle[s] == Lifecycle::Off && !self.failed[s] {
-                    self.launch(core, s, now);
+                let l = self.local(s);
+                if self.lifecycle[l] == Lifecycle::Off && !self.failed[l] {
+                    self.launch(host, s, now);
                     need -= 1;
                     acted = true;
                 }
             }
         } else {
             // desired >= min_shards (clamped) and each retire moves one
-            // shard out of `staying`, so the surviving fleet never drops
+            // shard out of `staying`, so the surviving pool never drops
             // below the floor even while earlier drains are in flight.
             let mut staying_now = staying;
-            for s in (0..self.max_shards).rev() {
+            for s in self.range().rev() {
                 if staying_now == desired {
                     break;
                 }
-                // Retire only active shards, and never the last accepting
+                // Retire only active shards, and never the last routable
                 // one — a warming shard is not yet a routing target.
-                if self.lifecycle[s] == Lifecycle::Active && self.accepting_count(core) > 1 {
-                    self.retire(core, s, now);
+                if self.lifecycle[self.local(s)] == Lifecycle::Active
+                    && host.routable(self.range()) > 1
+                {
+                    self.retire(host, s, now);
                     staying_now -= 1;
                     acted = true;
                 }
@@ -988,59 +1056,193 @@ impl<'a> Autoscaler<'a> {
             self.last_action_s = now;
         }
     }
+
+    /// The failure layer crashed shard `s`. Crashed capacity stops billing
+    /// immediately, whatever lifecycle stage it was in (a crash
+    /// mid-warm-up or mid-retire also lands here; the pending warm-up
+    /// control event finds no Warming state and is a no-op).
+    pub(crate) fn shard_down(&mut self, s: usize, now: f64) {
+        let l = self.local(s);
+        if self.lifecycle[l] != Lifecycle::Off {
+            self.stop_paying(s, now);
+        }
+        self.failed[l] = true;
+        self.record(now, s, ScaleEventKind::Failed);
+    }
+
+    /// The failure layer revived shard `s`. It is deliberately not made
+    /// routable: a recovered shard is cold, so it rejoins through the
+    /// policy's normal launch + warm-up path at the next evaluation that
+    /// wants capacity.
+    pub(crate) fn shard_up(&mut self, s: usize, now: f64) {
+        let l = self.local(s);
+        self.failed[l] = false;
+        self.record(now, s, ScaleEventKind::Recovered);
+    }
+}
+
+/// The evaluation-tick chain an autoscaler runs on its control events.
+pub(crate) struct Ticker {
+    interval_s: f64,
+    next_s: f64,
+    /// The chain has stopped, so the event heap can drain.
+    done: bool,
+}
+
+impl Ticker {
+    pub(crate) fn new(interval_s: f64) -> Self {
+        Self {
+            interval_s,
+            next_s: interval_s,
+            done: false,
+        }
+    }
+
+    /// Whether the control event at `now` is an evaluation tick. Once
+    /// `finished()` — every request completed or given up on by the
+    /// client layer — the chain stops instead.
+    pub(crate) fn due(&mut self, now: f64, finished: impl FnOnce() -> bool) -> bool {
+        if self.done || now + 1e-9 < self.next_s {
+            return false;
+        }
+        self.done = finished();
+        !self.done
+    }
+
+    /// Arms the tick after the one at `now` and returns its time.
+    pub(crate) fn rearm(&mut self, now: f64) -> f64 {
+        self.next_s = now + self.interval_s;
+        self.next_s
+    }
+}
+
+/// [`PoolHost`] over the encoder fleet core.
+struct FleetHost<'c, 'a> {
+    core: &'c mut FleetCore<'a>,
+    retire: RetirePolicy,
+}
+
+impl PoolHost for FleetHost<'_, '_> {
+    fn set_routable(&mut self, s: usize, open: bool) {
+        self.core.accepting[s] = open;
+    }
+
+    fn routable(&self, range: Range<usize>) -> usize {
+        self.core.accepting[range].iter().filter(|&&a| a).count()
+    }
+
+    /// [`RetirePolicy::Evict`] re-routes the waiting queue to the
+    /// survivors; under [`RetirePolicy::Drain`] the shard serves it.
+    fn drain(&mut self, s: usize, now: f64) {
+        if self.retire != RetirePolicy::Evict {
+            return;
+        }
+        let core = &mut *self.core;
+        core.state[s].tick(now);
+        let evicted: Vec<usize> = core.state[s].queue.drain(..).collect();
+        core.state[s].window_scheduled_for = None;
+        let mut touched = Vec::new();
+        for r in evicted {
+            // At least one shard keeps accepting during a retire (the
+            // evaluate() guard), so eviction never parks.
+            let s2 = core.admit(r, now).expect("survivor accepts evicted work");
+            if !touched.contains(&s2) {
+                touched.push(s2);
+            }
+        }
+        for s2 in touched {
+            core.try_dispatch(s2, now);
+        }
+    }
+
+    fn is_idle(&self, s: usize) -> bool {
+        !self.core.state[s].busy && self.core.state[s].queue.is_empty()
+    }
+
+    fn schedule_control(&mut self, time: f64) {
+        self.core.schedule_control(time);
+    }
+}
+
+/// The policy-driven [`FleetController`]: one [`ShardPool`] over the
+/// whole fleet. `pub(crate)` so the failure layer ([`crate::failure`])
+/// can wrap it inside its fault injector.
+pub(crate) struct Autoscaler<'a> {
+    cfg: &'a AutoscaleConfig,
+    pub(crate) pool: ShardPool,
+    ticker: Ticker,
+}
+
+impl<'a> Autoscaler<'a> {
+    pub(crate) fn new(cfg: &'a AutoscaleConfig, max_shards: usize) -> Self {
+        Self {
+            cfg,
+            pool: ShardPool::new(
+                0..max_shards,
+                cfg.min_shards,
+                cfg.initial_shards,
+                &cfg.policy,
+                cfg.eval_interval_s,
+                cfg.warmup_s,
+                cfg.cooldown_s,
+            ),
+            ticker: Ticker::new(cfg.eval_interval_s),
+        }
+    }
+}
+
+/// Fleet busy time actually *elapsed* by `t`: `busy_time_s` charges a
+/// batch's whole service at dispatch, so clip off the in-flight batch's
+/// not-yet-elapsed tail. Window deltas of this integral are exact even
+/// when service times span many evaluation windows.
+fn fleet_busy_elapsed(core: &FleetCore<'_>, t: f64) -> f64 {
+    core.state
+        .iter()
+        .map(|st| {
+            st.busy_time_s
+                - if st.busy {
+                    (st.busy_until_s - t).max(0.0)
+                } else {
+                    0.0
+                }
+        })
+        .sum()
 }
 
 impl FleetController for Autoscaler<'_> {
     fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        // Finish any due warm-ups first, so a shard can join and receive
-        // work decided at the very same tick.
-        for s in 0..self.max_shards {
-            if let Lifecycle::Warming { ready_s } = self.lifecycle[s] {
-                if ready_s <= now {
-                    self.lifecycle[s] = Lifecycle::Active;
-                    core.accepting[s] = true;
-                    self.record(now, s, ScaleEventKind::Join);
-                }
-            }
-        }
-        if self.done_ticking || now + 1e-9 < self.next_eval_s {
+        let retire = self.cfg.retire;
+        self.pool.join_warmed(&mut FleetHost { core, retire }, now);
+        if !self.ticker.due(now, || {
+            core.completed() + core.abandoned == core.trace.len()
+        }) {
             return;
         }
-        if core.completed() + core.abandoned == core.trace.len() {
-            // Work is done (completed or given up on by the client
-            // layer): stop the tick chain so the heap can drain.
-            self.done_ticking = true;
-            return;
-        }
-        self.evaluate(core, now);
-        self.next_eval_s = now + self.cfg.eval_interval_s;
-        core.schedule_control(self.next_eval_s);
+        let waiting = core.state.iter().map(|st| st.queue.len()).sum();
+        let busy_elapsed = fleet_busy_elapsed(core, now);
+        let arrivals = core.arrivals_seen;
+        self.pool.evaluate(
+            &mut FleetHost { core, retire },
+            now,
+            waiting,
+            busy_elapsed,
+            arrivals,
+        );
+        core.schedule_control(self.ticker.rearm(now));
     }
 
     fn after_completion(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
-        self.maybe_finish_retire(core, shard, now);
+        let retire = self.cfg.retire;
+        self.pool
+            .finish_retire_if_idle(&FleetHost { core, retire }, shard, now);
     }
 
     fn on_shard_down(&mut self, _core: &mut FleetCore<'_>, s: usize, now: f64) {
-        // Crashed capacity stops billing immediately, whatever lifecycle
-        // stage it was in (a crash mid-warm-up or mid-retire also lands
-        // here; the pending warm-up control event finds no Warming state
-        // and is a no-op).
-        if self.lifecycle[s] != Lifecycle::Off {
-            self.change_on_count(now, -1);
-            self.shard_seconds += now - self.on_since[s];
-            self.lifecycle[s] = Lifecycle::Off;
-        }
-        self.failed[s] = true;
-        self.record(now, s, ScaleEventKind::Failed);
+        self.pool.shard_down(s, now);
     }
 
     fn on_shard_up(&mut self, _core: &mut FleetCore<'_>, s: usize, now: f64) {
-        // Deliberately does NOT set `accepting`: a recovered shard is
-        // cold, so it rejoins through the policy's normal launch +
-        // warm-up path at the next evaluation that wants capacity.
-        self.failed[s] = false;
-        self.record(now, s, ScaleEventKind::Recovered);
+        self.pool.shard_up(s, now);
     }
 }
 
@@ -1087,21 +1289,50 @@ pub fn simulate_autoscale(
     let makespan = fleet.makespan_s;
 
     // Close the books on shards still committed at the end of the run.
-    let (shard_seconds, mean_active_shards, peak_active_shards) = ctl.close_books(makespan);
+    let (shard_seconds, mean_active_shards, peak_active_shards) = ctl.pool.close_books(makespan);
+    let (slo_attainment, phases) = slo_phases(
+        trace,
+        |r| r.arrival_s,
+        &latencies,
+        cfg.slo_latency_s,
+        &cfg.phase_bounds_s,
+    );
 
-    let in_slo = |lat: f64| lat <= cfg.slo_latency_s;
+    AutoscaleReport {
+        fleet,
+        shard_seconds,
+        mean_active_shards,
+        peak_active_shards,
+        scale_events: ctl.pool.events,
+        slo_attainment,
+        phases,
+    }
+}
+
+/// SLO attainment of `latencies` (one per `trace` request, in trace
+/// order) against `slo_s`: overall, and per arrival-time phase along
+/// `phase_bounds_s` with each phase's p95. Shared by the fleet (latency)
+/// and decode (TTFT) reports.
+fn slo_phases<R>(
+    trace: &[R],
+    arrival_s: impl Fn(&R) -> f64,
+    latencies: &[f64],
+    slo_s: f64,
+    phase_bounds_s: &[f64],
+) -> (f64, Vec<PhaseSlo>) {
+    let in_slo = |lat: f64| lat <= slo_s;
     let slo_attainment =
         latencies.iter().filter(|&&l| in_slo(l)).count() as f64 / latencies.len() as f64;
     let mut edges = vec![0.0];
-    edges.extend(cfg.phase_bounds_s.iter().copied());
+    edges.extend(phase_bounds_s.iter().copied());
     edges.push(f64::INFINITY);
     let phases = edges
         .windows(2)
         .map(|w| {
             let phase_lat: Vec<f64> = trace
                 .iter()
-                .zip(&latencies)
-                .filter(|(r, _)| r.arrival_s >= w[0] && r.arrival_s < w[1])
+                .zip(latencies)
+                .filter(|(r, _)| arrival_s(r) >= w[0] && arrival_s(r) < w[1])
                 .map(|(_, &l)| l)
                 .collect();
             PhaseSlo {
@@ -1117,16 +1348,7 @@ pub fn simulate_autoscale(
             }
         })
         .collect();
-
-    AutoscaleReport {
-        fleet,
-        shard_seconds,
-        mean_active_shards,
-        peak_active_shards,
-        scale_events: ctl.events,
-        slo_attainment,
-        phases,
-    }
+    (slo_attainment, phases)
 }
 
 // ────────────────────────── decode autoscaling ──────────────────────────
@@ -1208,28 +1430,17 @@ impl DecodeAutoscaleConfig {
     /// Panics unless the configuration is well-formed for a fleet of
     /// `max_shards` designs.
     pub fn validate(&self, max_shards: usize) {
-        assert!(self.min_shards >= 1, "min_shards must be >= 1");
-        assert!(
-            self.min_shards <= max_shards,
-            "min_shards exceeds the fleet size"
+        validate_scaling(
+            max_shards,
+            self.min_shards,
+            self.initial_shards,
+            self.eval_interval_s,
+            self.warmup_s,
+            self.cooldown_s,
+            (self.slo_ttft_s > 0.0, "TTFT SLO must be positive"),
+            &self.phase_bounds_s,
+            &self.policy,
         );
-        assert!(
-            (self.min_shards..=max_shards).contains(&self.initial_shards),
-            "initial_shards outside [min_shards, fleet size]"
-        );
-        assert!(self.eval_interval_s > 0.0, "eval interval must be positive");
-        assert!(self.warmup_s >= 0.0, "negative warm-up");
-        assert!(self.cooldown_s >= 0.0, "negative cooldown");
-        assert!(self.slo_ttft_s > 0.0, "TTFT SLO must be positive");
-        assert!(
-            self.phase_bounds_s.windows(2).all(|w| w[0] < w[1])
-                && self
-                    .phase_bounds_s
-                    .iter()
-                    .all(|b| b.is_finite() && *b > 0.0),
-            "phase bounds must be ascending, positive and finite"
-        );
-        self.policy.validate(self.min_shards, max_shards);
     }
 }
 
@@ -1278,298 +1489,179 @@ pub struct DecodeAutoscaleReport {
     pub re_prefills: usize,
 }
 
-/// The policy-driven `DecodeController`.
+/// The policy-driven `DecodeController`: one [`ShardPool`] over the
+/// whole fleet.
 struct DecodeAutoscaler<'a> {
     cfg: &'a DecodeAutoscaleConfig,
-    max_shards: usize,
-    lifecycle: Vec<Lifecycle>,
-    /// Time each non-[`Lifecycle::Off`] shard started being paid for.
-    on_since: Vec<f64>,
-    shard_seconds: f64,
-    events: Vec<ScaleEvent>,
-    next_eval_s: f64,
-    last_action_s: f64,
-    engine: PolicyEngine,
-    /// Committed (non-Off) shards right now.
-    on_count: usize,
-    peak_on: usize,
-    on_integral: f64,
-    last_on_change_s: f64,
-    done_ticking: bool,
+    pool: ShardPool,
+    ticker: Ticker,
     /// Residents evicted by Migrate scale-downs.
     migrations: usize,
 }
 
+/// [`PoolHost`] over the decode core.
+struct DecodeHost<'c, 'a> {
+    core: &'c mut DecodeCore<'a>,
+    scale_down: DecodeScaleDown,
+    migrations: &'c mut usize,
+}
+
+impl PoolHost for DecodeHost<'_, '_> {
+    fn set_routable(&mut self, s: usize, open: bool) {
+        self.core.accepting[s] = open;
+    }
+
+    fn routable(&self, range: Range<usize>) -> usize {
+        self.core.accepting[range].iter().filter(|&&a| a).count()
+    }
+
+    /// Both scale-down modes hand the waiting queue to the survivors
+    /// immediately (a retiring shard admits nothing new into its slots);
+    /// Migrate additionally evicts the residents — at once if the shard
+    /// is idle, else at the next iteration boundary
+    /// ([`DecodeController::after_step`]).
+    fn drain(&mut self, s: usize, now: f64) {
+        let mut touched = requeue_waiting(self.core, s, now, |core, r| core.route_request(r, now));
+        if self.scale_down == DecodeScaleDown::Migrate && !self.core.shards[s].stepping {
+            *self.migrations += self.core.evict_unfinished(s, now, &mut touched);
+        }
+        for s2 in touched {
+            self.core.start_iteration(s2, now);
+        }
+    }
+
+    fn is_idle(&self, s: usize) -> bool {
+        decode_shard_idle(self.core, s)
+    }
+
+    fn schedule_control(&mut self, time: f64) {
+        self.core.schedule_control(time);
+    }
+}
+
+/// Ticks decode shard `s` and hands its waiting queue, in order, to
+/// `route`; returns the destination shards (deduplicated, first touch
+/// first) for the caller to kick.
+pub(crate) fn requeue_waiting<'a>(
+    core: &mut DecodeCore<'a>,
+    s: usize,
+    now: f64,
+    mut route: impl FnMut(&mut DecodeCore<'a>, usize) -> usize,
+) -> Vec<usize> {
+    core.shards[s].tick(now);
+    let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
+    let mut touched = Vec::new();
+    for r in waiting {
+        let s2 = route(core, r);
+        if !touched.contains(&s2) {
+            touched.push(s2);
+        }
+    }
+    touched
+}
+
+/// Whether decode shard `s` is idle with no residents and an empty queue.
+pub(crate) fn decode_shard_idle(core: &DecodeCore<'_>, s: usize) -> bool {
+    let sh = &core.shards[s];
+    !sh.stepping && sh.resident.is_empty() && sh.queue.is_empty()
+}
+
+/// Backlog and elapsed busy time of decode `shards`, the decode family's
+/// [`Observation::waiting`] and [`Observation::busy_elapsed`]. The
+/// backlog is slot-pool pressure, not just the queue: a KV resident holds
+/// capacity exactly like a waiting request, so reactive thresholds here
+/// are in units of in-system requests per accepting shard (compare
+/// against the slot count). Iterations charge their whole duration at
+/// launch, so busy time clips off the in-flight iteration's
+/// not-yet-elapsed tail.
+pub(crate) fn decode_load(shards: &[DecodeShard], t: f64) -> (usize, f64) {
+    let waiting = shards
+        .iter()
+        .map(|sh| sh.queue.len() + sh.resident.len())
+        .sum();
+    let busy_elapsed = shards
+        .iter()
+        .map(|sh| {
+            sh.busy_time_s
+                - if sh.stepping {
+                    (sh.busy_until_s - t).max(0.0)
+                } else {
+                    0.0
+                }
+        })
+        .sum();
+    (waiting, busy_elapsed)
+}
+
 impl<'a> DecodeAutoscaler<'a> {
     fn new(cfg: &'a DecodeAutoscaleConfig, max_shards: usize) -> Self {
-        let lifecycle = (0..max_shards)
-            .map(|s| {
-                if s < cfg.initial_shards {
-                    Lifecycle::Active
-                } else {
-                    Lifecycle::Off
-                }
-            })
-            .collect();
         Self {
             cfg,
-            max_shards,
-            lifecycle,
-            on_since: vec![0.0; max_shards],
-            shard_seconds: 0.0,
-            events: Vec::new(),
-            next_eval_s: cfg.eval_interval_s,
-            last_action_s: f64::NEG_INFINITY,
-            engine: PolicyEngine::new(&cfg.policy, cfg.initial_shards, cfg.eval_interval_s),
-            on_count: cfg.initial_shards,
-            peak_on: cfg.initial_shards,
-            on_integral: 0.0,
-            last_on_change_s: 0.0,
-            done_ticking: false,
+            pool: ShardPool::new(
+                0..max_shards,
+                cfg.min_shards,
+                cfg.initial_shards,
+                &cfg.policy,
+                cfg.eval_interval_s,
+                cfg.warmup_s,
+                cfg.cooldown_s,
+            ),
+            ticker: Ticker::new(cfg.eval_interval_s),
             migrations: 0,
         }
     }
 
-    /// Advances the committed-shard integral and applies `delta`.
-    fn change_on_count(&mut self, now: f64, delta: isize) {
-        self.on_integral += self.on_count as f64 * (now - self.last_on_change_s);
-        self.last_on_change_s = now;
-        self.on_count = (self.on_count as isize + delta) as usize;
-        self.peak_on = self.peak_on.max(self.on_count);
-    }
-
-    fn record(&mut self, now: f64, shard: usize, kind: ScaleEventKind) {
-        self.events.push(ScaleEvent {
-            time_s: now,
-            shard,
-            kind,
-            on_after: self.on_count,
-        });
-    }
-
-    fn accepting_count(&self, core: &DecodeCore<'_>) -> usize {
-        core.accepting.iter().filter(|&&a| a).count()
-    }
-
-    /// Shards committed *going forward* — active or warming, but not
-    /// retiring (see [`Autoscaler::staying_count`]).
-    fn staying_count(&self) -> usize {
-        self.lifecycle
-            .iter()
-            .filter(|l| matches!(l, Lifecycle::Active | Lifecycle::Warming { .. }))
-            .count()
-    }
-
-    /// Fleet busy time actually *elapsed* by `t`: iterations charge their
-    /// whole duration at launch, so clip off the in-flight iteration's
-    /// not-yet-elapsed tail.
-    fn busy_elapsed(&self, core: &DecodeCore<'_>, t: f64) -> f64 {
-        core.shards
-            .iter()
-            .map(|sh| {
-                sh.busy_time_s
-                    - if sh.stepping {
-                        (sh.busy_until_s - t).max(0.0)
-                    } else {
-                        0.0
-                    }
-            })
-            .sum()
-    }
-
-    /// Starts paying for shard `s`; it joins dispatch after the warm-up.
-    fn launch(&mut self, core: &mut DecodeCore<'_>, s: usize, now: f64) {
-        self.change_on_count(now, 1);
-        self.on_since[s] = now;
-        self.record(now, s, ScaleEventKind::Launch);
-        if self.cfg.warmup_s <= 0.0 {
-            self.lifecycle[s] = Lifecycle::Active;
-            core.accepting[s] = true;
-            self.record(now, s, ScaleEventKind::Join);
-        } else {
-            let ready_s = now + self.cfg.warmup_s;
-            self.lifecycle[s] = Lifecycle::Warming { ready_s };
-            core.schedule_control(ready_s);
-        }
-    }
-
-    /// Evicts shard `s`'s *unfinished* residents back into the accepting
-    /// shards' queues (the Migrate move, i.e. the shared
-    /// [`crate::decode::KvTransfer::Reprefill`] primitive); each
-    /// re-prefills its grown context on re-admission.
-    fn evict_residents(
-        &mut self,
-        core: &mut DecodeCore<'_>,
-        s: usize,
-        now: f64,
-        touched: &mut Vec<usize>,
-    ) {
-        self.migrations += core.evict_unfinished(s, now, touched);
-    }
-
-    /// Removes shard `s` from dispatch. Both scale-down modes hand the
-    /// waiting queue to the survivors immediately (a retiring shard
-    /// admits nothing new into its slots); Migrate additionally evicts
-    /// the residents — at once if the shard is idle, else at the next
-    /// iteration boundary ([`DecodeController::after_step`]).
-    fn retire(&mut self, core: &mut DecodeCore<'_>, s: usize, now: f64) {
-        self.lifecycle[s] = Lifecycle::Retiring;
-        core.accepting[s] = false;
-        self.record(now, s, ScaleEventKind::RetireStart);
-        core.shards[s].tick(now);
-        let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
-        let mut touched = Vec::new();
-        for r in waiting {
-            let s2 = core.route_request(r, now);
-            if !touched.contains(&s2) {
-                touched.push(s2);
-            }
-        }
-        if self.cfg.scale_down == DecodeScaleDown::Migrate && !core.shards[s].stepping {
-            self.evict_residents(core, s, now, &mut touched);
-        }
-        for s2 in touched {
-            core.start_iteration(s2, now);
-        }
-        self.maybe_finish_retire(core, s, now);
-    }
-
-    /// Completes a retirement once the shard is idle with no residents
-    /// and an empty queue.
-    fn maybe_finish_retire(&mut self, core: &mut DecodeCore<'_>, s: usize, now: f64) {
-        if self.lifecycle[s] == Lifecycle::Retiring
-            && !core.shards[s].stepping
-            && core.shards[s].resident.is_empty()
-            && core.shards[s].queue.is_empty()
-        {
-            self.lifecycle[s] = Lifecycle::Off;
-            self.change_on_count(now, -1);
-            self.shard_seconds += now - self.on_since[s];
-            self.record(now, s, ScaleEventKind::Retired);
-        }
-    }
-
-    /// One evaluation tick: decide a target and launch/recall/retire
-    /// towards it (mirrors [`Autoscaler::evaluate`] on the decode core).
-    fn evaluate(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        let staying = self.staying_count();
-        let obs = Observation {
-            staying,
-            // Slot-pool pressure, not just the queue: a KV resident holds
-            // capacity exactly like a waiting request, so reactive
-            // thresholds here are in units of in-system requests per
-            // accepting shard (compare against the slot count).
-            waiting: core
-                .shards
-                .iter()
-                .map(|sh| sh.queue.len() + sh.resident.len())
-                .sum(),
-            accepting: self.accepting_count(core),
-            paid: self.on_count,
-            busy_elapsed: self.busy_elapsed(core, now),
-            arrivals: core.arrivals_seen,
-        };
-        let desired = self
-            .engine
-            .desired(now, &obs)
-            .clamp(self.cfg.min_shards, self.max_shards);
-        if desired == staying {
-            return;
-        }
-        if self.cfg.policy.is_feedback() && now - self.last_action_s < self.cfg.cooldown_s {
-            return;
-        }
-        let mut acted = false;
-        if desired > staying {
-            let mut need = desired - staying;
-            // Recall retiring shards first: weights (and any draining
-            // residents) are still in place, so rejoining is free.
-            for s in (0..self.max_shards).rev() {
-                if need == 0 {
-                    break;
-                }
-                if self.lifecycle[s] == Lifecycle::Retiring {
-                    self.lifecycle[s] = Lifecycle::Active;
-                    core.accepting[s] = true;
-                    self.record(now, s, ScaleEventKind::Join);
-                    need -= 1;
-                    acted = true;
-                }
-            }
-            for s in 0..self.max_shards {
-                if need == 0 {
-                    break;
-                }
-                if self.lifecycle[s] == Lifecycle::Off {
-                    self.launch(core, s, now);
-                    need -= 1;
-                    acted = true;
-                }
-            }
-        } else {
-            let mut staying_now = staying;
-            for s in (0..self.max_shards).rev() {
-                if staying_now == desired {
-                    break;
-                }
-                // Retire only active shards, and never the last accepting
-                // one — a warming shard is not yet a routing target.
-                if self.lifecycle[s] == Lifecycle::Active && self.accepting_count(core) > 1 {
-                    self.retire(core, s, now);
-                    staying_now -= 1;
-                    acted = true;
-                }
-            }
-        }
-        if acted {
-            self.last_action_s = now;
+    fn host<'c, 'b>(
+        cfg: &DecodeAutoscaleConfig,
+        core: &'c mut DecodeCore<'b>,
+        migrations: &'c mut usize,
+    ) -> DecodeHost<'c, 'b> {
+        DecodeHost {
+            core,
+            scale_down: cfg.scale_down,
+            migrations,
         }
     }
 }
 
 impl DecodeController for DecodeAutoscaler<'_> {
     fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        // Finish any due warm-ups first, so a shard can join and receive
-        // work decided at the very same tick.
-        for s in 0..self.max_shards {
-            if let Lifecycle::Warming { ready_s } = self.lifecycle[s] {
-                if ready_s <= now {
-                    self.lifecycle[s] = Lifecycle::Active;
-                    core.accepting[s] = true;
-                    self.record(now, s, ScaleEventKind::Join);
-                }
-            }
-        }
-        if self.done_ticking || now + 1e-9 < self.next_eval_s {
+        self.pool
+            .join_warmed(&mut Self::host(self.cfg, core, &mut self.migrations), now);
+        if !self.ticker.due(now, || {
+            core.completed() + core.abandoned == core.trace.len()
+        }) {
             return;
         }
-        if core.completed() + core.abandoned == core.trace.len() {
-            // Work is done (completed or given up on by the client
-            // layer): stop the tick chain so the heap can drain.
-            self.done_ticking = true;
-            return;
-        }
-        self.evaluate(core, now);
-        self.next_eval_s = now + self.cfg.eval_interval_s;
-        core.schedule_control(self.next_eval_s);
+        let (waiting, busy_elapsed) = decode_load(&core.shards, now);
+        let arrivals = core.arrivals_seen;
+        self.pool.evaluate(
+            &mut Self::host(self.cfg, core, &mut self.migrations),
+            now,
+            waiting,
+            busy_elapsed,
+            arrivals,
+        );
+        core.schedule_control(self.ticker.rearm(now));
     }
 
     fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        if self.lifecycle[shard] != Lifecycle::Retiring {
+        if !self.pool.is_retiring(shard) {
             return;
         }
+        let host = Self::host(self.cfg, core, &mut self.migrations);
         if self.cfg.scale_down == DecodeScaleDown::Migrate
-            && !core.shards[shard].resident.is_empty()
+            && !host.core.shards[shard].resident.is_empty()
         {
             // The in-flight iteration completed: hand the survivors the
             // still-unfinished residents.
             let mut touched = Vec::new();
-            self.evict_residents(core, shard, now, &mut touched);
+            *host.migrations += host.core.evict_unfinished(shard, now, &mut touched);
             for s2 in touched {
-                core.start_iteration(s2, now);
+                host.core.start_iteration(s2, now);
             }
         }
-        self.maybe_finish_retire(core, shard, now);
+        self.pool.finish_retire_if_idle(&host, shard, now);
     }
 }
 
@@ -1611,45 +1703,26 @@ pub fn simulate_decode_autoscale(
         core.run(&mut ctl);
     }
     let decode = core.into_report();
-    let makespan = decode.fleet.makespan_s;
 
     // Close the books on shards still committed at the end of the run.
-    let mut shard_seconds = ctl.shard_seconds;
-    for s in 0..shards.len() {
-        if ctl.lifecycle[s] != Lifecycle::Off {
-            shard_seconds += (makespan - ctl.on_since[s]).max(0.0);
-        }
-    }
-    let end = makespan.max(ctl.last_on_change_s).max(1e-12);
-    let on_integral = ctl.on_integral + ctl.on_count as f64 * (end - ctl.last_on_change_s);
-
-    let in_slo = |t: f64| t <= cfg.slo_ttft_s;
+    let (shard_seconds, mean_active_shards, peak_active_shards) =
+        ctl.pool.close_books(decode.fleet.makespan_s);
     let ttfts: Vec<f64> = decode.requests.iter().map(|r| r.ttft_s).collect();
-    let slo_attainment = ttfts.iter().filter(|&&t| in_slo(t)).count() as f64 / ttfts.len() as f64;
-    let mut edges = vec![0.0];
-    edges.extend(cfg.phase_bounds_s.iter().copied());
-    edges.push(f64::INFINITY);
-    let phases = edges
-        .windows(2)
-        .map(|w| {
-            let phase_ttft: Vec<f64> = trace
-                .iter()
-                .zip(&ttfts)
-                .filter(|(r, _)| r.arrival_s >= w[0] && r.arrival_s < w[1])
-                .map(|(_, &t)| t)
-                .collect();
-            DecodePhaseSlo {
-                start_s: w[0],
-                end_s: w[1],
-                requests: phase_ttft.len(),
-                slo_attainment: if phase_ttft.is_empty() {
-                    1.0
-                } else {
-                    phase_ttft.iter().filter(|&&t| in_slo(t)).count() as f64
-                        / phase_ttft.len() as f64
-                },
-                p95_ttft_s: percentile(&phase_ttft, 0.95).unwrap_or(0.0),
-            }
+    let (slo_attainment, phases) = slo_phases(
+        trace,
+        |r| r.arrival_s,
+        &ttfts,
+        cfg.slo_ttft_s,
+        &cfg.phase_bounds_s,
+    );
+    let phases = phases
+        .into_iter()
+        .map(|p| DecodePhaseSlo {
+            start_s: p.start_s,
+            end_s: p.end_s,
+            requests: p.requests,
+            slo_attainment: p.slo_attainment,
+            p95_ttft_s: p.p95_latency_s,
         })
         .collect();
     let re_prefills = decode.requests.iter().map(|r| r.re_prefills as usize).sum();
@@ -1657,9 +1730,9 @@ pub fn simulate_decode_autoscale(
     DecodeAutoscaleReport {
         decode,
         shard_seconds,
-        mean_active_shards: on_integral / end,
-        peak_active_shards: ctl.peak_on,
-        scale_events: ctl.events,
+        mean_active_shards,
+        peak_active_shards,
+        scale_events: ctl.pool.events,
         slo_attainment,
         phases,
         migrations: ctl.migrations,

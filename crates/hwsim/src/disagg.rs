@@ -77,7 +77,8 @@
 
 use crate::accelerator::AcceleratorDesign;
 use crate::autoscale::{
-    Lifecycle, Observation, PolicyEngine, ScaleEvent, ScaleEventKind, ScalePolicy,
+    decode_load, decode_shard_idle, requeue_waiting, PoolHost, ScaleEvent, ScalePolicy, ShardPool,
+    Ticker,
 };
 use crate::decode::{
     DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
@@ -88,6 +89,7 @@ use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::ReportMode;
 use lat_workloads::prefix::PrefixGroup;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Parameters of the disaggregated serving layer (pool sizes are the two
 /// design slices handed to [`simulate_disaggregated`]).
@@ -322,23 +324,29 @@ impl<'a> DisaggController<'a> {
             .collect()
     }
 
-    /// Lands every due handoff in the decode pool. If the whole decode
-    /// pool is unroutable (crashed/retired), the sequence falls back to
-    /// the accepting shards and re-prefills there — the KV copy has no
+    /// Routes request `r` into the decode pool. If the whole decode pool
+    /// is unroutable (crashed/retired), the sequence falls back to the
+    /// accepting shards and re-prefills there — the KV copy has no
     /// destination, so its warmth is forfeit.
+    fn route_to_decode(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) -> usize {
+        let mask = self.decode_mask(core);
+        if mask.iter().any(|&m| m) {
+            core.route_request_into(r, now, &mask, &mut self.rr_decode)
+        } else {
+            core.kv_warm[r] = false;
+            core.route_request(r, now)
+        }
+    }
+
+    /// Lands every due handoff in the decode pool
+    /// ([`DisaggController::route_to_decode`]).
     fn land_due_handoffs(&mut self, core: &mut DecodeCore<'_>, now: f64) {
         let mut touched = Vec::new();
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].0 <= now {
                 let (_, r) = self.pending.remove(i);
-                let mask = self.decode_mask(core);
-                let s2 = if mask.iter().any(|&m| m) {
-                    core.route_request_into(r, now, &mask, &mut self.rr_decode)
-                } else {
-                    core.kv_warm[r] = false;
-                    core.route_request(r, now)
-                };
+                let s2 = self.route_to_decode(core, r, now);
                 if !touched.contains(&s2) {
                     touched.push(s2);
                 }
@@ -693,283 +701,109 @@ pub struct DisaggAutoscaleReport {
     pub scale_events: Vec<ScaleEvent>,
 }
 
-/// One pool's scaling state: a [`PolicyEngine`] plus shard lifecycles
-/// over a contiguous index range of the combined fleet.
-struct PoolScaler {
-    range: std::ops::Range<usize>,
-    min_shards: usize,
-    is_feedback: bool,
-    engine: PolicyEngine,
-    lifecycle: Vec<Lifecycle>,
-    on_since: Vec<f64>,
-    shard_seconds: f64,
-    on_count: usize,
-    peak_on: usize,
-    last_action_s: f64,
-    events: Vec<ScaleEvent>,
+/// [`PoolHost`] over the disaggregated fleet: prefill shards route
+/// through the core's `accepting` mask, decode shards through the
+/// controller's handoff mask.
+struct DisaggHost<'c, 'a, 'b> {
+    core: &'c mut DecodeCore<'a>,
+    ctl: &'c mut DisaggController<'b>,
 }
 
-impl PoolScaler {
-    fn new(pool: &PoolPolicy, range: std::ops::Range<usize>, eval_interval_s: f64) -> Self {
-        let lifecycle = (0..range.len())
-            .map(|i| {
-                if i < pool.initial_shards {
-                    Lifecycle::Active
-                } else {
-                    Lifecycle::Off
-                }
-            })
-            .collect();
-        Self {
-            min_shards: pool.min_shards,
-            is_feedback: pool.policy.is_feedback(),
-            engine: PolicyEngine::new(&pool.policy, pool.initial_shards, eval_interval_s),
-            lifecycle,
-            on_since: vec![0.0; range.len()],
-            shard_seconds: 0.0,
-            on_count: pool.initial_shards,
-            peak_on: pool.initial_shards,
-            last_action_s: f64::NEG_INFINITY,
-            events: Vec::new(),
-            range,
+impl PoolHost for DisaggHost<'_, '_, '_> {
+    fn set_routable(&mut self, s: usize, open: bool) {
+        if s < self.ctl.n_prefill {
+            self.core.accepting[s] = open;
+        } else {
+            self.ctl.open[s] = open;
         }
     }
 
-    fn staying(&self) -> usize {
-        self.lifecycle
-            .iter()
-            .filter(|l| matches!(l, Lifecycle::Active | Lifecycle::Warming { .. }))
-            .count()
+    fn routable(&self, range: Range<usize>) -> usize {
+        if range.start < self.ctl.n_prefill {
+            self.core.accepting[range].iter().filter(|&&a| a).count()
+        } else {
+            range
+                .filter(|&s| self.ctl.open[s] && !self.core.dead[s])
+                .count()
+        }
     }
 
-    fn record(&mut self, now: f64, shard: usize, kind: ScaleEventKind) {
-        self.events.push(ScaleEvent {
-            time_s: now,
-            shard,
-            kind,
-            on_after: self.on_count,
-        });
+    /// Drain-style retirement: the waiting queue goes back to the pool's
+    /// survivors, and the residents step to completion in place.
+    fn drain(&mut self, s: usize, now: f64) {
+        let touched = if s < self.ctl.n_prefill {
+            requeue_waiting(self.core, s, now, |core, r| core.route_request(r, now))
+        } else {
+            requeue_waiting(self.core, s, now, |core, r| {
+                self.ctl.route_to_decode(core, r, now)
+            })
+        };
+        for s2 in touched {
+            self.core.start_iteration(s2, now);
+        }
+    }
+
+    fn is_idle(&self, s: usize) -> bool {
+        decode_shard_idle(self.core, s)
+    }
+
+    fn schedule_control(&mut self, time: f64) {
+        self.core.schedule_control(time);
     }
 }
 
-/// The per-pool autoscaling controller: one [`PolicyEngine`] per pool on
-/// a shared tick, wrapping the [`DisaggController`] that keeps doing the
+/// The per-pool autoscaling controller: one [`ShardPool`] per pool on a
+/// shared tick, wrapping the [`DisaggController`] that keeps doing the
 /// handoff/caching work.
 struct DisaggAutoscaler<'a> {
     inner: DisaggController<'a>,
-    cfg: &'a DisaggAutoscaleConfig,
-    pools: [PoolScaler; 2],
-    next_eval_s: f64,
-    done_ticking: bool,
+    /// The prefill pool, then the decode pool.
+    pools: [ShardPool; 2],
+    ticker: Ticker,
 }
 
 impl<'a> DisaggAutoscaler<'a> {
     fn new(
         inner: DisaggController<'a>,
-        cfg: &'a DisaggAutoscaleConfig,
+        cfg: &DisaggAutoscaleConfig,
         n_prefill: usize,
         n_total: usize,
     ) -> Self {
+        let pool = |p: &PoolPolicy, range| {
+            ShardPool::new(
+                range,
+                p.min_shards,
+                p.initial_shards,
+                &p.policy,
+                cfg.eval_interval_s,
+                cfg.warmup_s,
+                cfg.cooldown_s,
+            )
+        };
         Self {
             inner,
-            cfg,
             pools: [
-                PoolScaler::new(&cfg.prefill, 0..n_prefill, cfg.eval_interval_s),
-                PoolScaler::new(&cfg.decode, n_prefill..n_total, cfg.eval_interval_s),
+                pool(&cfg.prefill, 0..n_prefill),
+                pool(&cfg.decode, n_prefill..n_total),
             ],
-            next_eval_s: cfg.eval_interval_s,
-            done_ticking: false,
+            ticker: Ticker::new(cfg.eval_interval_s),
         }
-    }
-
-    /// Marks shard `s` routable for its pool: `accepting` for prefill,
-    /// the handoff mask for decode.
-    fn open_shard(&mut self, core: &mut DecodeCore<'_>, pool: usize, s: usize) {
-        if pool == 0 {
-            core.accepting[s] = true;
-        } else {
-            self.inner.open[s] = true;
-        }
-    }
-
-    fn launch(&mut self, core: &mut DecodeCore<'_>, pool: usize, s: usize, now: f64) {
-        let p = &mut self.pools[pool];
-        p.on_count += 1;
-        p.peak_on = p.peak_on.max(p.on_count);
-        let local = s - p.range.start;
-        p.on_since[local] = now;
-        p.record(now, s, ScaleEventKind::Launch);
-        if self.cfg.warmup_s <= 0.0 {
-            self.pools[pool].lifecycle[local] = Lifecycle::Active;
-            self.pools[pool].record(now, s, ScaleEventKind::Join);
-            self.open_shard(core, pool, s);
-        } else {
-            let ready_s = now + self.cfg.warmup_s;
-            self.pools[pool].lifecycle[local] = Lifecycle::Warming { ready_s };
-            core.schedule_control(ready_s);
-        }
-    }
-
-    /// Drain-style retirement: the shard leaves routing, hands its
-    /// waiting queue back to its pool's survivors, and keeps stepping its
-    /// residents to completion in place.
-    fn retire(&mut self, core: &mut DecodeCore<'_>, pool: usize, s: usize, now: f64) {
-        let local = s - self.pools[pool].range.start;
-        self.pools[pool].lifecycle[local] = Lifecycle::Retiring;
-        if pool == 0 {
-            core.accepting[s] = false;
-        } else {
-            self.inner.open[s] = false;
-        }
-        self.pools[pool].record(now, s, ScaleEventKind::RetireStart);
-        core.shards[s].tick(now);
-        let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
-        let mut touched = Vec::new();
-        for r in waiting {
-            let s2 = if pool == 0 {
-                core.route_request(r, now)
-            } else {
-                let mask = self.inner.decode_mask(core);
-                if mask.iter().any(|&m| m) {
-                    core.route_request_into(r, now, &mask, &mut self.inner.rr_decode)
-                } else {
-                    core.kv_warm[r] = false;
-                    core.route_request(r, now)
-                }
-            };
-            if !touched.contains(&s2) {
-                touched.push(s2);
-            }
-        }
-        for s2 in touched {
-            core.start_iteration(s2, now);
-        }
-        self.maybe_finish_retire(core, pool, s, now);
-    }
-
-    fn maybe_finish_retire(&mut self, core: &mut DecodeCore<'_>, pool: usize, s: usize, now: f64) {
-        let p = &mut self.pools[pool];
-        let local = s - p.range.start;
-        if p.lifecycle[local] == Lifecycle::Retiring
-            && !core.shards[s].stepping
-            && core.shards[s].resident.is_empty()
-            && core.shards[s].queue.is_empty()
-        {
-            p.lifecycle[local] = Lifecycle::Off;
-            p.on_count -= 1;
-            p.shard_seconds += now - p.on_since[local];
-            p.record(now, s, ScaleEventKind::Retired);
-        }
-    }
-
-    /// Pool-local busy time actually elapsed by `t` (launch-time charges
-    /// clipped, as in the decode autoscaler).
-    fn busy_elapsed(&self, core: &DecodeCore<'_>, pool: usize, t: f64) -> f64 {
-        core.shards[self.pools[pool].range.clone()]
-            .iter()
-            .map(|sh| {
-                sh.busy_time_s
-                    - if sh.stepping {
-                        (sh.busy_until_s - t).max(0.0)
-                    } else {
-                        0.0
-                    }
-            })
-            .sum()
     }
 
     fn evaluate_pool(&mut self, core: &mut DecodeCore<'_>, pool: usize, now: f64) {
-        let range = self.pools[pool].range.clone();
-        let staying = self.pools[pool].staying();
-        let routable = if pool == 0 {
-            core.accepting[range.clone()].iter().filter(|&&a| a).count()
+        let (waiting, busy_elapsed) = decode_load(&core.shards[self.pools[pool].range()], now);
+        // The decode pool's offered load is the handoff stream, not the
+        // trace arrivals.
+        let arrivals = if pool == 0 {
+            core.arrivals_seen
         } else {
-            range
-                .clone()
-                .filter(|&s| self.inner.open[s] && !core.dead[s])
-                .count()
+            self.inner.transfers
         };
-        let obs = Observation {
-            staying,
-            waiting: core.shards[range.clone()]
-                .iter()
-                .map(|sh| sh.queue.len() + sh.resident.len())
-                .sum(),
-            accepting: routable,
-            paid: self.pools[pool].on_count,
-            busy_elapsed: self.busy_elapsed(core, pool, now),
-            // The decode pool's offered load is the handoff stream, not
-            // the trace arrivals.
-            arrivals: if pool == 0 {
-                core.arrivals_seen
-            } else {
-                self.inner.transfers
-            },
+        let host = &mut DisaggHost {
+            core,
+            ctl: &mut self.inner,
         };
-        let desired = self.pools[pool]
-            .engine
-            .desired(now, &obs)
-            .clamp(self.pools[pool].min_shards, range.len());
-        if desired == staying {
-            return;
-        }
-        if self.pools[pool].is_feedback
-            && now - self.pools[pool].last_action_s < self.cfg.cooldown_s
-        {
-            return;
-        }
-        let mut acted = false;
-        if desired > staying {
-            let mut need = desired - staying;
-            for s in range.clone().rev() {
-                if need == 0 {
-                    break;
-                }
-                let local = s - range.start;
-                if self.pools[pool].lifecycle[local] == Lifecycle::Retiring {
-                    self.pools[pool].lifecycle[local] = Lifecycle::Active;
-                    self.pools[pool].record(now, s, ScaleEventKind::Join);
-                    self.open_shard(core, pool, s);
-                    need -= 1;
-                    acted = true;
-                }
-            }
-            for s in range.clone() {
-                if need == 0 {
-                    break;
-                }
-                if self.pools[pool].lifecycle[s - range.start] == Lifecycle::Off {
-                    self.launch(core, pool, s, now);
-                    need -= 1;
-                    acted = true;
-                }
-            }
-        } else {
-            let mut staying_now = staying;
-            for s in range.clone().rev() {
-                if staying_now == desired {
-                    break;
-                }
-                let local = s - range.start;
-                let still_routable = if pool == 0 {
-                    core.accepting[range.clone()].iter().filter(|&&a| a).count() > 1
-                } else {
-                    range
-                        .clone()
-                        .filter(|&i| self.inner.open[i] && !core.dead[i])
-                        .count()
-                        > 1
-                };
-                if self.pools[pool].lifecycle[local] == Lifecycle::Active && still_routable {
-                    self.retire(core, pool, s, now);
-                    staying_now -= 1;
-                    acted = true;
-                }
-            }
-        }
-        if acted {
-            self.pools[pool].last_action_s = now;
-        }
+        self.pools[pool].evaluate(host, now, waiting, busy_elapsed, arrivals);
     }
 }
 
@@ -979,39 +813,32 @@ impl DecodeController for DisaggAutoscaler<'_> {
     }
 
     fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        // Finish due warm-ups so a shard can join and receive work
-        // decided at the same tick.
-        for pool in 0..2 {
-            let range = self.pools[pool].range.clone();
-            for s in range {
-                let local = s - self.pools[pool].range.start;
-                if let Lifecycle::Warming { ready_s } = self.pools[pool].lifecycle[local] {
-                    if ready_s <= now {
-                        self.pools[pool].lifecycle[local] = Lifecycle::Active;
-                        self.pools[pool].record(now, s, ScaleEventKind::Join);
-                        self.open_shard(core, pool, s);
-                    }
-                }
-            }
+        let host = &mut DisaggHost {
+            core,
+            ctl: &mut self.inner,
+        };
+        for pool in &mut self.pools {
+            pool.join_warmed(host, now);
         }
         self.inner.on_control(core, now);
-        if self.done_ticking || now + 1e-9 < self.next_eval_s {
-            return;
-        }
-        if core.completed() + core.abandoned == core.trace.len() {
-            self.done_ticking = true;
+        if !self.ticker.due(now, || {
+            core.completed() + core.abandoned == core.trace.len()
+        }) {
             return;
         }
         self.evaluate_pool(core, 0, now);
         self.evaluate_pool(core, 1, now);
-        self.next_eval_s = now + self.cfg.eval_interval_s;
-        core.schedule_control(self.next_eval_s);
+        core.schedule_control(self.ticker.rearm(now));
     }
 
     fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
         self.inner.after_step(core, shard, now);
-        let pool = usize::from(shard >= self.pools[1].range.start);
-        self.maybe_finish_retire(core, pool, shard, now);
+        let pool = usize::from(shard >= self.inner.n_prefill);
+        let host = DisaggHost {
+            core,
+            ctl: &mut self.inner,
+        };
+        self.pools[pool].finish_retire_if_idle(&host, shard, now);
     }
 
     fn on_shard_up(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
@@ -1067,16 +894,7 @@ pub fn simulate_disagg_autoscale(
     let mut ctl = DisaggAutoscaler::new(inner, acfg, n_prefill, designs.len());
     if pinned {
         // No evaluation ticks: the event stream is simulate_disaggregated's.
-        let mut plain = DisaggController::new(
-            designs.len(),
-            n_prefill,
-            acfg.decode.initial_shards,
-            prefixes,
-            trace.len(),
-            dcfg,
-        );
-        core.run(&mut plain);
-        ctl.inner = plain;
+        core.run(&mut ctl.inner);
     } else {
         core.schedule_control(acfg.eval_interval_s);
         core.run(&mut ctl);
@@ -1089,25 +907,18 @@ pub fn simulate_disagg_autoscale(
     );
     let makespan = decode.fleet.makespan_s;
     // Close the books on shards still committed at the end of the run.
-    let mut totals = [0.0f64; 2];
-    for (total, p) in totals.iter_mut().zip(ctl.pools.iter()) {
-        *total = p.shard_seconds;
-        for local in 0..p.range.len() {
-            if p.lifecycle[local] != Lifecycle::Off {
-                *total += (makespan - p.on_since[local]).max(0.0);
-            }
-        }
-    }
-    let mut scale_events: Vec<ScaleEvent> = ctl.pools[0].events.clone();
-    scale_events.extend(ctl.pools[1].events.iter().cloned());
+    let (prefill_shard_seconds, _, peak_prefill_shards) = ctl.pools[0].close_books(makespan);
+    let (decode_shard_seconds, _, peak_decode_shards) = ctl.pools[1].close_books(makespan);
+    let [prefill, decode_pool] = ctl.pools;
+    let mut scale_events = prefill.events;
+    scale_events.extend(decode_pool.events);
     scale_events.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
-    let [peak_prefill, peak_decode] = [ctl.pools[0].peak_on, ctl.pools[1].peak_on];
     DisaggAutoscaleReport {
         disagg: ctl.inner.into_report(decode),
-        prefill_shard_seconds: totals[0],
-        decode_shard_seconds: totals[1],
-        peak_prefill_shards: peak_prefill,
-        peak_decode_shards: peak_decode,
+        prefill_shard_seconds,
+        decode_shard_seconds,
+        peak_prefill_shards,
+        peak_decode_shards,
         scale_events,
     }
 }
@@ -1115,6 +926,7 @@ pub fn simulate_disagg_autoscale(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscale::ScaleEventKind;
     use crate::fleet::homogeneous_fleet;
     use crate::spec::FpgaSpec;
     use lat_model::config::ModelConfig;

@@ -1541,9 +1541,9 @@ pub fn simulate_autoscale_failure_mode(
     let completion_s = core.completion_s.clone();
     let fleet = core.into_report();
     let (shard_seconds, mean_active_shards, peak_active_shards) =
-        injector.inner.close_books(fleet.makespan_s);
+        injector.inner.pool.close_books(fleet.makespan_s);
     let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let scale_events = std::mem::take(&mut injector.inner.events);
+    let scale_events = std::mem::take(&mut injector.inner.pool.events);
     let summary = summarize_clients(
         mode,
         plan.incident_window(),

@@ -3,23 +3,23 @@
 //! the cache disabled reduces to colocated `simulate_decode` bit-for-bit;
 //! a zero-capacity cache is bit-identical to running with no prefix
 //! assignment at all), the hit → evict → miss repricing of the LRU prefix
-//! table, and `HARNESS_SEED` determinism of the full `DisaggReport` and
+//! table, `HARNESS_SEED` determinism of the full `DisaggReport` and
 //! `DisaggAutoscaleReport` (mirrors `tests/decode_autoscale_props.rs` on
-//! the disaggregated engine).
+//! the disaggregated engine), and the per-pool scale-up → retire cycle.
 
 use lat_bench::scenarios::harness_seed;
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
-use lat_fpga::hwsim::autoscale::ScalePolicy;
+use lat_fpga::hwsim::autoscale::{ScaleEvent, ScaleEventKind, ScalePolicy};
 use lat_fpga::hwsim::decode::{
-    decode_trace, simulate_decode, DecodeConfig, DecodeRequest, DecodeScheduler, KvTransfer,
-    Priority,
+    decode_trace, nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeRequest,
+    DecodeScheduler, KvTransfer, Priority,
 };
 use lat_fpga::hwsim::disagg::{
     simulate_disagg_autoscale, simulate_disaggregated, DisaggAutoscaleConfig, DisaggConfig,
     DisaggReport, PoolPolicy,
 };
-use lat_fpga::hwsim::fleet::{homogeneous_fleet, DispatchPolicy};
+use lat_fpga::hwsim::fleet::{homogeneous_fleet, DispatchPolicy, RatePhase, RateProfile};
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
@@ -294,4 +294,131 @@ fn disagg_reports_are_deterministic_under_harness_seed() {
     let b = run();
     assert_eq!(a, b);
     assert_eq!(a.disagg.decode.fleet.completed, trace.len());
+}
+
+/// Burst → long trickle, in the decode engine's request shape: the burst
+/// backs both pools up past their reactive thresholds, the trickle lets
+/// them fall back below `scale_down_depth`.
+fn burst_then_trickle_trace(seed: u64) -> Vec<DecodeRequest> {
+    let spec = DatasetSpec::rte();
+    nonstationary_decode_trace(
+        &spec,
+        &spec.decode_output(),
+        0.0,
+        &RateProfile::Piecewise(vec![
+            RatePhase {
+                duration_s: 0.003,
+                rate: 200_000.0,
+            },
+            RatePhase {
+                duration_s: 1.0,
+                rate: 1000.0,
+            },
+        ]),
+        800,
+        seed,
+    )
+}
+
+/// The disagg retire path: with reactive policies and a positive
+/// `scale_down_depth` on both pools, each pool launches a shard during
+/// the burst and retires one during the trickle. Every request still
+/// completes, each pool's events stay inside its own index range, the
+/// merged log is time-sorted, and replaying a pool's own events never
+/// takes its committed count below its floor.
+#[test]
+fn disagg_pools_scale_up_then_down() {
+    let seed = harness_seed();
+    let trace = burst_then_trickle_trace(seed);
+    let pool = |scale_up_depth| PoolPolicy {
+        min_shards: 1,
+        initial_shards: 1,
+        policy: ScalePolicy::Reactive {
+            scale_up_depth,
+            scale_down_depth: 0.5,
+        },
+    };
+    let acfg = DisaggAutoscaleConfig {
+        prefill: pool(2.0),
+        // The decode pool sees the prefill pool's output, which one
+        // prefill shard meters out: a lower bar still fires in the burst.
+        decode: pool(1.0),
+        eval_interval_s: 0.002,
+        warmup_s: 0.001,
+        cooldown_s: 0.0,
+    };
+    let r = simulate_disagg_autoscale(
+        &homogeneous_fleet(&tiny_design(64), 2),
+        &homogeneous_fleet(&tiny_design(64), 2),
+        &trace,
+        &[],
+        SchedulingPolicy::LengthAware,
+        DispatchPolicy::JoinShortestQueue,
+        DecodeScheduler::Continuous,
+        &DecodeConfig::default(),
+        &DisaggConfig {
+            transfer: cheap_wire(),
+            prefix_cache_capacity: 0,
+        },
+        &acfg,
+    );
+    assert_eq!(r.disagg.decode.fleet.completed, trace.len());
+    assert!(
+        r.scale_events
+            .windows(2)
+            .all(|w| w[0].time_s <= w[1].time_s),
+        "scale events out of time order"
+    );
+    assert!(
+        r.scale_events.iter().all(|e| e.shard < 4),
+        "scale event outside both pools: {:?}",
+        r.scale_events
+    );
+    for (name, range, min) in [
+        ("prefill", 0..2, acfg.prefill.min_shards),
+        ("decode", 2..4, acfg.decode.min_shards),
+    ] {
+        let events: Vec<&ScaleEvent> = r
+            .scale_events
+            .iter()
+            .filter(|e| range.contains(&e.shard))
+            .collect();
+        // Replay the pool's own log from its initial state (shard
+        // `range.start` warm, the other off): 0 off, 1 warming, 2 active,
+        // 3 retiring.
+        let mut state: Vec<u8> = range
+            .clone()
+            .map(|s| if s == range.start { 2 } else { 0 })
+            .collect();
+        let mut launched = false;
+        let mut retired = false;
+        for e in &events {
+            let local = e.shard - range.start;
+            state[local] = match (state[local], e.kind) {
+                (0, ScaleEventKind::Launch) => {
+                    launched = true;
+                    1
+                }
+                (1, ScaleEventKind::Join) | (3, ScaleEventKind::Join) => 2,
+                (2, ScaleEventKind::RetireStart) => 3,
+                (3, ScaleEventKind::Retired) => {
+                    retired = true;
+                    0
+                }
+                (st, kind) => panic!("{name} shard {}: {kind:?} in state {st}", e.shard),
+            };
+            let committed = state.iter().filter(|&&x| x != 0).count();
+            assert_eq!(e.on_after, committed, "{name} pool books drifted at {e:?}");
+            assert!(
+                e.on_after >= min,
+                "{name} pool fell to {} < min {min} after {:?} of shard {} at t={}",
+                e.on_after,
+                e.kind,
+                e.shard,
+                e.time_s
+            );
+        }
+        assert!(launched, "{name} pool never launched a shard: {events:?}");
+        assert!(retired, "{name} pool never retired a shard: {events:?}");
+    }
 }
