@@ -13,7 +13,7 @@ use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::autoscale::{
     AutoscaleConfig, DecodeScaleDown, RetirePolicy, ScaleEventKind, ScalePolicy,
 };
-use lat_fpga::hwsim::decode::{decode_trace, DecodeConfig, DecodeScheduler};
+use lat_fpga::hwsim::decode::{decode_trace, simulate_decode, DecodeConfig, DecodeScheduler};
 use lat_fpga::hwsim::failure::{
     simulate_autoscale_failure, simulate_decode_failure, simulate_fleet_failure,
     AutoscaleFailureReport, ClientConfig, Disposition, Fault, FaultKind, FaultPlan,
@@ -165,6 +165,55 @@ proptest! {
         prop_assert_eq!(r.fleet, plain);
         prop_assert_eq!(r.completed, n);
         prop_assert_eq!(r.timed_out + r.retried + r.retries, 0);
+    }
+
+    /// The decode half of the containment link: the empty fault plan with
+    /// the patient client is the plain decode engine bit-for-bit, under
+    /// every scheduler.
+    #[test]
+    fn empty_plan_patient_client_is_the_plain_decode_engine(
+        shards in 1usize..4,
+        dispatch_idx in 0usize..3,
+        rate in 500.0f64..4000.0,
+        n in 16usize..64,
+        seed in 0u64..1_000_000,
+    ) {
+        let fleet = homogeneous_fleet(&tiny_design(64), shards);
+        let trace = decode_trace(
+            &DatasetSpec::mrpc(),
+            &DatasetSpec::rte(),
+            0.2,
+            rate,
+            n,
+            seed,
+        );
+        let dispatch = dispatch_from_index(dispatch_idx);
+        let cfg = DecodeConfig::default();
+        for scheduler in DecodeScheduler::ALL {
+            let plain = simulate_decode(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                dispatch,
+                scheduler,
+                &cfg,
+            );
+            let r = simulate_decode_failure(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                dispatch,
+                scheduler,
+                &cfg,
+                &FaultPlan::none(),
+                &ClientConfig::patient(),
+                DecodeScaleDown::Drain,
+                0.25,
+            );
+            prop_assert_eq!(r.decode, plain);
+            prop_assert_eq!(r.completed, n);
+            prop_assert_eq!(r.timed_out + r.retried + r.retries, 0);
+        }
     }
 
     /// A crash mid-run under the autoscaler: no batch ever starts on a
