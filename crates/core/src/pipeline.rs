@@ -389,79 +389,6 @@ fn flow_shop<T: StageTiming, E: EntrySink>(
     (makespan, billed_tokens)
 }
 
-/// Schedules a batch whose sequences have *release times* (arrival
-/// constraints): sequence `i` may not enter stage 0 of its first layer
-/// before `releases[i]`. Within the released set, processing still follows
-/// decreasing length (ties by release then index) — the online analogue of
-/// the sorted batch, used by serving-style deployments where requests
-/// trickle in while the pipeline runs.
-///
-/// # Panics
-///
-/// Panics if `lengths` and `releases` differ in length, the batch is
-/// empty, or `layers == 0`.
-pub fn schedule_batch_with_releases<T: StageTiming>(
-    lengths: &[usize],
-    releases: &[u64],
-    layers: usize,
-    timing: &T,
-) -> Schedule {
-    assert_eq!(lengths.len(), releases.len(), "lengths/releases mismatch");
-    assert!(!lengths.is_empty(), "empty batch");
-    assert!(layers > 0, "layers must be >= 1");
-    // Sort by (release asc, length desc, index): a sequence cannot jump
-    // ahead of one released before it if doing so would idle the pipe, but
-    // among simultaneously-available work the longest goes first.
-    let mut order: Vec<usize> = (0..lengths.len()).collect();
-    order.sort_by(|&a, &b| {
-        releases[a]
-            .cmp(&releases[b])
-            .then(lengths[b].cmp(&lengths[a]))
-            .then(a.cmp(&b))
-    });
-
-    let stages = timing.num_stages();
-    let mut stage_free = vec![0u64; stages];
-    let mut layer_done: Vec<u64> = order.iter().map(|&i| releases[i]).collect();
-    let mut entries = Vec::with_capacity(layers * lengths.len() * stages);
-    let mut stage_busy = vec![0u64; stages];
-    let mut makespan = 0u64;
-    let real_tokens: u64 = lengths.iter().map(|&l| l as u64).sum();
-
-    for layer in 0..layers {
-        for (slot, &orig) in order.iter().enumerate() {
-            let len = lengths[orig];
-            let mut prev_done = layer_done[slot];
-            for stage in 0..stages {
-                let t = timing.stage_cycles(stage, len);
-                let start = prev_done.max(stage_free[stage]);
-                let end = start + t;
-                entries.push(ScheduleEntry {
-                    seq: slot,
-                    layer,
-                    stage,
-                    start,
-                    end,
-                });
-                stage_free[stage] = end;
-                stage_busy[stage] += t;
-                prev_done = end;
-            }
-            layer_done[slot] = prev_done;
-            makespan = makespan.max(prev_done);
-        }
-    }
-
-    Schedule {
-        entries,
-        num_stages: stages,
-        makespan,
-        stage_busy,
-        billed_tokens: real_tokens,
-        real_tokens,
-    }
-}
-
 /// Makespan of fully sequential (un-pipelined) execution — the lower-end
 /// baseline showing what coarse pipelining itself buys.
 pub fn sequential_makespan<T: StageTiming>(lengths: &[usize], layers: usize, timing: &T) -> u64 {
@@ -737,59 +664,6 @@ mod tests {
         assert_eq!(g.lines().count(), 3);
         assert!(g.contains("stage 0"));
         assert!(g.contains('%'));
-    }
-
-    #[test]
-    fn release_times_respected() {
-        let timing = LinearStageTiming::uniform(3, 10.0);
-        let lengths = [50usize, 40, 30];
-        let releases = [0u64, 5000, 100];
-        let s = schedule_batch_with_releases(&lengths, &releases, 2, &timing);
-        // The slot order is (release, length): seq0 (r=0), seq2 (r=100),
-        // seq1 (r=5000). Slot 2 (original seq 1) must not start before 5000.
-        let first_start = s
-            .entries()
-            .iter()
-            .filter(|e| e.seq == 2 && e.layer == 0 && e.stage == 0)
-            .map(|e| e.start)
-            .min()
-            .expect("entry exists");
-        assert!(
-            first_start >= 5000,
-            "released-at-5000 started at {first_start}"
-        );
-        // Feasibility invariants still hold.
-        for stage in 0..3 {
-            let mut spans: Vec<(u64, u64)> = s
-                .entries()
-                .iter()
-                .filter(|e| e.stage == stage)
-                .map(|e| (e.start, e.end))
-                .collect();
-            spans.sort_unstable();
-            for w in spans.windows(2) {
-                assert!(w[0].1 <= w[1].0);
-            }
-        }
-    }
-
-    #[test]
-    fn zero_releases_match_length_aware_schedule() {
-        let (lengths, timing) = fig5_setup();
-        let releases = vec![0u64; lengths.len()];
-        let with_rel = schedule_batch_with_releases(&lengths, &releases, 2, &timing);
-        let plain = schedule_batch(&lengths, 2, &timing, SchedulingPolicy::LengthAware);
-        assert_eq!(with_rel.makespan(), plain.makespan());
-    }
-
-    #[test]
-    fn late_release_extends_makespan() {
-        let timing = LinearStageTiming::uniform(3, 10.0);
-        let lengths = [50usize, 40];
-        let early = schedule_batch_with_releases(&lengths, &[0, 0], 1, &timing);
-        let late = schedule_batch_with_releases(&lengths, &[0, 10_000], 1, &timing);
-        assert!(late.makespan() > early.makespan());
-        assert!(late.makespan() >= 10_000);
     }
 
     #[test]

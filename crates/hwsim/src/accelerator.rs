@@ -234,10 +234,9 @@ impl AcceleratorDesign {
             .collect()
     }
 
-    /// A [`StageTiming`] view of this design for external schedulers
-    /// (e.g. release-time scheduling), with weight traffic amortized over
-    /// `batch` sequences.
-    pub fn timing(&self, batch: usize) -> impl StageTiming + '_ {
+    /// A [`StageTiming`] view of this design, with weight traffic
+    /// amortized over `batch` sequences.
+    fn timing(&self, batch: usize) -> impl StageTiming + '_ {
         DesignTiming {
             design: self,
             batch,

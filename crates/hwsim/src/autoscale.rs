@@ -127,7 +127,8 @@ use crate::decode::{
     DecodeShard, NullDecodeController,
 };
 use crate::fleet::{
-    BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport, NullController, Request,
+    busy_elapsed, BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport,
+    NullController, Request,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_tensor::stats::percentile;
@@ -1138,8 +1139,8 @@ impl PoolHost for FleetHost<'_, '_> {
             return;
         }
         let core = &mut *self.core;
-        core.state[s].tick(now);
-        let evicted: Vec<usize> = core.state[s].queue.drain(..).collect();
+        core.state[s].book.tick(now);
+        let evicted: Vec<usize> = core.state[s].book.queue.drain(..).collect();
         core.state[s].window_scheduled_for = None;
         let mut touched = Vec::new();
         for r in evicted {
@@ -1156,7 +1157,8 @@ impl PoolHost for FleetHost<'_, '_> {
     }
 
     fn is_idle(&self, s: usize) -> bool {
-        !self.core.state[s].busy && self.core.state[s].queue.is_empty()
+        let book = &self.core.state[s].book;
+        !book.busy && book.queue.is_empty()
     }
 
     fn schedule_control(&mut self, time: f64) {
@@ -1191,24 +1193,6 @@ impl<'a> Autoscaler<'a> {
     }
 }
 
-/// Fleet busy time actually *elapsed* by `t`: `busy_time_s` charges a
-/// batch's whole service at dispatch, so clip off the in-flight batch's
-/// not-yet-elapsed tail. Window deltas of this integral are exact even
-/// when service times span many evaluation windows.
-fn fleet_busy_elapsed(core: &FleetCore<'_>, t: f64) -> f64 {
-    core.state
-        .iter()
-        .map(|st| {
-            st.busy_time_s
-                - if st.busy {
-                    (st.busy_until_s - t).max(0.0)
-                } else {
-                    0.0
-                }
-        })
-        .sum()
-}
-
 impl FleetController for Autoscaler<'_> {
     fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
         let retire = self.cfg.retire;
@@ -1218,8 +1202,8 @@ impl FleetController for Autoscaler<'_> {
         }) {
             return;
         }
-        let waiting = core.state.iter().map(|st| st.queue.len()).sum();
-        let busy_elapsed = fleet_busy_elapsed(core, now);
+        let waiting = core.state.iter().map(|st| st.book.queue.len()).sum();
+        let busy_elapsed = busy_elapsed(core.state.iter().map(|st| &st.book), now);
         let arrivals = core.arrivals_seen;
         self.pool.evaluate(
             &mut FleetHost { core, retire },
@@ -1522,7 +1506,7 @@ impl PoolHost for DecodeHost<'_, '_> {
     /// ([`DecodeController::after_step`]).
     fn drain(&mut self, s: usize, now: f64) {
         let mut touched = requeue_waiting(self.core, s, now, |core, r| core.route_request(r, now));
-        if self.scale_down == DecodeScaleDown::Migrate && !self.core.shards[s].stepping {
+        if self.scale_down == DecodeScaleDown::Migrate && !self.core.shards[s].book.busy {
             *self.migrations += self.core.evict_unfinished(s, now, &mut touched);
         }
         for s2 in touched {
@@ -1548,8 +1532,8 @@ pub(crate) fn requeue_waiting<'a>(
     now: f64,
     mut route: impl FnMut(&mut DecodeCore<'a>, usize) -> usize,
 ) -> Vec<usize> {
-    core.shards[s].tick(now);
-    let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
+    core.shards[s].book.tick(now);
+    let waiting: Vec<usize> = core.shards[s].book.queue.drain(..).collect();
     let mut touched = Vec::new();
     for r in waiting {
         let s2 = route(core, r);
@@ -1563,7 +1547,7 @@ pub(crate) fn requeue_waiting<'a>(
 /// Whether decode shard `s` is idle with no residents and an empty queue.
 pub(crate) fn decode_shard_idle(core: &DecodeCore<'_>, s: usize) -> bool {
     let sh = &core.shards[s];
-    !sh.stepping && sh.resident.is_empty() && sh.queue.is_empty()
+    !sh.book.busy && sh.resident.is_empty() && sh.book.queue.is_empty()
 }
 
 /// Backlog and elapsed busy time of decode `shards`, the decode family's
@@ -1571,26 +1555,14 @@ pub(crate) fn decode_shard_idle(core: &DecodeCore<'_>, s: usize) -> bool {
 /// backlog is slot-pool pressure, not just the queue: a KV resident holds
 /// capacity exactly like a waiting request, so reactive thresholds here
 /// are in units of in-system requests per accepting shard (compare
-/// against the slot count). Iterations charge their whole duration at
-/// launch, so busy time clips off the in-flight iteration's
-/// not-yet-elapsed tail.
+/// against the slot count). Busy time is [`busy_elapsed`] over the
+/// shards' books.
 pub(crate) fn decode_load(shards: &[DecodeShard], t: f64) -> (usize, f64) {
     let waiting = shards
         .iter()
-        .map(|sh| sh.queue.len() + sh.resident.len())
+        .map(|sh| sh.book.queue.len() + sh.resident.len())
         .sum();
-    let busy_elapsed = shards
-        .iter()
-        .map(|sh| {
-            sh.busy_time_s
-                - if sh.stepping {
-                    (sh.busy_until_s - t).max(0.0)
-                } else {
-                    0.0
-                }
-        })
-        .sum();
-    (waiting, busy_elapsed)
+    (waiting, busy_elapsed(shards.iter().map(|sh| &sh.book), t))
 }
 
 impl<'a> DecodeAutoscaler<'a> {

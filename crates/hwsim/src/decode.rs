@@ -55,6 +55,17 @@
 //! runtime — which is why a pinned `min == max` decode autoscaler
 //! reproduces [`simulate_decode`] bit-for-bit.
 //!
+//! ## Shared with the fleet core
+//!
+//! Only the batching discipline is decode's own: admitting into slots and
+//! launching iterations, truncating an iteration on a crash, evicting and
+//! preempting residents, and the per-request token books. The rest is the
+//! fleet core's code: the `EventQueue` and its one `EventKind` (a step end
+//! is a `Completion`), the per-shard `ShardBook` (a decode batch is one
+//! iteration and its size the live residents that step), the input checks,
+//! and the `ReportBook` that builds the [`FleetReport`] half of
+//! [`DecodeReport`].
+//!
 //! ## KV transfer
 //!
 //! Whenever a resident sequence leaves its shard mid-generation
@@ -107,16 +118,15 @@
 
 use crate::accelerator::AcceleratorDesign;
 use crate::fleet::{
-    route, BatchRecord, DispatchPolicy, EventQueue, FleetReport, RateProfile, ShardReport,
-    TraceEvent,
+    route, summarize, validate_run, BatchRecord, DispatchPolicy, EventKind, EventQueue,
+    FleetReport, RateProfile, ReportBook, ShardBook, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::{P2Quantile, QuantileSketch, ReportMode};
 use lat_tensor::rng::SplitMix64;
-use lat_tensor::stats::{percentile, percentiles};
+use lat_tensor::stats::percentile;
 use lat_workloads::datasets::LengthSampler;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// XOR'd into the trace seed to derive the auxiliary RNG stream that draws
@@ -147,6 +157,12 @@ pub struct DecodeRequest {
     /// Priority class (only [`DecodeScheduler::ContinuousPreempt`] looks
     /// at it).
     pub priority: Priority,
+}
+
+impl TraceEvent for DecodeRequest {
+    fn arrival_s(&self) -> f64 {
+        self.arrival_s
+    }
 }
 
 /// Generates a Poisson decode trace: prefill lengths from `prefill`,
@@ -386,7 +402,7 @@ pub struct RequestOutcome {
     pub re_prefills: u32,
 }
 
-/// Per-shard decode statistics beyond the [`ShardReport`] slice.
+/// Per-shard decode statistics beyond the [`ShardReport`](crate::fleet::ShardReport) slice.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecodeShardReport {
     /// Shard index within the fleet.
@@ -456,35 +472,17 @@ pub(crate) struct Slot {
 }
 
 pub(crate) struct DecodeShard {
-    pub(crate) queue: VecDeque<usize>,
+    pub(crate) book: ShardBook,
     pub(crate) resident: Vec<Slot>,
-    /// An iteration is in flight (its `StepEnd` event is scheduled).
-    pub(crate) stepping: bool,
-    /// Live count of the in-flight iteration (stale once `stepping`
+    /// Live count of the in-flight iteration (stale once `book.busy`
     /// drops). Crash truncation and straggler re-pricing read the size
     /// from here rather than from the step log, which
     /// [`ReportMode::Streaming`] does not retain.
     stepping_live: usize,
-    /// Bumped whenever scheduled step-end events become invalid (crash,
-    /// straggler re-price); stale [`DecodeEventKind::StepEnd`] events
-    /// carry the old epoch and are dropped.
-    epoch: u64,
-    iterations: usize,
-    pub(crate) completed: usize,
-    pub(crate) busy_time_s: f64,
-    /// Completion time of the in-flight iteration (stale once `stepping`
-    /// drops); lets a controller clip the charge-at-launch lump of
-    /// `busy_time_s` to "busy time elapsed by `t`".
-    pub(crate) busy_until_s: f64,
     /// Σ resident × iteration duration (occupied-slot seconds).
     slot_integral: f64,
-    /// Σ resident count over iterations (mean-batch-size numerator).
-    slot_steps: u64,
     peak_resident: usize,
     preemptions: usize,
-    queue_integral: f64,
-    max_queue_depth: usize,
-    last_event_s: f64,
     /// Decode-iteration cost per resident count, computed once (index =
     /// batch size).
     decode_cost_cache: Vec<Option<f64>>,
@@ -493,59 +491,19 @@ pub(crate) struct DecodeShard {
 impl DecodeShard {
     fn new(max_slots: usize) -> Self {
         Self {
-            queue: VecDeque::new(),
+            book: ShardBook::default(),
             resident: Vec::new(),
-            stepping: false,
             stepping_live: 0,
-            epoch: 0,
-            iterations: 0,
-            completed: 0,
-            busy_time_s: 0.0,
-            busy_until_s: 0.0,
             slot_integral: 0.0,
-            slot_steps: 0,
             peak_resident: 0,
             preemptions: 0,
-            queue_integral: 0.0,
-            max_queue_depth: 0,
-            last_event_s: 0.0,
             decode_cost_cache: vec![None; max_slots + 1],
         }
     }
 
     /// Waiting + resident requests — the load metric dispatch balances.
     fn load(&self) -> usize {
-        self.queue.len() + self.resident.len()
-    }
-
-    /// Advances the queue-depth integral to `now` (call before mutating).
-    pub(crate) fn tick(&mut self, now: f64) {
-        self.queue_integral += self.queue.len() as f64 * (now - self.last_event_s);
-        self.last_event_s = now;
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum DecodeEventKind {
-    /// Request index arrives and is routed to a shard.
-    Arrival(usize),
-    /// Shard finishes its in-flight iteration. `epoch` pins the event to
-    /// the shard state it was scheduled against; a crash or a mid-flight
-    /// re-price bumps the shard epoch and the stale event is dropped.
-    StepEnd { shard: usize, epoch: u64 },
-    /// Controller callback ([`DecodeController::on_control`]); lowest
-    /// same-instant priority so arrivals and step ends settle first.
-    /// [`simulate_decode`] never schedules one.
-    Control,
-}
-
-impl TraceEvent for DecodeEventKind {
-    type Req = DecodeRequest;
-    fn arrival_s(req: &DecodeRequest) -> f64 {
-        req.arrival_s
-    }
-    fn arrival(r: usize) -> Self {
-        DecodeEventKind::Arrival(r)
+        self.book.queue.len() + self.resident.len()
     }
 }
 
@@ -608,7 +566,7 @@ pub(crate) struct DecodeCore<'a> {
     /// an exhausted retry budget). Termination checks count
     /// `completed() + abandoned` against the trace length.
     pub(crate) abandoned: usize,
-    events: EventQueue<'a, DecodeEventKind>,
+    events: EventQueue<'a, DecodeRequest>,
     admit_seq: u64,
     rr_next: usize,
     dispatch: DispatchPolicy,
@@ -638,20 +596,15 @@ pub(crate) struct DecodeCore<'a> {
     /// context.
     pub(crate) prefill_skip: Vec<usize>,
     itl_gaps: Vec<f64>,
-    step_log: Vec<BatchRecord>,
-    /// Report assembly mode. Under [`ReportMode::Streaming`] the
-    /// token-proportional populations (`itl_gaps`, `step_log`) and the
-    /// per-request outcome vector are never materialized; the sketches
-    /// below absorb each observation as it happens.
-    mode: ReportMode,
-    lat_sketch: QuantileSketch,
+    /// The fleet-level report half: mode, step log, latency sketch and
+    /// makespan. Under [`ReportMode::Streaming`] the token-proportional
+    /// populations (`itl_gaps`, the step log) and the per-request outcome
+    /// vector are never materialized; the sketches absorb each
+    /// observation as it happens.
+    report: ReportBook,
     ttft_sketch: QuantileSketch,
     itl_sketch: QuantileSketch,
     high_ttft: P2Quantile,
-    /// Running makespan under streaming: max over valid step-end pops and
-    /// crash-truncation instants — exactly the final `completion_s`
-    /// population the exact step-log fold reduces.
-    stream_makespan_s: f64,
 }
 
 impl DecodeCore<'_> {
@@ -673,6 +626,7 @@ impl DecodeCore<'_> {
     /// any later re-admission pays the re-prefill again.
     fn admit_at(&mut self, s: usize, idx: usize) {
         let req = self.shards[s]
+            .book
             .queue
             .remove(idx)
             .expect("admit index in bounds");
@@ -691,7 +645,7 @@ impl DecodeCore<'_> {
     /// static/continuous, high-priority-first (each class FIFO) under the
     /// preempting scheduler.
     fn next_admit_index(&self, s: usize) -> Option<usize> {
-        let queue = &self.shards[s].queue;
+        let queue = &self.shards[s].book.queue;
         if queue.is_empty() {
             return None;
         }
@@ -719,13 +673,14 @@ impl DecodeCore<'_> {
                 return; // free slot: the admission loop already drained the queue
             }
             let Some(qidx) = self.shards[s]
+                .book
                 .queue
                 .iter()
                 .position(|&r| self.trace[r].priority == Priority::High)
             else {
                 return;
             };
-            let high = self.shards[s].queue[qidx];
+            let high = self.shards[s].book.queue[qidx];
             let next_step = self.decode_cost(s, self.shards[s].resident.len());
             let deadline = self.trace[high].arrival_s + self.cfg.ttft_deadline_s;
             if now + next_step <= deadline {
@@ -742,26 +697,17 @@ impl DecodeCore<'_> {
                 return; // every resident is high-priority: nothing to evict
             };
             let victim = self.shards[s].resident.remove(pos);
-            self.shards[s].queue.remove(qidx).expect("checked above");
-            self.shards[s].queue.push_front(victim.req);
+            self.admit_at(s, qidx);
+            self.shards[s].book.queue.push_front(victim.req);
             self.shards[s].preemptions += 1;
             self.preempt_of[victim.req] += 1;
-            let admit_seq = self.admit_seq;
-            self.admit_seq += 1;
-            let is_new = !self.kv_warm[high];
-            self.kv_warm[high] = false;
-            self.shards[s].resident.push(Slot {
-                req: high,
-                is_new,
-                admit_seq,
-            });
         }
     }
 
     /// Runs the scheduler's admission step and, if the shard holds any
     /// resident sequences, prices and launches the next iteration.
     pub(crate) fn start_iteration(&mut self, s: usize, now: f64) {
-        if self.dead[s] || self.shards[s].stepping {
+        if self.dead[s] || self.shards[s].book.busy {
             return;
         }
         match self.scheduler {
@@ -821,30 +767,23 @@ impl DecodeCore<'_> {
         } else {
             self.designs[s].service_seconds(&lens, self.policy)
         } * self.slowdown[s];
-        let done = now + cost;
         let sh = &mut self.shards[s];
         for slot in sh.resident.iter_mut() {
             slot.is_new = false;
         }
-        sh.stepping = true;
+        let done = sh.book.launch(now, cost, live);
         sh.stepping_live = live;
-        sh.iterations += 1;
-        sh.busy_time_s += cost;
-        sh.busy_until_s = done;
         sh.slot_integral += live as f64 * cost;
-        sh.slot_steps += live as u64;
         sh.peak_resident = sh.peak_resident.max(size);
-        let epoch = sh.epoch;
-        if self.mode == ReportMode::Exact {
-            self.step_log.push(BatchRecord {
-                shard: s,
-                start_s: now,
-                completion_s: done,
-                size: live,
-            });
-        }
+        let epoch = sh.book.epoch;
+        self.report.log_batch(BatchRecord {
+            shard: s,
+            start_s: now,
+            completion_s: done,
+            size: live,
+        });
         self.events
-            .push(done, 1, DecodeEventKind::StepEnd { shard: s, epoch });
+            .push(done, EventKind::Completion { shard: s, epoch });
     }
 
     /// Routes request `r` among accepting shards and queues it; returns
@@ -864,10 +803,7 @@ impl DecodeCore<'_> {
                 &mut self.rr_next,
             )
         };
-        self.shards[s].tick(now);
-        self.shards[s].queue.push_back(r);
-        let depth = self.shards[s].queue.len();
-        self.shards[s].max_queue_depth = self.shards[s].max_queue_depth.max(depth);
+        self.shards[s].book.enqueue(r, now);
         s
     }
 
@@ -898,10 +834,7 @@ impl DecodeCore<'_> {
                 rr_next,
             )
         };
-        self.shards[s].tick(now);
-        self.shards[s].queue.push_back(r);
-        let depth = self.shards[s].queue.len();
-        self.shards[s].max_queue_depth = self.shards[s].max_queue_depth.max(depth);
+        self.shards[s].book.enqueue(r, now);
         s
     }
 
@@ -937,12 +870,12 @@ impl DecodeCore<'_> {
 
     /// Schedules a [`DecodeController::on_control`] callback at `time`.
     pub(crate) fn schedule_control(&mut self, time: f64) {
-        self.events.push(time, 2, DecodeEventKind::Control);
+        self.events.push(time, EventKind::Control);
     }
 
     /// Requests completed so far across the fleet.
     pub(crate) fn completed(&self) -> usize {
-        self.shards.iter().map(|sh| sh.completed).sum()
+        self.shards.iter().map(|sh| sh.book.completed).sum()
     }
 
     /// Crashes shard `s` at `now`: marks it dead and non-accepting,
@@ -952,7 +885,7 @@ impl DecodeCore<'_> {
     /// every *unfinished* KV resident, whose grown context re-prefills on
     /// re-admission exactly like a preemption victim. Finished padded
     /// residents of a static batch are simply dropped. The launch-time
-    /// `iterations`/`slot_steps` charges of the aborted iteration stay
+    /// `batches`/`batch_size_sum` charges of the aborted iteration stay
     /// (both sides of the mean-batch-size ratio keep counting it).
     ///
     /// # Panics
@@ -962,33 +895,18 @@ impl DecodeCore<'_> {
         assert!(!self.dead[s], "shard crashed twice");
         self.dead[s] = true;
         self.accepting[s] = false;
-        self.shards[s].tick(now);
-        if self.shards[s].stepping {
-            let size = self.shards[s].stepping_live;
-            match self.mode {
-                ReportMode::Exact => {
-                    let rec_idx = self
-                        .step_log
-                        .iter()
-                        .rposition(|b| b.shard == s)
-                        .expect("stepping shard has a step record");
-                    self.step_log[rec_idx].completion_s = now;
-                }
-                // The truncated record would have contributed `now` to the
-                // makespan fold; fold it into the running max instead.
-                ReportMode::Streaming => {
-                    self.stream_makespan_s = self.stream_makespan_s.max(now);
-                }
+        let sh = &mut self.shards[s];
+        sh.book.tick(now);
+        if sh.book.busy {
+            let remaining = sh.book.abort(now);
+            sh.slot_integral -= sh.stepping_live as f64 * remaining;
+            // The truncated iteration ends now.
+            if let Some(rec) = self.report.last_of(s) {
+                rec.completion_s = now;
             }
-            let sh = &mut self.shards[s];
-            let remaining = (sh.busy_until_s - now).max(0.0);
-            sh.stepping = false;
-            sh.epoch += 1;
-            sh.busy_time_s -= remaining;
-            sh.slot_integral -= size as f64 * remaining;
-            sh.busy_until_s = now;
+            self.report.end_at(now);
         }
-        let mut orphans: Vec<usize> = self.shards[s].queue.drain(..).collect();
+        let mut orphans: Vec<usize> = self.shards[s].book.queue.drain(..).collect();
         let residents: Vec<Slot> = self.shards[s].resident.drain(..).collect();
         for sl in residents {
             if self.emitted[sl.req] < self.trace[sl.req].output_len {
@@ -1023,33 +941,18 @@ impl DecodeCore<'_> {
         );
         let old = self.slowdown[s];
         self.slowdown[s] = factor;
-        if factor == old || !self.shards[s].stepping {
+        let sh = &mut self.shards[s];
+        if factor == old || !sh.book.busy {
             return;
         }
-        let size = self.shards[s].stepping_live;
-        let done;
-        let epoch;
-        {
-            let sh = &mut self.shards[s];
-            let remaining = (sh.busy_until_s - now).max(0.0);
-            let new_remaining = remaining * (factor / old);
-            sh.busy_time_s += new_remaining - remaining;
-            sh.slot_integral += size as f64 * (new_remaining - remaining);
-            sh.busy_until_s = now + new_remaining;
-            sh.epoch += 1;
-            done = sh.busy_until_s;
-            epoch = sh.epoch;
-        }
-        if self.mode == ReportMode::Exact {
-            let rec_idx = self
-                .step_log
-                .iter()
-                .rposition(|b| b.shard == s)
-                .expect("stepping shard has a step record");
-            self.step_log[rec_idx].completion_s = done;
+        let delta = sh.book.reprice(factor / old, now);
+        sh.slot_integral += sh.stepping_live as f64 * delta;
+        let (done, epoch) = (sh.book.busy_until_s, sh.book.epoch);
+        if let Some(rec) = self.report.last_of(s) {
+            rec.completion_s = done;
         }
         self.events
-            .push(done, 1, DecodeEventKind::StepEnd { shard: s, epoch });
+            .push(done, EventKind::Completion { shard: s, epoch });
     }
 
     /// Schedules an arrival event for request `r` at `time` — the
@@ -1057,7 +960,7 @@ impl DecodeCore<'_> {
     /// Indistinguishable from a trace arrival when it pops, so it
     /// re-counts in `arrivals_seen` (a retry *is* offered load).
     pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
-        self.events.push(time, 0, DecodeEventKind::Arrival(r));
+        self.events.push(time, EventKind::Arrival(r));
     }
 
     /// Removes request `r` from the shard queue it is waiting in so a
@@ -1077,9 +980,10 @@ impl DecodeCore<'_> {
             return false;
         }
         for s in 0..self.shards.len() {
-            if let Some(i) = self.shards[s].queue.iter().position(|&x| x == r) {
-                self.shards[s].tick(now);
-                self.shards[s].queue.remove(i);
+            let book = &mut self.shards[s].book;
+            if let Some(i) = book.queue.iter().position(|&x| x == r) {
+                book.tick(now);
+                book.queue.remove(i);
                 return true;
             }
         }
@@ -1092,14 +996,8 @@ impl DecodeCore<'_> {
     /// Does NOT launch the next iteration — the run loop does, after the
     /// controller's [`DecodeController::after_step`] hook.
     fn on_step_end(&mut self, s: usize, now: f64) {
-        self.shards[s].tick(now);
-        self.shards[s].stepping = false;
-        if self.mode == ReportMode::Streaming {
-            // A valid (non-stale) step-end pops at its record's final
-            // completion time, so this running max sees exactly the
-            // values the exact step-log fold reduces.
-            self.stream_makespan_s = self.stream_makespan_s.max(now);
-        }
+        self.shards[s].book.finish(now);
+        self.report.end_at(now);
         let residents: Vec<usize> = self.shards[s].resident.iter().map(|sl| sl.req).collect();
         for r in residents {
             if self.emitted[r] >= self.trace[r].output_len {
@@ -1109,7 +1007,7 @@ impl DecodeCore<'_> {
             if self.emitted[r] == 1 {
                 let ttft = now - self.trace[r].arrival_s;
                 self.ttft_s[r] = ttft;
-                if self.mode == ReportMode::Streaming {
+                if self.report.mode == ReportMode::Streaming {
                     self.ttft_sketch.observe(ttft);
                     if self.trace[r].priority == Priority::High {
                         self.high_ttft.observe(ttft);
@@ -1117,7 +1015,7 @@ impl DecodeCore<'_> {
                 }
             } else {
                 let gap = now - self.last_emit_s[r];
-                match self.mode {
+                match self.report.mode {
                     ReportMode::Exact => self.itl_gaps.push(gap),
                     ReportMode::Streaming => self.itl_sketch.observe(gap),
                 }
@@ -1127,10 +1025,8 @@ impl DecodeCore<'_> {
                 assert!(self.completion_s[r].is_nan(), "request completed twice");
                 self.completion_s[r] = now;
                 self.shard_of[r] = s;
-                self.shards[s].completed += 1;
-                if self.mode == ReportMode::Streaming {
-                    self.lat_sketch.observe(now - self.trace[r].arrival_s);
-                }
+                self.shards[s].book.completed += 1;
+                self.report.observe(now - self.trace[r].arrival_s);
             }
         }
         let emitted = &self.emitted;
@@ -1170,30 +1066,12 @@ impl<'a> DecodeCore<'a> {
         cfg: &'a DecodeConfig,
         accepting: Vec<bool>,
     ) -> Self {
-        assert!(!shards.is_empty(), "fleet needs at least one shard");
-        assert!(!trace.is_empty(), "empty arrival trace");
+        validate_run(shards.len(), trace, &accepting);
         assert!(cfg.max_slots > 0, "max_slots must be >= 1");
         assert!(cfg.ttft_deadline_s >= 0.0, "negative TTFT deadline");
         assert!(
-            trace
-                .iter()
-                .all(|r| r.arrival_s.is_finite() && r.arrival_s >= 0.0),
-            "arrival times must be finite and non-negative"
-        );
-        assert!(
-            trace
-                .windows(2)
-                .all(|w| w[0].arrival_s.total_cmp(&w[1].arrival_s).is_le()),
-            "trace must be sorted by arrival time"
-        );
-        assert!(
             trace.iter().all(|r| r.output_len > 0 && r.prefill_len > 0),
             "prefill_len and output_len must be >= 1"
-        );
-        assert_eq!(accepting.len(), shards.len(), "accepting mask length");
-        assert!(
-            accepting.iter().any(|&a| a),
-            "at least one shard must accept work"
         );
 
         let n = trace.len();
@@ -1225,13 +1103,10 @@ impl<'a> DecodeCore<'a> {
             kv_warm: vec![false; n],
             prefill_skip: vec![0; n],
             itl_gaps: Vec::new(),
-            step_log: Vec::new(),
-            mode: ReportMode::Exact,
-            lat_sketch: QuantileSketch::p50_p95_p99(),
+            report: ReportBook::new(),
             ttft_sketch: QuantileSketch::p50_p95_p99(),
             itl_sketch: QuantileSketch::p50_p95_p99(),
             high_ttft: P2Quantile::new(0.95),
-            stream_makespan_s: 0.0,
         }
     }
 
@@ -1239,7 +1114,7 @@ impl<'a> DecodeCore<'a> {
     /// — the streaming sketches only see observations made after the
     /// switch.
     pub(crate) fn set_mode(&mut self, mode: ReportMode) {
-        self.mode = mode;
+        self.report.mode = mode;
     }
 
     /// Runs the event loop to completion, calling `ctl`'s hooks.
@@ -1248,7 +1123,7 @@ impl<'a> DecodeCore<'a> {
         let mut touched = Vec::new();
         while let Some(ev) = self.events.pop() {
             match ev.kind {
-                DecodeEventKind::Arrival(r) => {
+                EventKind::Arrival(r) => {
                     // Admit ALL same-instant arrivals before any iteration
                     // starts, so a simultaneous burst fills the batch slots
                     // instead of launching a singleton iteration.
@@ -1257,7 +1132,7 @@ impl<'a> DecodeCore<'a> {
                     touched.push(self.route_request(r, ev.time));
                     while let Some(next) = self.events.peek() {
                         match next.kind {
-                            DecodeEventKind::Arrival(r2) if next.time == ev.time => {
+                            EventKind::Arrival(r2) if next.time == ev.time => {
                                 self.events.pop();
                                 self.arrivals_seen += 1;
                                 ctl.on_arrival(self, r2, ev.time);
@@ -1273,17 +1148,20 @@ impl<'a> DecodeCore<'a> {
                         self.start_iteration(s, ev.time);
                     }
                 }
-                DecodeEventKind::StepEnd { shard: s, epoch } => {
+                EventKind::Completion { shard: s, epoch } => {
                     // Stale if the shard crashed or was re-priced after
                     // this event was scheduled.
-                    if epoch != self.shards[s].epoch {
+                    if epoch != self.shards[s].book.epoch {
                         continue;
                     }
                     self.on_step_end(s, ev.time);
                     ctl.after_step(self, s, ev.time);
                     self.start_iteration(s, ev.time);
                 }
-                DecodeEventKind::Control => ctl.on_control(self, ev.time),
+                EventKind::Control => ctl.on_control(self, ev.time),
+                EventKind::WindowClose { .. } => {
+                    unreachable!("decode never schedules a window close")
+                }
             }
         }
     }
@@ -1299,59 +1177,22 @@ impl<'a> DecodeCore<'a> {
     pub(crate) fn into_report(self) -> DecodeReport {
         let n = self.trace.len();
         let cfg = self.cfg;
-        let makespan = match self.mode {
-            ReportMode::Exact => self
-                .step_log
+        let mode = self.report.mode;
+        let books = self.shards.iter().map(|sh| &sh.book);
+        let fleet = self
+            .report
+            .into_report(self.trace, &self.completion_s, self.designs, books);
+        let makespan = fleet.makespan_s;
+        let finite_ttfts = || {
+            self.ttft_s
                 .iter()
-                .map(|b| b.completion_s)
-                .fold(0.0f64, f64::max),
-            // Bit-identical to the fold above: the running max saw every
-            // record's final completion time (valid step-end pops plus
-            // crash truncations), just in event order.
-            ReportMode::Streaming => self.stream_makespan_s,
+                .copied()
+                .filter(|t| t.is_finite())
+                .collect()
         };
-        // One sort per sample for each p50/p95/p99 triple (bit-identical
-        // to per-call `percentile`, which re-sorted the sample each time).
-        let pct3 =
-            |xs: &[f64]| percentiles(xs, &[0.50, 0.95, 0.99]).unwrap_or_else(|| vec![0.0; 3]);
-        let sketch3 = |sk: &QuantileSketch| {
-            if sk.count() == 0 {
-                vec![0.0; 3]
-            } else {
-                sk.quantiles()
-            }
-        };
-        let sketch_mean = |sk: &QuantileSketch| if sk.count() == 0 { 0.0 } else { sk.mean() };
-        let (completed_n, lat_mean, lat_pcts) = match self.mode {
+        let (_, ttft_mean, ttft_pcts) = summarize(mode, finite_ttfts, &self.ttft_sketch);
+        let high_ttft_p95_s = match mode {
             ReportMode::Exact => {
-                let latencies: Vec<f64> = self
-                    .completion_s
-                    .iter()
-                    .zip(self.trace)
-                    .filter(|(c, _)| c.is_finite())
-                    .map(|(&c, req)| c - req.arrival_s)
-                    .collect();
-                let mean = if latencies.is_empty() {
-                    0.0
-                } else {
-                    latencies.iter().sum::<f64>() / latencies.len() as f64
-                };
-                (latencies.len(), mean, pct3(&latencies))
-            }
-            ReportMode::Streaming => (
-                self.lat_sketch.count() as usize,
-                sketch_mean(&self.lat_sketch),
-                sketch3(&self.lat_sketch),
-            ),
-        };
-        let (ttft_mean, ttft_pcts, high_ttft_p95_s) = match self.mode {
-            ReportMode::Exact => {
-                let ttfts: Vec<f64> = self
-                    .ttft_s
-                    .iter()
-                    .copied()
-                    .filter(|t| t.is_finite())
-                    .collect();
                 let high_ttfts: Vec<f64> = self
                     .trace
                     .iter()
@@ -1359,48 +1200,13 @@ impl<'a> DecodeCore<'a> {
                     .filter(|(r, t)| r.priority == Priority::High && t.is_finite())
                     .map(|(_, &t)| t)
                     .collect();
-                let mean = if ttfts.is_empty() {
-                    0.0
-                } else {
-                    ttfts.iter().sum::<f64>() / ttfts.len() as f64
-                };
-                (mean, pct3(&ttfts), percentile(&high_ttfts, 0.95))
+                percentile(&high_ttfts, 0.95)
             }
-            ReportMode::Streaming => (
-                sketch_mean(&self.ttft_sketch),
-                sketch3(&self.ttft_sketch),
-                if self.high_ttft.count() == 0 {
-                    None
-                } else {
-                    Some(self.high_ttft.quantile())
-                },
-            ),
+            ReportMode::Streaming => {
+                (self.high_ttft.count() > 0).then(|| self.high_ttft.quantile())
+            }
         };
-        let itl_pcts = match self.mode {
-            ReportMode::Exact => pct3(&self.itl_gaps),
-            ReportMode::Streaming => sketch3(&self.itl_sketch),
-        };
-        let total_iterations: usize = self.shards.iter().map(|sh| sh.iterations).sum();
-        let total_slot_steps: u64 = self.shards.iter().map(|sh| sh.slot_steps).sum();
-        let shard_reports: Vec<ShardReport> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, sh)| ShardReport {
-                shard: i,
-                tuned_length: self.designs[i].tuned_length(),
-                completed: sh.completed,
-                batches: sh.iterations,
-                mean_batch_size: if sh.iterations == 0 {
-                    0.0
-                } else {
-                    sh.slot_steps as f64 / sh.iterations as f64
-                },
-                utilization: sh.busy_time_s / makespan.max(1e-12),
-                mean_queue_depth: sh.queue_integral / makespan.max(1e-12),
-                max_queue_depth: sh.max_queue_depth,
-            })
-            .collect();
+        let (_, _, itl_pcts) = summarize(mode, || self.itl_gaps, &self.itl_sketch);
         let decode_shards: Vec<DecodeShardReport> = self
             .shards
             .iter()
@@ -1416,7 +1222,7 @@ impl<'a> DecodeCore<'a> {
         // requests keep the outcome vector PartialEq-comparable, which the
         // determinism suites rely on (`NaN != NaN` would break them).
         let finite_or_inf = |x: f64| if x.is_finite() { x } else { f64::INFINITY };
-        let requests: Vec<RequestOutcome> = match self.mode {
+        let requests: Vec<RequestOutcome> = match mode {
             ReportMode::Exact => (0..n)
                 .map(|r| RequestOutcome {
                     shard: self.shard_of[r],
@@ -1432,22 +1238,6 @@ impl<'a> DecodeCore<'a> {
             ReportMode::Streaming => Vec::new(),
         };
         let generated_tokens: u64 = self.emitted.iter().map(|&e| e as u64).sum();
-        let fleet = FleetReport {
-            completed: completed_n,
-            mean_latency_s: lat_mean,
-            p50_latency_s: lat_pcts[0],
-            p95_latency_s: lat_pcts[1],
-            p99_latency_s: lat_pcts[2],
-            throughput_seq_s: completed_n as f64 / makespan.max(1e-12),
-            makespan_s: makespan,
-            mean_batch_size: if total_iterations == 0 {
-                0.0
-            } else {
-                total_slot_steps as f64 / total_iterations as f64
-            },
-            shards: shard_reports,
-            batch_log: self.step_log,
-        };
         DecodeReport {
             ttft_mean_s: ttft_mean,
             ttft_p50_s: ttft_pcts[0],

@@ -94,7 +94,7 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::autoscale::{AutoscaleConfig, Autoscaler, DecodeScaleDown, ScaleEvent};
+use crate::autoscale::{requeue_waiting, AutoscaleConfig, Autoscaler, DecodeScaleDown, ScaleEvent};
 use crate::decode::{
     DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
     NullDecodeController,
@@ -789,7 +789,10 @@ impl<C: FleetController> FleetFaultInjector<C> {
         self.next_action >= self.actions.len()
             && self.timeouts.is_empty()
             && core.dead.iter().all(|&d| d)
-            && core.state.iter().all(|st| !st.busy && st.queue.is_empty())
+            && core
+                .state
+                .iter()
+                .all(|st| !st.book.busy && st.book.queue.is_empty())
     }
 }
 
@@ -839,11 +842,13 @@ impl<C: FleetController> FleetController for FleetFaultInjector<C> {
 // ─────────────────────────── decode injector ───────────────────────────
 
 /// `DecodeController` twin of `FleetFaultInjector`. Two decode
-/// specifics: the engine cannot park work, so a plan must always leave a
-/// survivor; and a straggler's KV residents follow `straggler_response` —
-/// [`DecodeScaleDown::Drain`] decodes them in place at the slow rate,
-/// [`DecodeScaleDown::Migrate`] evicts them at the next iteration
-/// boundary to re-prefill on a healthy shard.
+/// specifics: the engine cannot park work, so when a crash leaves no
+/// shard accepting, the live stragglers this injector closed to routing
+/// reopen (a slow shard beats none), and a plan must leave at least one
+/// live routable shard; and a straggler's KV residents follow
+/// `straggler_response` — [`DecodeScaleDown::Drain`] decodes them in
+/// place at the slow rate, [`DecodeScaleDown::Migrate`] evicts them at
+/// the next iteration boundary to re-prefill on a healthy shard.
 struct DecodeFaultInjector<C: DecodeController> {
     inner: C,
     actions: Vec<(f64, Action)>,
@@ -855,6 +860,9 @@ struct DecodeFaultInjector<C: DecodeController> {
     straggler_response: DecodeScaleDown,
     /// Shards whose residents await eviction at the next step boundary.
     migrate_from: Vec<bool>,
+    /// Shards the straggler arm closed to routing (they were accepting)
+    /// and nothing has reopened since.
+    straggler_closed: Vec<bool>,
     /// Requests KV-resident on a faulty shard at fault onset.
     affected: Vec<usize>,
 }
@@ -878,6 +886,7 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
             retries: 0,
             straggler_response,
             migrate_from: vec![false; n_shards],
+            straggler_closed: vec![false; n_shards],
             affected: Vec::new(),
         }
     }
@@ -919,6 +928,9 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
                     self.record_affected(core, s);
                     let orphans = core.crash_shard(s, now);
                     self.inner.on_shard_down(core, s, now);
+                    if !core.accepting.iter().any(|&a| a) {
+                        self.reopen_stragglers(core);
+                    }
                     assert!(
                         core.accepting.iter().any(|&a| a),
                         "decode fault plan killed every accepting shard \
@@ -948,18 +960,12 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
                     }
                     // Waiting work always flees a straggler; what happens
                     // to its residents is the drain-vs-migrate choice.
+                    self.straggler_closed[s] = core.accepting[s];
                     core.accepting[s] = false;
-                    core.shards[s].tick(now);
-                    let waiting: Vec<usize> = core.shards[s].queue.drain(..).collect();
-                    let mut touched = Vec::new();
-                    for r in waiting {
-                        let s2 = core.route_request(r, now);
-                        if !touched.contains(&s2) {
-                            touched.push(s2);
-                        }
-                    }
+                    let mut touched =
+                        requeue_waiting(core, s, now, |core, r| core.route_request(r, now));
                     if self.straggler_response == DecodeScaleDown::Migrate {
-                        if core.shards[s].stepping {
+                        if core.shards[s].book.busy {
                             self.migrate_from[s] = true; // evict at the boundary
                         } else {
                             core.evict_unfinished(s, now, &mut touched);
@@ -972,10 +978,24 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
                 Action::Unslow(s) => {
                     core.set_slowdown(s, 1.0, now);
                     self.migrate_from[s] = false;
+                    self.straggler_closed[s] = false;
                     if !core.dead[s] {
                         core.accepting[s] = true;
                     }
                 }
+            }
+        }
+    }
+
+    /// Reopens the live shards the straggler arm closed, cancelling their
+    /// pending migrations: a crash took the last accepting shard, and the
+    /// engine cannot park work.
+    fn reopen_stragglers(&mut self, core: &mut DecodeCore<'_>) {
+        for s in 0..self.straggler_closed.len() {
+            if self.straggler_closed[s] && !core.dead[s] {
+                self.straggler_closed[s] = false;
+                self.migrate_from[s] = false;
+                core.accepting[s] = true;
             }
         }
     }
@@ -1585,7 +1605,8 @@ pub fn simulate_autoscale_failure_mode(
 ///
 /// Panics on the [`crate::decode::simulate_decode`] input errors, a
 /// malformed plan / client, a non-positive SLO, or a plan whose crashes
-/// ever leave no accepting shard (the decode engine cannot park work).
+/// ever leave every shard down (the decode engine cannot park work; a
+/// straggler closed to routing reopens when it is the last live shard).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_decode_failure(
     shards: &[AcceleratorDesign],
@@ -1727,7 +1748,8 @@ pub struct DisaggFailureReport {
 ///
 /// Panics on the [`crate::disagg::simulate_disaggregated`] input errors,
 /// a malformed plan / client, a non-positive SLO, or a plan whose crashes
-/// leave no accepting prefill shard.
+/// leave every prefill shard down (a straggler closed to routing reopens
+/// when it is the last live prefill shard).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_disagg_failure(
     prefill_shards: &[AcceleratorDesign],
@@ -2553,6 +2575,83 @@ mod tests {
         assert_eq!(r.timed_out, 0);
         let multi = trace.iter().filter(|q| q.output_len > 1).count();
         assert!(r.disagg.transfers >= multi);
+    }
+
+    /// A straggler on `straggler` closes it to routing while `crashed`
+    /// still accepts; the crash then takes the last accepting shard.
+    fn straggler_then_crash_plan(straggler: usize, crashed: usize) -> FaultPlan {
+        FaultPlan {
+            faults: vec![
+                Fault {
+                    shard: straggler,
+                    kind: FaultKind::Straggler {
+                        from_s: 0.01,
+                        until_s: 0.5,
+                        slowdown: 4.0,
+                    },
+                },
+                Fault {
+                    shard: crashed,
+                    kind: FaultKind::Crash {
+                        at_s: 0.02,
+                        recover_s: Some(0.3),
+                    },
+                },
+            ],
+        }
+    }
+
+    /// The straggler reopens instead of the run panicking with no
+    /// accepting shard, and every generation still runs in full.
+    #[test]
+    fn decode_straggler_then_crash_reopens_the_straggler() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 2);
+        let trace = steady_decode_trace(24, 0.002, 48, 12);
+        let want: u64 = trace.iter().map(|q| q.output_len as u64).sum();
+        for response in [DecodeScaleDown::Drain, DecodeScaleDown::Migrate] {
+            let r = simulate_decode_failure(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::Continuous,
+                &DecodeConfig::default(),
+                &straggler_then_crash_plan(0, 1),
+                &ClientConfig::patient(),
+                response,
+                0.25,
+            );
+            assert_eq!(r.completed, trace.len(), "{response:?}");
+            assert_eq!(r.decode.generated_tokens, want, "{response:?}");
+        }
+    }
+
+    /// The disagg twin: the straggling prefill shard reopens when the
+    /// other prefill shard crashes.
+    #[test]
+    fn disagg_straggler_then_crash_reopens_the_straggler() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 2);
+        let trace = steady_decode_trace(24, 0.002, 48, 12);
+        let want: u64 = trace.iter().map(|q| q.output_len as u64).sum();
+        for response in [DecodeScaleDown::Drain, DecodeScaleDown::Migrate] {
+            let r = simulate_disagg_failure(
+                &fleet,
+                &fleet,
+                &trace,
+                &[],
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::Continuous,
+                &DecodeConfig::default(),
+                &disagg_cfg(),
+                &straggler_then_crash_plan(0, 1),
+                &ClientConfig::patient(),
+                response,
+                0.25,
+            );
+            assert_eq!(r.completed, trace.len(), "{response:?}");
+            assert_eq!(r.disagg.decode.generated_tokens, want, "{response:?}");
+        }
     }
 
     // ── exact client summary vs the reference chain ──

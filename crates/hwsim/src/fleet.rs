@@ -559,51 +559,64 @@ pub fn homogeneous_fleet(design: &AcceleratorDesign, n: usize) -> Vec<Accelerato
     vec![design.clone(); n]
 }
 
+/// One event-queue entry kind, shared by the fleet and decode engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
+pub(crate) enum EventKind {
     /// Request index arrives and is routed to a shard.
     Arrival(usize),
-    /// Shard finishes its in-flight batch. `epoch` pins the event to the
-    /// shard state it was scheduled against; a crash or a mid-flight
-    /// re-price bumps the shard epoch and the stale completion is ignored
-    /// when it pops.
+    /// Shard finishes its in-flight batch (fleet) or iteration (decode).
+    /// `epoch` pins the event to the shard state it was scheduled
+    /// against; a crash or a mid-flight re-price bumps the shard epoch and
+    /// the stale completion is ignored when it pops.
     Completion { shard: usize, epoch: u64 },
-    /// Shard's batching window for head request expires.
+    /// Shard's batching window for head request expires (fleet only).
     WindowClose { shard: usize, head: usize },
-    /// Controller callback ([`FleetController::on_control`]); lowest
-    /// same-instant priority so arrivals/completions/window closes settle
-    /// first. [`simulate_fleet`] never schedules one.
+    /// Controller callback; lowest same-instant priority so arrivals,
+    /// completions and window closes settle first. The plain
+    /// `simulate_*` entry points never schedule one.
     Control,
 }
 
+impl EventKind {
+    /// Same-instant pop order: arrivals before completions before window
+    /// closes before control callbacks, so same-instant arrivals join the
+    /// closing batch exactly as the serial simulator admitted them.
+    fn rank(self) -> u8 {
+        match self {
+            EventKind::Arrival(_) => 0,
+            EventKind::Completion { .. } => 1,
+            EventKind::WindowClose { .. } => 2,
+            EventKind::Control => 3,
+        }
+    }
+}
+
 /// Heap entry shared by the fleet and decode engines; ordered by time, then
-/// kind rank (arrivals before completions/step-ends before window closes,
-/// so same-instant arrivals join the closing batch exactly as the serial
-/// simulator admitted them), then insertion order. The kind payload never
-/// participates in the ordering.
+/// kind rank ([`EventKind::rank`]), then insertion order. The kind payload
+/// never participates in the ordering.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Event<K> {
+pub(crate) struct Event {
     pub(crate) time: f64,
     pub(crate) rank: u8,
     pub(crate) seq: u64,
-    pub(crate) kind: K,
+    pub(crate) kind: EventKind,
 }
 
-impl<K> PartialEq for Event<K> {
+impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.rank == other.rank && self.seq == other.seq
     }
 }
 
-impl<K> Eq for Event<K> {}
+impl Eq for Event {}
 
-impl<K> PartialOrd for Event<K> {
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<K> Ord for Event<K> {
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we pop the earliest event.
         let fwd = self
@@ -615,25 +628,44 @@ impl<K> Ord for Event<K> {
     }
 }
 
-/// An event kind whose arrivals come from a time-sorted trace, so
-/// [`EventQueue`] can synthesize trace arrival `r` instead of storing it.
-pub(crate) trait TraceEvent: Copy {
-    /// The trace entry type.
-    type Req;
-    /// Arrival instant of a trace entry.
-    fn arrival_s(req: &Self::Req) -> f64;
-    /// The arrival event kind of trace entry `r`.
-    fn arrival(r: usize) -> Self;
+/// A trace entry: anything with an arrival instant, so [`EventQueue`] can
+/// synthesize trace arrival `r` instead of storing it.
+pub(crate) trait TraceEvent {
+    /// Arrival instant in seconds since simulation start.
+    fn arrival_s(&self) -> f64;
 }
 
-impl TraceEvent for EventKind {
-    type Req = Request;
-    fn arrival_s(req: &Request) -> f64 {
-        req.arrival_s
+impl TraceEvent for Request {
+    fn arrival_s(&self) -> f64 {
+        self.arrival_s
     }
-    fn arrival(r: usize) -> Self {
-        EventKind::Arrival(r)
-    }
+}
+
+/// Panics unless `trace` is a non-empty, finite, non-negative and
+/// time-sorted (under `total_cmp`) arrival trace, and `accepting` masks
+/// `n_shards >= 1` shards with at least one accepting — the input checks
+/// both cores share.
+pub(crate) fn validate_run<R: TraceEvent>(n_shards: usize, trace: &[R], accepting: &[bool]) {
+    assert!(n_shards > 0, "fleet needs at least one shard");
+    assert!(!trace.is_empty(), "empty arrival trace");
+    assert!(
+        trace.iter().all(|r| {
+            let t = r.arrival_s();
+            t.is_finite() && t >= 0.0
+        }),
+        "arrival times must be finite and non-negative"
+    );
+    assert!(
+        trace
+            .windows(2)
+            .all(|w| w[0].arrival_s().total_cmp(&w[1].arrival_s()).is_le()),
+        "trace must be sorted by arrival time"
+    );
+    assert_eq!(accepting.len(), n_shards, "accepting mask length");
+    assert!(
+        accepting.iter().any(|&a| a),
+        "at least one shard must accept work"
+    );
 }
 
 /// The event queue shared by the fleet and decode engines. Trace arrivals
@@ -646,20 +678,20 @@ impl TraceEvent for EventKind {
 /// take seqs from `trace.len()` on, and each pop yields the earlier of the
 /// cursor's arrival and the heap top under the `(time, rank, seq)` order.
 /// So a trace arrival still pops before a retry arrival at the same
-/// instant. This needs the trace sorted under `total_cmp`, which both
-/// cores assert.
-pub(crate) struct EventQueue<'a, K: TraceEvent> {
+/// instant. This needs the trace sorted under `total_cmp`, which
+/// [`validate_run`] asserts.
+pub(crate) struct EventQueue<'a, R> {
     /// Trace arrivals not yet popped, in trace order.
-    arrivals: std::slice::Iter<'a, K::Req>,
+    arrivals: std::slice::Iter<'a, R>,
     /// Trace index of the first entry of `arrivals`.
     next: usize,
-    heap: BinaryHeap<Event<K>>,
+    heap: BinaryHeap<Event>,
     /// Insertion-order tie-breaker of the next pushed event.
     seq: u64,
 }
 
-impl<K: TraceEvent> EventQueue<'_, K> {
-    pub(crate) fn new(trace: &[K::Req]) -> EventQueue<'_, K> {
+impl<R: TraceEvent> EventQueue<'_, R> {
+    pub(crate) fn new(trace: &[R]) -> EventQueue<'_, R> {
         EventQueue {
             arrivals: trace.iter(),
             next: 0,
@@ -669,10 +701,10 @@ impl<K: TraceEvent> EventQueue<'_, K> {
     }
 
     /// Pushes an event and bumps the insertion-order tie-breaker.
-    pub(crate) fn push(&mut self, time: f64, rank: u8, kind: K) {
+    pub(crate) fn push(&mut self, time: f64, kind: EventKind) {
         self.heap.push(Event {
             time,
-            rank,
+            rank: kind.rank(),
             seq: self.seq,
             kind,
         });
@@ -685,12 +717,12 @@ impl<K: TraceEvent> EventQueue<'_, K> {
     }
 
     /// The next event, and whether it is the cursor's trace arrival.
-    fn front(&self) -> Option<(Event<K>, bool)> {
+    fn front(&self) -> Option<(Event, bool)> {
         let arrival = self.arrivals.as_slice().first().map(|req| Event {
-            time: K::arrival_s(req),
+            time: req.arrival_s(),
             rank: 0,
             seq: self.next as u64,
-            kind: K::arrival(self.next),
+            kind: EventKind::Arrival(self.next),
         });
         match (arrival, self.heap.peek()) {
             // `Event`'s order is reversed: the earlier event is the greater.
@@ -701,12 +733,12 @@ impl<K: TraceEvent> EventQueue<'_, K> {
     }
 
     /// The next event to pop, if any.
-    pub(crate) fn peek(&self) -> Option<Event<K>> {
+    pub(crate) fn peek(&self) -> Option<Event> {
         self.front().map(|(ev, _)| ev)
     }
 
     /// Pops the next event.
-    pub(crate) fn pop(&mut self) -> Option<Event<K>> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         let (ev, from_trace) = self.front()?;
         if from_trace {
             self.arrivals.next();
@@ -718,66 +750,270 @@ impl<K: TraceEvent> EventQueue<'_, K> {
     }
 }
 
-pub(crate) struct ShardState {
+/// The per-shard books both cores keep, one name each: a batch here is a
+/// fleet batch or a decode iteration. Service is charged at launch, so
+/// `busy_time_s` holds the whole in-flight batch until it completes,
+/// aborts or is re-priced.
+#[derive(Default)]
+pub(crate) struct ShardBook {
     pub(crate) queue: VecDeque<usize>,
+    /// A batch is in flight (its [`EventKind::Completion`] is scheduled).
     pub(crate) busy: bool,
-    /// Request indices of the in-flight batch (empty while idle). The
-    /// failure layer needs the members, not just the count, to re-route a
-    /// crashed shard's batch.
-    pub(crate) inflight: Vec<usize>,
-    /// Bumped whenever scheduled completion events become invalid (crash,
+    /// Bumped whenever the scheduled completion becomes invalid (crash,
     /// straggler re-price); stale [`EventKind::Completion`] events carry
     /// the old epoch and are dropped.
     pub(crate) epoch: u64,
     pub(crate) busy_time_s: f64,
     /// Completion time of the in-flight batch (stale once `busy` drops).
-    /// Lets a controller clip `busy_time_s`'s charge-at-dispatch lump to
-    /// "busy time elapsed by `t`": `busy_time_s - (busy_until_s - t)`
-    /// while busy.
     pub(crate) busy_until_s: f64,
     pub(crate) completed: usize,
-    /// Batches executed (crash-rolled-back batches excluded). Counters,
-    /// not a `Vec<usize>` of sizes: the per-batch list grew with the run
-    /// and the report only ever needed the count and the sum.
+    /// Batches launched (a fleet crash rolls its batch back out; a decode
+    /// crash keeps its truncated iteration).
     pub(crate) batches: usize,
-    /// Σ sizes of the executed batches.
+    /// Σ sizes of those batches (decode: live residents per iteration).
     pub(crate) batch_size_sum: usize,
     pub(crate) queue_integral: f64,
     pub(crate) max_queue_depth: usize,
     pub(crate) last_event_s: f64,
+}
+
+impl ShardBook {
+    /// Advances the queue-depth integral to `now` (call before mutating).
+    pub(crate) fn tick(&mut self, now: f64) {
+        self.queue_integral += self.queue.len() as f64 * (now - self.last_event_s);
+        self.last_event_s = now;
+    }
+
+    /// Queues request `r` at `now`.
+    pub(crate) fn enqueue(&mut self, r: usize, now: f64) {
+        self.tick(now);
+        self.queue.push_back(r);
+        self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+    }
+
+    /// Busy time actually *elapsed* by `t`: the in-flight batch's
+    /// not-yet-elapsed tail clipped off the charge-at-launch lump.
+    fn busy_elapsed(&self, t: f64) -> f64 {
+        self.busy_time_s
+            - if self.busy {
+                (self.busy_until_s - t).max(0.0)
+            } else {
+                0.0
+            }
+    }
+
+    /// Charges a batch of `size` launched at `now` for `cost` seconds and
+    /// returns its completion time.
+    pub(crate) fn launch(&mut self, now: f64, cost: f64, size: usize) -> f64 {
+        let done = now + cost;
+        self.busy = true;
+        self.busy_time_s += cost;
+        self.busy_until_s = done;
+        self.batches += 1;
+        self.batch_size_sum += size;
+        done
+    }
+
+    /// The in-flight batch completed at `now`.
+    pub(crate) fn finish(&mut self, now: f64) {
+        self.tick(now);
+        self.busy = false;
+    }
+
+    /// Scales the in-flight batch's unexecuted remainder by `scale` and
+    /// bumps the epoch; returns the change in remaining time. The new
+    /// completion time is `busy_until_s`.
+    pub(crate) fn reprice(&mut self, scale: f64, now: f64) -> f64 {
+        let remaining = (self.busy_until_s - now).max(0.0);
+        let new_remaining = remaining * scale;
+        self.busy_time_s += new_remaining - remaining;
+        self.busy_until_s = now + new_remaining;
+        self.epoch += 1;
+        new_remaining - remaining
+    }
+
+    /// Aborts the in-flight batch at `now` (crash): the destroyed tail
+    /// never counts as busy time, and the epoch bumps so the scheduled
+    /// completion is dropped. Returns the tail's length.
+    pub(crate) fn abort(&mut self, now: f64) -> f64 {
+        let remaining = (self.busy_until_s - now).max(0.0);
+        self.busy = false;
+        self.epoch += 1;
+        self.busy_time_s -= remaining;
+        self.busy_until_s = now;
+        remaining
+    }
+}
+
+/// Σ over `books` of busy time elapsed by `t`. Window deltas of this
+/// integral are exact even when service times span many controller
+/// evaluation windows.
+pub(crate) fn busy_elapsed<'b>(books: impl Iterator<Item = &'b ShardBook>, t: f64) -> f64 {
+    books.map(|b| b.busy_elapsed(t)).sum()
+}
+
+/// Count, mean and p50/p95/p99 of one latency population, all zero when
+/// empty: the exact sample under [`ReportMode::Exact`] (`exact` is called
+/// only then), the sketch under [`ReportMode::Streaming`].
+pub(crate) fn summarize(
+    mode: ReportMode,
+    exact: impl FnOnce() -> Vec<f64>,
+    sketch: &QuantileSketch,
+) -> (usize, f64, Vec<f64>) {
+    match mode {
+        ReportMode::Exact => {
+            let xs = exact();
+            // One sort for all three percentiles (bit-identical to
+            // per-call `percentile`, which re-sorted the sample each time).
+            let pcts = percentiles(&xs, &[0.50, 0.95, 0.99]).unwrap_or_else(|| vec![0.0; 3]);
+            let mean = if xs.is_empty() {
+                0.0
+            } else {
+                xs.iter().sum::<f64>() / xs.len() as f64
+            };
+            (xs.len(), mean, pcts)
+        }
+        ReportMode::Streaming if sketch.count() == 0 => (0, 0.0, vec![0.0; 3]),
+        ReportMode::Streaming => (sketch.count() as usize, sketch.mean(), sketch.quantiles()),
+    }
+}
+
+/// The report half both cores keep, and the one [`FleetReport`] builder.
+pub(crate) struct ReportBook {
+    /// Report construction mode. Under [`ReportMode::Streaming`] the batch
+    /// log is never grown and completed latencies feed `lat_sketch` as
+    /// they complete, so memory stays bounded for million-request traces.
+    pub(crate) mode: ReportMode,
+    /// Every launched batch (decode: iteration), launch order; Exact only.
+    log: Vec<BatchRecord>,
+    lat_sketch: QuantileSketch,
+    /// Running max of final completion times: valid completion pops plus
+    /// decode's crash truncations. Order-free, so one value for both modes.
+    makespan_s: f64,
+}
+
+impl ReportBook {
+    pub(crate) fn new() -> Self {
+        Self {
+            mode: ReportMode::Exact,
+            log: Vec::new(),
+            lat_sketch: QuantileSketch::p50_p95_p99(),
+            makespan_s: 0.0,
+        }
+    }
+
+    /// Logs a launched batch (Exact only).
+    pub(crate) fn log_batch(&mut self, rec: BatchRecord) {
+        if self.mode == ReportMode::Exact {
+            self.log.push(rec);
+        }
+    }
+
+    /// Shard `s`'s latest logged batch (always `None` under Streaming).
+    pub(crate) fn last_of(&mut self, s: usize) -> Option<&mut BatchRecord> {
+        self.log.iter_mut().rev().find(|b| b.shard == s)
+    }
+
+    /// Drops shard `s`'s latest logged batch (a rolled-back crash).
+    pub(crate) fn unlog_last_of(&mut self, s: usize) {
+        if let Some(i) = self.log.iter().rposition(|b| b.shard == s) {
+            self.log.remove(i);
+        }
+    }
+
+    /// A batch's final completion time.
+    pub(crate) fn end_at(&mut self, t: f64) {
+        self.makespan_s = self.makespan_s.max(t);
+    }
+
+    /// A completed request's latency (sketched under Streaming; Exact
+    /// reads it back from the completion times at report time).
+    pub(crate) fn observe(&mut self, latency: f64) {
+        if self.mode == ReportMode::Streaming {
+            self.lat_sketch.observe(latency);
+        }
+    }
+
+    /// Builds the [`FleetReport`]: latencies are the finite `completion_s`
+    /// entries less their arrivals in trace order (Exact) or the sketch
+    /// (Streaming); batch counts and sizes come from the shard books, not
+    /// from the completed population.
+    ///
+    /// Requests that never completed (timed out, lost to an unrecovered
+    /// outage) are simply absent from the latency population: the report
+    /// is well-defined all the way down to zero completions, with zeroed
+    /// NaN-free percentiles. Conservation is the *caller's* invariant.
+    pub(crate) fn into_report<'b, R: TraceEvent>(
+        self,
+        trace: &[R],
+        completion_s: &[f64],
+        designs: &[AcceleratorDesign],
+        books: impl Iterator<Item = &'b ShardBook> + Clone,
+    ) -> FleetReport {
+        let makespan = self.makespan_s;
+        let exact = || {
+            completion_s
+                .iter()
+                .zip(trace)
+                .filter(|(c, _)| c.is_finite())
+                .map(|(&c, req)| c - req.arrival_s())
+                .collect()
+        };
+        let (completed, mean_latency, lat_pcts) = summarize(self.mode, exact, &self.lat_sketch);
+        let total_batches: usize = books.clone().map(|b| b.batches).sum();
+        let total_batch_size: usize = books.clone().map(|b| b.batch_size_sum).sum();
+        let shards = books
+            .enumerate()
+            .map(|(i, b)| ShardReport {
+                shard: i,
+                tuned_length: designs[i].tuned_length(),
+                completed: b.completed,
+                batches: b.batches,
+                mean_batch_size: if b.batches == 0 {
+                    0.0
+                } else {
+                    b.batch_size_sum as f64 / b.batches as f64
+                },
+                utilization: b.busy_time_s / makespan.max(1e-12),
+                mean_queue_depth: b.queue_integral / makespan.max(1e-12),
+                max_queue_depth: b.max_queue_depth,
+            })
+            .collect();
+        FleetReport {
+            completed,
+            mean_latency_s: mean_latency,
+            p50_latency_s: lat_pcts[0],
+            p95_latency_s: lat_pcts[1],
+            p99_latency_s: lat_pcts[2],
+            throughput_seq_s: completed as f64 / makespan.max(1e-12),
+            makespan_s: makespan,
+            mean_batch_size: if total_batches == 0 {
+                0.0
+            } else {
+                total_batch_size as f64 / total_batches as f64
+            },
+            shards,
+            batch_log: self.log,
+        }
+    }
+}
+
+#[derive(Default)]
+pub(crate) struct ShardState {
+    pub(crate) book: ShardBook,
+    /// Request indices of the in-flight batch (empty while idle). The
+    /// failure layer needs the members, not just the count, to re-route a
+    /// crashed shard's batch.
+    pub(crate) inflight: Vec<usize>,
     /// Head request a window-close event is already scheduled for
     /// (request indices are unique, so this dedup is safe for the run).
     pub(crate) window_scheduled_for: Option<usize>,
 }
 
 impl ShardState {
-    fn new() -> Self {
-        Self {
-            queue: VecDeque::new(),
-            busy: false,
-            inflight: Vec::new(),
-            epoch: 0,
-            busy_time_s: 0.0,
-            busy_until_s: 0.0,
-            completed: 0,
-            batches: 0,
-            batch_size_sum: 0,
-            queue_integral: 0.0,
-            max_queue_depth: 0,
-            last_event_s: 0.0,
-            window_scheduled_for: None,
-        }
-    }
-
     /// Waiting + in-flight requests — the load metric JSQ balances.
     pub(crate) fn load(&self) -> usize {
-        self.queue.len() + self.inflight.len()
-    }
-
-    /// Advances the queue-depth integral to `now` (call before mutating).
-    pub(crate) fn tick(&mut self, now: f64) {
-        self.queue_integral += self.queue.len() as f64 * (now - self.last_event_s);
-        self.last_event_s = now;
+        self.book.queue.len() + self.inflight.len()
     }
 }
 
@@ -840,24 +1076,14 @@ pub(crate) struct FleetCore<'a> {
     /// an exhausted retry budget). Termination and conservation checks
     /// count `completed() + abandoned` against the trace length.
     pub(crate) abandoned: usize,
-    events: EventQueue<'a, EventKind>,
+    events: EventQueue<'a, Request>,
     rr_next: usize,
     pub(crate) completion_s: Vec<f64>,
     /// Trace arrivals processed so far — the RNG-free, wall-clock-free
     /// observation stream predictive scaling policies consume (re-routed
     /// work is not re-counted).
     pub(crate) arrivals_seen: usize,
-    batch_log: Vec<BatchRecord>,
-    /// Report construction mode. Under [`ReportMode::Streaming`] the
-    /// per-batch log is never grown and completed latencies feed
-    /// `lat_sketch` at their completion events instead of being sorted at
-    /// report time, so memory stays bounded for million-request traces.
-    mode: ReportMode,
-    /// Streaming latency sketch (fed only under [`ReportMode::Streaming`]).
-    lat_sketch: QuantileSketch,
-    /// Running max of valid completion-event times — the streaming
-    /// replacement for folding over the batch log.
-    stream_makespan_s: f64,
+    report: ReportBook,
     /// Events popped off the queue (all modes; cheap counter for
     /// events/second scaling benches).
     pub(crate) events_processed: u64,
@@ -884,27 +1110,9 @@ impl<'a> FleetCore<'a> {
         cfg: &'a BatcherConfig,
         accepting: Vec<bool>,
     ) -> Self {
-        assert!(!shards.is_empty(), "fleet needs at least one shard");
-        assert!(!trace.is_empty(), "empty arrival trace");
+        validate_run(shards.len(), trace, &accepting);
         assert!(cfg.max_batch > 0, "max_batch must be >= 1");
         assert!(cfg.batch_window_s >= 0.0, "negative batch window");
-        assert!(
-            trace
-                .iter()
-                .all(|r| r.arrival_s.is_finite() && r.arrival_s >= 0.0),
-            "arrival times must be finite and non-negative"
-        );
-        assert!(
-            trace
-                .windows(2)
-                .all(|w| w[0].arrival_s.total_cmp(&w[1].arrival_s).is_le()),
-            "trace must be sorted by arrival time"
-        );
-        assert_eq!(accepting.len(), shards.len(), "accepting mask length");
-        assert!(
-            accepting.iter().any(|&a| a),
-            "at least one shard must accept work"
-        );
 
         Self {
             shards,
@@ -912,7 +1120,7 @@ impl<'a> FleetCore<'a> {
             policy,
             dispatch,
             cfg,
-            state: (0..shards.len()).map(|_| ShardState::new()).collect(),
+            state: (0..shards.len()).map(|_| ShardState::default()).collect(),
             accepting,
             dead: vec![false; shards.len()],
             slowdown: vec![1.0; shards.len()],
@@ -922,10 +1130,7 @@ impl<'a> FleetCore<'a> {
             rr_next: 0,
             completion_s: vec![f64::NAN; trace.len()],
             arrivals_seen: 0,
-            batch_log: Vec::new(),
-            mode: ReportMode::Exact,
-            lat_sketch: QuantileSketch::p50_p95_p99(),
-            stream_makespan_s: 0.0,
+            report: ReportBook::new(),
             events_processed: 0,
             peak_heap_events: 0,
         }
@@ -935,17 +1140,17 @@ impl<'a> FleetCore<'a> {
     /// [`ReportMode::Streaming`] the batch log is suppressed from the
     /// start, and latencies stream into the sketch as completions pop.
     pub(crate) fn set_mode(&mut self, mode: ReportMode) {
-        self.mode = mode;
+        self.report.mode = mode;
     }
 
     /// Schedules a [`FleetController::on_control`] callback at `time`.
     pub(crate) fn schedule_control(&mut self, time: f64) {
-        self.events.push(time, 3, EventKind::Control);
+        self.events.push(time, EventKind::Control);
     }
 
     /// Requests completed so far across the fleet.
     pub(crate) fn completed(&self) -> usize {
-        self.state.iter().map(|st| st.completed).sum()
+        self.state.iter().map(|st| st.book.completed).sum()
     }
 
     /// Routes request `r` among accepting shards and queues it; returns
@@ -960,71 +1165,59 @@ impl<'a> FleetCore<'a> {
         let s = {
             let accepting = &self.accepting;
             let state = &self.state;
-            let mut rr = self.rr_next;
-            let s = route(
+            route(
                 self.dispatch,
                 self.shards,
                 &|i| accepting[i],
                 &|i| state[i].load(),
                 self.trace[r].len,
-                &mut rr,
-            );
-            self.rr_next = rr;
-            s
+                &mut self.rr_next,
+            )
         };
-        self.state[s].tick(now);
-        self.state[s].queue.push_back(r);
-        self.state[s].max_queue_depth =
-            self.state[s].max_queue_depth.max(self.state[s].queue.len());
+        self.state[s].book.enqueue(r, now);
         Some(s)
     }
 
     /// Dispatches the shard's next batch if one is ready (shard idle AND
     /// cap full or window expired); otherwise schedules the window close.
     pub(crate) fn try_dispatch(&mut self, s: usize, now: f64) {
-        if self.dead[s] || self.state[s].busy || self.state[s].queue.is_empty() {
+        let st = &mut self.state[s];
+        if self.dead[s] || st.book.busy || st.book.queue.is_empty() {
             return;
         }
-        let head = *self.state[s].queue.front().expect("non-empty queue");
+        let head = *st.book.queue.front().expect("non-empty queue");
         let window_close = self.trace[head].arrival_s + self.cfg.batch_window_s;
-        if self.state[s].queue.len() >= self.cfg.max_batch || now >= window_close {
-            let st = &mut self.state[s];
-            let take = self.cfg.max_batch.min(st.queue.len());
+        if st.book.queue.len() >= self.cfg.max_batch || now >= window_close {
+            let take = self.cfg.max_batch.min(st.book.queue.len());
             let lengths: Vec<usize> = st
+                .book
                 .queue
                 .iter()
                 .take(take)
                 .map(|&r| self.trace[r].len)
                 .collect();
             let service = self.shards[s].service_seconds(&lengths, self.policy) * self.slowdown[s];
-            let completion = now + service;
+            let completion = st.book.launch(now, service, take);
             for _ in 0..take {
-                let r = st.queue.pop_front().expect("counted above");
+                let r = st.book.queue.pop_front().expect("counted above");
                 self.completion_s[r] = completion;
                 st.inflight.push(r);
             }
-            st.busy = true;
-            st.busy_time_s += service;
-            st.busy_until_s = completion;
-            st.completed += take;
-            st.batches += 1;
-            st.batch_size_sum += take;
+            st.book.completed += take;
             st.window_scheduled_for = None;
-            let epoch = st.epoch;
-            if self.mode == ReportMode::Exact {
-                self.batch_log.push(BatchRecord {
-                    shard: s,
-                    start_s: now,
-                    completion_s: completion,
-                    size: take,
-                });
-            }
+            let epoch = st.book.epoch;
+            self.report.log_batch(BatchRecord {
+                shard: s,
+                start_s: now,
+                completion_s: completion,
+                size: take,
+            });
             self.events
-                .push(completion, 1, EventKind::Completion { shard: s, epoch });
-        } else if self.state[s].window_scheduled_for != Some(head) {
-            self.state[s].window_scheduled_for = Some(head);
+                .push(completion, EventKind::Completion { shard: s, epoch });
+        } else if st.window_scheduled_for != Some(head) {
+            st.window_scheduled_for = Some(head);
             self.events
-                .push(window_close, 2, EventKind::WindowClose { shard: s, head });
+                .push(window_close, EventKind::WindowClose { shard: s, head });
         }
     }
 
@@ -1043,35 +1236,23 @@ impl<'a> FleetCore<'a> {
         assert!(!self.dead[s], "shard crashed twice");
         self.dead[s] = true;
         self.accepting[s] = false;
-        self.state[s].tick(now);
-        let mut orphans: Vec<usize> = self.state[s].queue.drain(..).collect();
-        self.state[s].window_scheduled_for = None;
-        if self.state[s].busy {
-            let st = &mut self.state[s];
-            st.busy = false;
-            st.epoch += 1;
+        let st = &mut self.state[s];
+        st.book.tick(now);
+        let mut orphans: Vec<usize> = st.book.queue.drain(..).collect();
+        st.window_scheduled_for = None;
+        if st.book.busy {
+            // Work a crash destroys never counts as busy time, and the
+            // rolled-back batch leaves the books entirely.
+            st.book.abort(now);
             let take = st.inflight.len();
-            st.completed -= take;
-            // Un-charge the whole batch, then hold the charge-at-dispatch
-            // invariant for the executed prefix: work a crash destroys
-            // never counts as busy time.
-            st.busy_time_s -= (st.busy_until_s - now).max(0.0);
-            st.busy_until_s = now;
-            st.batches -= 1;
-            st.batch_size_sum -= take;
-            let inflight: Vec<usize> = st.inflight.drain(..).collect();
-            for &r in &inflight {
+            st.book.completed -= take;
+            st.book.batches -= 1;
+            st.book.batch_size_sum -= take;
+            for &r in &st.inflight {
                 self.completion_s[r] = f64::NAN;
             }
-            if self.mode == ReportMode::Exact {
-                let idx = self
-                    .batch_log
-                    .iter()
-                    .rposition(|b| b.shard == s)
-                    .expect("busy shard has a batch record");
-                self.batch_log.remove(idx);
-            }
-            orphans.extend(inflight);
+            orphans.append(&mut st.inflight);
+            self.report.unlog_last_of(s);
         }
         orphans
     }
@@ -1097,32 +1278,20 @@ impl<'a> FleetCore<'a> {
         );
         let old = self.slowdown[s];
         self.slowdown[s] = factor;
-        if factor == old || !self.state[s].busy {
+        let st = &mut self.state[s];
+        if factor == old || !st.book.busy {
             return;
         }
-        let completion;
-        let epoch;
-        {
-            let st = &mut self.state[s];
-            let remaining = (st.busy_until_s - now).max(0.0);
-            let new_remaining = remaining * (factor / old);
-            st.busy_time_s += new_remaining - remaining;
-            st.busy_until_s = now + new_remaining;
-            st.epoch += 1;
-            completion = st.busy_until_s;
-            epoch = st.epoch;
-        }
-        for i in 0..self.state[s].inflight.len() {
-            let r = self.state[s].inflight[i];
+        st.book.reprice(factor / old, now);
+        let (completion, epoch) = (st.book.busy_until_s, st.book.epoch);
+        for &r in &st.inflight {
             self.completion_s[r] = completion;
         }
-        if self.mode == ReportMode::Exact {
-            if let Some(rec) = self.batch_log.iter_mut().rev().find(|b| b.shard == s) {
-                rec.completion_s = completion;
-            }
+        if let Some(rec) = self.report.last_of(s) {
+            rec.completion_s = completion;
         }
         self.events
-            .push(completion, 1, EventKind::Completion { shard: s, epoch });
+            .push(completion, EventKind::Completion { shard: s, epoch });
     }
 
     /// Schedules an arrival event for request `r` at `time` — the re-entry
@@ -1130,7 +1299,7 @@ impl<'a> FleetCore<'a> {
     /// trace arrival when it pops, so it re-counts in `arrivals_seen`
     /// (a retry *is* offered load, and forecasters should see it).
     pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
-        self.events.push(time, 0, EventKind::Arrival(r));
+        self.events.push(time, EventKind::Arrival(r));
     }
 
     /// Removes request `r` from wherever it is waiting (parked or queued)
@@ -1143,12 +1312,13 @@ impl<'a> FleetCore<'a> {
             return true;
         }
         for s in 0..self.state.len() {
-            if let Some(i) = self.state[s].queue.iter().position(|&x| x == r) {
-                self.state[s].tick(now);
-                self.state[s].queue.remove(i);
+            let st = &mut self.state[s];
+            if let Some(i) = st.book.queue.iter().position(|&x| x == r) {
+                st.book.tick(now);
+                st.book.queue.remove(i);
                 // The head (and so the window-close time) may have
                 // changed; let try_dispatch reschedule for the new head.
-                self.state[s].window_scheduled_for = None;
+                st.window_scheduled_for = None;
                 self.try_dispatch(s, now);
                 return true;
             }
@@ -1199,21 +1369,18 @@ impl<'a> FleetCore<'a> {
                 EventKind::Completion { shard: s, epoch } => {
                     // Stale if the shard crashed or was re-priced after
                     // this event was scheduled.
-                    if epoch != self.state[s].epoch {
+                    if epoch != self.state[s].book.epoch {
                         continue;
                     }
-                    self.state[s].tick(now);
-                    self.state[s].busy = false;
-                    if self.mode == ReportMode::Streaming {
-                        // Crash rollbacks never reach this point (stale
-                        // epoch), so each completed request streams into
-                        // the sketch exactly once, with the same latency
-                        // value the exact path reads from `completion_s`.
-                        for &r in &self.state[s].inflight {
-                            self.lat_sketch.observe(now - self.trace[r].arrival_s);
-                        }
-                        self.stream_makespan_s = self.stream_makespan_s.max(now);
+                    self.state[s].book.finish(now);
+                    // Crash rollbacks never reach this point (stale
+                    // epoch), so each completed request is observed
+                    // exactly once, with the latency Exact reads from
+                    // `completion_s`.
+                    for &r in &self.state[s].inflight {
+                        self.report.observe(now - self.trace[r].arrival_s);
                     }
+                    self.report.end_at(now);
                     self.state[s].inflight.clear();
                     self.try_dispatch(s, now);
                     ctl.after_completion(self, s, now);
@@ -1221,8 +1388,9 @@ impl<'a> FleetCore<'a> {
                 EventKind::WindowClose { shard: s, head } => {
                     // Stale if the head batch already dispatched (cap fill
                     // or a busy shard draining past the window).
-                    if !self.state[s].busy && self.state[s].queue.front() == Some(&head) {
-                        self.state[s].tick(now);
+                    let book = &mut self.state[s].book;
+                    if !book.busy && book.queue.front() == Some(&head) {
+                        book.tick(now);
                         self.try_dispatch(s, now);
                     }
                 }
@@ -1231,98 +1399,16 @@ impl<'a> FleetCore<'a> {
         }
     }
 
-    /// Assembles the [`FleetReport`] after the queue drained.
-    ///
-    /// Requests that never completed (timed out, lost to an unrecovered
-    /// outage) are simply absent from the latency population: the report
-    /// is well-defined all the way down to zero completions, with zeroed
-    /// NaN-free percentiles. Conservation (`completed == trace.len()`) is
-    /// the *caller's* invariant — [`simulate_fleet`] asserts it because a
-    /// fixed healthy fleet must complete everything; the failure layer
-    /// accounts for the shortfall through client dispositions instead.
+    /// Assembles the [`FleetReport`] after the queue drained
+    /// ([`ReportBook::into_report`]). Conservation
+    /// (`completed == trace.len()`) is the *caller's* invariant —
+    /// [`simulate_fleet`] asserts it because a fixed healthy fleet must
+    /// complete everything; the failure layer accounts for the shortfall
+    /// through client dispositions instead.
     pub(crate) fn into_report(self) -> FleetReport {
-        let makespan = match self.mode {
-            ReportMode::Exact => self
-                .batch_log
-                .iter()
-                .map(|b| b.completion_s)
-                .fold(0.0f64, f64::max),
-            // Every surviving batch's completion event pops valid exactly
-            // once at its final (post-re-price) time, so the running max
-            // equals the batch-log fold bit-for-bit.
-            ReportMode::Streaming => self.stream_makespan_s,
-        };
-        // Batch counts and sizes come from the per-shard counters, not
-        // from the completed-latency population: a request the client
-        // timed out on after dispatch is the client's accounting problem,
-        // not a smaller batch.
-        let total_batches: usize = self.state.iter().map(|st| st.batches).sum();
-        let total_batch_size: usize = self.state.iter().map(|st| st.batch_size_sum).sum();
-        let (completed, mean_latency, lat_pcts) = match self.mode {
-            ReportMode::Exact => {
-                let latencies: Vec<f64> = self
-                    .completion_s
-                    .iter()
-                    .zip(self.trace)
-                    .filter(|(c, _)| c.is_finite())
-                    .map(|(&c, req)| c - req.arrival_s)
-                    .collect();
-                // One sort for all three percentiles (bit-identical to
-                // per-call `percentile`, which re-sorted the sample each
-                // time).
-                let pcts =
-                    percentiles(&latencies, &[0.50, 0.95, 0.99]).unwrap_or_else(|| vec![0.0; 3]);
-                let mean = if latencies.is_empty() {
-                    0.0
-                } else {
-                    latencies.iter().sum::<f64>() / latencies.len() as f64
-                };
-                (latencies.len(), mean, pcts)
-            }
-            ReportMode::Streaming => {
-                let n = self.lat_sketch.count() as usize;
-                if n == 0 {
-                    (0, 0.0, vec![0.0; 3])
-                } else {
-                    (n, self.lat_sketch.mean(), self.lat_sketch.quantiles())
-                }
-            }
-        };
-        let shard_reports = self
-            .state
-            .iter()
-            .enumerate()
-            .map(|(i, st)| ShardReport {
-                shard: i,
-                tuned_length: self.shards[i].tuned_length(),
-                completed: st.completed,
-                batches: st.batches,
-                mean_batch_size: if st.batches == 0 {
-                    0.0
-                } else {
-                    st.batch_size_sum as f64 / st.batches as f64
-                },
-                utilization: st.busy_time_s / makespan.max(1e-12),
-                mean_queue_depth: st.queue_integral / makespan.max(1e-12),
-                max_queue_depth: st.max_queue_depth,
-            })
-            .collect();
-        FleetReport {
-            completed,
-            mean_latency_s: mean_latency,
-            p50_latency_s: lat_pcts[0],
-            p95_latency_s: lat_pcts[1],
-            p99_latency_s: lat_pcts[2],
-            throughput_seq_s: completed as f64 / makespan.max(1e-12),
-            makespan_s: makespan,
-            mean_batch_size: if total_batches == 0 {
-                0.0
-            } else {
-                total_batch_size as f64 / total_batches as f64
-            },
-            shards: shard_reports,
-            batch_log: self.batch_log,
-        }
+        let books = self.state.iter().map(|st| &st.book);
+        self.report
+            .into_report(self.trace, &self.completion_s, self.shards, books)
     }
 }
 
@@ -1398,7 +1484,7 @@ impl FleetRunStats {
     /// the retained report populations. Deterministic (no allocator
     /// introspection), so scaling trajectories can compare it PR-over-PR.
     pub fn peak_tracked_bytes(&self) -> u64 {
-        let event = std::mem::size_of::<Event<EventKind>>() as u64;
+        let event = std::mem::size_of::<Event>() as u64;
         let f64s = std::mem::size_of::<f64>() as u64;
         let rec = std::mem::size_of::<BatchRecord>() as u64;
         self.peak_heap_events as u64 * event
@@ -2039,7 +2125,7 @@ mod tests {
     /// The heap [`EventQueue`] replaces: every trace arrival pushed up
     /// front, in trace order, before any other event.
     struct PreSeeded {
-        heap: BinaryHeap<Event<EventKind>>,
+        heap: BinaryHeap<Event>,
         seq: u64,
     }
 
@@ -2067,7 +2153,7 @@ mod tests {
     }
 
     /// Everything that identifies a popped event, the kind included.
-    fn key(ev: Option<Event<EventKind>>) -> Option<(u64, u8, u64, EventKind)> {
+    fn key(ev: Option<Event>) -> Option<(u64, u8, u64, EventKind)> {
         ev.map(|e| (e.time.to_bits(), e.rank, e.seq, e.kind))
     }
 
@@ -2109,7 +2195,9 @@ mod tests {
                         2 => (2, EventKind::WindowClose { shard: i, head: pick % n }),
                         _ => (3, EventKind::Control),
                     };
-                    lazy.push(time, rank, kind);
+                    // The reference takes the rank as data, so this also
+                    // pins `EventKind::rank`.
+                    lazy.push(time, kind);
                     reference.push(time, rank, kind);
                 }
                 // The heap holds only pushed events; pending trace
