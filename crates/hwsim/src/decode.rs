@@ -402,7 +402,8 @@ pub struct RequestOutcome {
     pub re_prefills: u32,
 }
 
-/// Per-shard decode statistics beyond the [`ShardReport`](crate::fleet::ShardReport) slice.
+/// Per-shard decode statistics beyond the
+/// [`ShardReport`](crate::fleet::ShardReport) slice.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecodeShardReport {
     /// Shard index within the fleet.
