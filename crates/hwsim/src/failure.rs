@@ -2712,6 +2712,24 @@ mod tests {
         }
     }
 
+    /// Reactive scaling on a fast tick, evicting on retire.
+    fn reactive_autoscale() -> AutoscaleConfig {
+        AutoscaleConfig {
+            min_shards: 1,
+            initial_shards: 2,
+            policy: ScalePolicy::Reactive {
+                scale_up_depth: 4.0,
+                scale_down_depth: 0.5,
+            },
+            retire: RetirePolicy::Evict,
+            eval_interval_s: 0.01,
+            warmup_s: 0.02,
+            cooldown_s: 0.0,
+            slo_latency_s: 0.25,
+            phase_bounds_s: Vec::new(),
+        }
+    }
+
     fn assert_stormy(tag: &str, retries: usize, timed_out: usize) {
         assert!(retries > 0, "{tag}: no client retried");
         assert!(timed_out > 0, "{tag}: no client abandoned");
@@ -2748,27 +2766,13 @@ mod tests {
             2000,
             harness_seed(),
         );
-        let cfg = AutoscaleConfig {
-            min_shards: 1,
-            initial_shards: 2,
-            policy: ScalePolicy::Reactive {
-                scale_up_depth: 4.0,
-                scale_down_depth: 0.5,
-            },
-            retire: RetirePolicy::Evict,
-            eval_interval_s: 0.01,
-            warmup_s: 0.02,
-            cooldown_s: 0.0,
-            slo_latency_s: 0.25,
-            phase_bounds_s: Vec::new(),
-        };
         let r = simulate_autoscale_failure(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             DispatchPolicy::JoinShortestQueue,
             &batcher(),
-            &cfg,
+            &reactive_autoscale(),
             &surge_plan(),
             &hasty_client(),
         );
@@ -2841,6 +2845,177 @@ mod tests {
             0.1,
         );
         assert_stormy("disagg", r.retries, r.timed_out);
+    }
+
+    /// 64-bit FNV-1a of `s`.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Every entry point through the surge plan and the hasty client, in
+    /// both report modes, hashed over its `Debug` form: `Debug` prints
+    /// each f64 in its shortest round-trip form, so equal hashes mean
+    /// bit-identical reports. Decode and disagg run under both straggler
+    /// responses: once on two shards, where the crash leaves the straggler
+    /// alone and clients time out, and once on three with long
+    /// generations, where the straggler sheds its residents onto a healthy
+    /// peer, so the two responses differ. The seed is fixed so the
+    /// constants hold at any `HARNESS_SEED`.
+    #[test]
+    fn faulted_reports_match_their_recorded_fingerprints() {
+        const SEED: u64 = 17;
+        let three = homogeneous_fleet(&tiny_design(64), 3);
+        let two = &three[..2];
+        let rte = lat_workloads::datasets::DatasetSpec::rte();
+        let trace = crate::fleet::poisson_trace(&rte, 8000.0, 1500, SEED);
+        let mrpc = lat_workloads::datasets::DatasetSpec::mrpc();
+        let decode_trace =
+            crate::decode::decode_trace(&mrpc, &mrpc.decode_output(), 0.2, 8000.0, 1500, SEED);
+        // Long generations keep residents on every shard at fault onset.
+        let long_trace = steady_decode_trace(240, 0.001, 48, 200);
+        let (plan, client, cfg) = (surge_plan(), hasty_client(), reactive_autoscale());
+        let (lp, dp, b) = (
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            batcher(),
+        );
+        let (cont, dcfg) = (DecodeScheduler::Continuous, DecodeConfig::default());
+        let mut prints = Vec::new();
+        for mode in [ReportMode::Exact, ReportMode::Streaming] {
+            let r =
+                simulate_fleet_failure_mode(two, &trace, lp, dp, &b, &plan, &client, 0.25, mode);
+            assert_stormy("fleet", r.retries, r.timed_out);
+            prints.push(fnv1a(&format!("{r:?}")));
+            let r = simulate_autoscale_failure_mode(
+                two, &trace, lp, dp, &b, &cfg, &plan, &client, mode,
+            );
+            assert_stormy("autoscale", r.failure.retries, r.failure.timed_out);
+            prints.push(fnv1a(&format!("{r:?}")));
+            for (shards, dtrace) in [(two, &decode_trace), (&three[..], &long_trace)] {
+                // The disagg plan also crashes the first decode shard.
+                let mut disagg_plan = surge_plan();
+                disagg_plan.faults.push(Fault {
+                    shard: shards.len(),
+                    kind: FaultKind::Crash {
+                        at_s: 0.2,
+                        recover_s: Some(0.6),
+                    },
+                });
+                for response in [DecodeScaleDown::Drain, DecodeScaleDown::Migrate] {
+                    let r = simulate_decode_failure_mode(
+                        shards, dtrace, lp, dp, cont, &dcfg, &plan, &client, response, 0.1, mode,
+                    );
+                    if shards.len() == 2 {
+                        assert_stormy("decode", r.retries, r.timed_out);
+                    }
+                    eprintln!(
+                        "DBG {} {:?} aff={} mk={} tok={} retries={}",
+                        shards.len(),
+                        response,
+                        r.affected_drain_s,
+                        r.decode.fleet.makespan_s,
+                        r.decode.generated_tokens,
+                        r.retries
+                    );
+                    prints.push(fnv1a(&format!("{r:?}")));
+                    let r = simulate_disagg_failure_mode(
+                        shards,
+                        two,
+                        dtrace,
+                        &[],
+                        lp,
+                        dp,
+                        cont,
+                        &dcfg,
+                        &disagg_cfg(),
+                        &disagg_plan,
+                        &client,
+                        response,
+                        0.1,
+                        mode,
+                    );
+                    if shards.len() == 2 {
+                        assert_stormy("disagg", r.retries, r.timed_out);
+                    }
+                    prints.push(fnv1a(&format!("{r:?}")));
+                }
+            }
+        }
+        // Per mode: fleet, autoscale, then (two shards, three shards) ×
+        // (drain, migrate) × (decode, disagg).
+        let expected: [u64; 20] = [
+            0x1b6b_3ba3_4eaa_52a6,
+            0x216c_0514_401f_3248,
+            0x21a5_5fd1_98b3_f4b2,
+            0x683b_aff8_d6f6_f8c7,
+            0x21a5_5fd1_98b3_f4b2,
+            0x683b_aff8_d6f6_f8c7,
+            0x2aa6_ac30_cda0_be92,
+            0x31cb_aecf_3468_03de,
+            0xed7a_9a04_a6f3_9f75,
+            0xc6d7_8b98_c63d_4b65,
+            0x340e_30b1_bb05_9b6f,
+            0xa5d9_13f5_5648_cddb,
+            0x021d_431e_bf3b_957b,
+            0x0146_b924_1449_aa97,
+            0x021d_431e_bf3b_957b,
+            0x0146_b924_1449_aa97,
+            0x1948_e9e4_ed8e_02bb,
+            0x23c9_3483_2d46_7ff6,
+            0x0b6c_a696_801d_805a,
+            0x1057_760a_efb0_17c7,
+        ];
+        assert_eq!(prints, expected, "faulted report fingerprints moved");
+    }
+
+    /// A decode engine cannot park work: crashing both shards of a
+    /// two-shard fleet for good panics instead of stranding requests.
+    #[test]
+    #[should_panic(expected = "decode fault plan killed every accepting shard")]
+    fn decode_plan_crashing_every_shard_panics() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 2);
+        let trace = steady_decode_trace(12, 0.002, 48, 12);
+        let crash = |shard| Fault {
+            shard,
+            kind: FaultKind::Crash {
+                at_s: 0.01,
+                recover_s: None,
+            },
+        };
+        simulate_decode_failure(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            &FaultPlan {
+                faults: vec![crash(0), crash(1)],
+            },
+            &ClientConfig::patient(),
+            DecodeScaleDown::Drain,
+            0.25,
+        );
+    }
+
+    /// The disagg twin: crashing the only prefill shard panics even
+    /// though it recovers later, since its queue has nowhere to go.
+    #[test]
+    #[should_panic(expected = "decode fault plan killed every accepting shard")]
+    fn disagg_plan_crashing_the_only_prefill_shard_panics() {
+        let trace = steady_decode_trace(12, 0.002, 48, 12);
+        let plan = FaultPlan {
+            faults: vec![Fault {
+                shard: 0,
+                kind: FaultKind::Crash {
+                    at_s: 0.01,
+                    recover_s: Some(0.05),
+                },
+            }],
+        };
+        run_disagg_failure(1, 2, &trace, &plan);
     }
 
     /// Completions landing exactly on both incident edges: each belongs
