@@ -1138,22 +1138,13 @@ impl PoolHost for FleetHost<'_, '_> {
         if self.retire != RetirePolicy::Evict {
             return;
         }
-        let core = &mut *self.core;
-        core.state[s].book.tick(now);
-        let evicted: Vec<usize> = core.state[s].book.queue.drain(..).collect();
-        core.state[s].window_scheduled_for = None;
-        let mut touched = Vec::new();
-        for r in evicted {
-            // At least one shard keeps accepting during a retire (the
-            // evaluate() guard), so eviction never parks.
-            let s2 = core.admit(r, now).expect("survivor accepts evicted work");
-            if !touched.contains(&s2) {
-                touched.push(s2);
-            }
-        }
-        for s2 in touched {
-            core.try_dispatch(s2, now);
-        }
+        let st = &mut self.core.state[s];
+        st.book.tick(now);
+        let evicted: Vec<usize> = st.book.queue.drain(..).collect();
+        st.window_scheduled_for = None;
+        // At least one shard keeps accepting during a retire (the
+        // evaluate() guard), so eviction never parks.
+        self.core.readmit(evicted, now);
     }
 
     fn is_idle(&self, s: usize) -> bool {
@@ -1505,13 +1496,8 @@ impl PoolHost for DecodeHost<'_, '_> {
     /// is idle, else at the next iteration boundary
     /// ([`DecodeController::after_step`]).
     fn drain(&mut self, s: usize, now: f64) {
-        let mut touched = requeue_waiting(self.core, s, now, |core, r| core.route_request(r, now));
-        if self.scale_down == DecodeScaleDown::Migrate && !self.core.shards[s].book.busy {
-            *self.migrations += self.core.evict_unfinished(s, now, &mut touched);
-        }
-        for s2 in touched {
-            self.core.start_iteration(s2, now);
-        }
+        let migrate = self.scale_down == DecodeScaleDown::Migrate;
+        *self.migrations += self.core.shed(s, now, true, migrate);
     }
 
     fn is_idle(&self, s: usize) -> bool {
@@ -1521,27 +1507,6 @@ impl PoolHost for DecodeHost<'_, '_> {
     fn schedule_control(&mut self, time: f64) {
         self.core.schedule_control(time);
     }
-}
-
-/// Ticks decode shard `s` and hands its waiting queue, in order, to
-/// `route`; returns the destination shards (deduplicated, first touch
-/// first) for the caller to kick.
-pub(crate) fn requeue_waiting<'a>(
-    core: &mut DecodeCore<'a>,
-    s: usize,
-    now: f64,
-    mut route: impl FnMut(&mut DecodeCore<'a>, usize) -> usize,
-) -> Vec<usize> {
-    core.shards[s].book.tick(now);
-    let waiting: Vec<usize> = core.shards[s].book.queue.drain(..).collect();
-    let mut touched = Vec::new();
-    for r in waiting {
-        let s2 = route(core, r);
-        if !touched.contains(&s2) {
-            touched.push(s2);
-        }
-    }
-    touched
 }
 
 /// Whether decode shard `s` is idle with no residents and an empty queue.
@@ -1621,18 +1586,11 @@ impl DecodeController for DecodeAutoscaler<'_> {
         if !self.pool.is_retiring(shard) {
             return;
         }
+        // The in-flight iteration completed: under Migrate, hand the
+        // survivors the still-unfinished residents.
+        let migrate = self.cfg.scale_down == DecodeScaleDown::Migrate;
+        self.migrations += core.shed(shard, now, false, migrate);
         let host = Self::host(self.cfg, core, &mut self.migrations);
-        if self.cfg.scale_down == DecodeScaleDown::Migrate
-            && !host.core.shards[shard].resident.is_empty()
-        {
-            // The in-flight iteration completed: hand the survivors the
-            // still-unfinished residents.
-            let mut touched = Vec::new();
-            *host.migrations += host.core.evict_unfinished(shard, now, &mut touched);
-            for s2 in touched {
-                host.core.start_iteration(s2, now);
-            }
-        }
         self.pool.finish_retire_if_idle(&host, shard, now);
     }
 }

@@ -117,9 +117,10 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
+use crate::failure::FaultTarget;
 use crate::fleet::{
-    route, summarize, validate_run, BatchRecord, DispatchPolicy, EventKind, EventQueue,
-    FleetReport, RateProfile, ReportBook, ShardBook, TraceEvent,
+    route, route_then_kick, summarize, validate_run, BatchRecord, DispatchPolicy, EventKind,
+    EventQueue, FleetReport, RateProfile, ReportBook, ShardBook, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::{P2Quantile, QuantileSketch, ReportMode};
@@ -523,9 +524,6 @@ pub(crate) trait DecodeController {
     /// finished residents released, but the next iteration has NOT been
     /// launched yet — the window in which scale-down may evict residents.
     fn after_step(&mut self, _core: &mut DecodeCore<'_>, _shard: usize, _now: f64) {}
-    /// The failure layer crashed `shard` (already marked dead and not
-    /// accepting; orphaned work is re-routed by the caller).
-    fn on_shard_down(&mut self, _core: &mut DecodeCore<'_>, _shard: usize, _now: f64) {}
     /// The failure layer revived `shard`. The default is a plain rejoin:
     /// the shard starts accepting routed work immediately.
     fn on_shard_up(&mut self, core: &mut DecodeCore<'_>, shard: usize, _now: f64) {
@@ -839,34 +837,25 @@ impl DecodeCore<'_> {
         s
     }
 
-    /// Evicts shard `s`'s *unfinished* residents back into the accepting
-    /// shards' queues and returns how many were evicted — the shared
-    /// KV-transfer move ([`KvTransfer::Reprefill`] semantics: the KV cache
-    /// is discarded, so each victim re-prefills its grown context on
-    /// re-admission). Finished sequences a static batch still holds as
-    /// padded slots have nothing left to generate — they are released,
-    /// never migrated or re-priced. Touched survivor shards are collected
-    /// into `touched` (deduplicated) for the caller to kick.
-    pub(crate) fn evict_unfinished(
-        &mut self,
-        s: usize,
-        now: f64,
-        touched: &mut Vec<usize>,
-    ) -> usize {
-        let evicted: Vec<usize> = self.shards[s].resident.drain(..).map(|sl| sl.req).collect();
-        let mut moved = 0;
-        for r in evicted {
-            if self.emitted[r] >= self.trace[r].output_len {
-                continue; // padded static slot: generation already complete
-            }
+    /// Takes shard `s`'s waiting queue, in order (ticking its books
+    /// first).
+    pub(crate) fn take_waiting(&mut self, s: usize, now: f64) -> Vec<usize> {
+        self.shards[s].book.tick(now);
+        self.shards[s].book.queue.drain(..).collect()
+    }
+
+    /// Takes shard `s`'s *unfinished* residents out of their slots with
+    /// their KV state discarded ([`KvTransfer::Reprefill`] semantics: each
+    /// re-prefills its grown context on re-admission). Finished sequences
+    /// a static batch still holds as padded slots have nothing left to
+    /// generate — they are released, never migrated or re-priced.
+    fn take_unfinished(&mut self, s: usize) -> Vec<usize> {
+        let mut taken: Vec<usize> = self.shards[s].resident.drain(..).map(|sl| sl.req).collect();
+        taken.retain(|&r| self.emitted[r] < self.trace[r].output_len);
+        for &r in &taken {
             self.kv_warm[r] = false;
-            moved += 1;
-            let s2 = self.route_request(r, now);
-            if !touched.contains(&s2) {
-                touched.push(s2);
-            }
         }
-        moved
+        taken
     }
 
     /// Schedules a [`DecodeController::on_control`] callback at `time`.
@@ -879,116 +868,37 @@ impl DecodeCore<'_> {
         self.shards.iter().map(|sh| sh.book.completed).sum()
     }
 
-    /// Crashes shard `s` at `now`: marks it dead and non-accepting,
-    /// truncates the in-flight iteration (its destroyed tail never counts
-    /// as busy or occupied-slot time; tokens it would have emitted are
-    /// lost), and returns every orphaned request — the waiting queue plus
-    /// every *unfinished* KV resident, whose grown context re-prefills on
-    /// re-admission exactly like a preemption victim. Finished padded
-    /// residents of a static batch are simply dropped. The launch-time
-    /// `batches`/`batch_size_sum` charges of the aborted iteration stay
-    /// (both sides of the mean-batch-size ratio keep counting it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard is already dead.
-    pub(crate) fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize> {
-        assert!(!self.dead[s], "shard crashed twice");
-        self.dead[s] = true;
-        self.accepting[s] = false;
-        let sh = &mut self.shards[s];
-        sh.book.tick(now);
-        if sh.book.busy {
-            let remaining = sh.book.abort(now);
-            sh.slot_integral -= sh.stepping_live as f64 * remaining;
-            // The truncated iteration ends now.
-            if let Some(rec) = self.report.last_of(s) {
-                rec.completion_s = now;
-            }
-            self.report.end_at(now);
-        }
-        let mut orphans: Vec<usize> = self.shards[s].book.queue.drain(..).collect();
-        let residents: Vec<Slot> = self.shards[s].resident.drain(..).collect();
-        for sl in residents {
-            if self.emitted[sl.req] < self.trace[sl.req].output_len {
-                orphans.push(sl.req);
-            }
-        }
-        for &r in &orphans {
-            // Any KV state the crash destroyed (including a queued warm
-            // handoff that never got admitted) is gone: the orphan
-            // re-prefills wherever it lands.
-            self.kv_warm[r] = false;
-        }
-        orphans
-    }
-
-    /// Brings a crashed shard back. Routing eligibility is the
-    /// controller's call ([`DecodeController::on_shard_up`]).
-    pub(crate) fn revive_shard(&mut self, s: usize) {
-        assert!(self.dead[s], "revived a live shard");
-        self.dead[s] = false;
-    }
-
-    /// Sets shard `s`'s iteration-cost multiplier (straggler ×`factor`,
-    /// recovery back to 1.0). An in-flight iteration is re-priced on the
-    /// fly: its unexecuted remainder is scaled by `factor / old`, the
-    /// shard epoch bumps so the stale step-end event is dropped, and a new
-    /// one is scheduled at the re-priced completion time.
-    pub(crate) fn set_slowdown(&mut self, s: usize, factor: f64, now: f64) {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "slowdown factor must be positive and finite"
+    /// Routes `requests` in order, then kicks every shard that received
+    /// one ([`route_then_kick`]) — how crash orphans and shed work
+    /// re-enter the fleet.
+    pub(crate) fn readmit(&mut self, requests: Vec<usize>, now: f64) {
+        route_then_kick(
+            self,
+            requests,
+            |core, r| Some(core.route_request(r, now)),
+            |core, s| core.start_iteration(s, now),
         );
-        let old = self.slowdown[s];
-        self.slowdown[s] = factor;
-        let sh = &mut self.shards[s];
-        if factor == old || !sh.book.busy {
-            return;
-        }
-        let delta = sh.book.reprice(factor / old, now);
-        sh.slot_integral += sh.stepping_live as f64 * delta;
-        let (done, epoch) = (sh.book.busy_until_s, sh.book.epoch);
-        if let Some(rec) = self.report.last_of(s) {
-            rec.completion_s = done;
-        }
-        self.events
-            .push(done, EventKind::Completion { shard: s, epoch });
     }
 
-    /// Schedules an arrival event for request `r` at `time` — the
-    /// re-entry path for client retries and for work orphaned by a crash.
-    /// Indistinguishable from a trace arrival when it pops, so it
-    /// re-counts in `arrivals_seen` (a retry *is* offered load).
-    pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
-        self.events.push(time, EventKind::Arrival(r));
-    }
-
-    /// Removes request `r` from the shard queue it is waiting in so a
-    /// client layer can retry or abandon it. Returns `false` if the
-    /// request is not cancellable: already emitting tokens (its KV state
-    /// is live — a timeout mid-generation is not a client abandon in this
-    /// model), resident in a slot, or done.
-    pub(crate) fn cancel_waiting(&mut self, r: usize, now: f64) -> bool {
-        if self.emitted[r] > 0 || self.completion_s[r].is_finite() {
-            return false;
+    /// Sheds shard `s`, already closed to routing, onto the accepting
+    /// shards: its waiting queue if `waiting`, and with `migrate` its
+    /// unfinished residents too, provided no iteration is in flight (a
+    /// busy shard's residents wait for the iteration boundary). Returns
+    /// how many residents moved. Decode scale-down and the failure
+    /// layer's straggler arm both retire a shard through this call.
+    pub(crate) fn shed(&mut self, s: usize, now: f64, waiting: bool, migrate: bool) -> usize {
+        let mut moving = if waiting {
+            self.take_waiting(s, now)
+        } else {
+            Vec::new()
+        };
+        let queued = moving.len();
+        if migrate && !self.shards[s].book.busy {
+            moving.extend(self.take_unfinished(s));
         }
-        if self
-            .shards
-            .iter()
-            .any(|sh| sh.resident.iter().any(|sl| sl.req == r))
-        {
-            return false;
-        }
-        for s in 0..self.shards.len() {
-            let book = &mut self.shards[s].book;
-            if let Some(i) = book.queue.iter().position(|&x| x == r) {
-                book.tick(now);
-                book.queue.remove(i);
-                return true;
-            }
-        }
-        false
+        let migrated = moving.len() - queued;
+        self.readmit(moving, now);
+        migrated
     }
 
     /// One token emitted per live resident at the end of an iteration.
@@ -1045,6 +955,128 @@ impl DecodeCore<'_> {
                 .resident
                 .retain(|sl| emitted[sl.req] < trace[sl.req].output_len);
         }
+    }
+}
+
+/// The decode core under the failure layer's fault injector.
+impl FaultTarget for DecodeCore<'_> {
+    fn schedule_control(&mut self, time: f64) {
+        DecodeCore::schedule_control(self, time);
+    }
+
+    /// Crashes shard `s` at `now`: marks it dead and non-accepting,
+    /// truncates the in-flight iteration (its destroyed tail never counts
+    /// as busy or occupied-slot time; tokens it would have emitted are
+    /// lost), and returns every orphaned request — the waiting queue plus
+    /// every *unfinished* KV resident, whose grown context re-prefills on
+    /// re-admission exactly like a preemption victim. Finished padded
+    /// residents of a static batch are simply dropped. The launch-time
+    /// `batches`/`batch_size_sum` charges of the aborted iteration stay
+    /// (both sides of the mean-batch-size ratio keep counting it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard is already dead.
+    fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize> {
+        assert!(!self.dead[s], "shard crashed twice");
+        self.dead[s] = true;
+        self.accepting[s] = false;
+        let sh = &mut self.shards[s];
+        sh.book.tick(now);
+        if sh.book.busy {
+            let remaining = sh.book.abort(now);
+            sh.slot_integral -= sh.stepping_live as f64 * remaining;
+            // The truncated iteration ends now.
+            if let Some(rec) = self.report.last_of(s) {
+                rec.completion_s = now;
+            }
+            self.report.end_at(now);
+        }
+        let mut orphans: Vec<usize> = self.shards[s].book.queue.drain(..).collect();
+        orphans.extend(self.take_unfinished(s));
+        for &r in &orphans {
+            // Any KV state the crash destroyed (including a queued warm
+            // handoff that never got admitted) is gone: the orphan
+            // re-prefills wherever it lands.
+            self.kv_warm[r] = false;
+        }
+        orphans
+    }
+
+    /// Brings a crashed shard back. Routing eligibility is the
+    /// controller's call ([`DecodeController::on_shard_up`]).
+    fn revive_shard(&mut self, s: usize) {
+        assert!(self.dead[s], "revived a live shard");
+        self.dead[s] = false;
+    }
+
+    /// Sets shard `s`'s iteration-cost multiplier (straggler ×`factor`,
+    /// recovery back to 1.0). An in-flight iteration is re-priced on the
+    /// fly: its unexecuted remainder is scaled by `factor / old`, the
+    /// shard epoch bumps so the stale step-end event is dropped, and a new
+    /// one is scheduled at the re-priced completion time.
+    fn set_slowdown(&mut self, s: usize, factor: f64, now: f64) {
+        assert!(
+            factor > 0.0 && factor.is_finite(),
+            "slowdown factor must be positive and finite"
+        );
+        let old = self.slowdown[s];
+        self.slowdown[s] = factor;
+        let sh = &mut self.shards[s];
+        if factor == old || !sh.book.busy {
+            return;
+        }
+        let delta = sh.book.reprice(factor / old, now);
+        sh.slot_integral += sh.stepping_live as f64 * delta;
+        let (done, epoch) = (sh.book.busy_until_s, sh.book.epoch);
+        if let Some(rec) = self.report.last_of(s) {
+            rec.completion_s = done;
+        }
+        self.events
+            .push(done, EventKind::Completion { shard: s, epoch });
+    }
+
+    /// Schedules an arrival event for request `r` at `time` — the
+    /// re-entry path for client retries and for work orphaned by a crash.
+    /// Indistinguishable from a trace arrival when it pops, so it
+    /// re-counts in `arrivals_seen` (a retry *is* offered load).
+    fn schedule_arrival(&mut self, r: usize, time: f64) {
+        self.events.push(time, EventKind::Arrival(r));
+    }
+
+    /// Removes request `r` from the shard queue it is waiting in so a
+    /// client layer can retry or abandon it. Returns `false` if the
+    /// request is not cancellable: already emitting tokens (its KV state
+    /// is live — a timeout mid-generation is not a client abandon in this
+    /// model), resident in a slot, or done.
+    fn cancel_waiting(&mut self, r: usize, now: f64) -> bool {
+        if self.emitted[r] > 0 || self.completion_s[r].is_finite() {
+            return false;
+        }
+        if self
+            .shards
+            .iter()
+            .any(|sh| sh.resident.iter().any(|sl| sl.req == r))
+        {
+            return false;
+        }
+        for s in 0..self.shards.len() {
+            let book = &mut self.shards[s].book;
+            if let Some(i) = book.queue.iter().position(|&x| x == r) {
+                book.tick(now);
+                book.queue.remove(i);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn arrival_s(&self, r: usize) -> f64 {
+        self.trace[r].arrival_s
+    }
+
+    fn abandoned(&mut self) -> &mut usize {
+        &mut self.abandoned
     }
 }
 

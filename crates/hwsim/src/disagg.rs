@@ -77,14 +77,13 @@
 
 use crate::accelerator::AcceleratorDesign;
 use crate::autoscale::{
-    decode_load, decode_shard_idle, requeue_waiting, PoolHost, ScaleEvent, ScalePolicy, ShardPool,
-    Ticker,
+    decode_load, decode_shard_idle, PoolHost, ScaleEvent, ScalePolicy, ShardPool, Ticker,
 };
 use crate::decode::{
     DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
     KvTransfer,
 };
-use crate::fleet::DispatchPolicy;
+use crate::fleet::{route_then_kick, DispatchPolicy};
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::ReportMode;
 use lat_workloads::prefix::PrefixGroup;
@@ -338,25 +337,28 @@ impl<'a> DisaggController<'a> {
         }
     }
 
-    /// Lands every due handoff in the decode pool
-    /// ([`DisaggController::route_to_decode`]).
+    /// Routes `requests` into the decode pool in order
+    /// ([`DisaggController::route_to_decode`]), then kicks every shard
+    /// that received one.
+    fn hand_off(&mut self, core: &mut DecodeCore<'_>, requests: Vec<usize>, now: f64) {
+        route_then_kick(
+            core,
+            requests,
+            |core, r| Some(self.route_to_decode(core, r, now)),
+            |core, s| core.start_iteration(s, now),
+        );
+    }
+
+    /// Lands every due handoff in the decode pool, in insertion order.
     fn land_due_handoffs(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        let mut touched = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                let (_, r) = self.pending.remove(i);
-                let s2 = self.route_to_decode(core, r, now);
-                if !touched.contains(&s2) {
-                    touched.push(s2);
-                }
-            } else {
-                i += 1;
+        let mut due = Vec::new();
+        self.pending.retain(|&(ready_s, r)| {
+            if ready_s <= now {
+                due.push(r);
             }
-        }
-        for s2 in touched {
-            core.start_iteration(s2, now);
-        }
+            ready_s > now
+        });
+        self.hand_off(core, due, now);
     }
 
     /// Re-asserts the pool boundary: no decode shard ever accepts fresh
@@ -731,15 +733,11 @@ impl PoolHost for DisaggHost<'_, '_, '_> {
     /// Drain-style retirement: the waiting queue goes back to the pool's
     /// survivors, and the residents step to completion in place.
     fn drain(&mut self, s: usize, now: f64) {
-        let touched = if s < self.ctl.n_prefill {
-            requeue_waiting(self.core, s, now, |core, r| core.route_request(r, now))
+        if s < self.ctl.n_prefill {
+            self.core.shed(s, now, true, false);
         } else {
-            requeue_waiting(self.core, s, now, |core, r| {
-                self.ctl.route_to_decode(core, r, now)
-            })
-        };
-        for s2 in touched {
-            self.core.start_iteration(s2, now);
+            let waiting = self.core.take_waiting(s, now);
+            self.ctl.hand_off(self.core, waiting, now);
         }
     }
 
@@ -839,10 +837,6 @@ impl DecodeController for DisaggAutoscaler<'_> {
             ctl: &mut self.inner,
         };
         self.pools[pool].finish_retire_if_idle(&host, shard, now);
-    }
-
-    fn on_shard_up(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_up(core, shard, now);
     }
 }
 

@@ -6,11 +6,13 @@
 //! completes. Real fleets lose shards mid-peak, develop stragglers, and
 //! face clients that give up. This module injects exactly those events —
 //! deterministically, from a seed-free declarative [`FaultPlan`] — through
-//! the controller hooks the engines already expose
-//! (`FleetController::on_shard_down` and friends), so a dead shard's
-//! queued work and live KV residents re-route through the same
-//! drain/migrate machinery scale-down uses, and a straggler's in-flight
-//! batches are re-priced on the fly.
+//! one fault injector that drives the fleet and the decode core alike: it
+//! holds the plan cursor, the client timeouts and the retry books once,
+//! and runs as the engine's controller around the inner one (none, an
+//! autoscaler, or the disaggregation controller). A dead shard's queued
+//! work and live KV residents re-route through the same re-admission and
+//! shed calls scale-down uses, and a straggler's in-flight batches are
+//! re-priced on the fly.
 //!
 //! Three layers compose here:
 //!
@@ -94,14 +96,15 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::autoscale::{requeue_waiting, AutoscaleConfig, Autoscaler, DecodeScaleDown, ScaleEvent};
+use crate::autoscale::{AutoscaleConfig, Autoscaler, DecodeScaleDown, ScaleEvent};
 use crate::decode::{
     DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
     NullDecodeController,
 };
 use crate::disagg::{combined_fleet, DisaggConfig, DisaggController, DisaggReport};
 use crate::fleet::{
-    BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport, NullController, Request,
+    BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport, NullController,
+    Request, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::{P2Quantile, ReportMode};
@@ -339,10 +342,8 @@ impl ClientConfig {
     /// `arrival_s`: retry after exponential backoff if both the retry cap
     /// and the end-to-end deadline permit, else abandon.
     ///
-    /// This is the *single* source of retry/timeout scheduling — the
-    /// fleet and decode fault injectors both route through it, so the two
-    /// client layers cannot drift apart (they once carried verbatim
-    /// copies of this arithmetic).
+    /// This is the *single* source of retry/timeout scheduling: the one
+    /// fault injector applies it on the fleet and the decode core alike.
     pub fn on_timeout(&self, now: f64, arrival_s: f64, attempts: u32) -> RetryDecision {
         let retry_at = now + self.backoff_s * 2f64.powi(attempts as i32);
         let within_deadline = retry_at <= arrival_s + self.deadline_s;
@@ -545,8 +546,8 @@ pub struct DecodeFailureReport {
 
 // ──────────────────────────── client timeouts ───────────────────────────
 
-/// Pending client timeouts (at most one per request) and the due set both
-/// injectors fire from.
+/// Pending client timeouts (at most one per request) and the due set the
+/// fault injector fires from.
 ///
 /// First-attempt timeouts are `arrival_s + timeout_s` over a trace the
 /// engines require sorted by arrival, so they come due in index order and
@@ -654,21 +655,53 @@ impl ClientTimeouts {
     }
 
     /// Reference for [`ClientTimeouts::take_due`]: the O(n) scan over
-    /// every request the injectors used to run at each control event.
+    /// every request the fault injector used to run at each control event.
     #[cfg(test)]
     fn due_by_scan(&self, now: f64) -> Vec<usize> {
         (0..self.at.len()).filter(|&r| self.at[r] <= now).collect()
     }
 }
 
-// ─────────────────────────── fleet injector ────────────────────────────
+// ──────────────────────────── fault injector ────────────────────────────
 
-/// [`FleetController`] that applies a [`FaultPlan`] and enforces
-/// [`ClientConfig`] timeouts, wrapping an inner controller (the no-op one
-/// for fixed fleets, the [`Autoscaler`] for autoscaled ones) whose hooks
-/// it forwards.
-struct FleetFaultInjector<C: FleetController> {
+/// The engine-core surface a [`FaultInjector`] drives, in the
+/// [`crate::autoscale`] `PoolHost` pattern: [`FleetCore`] and
+/// [`DecodeCore`] implement it with methods of the same names, so the
+/// plan cursor, the client timeouts and the retry books exist once.
+pub(crate) trait FaultTarget {
+    /// Schedules a control event at `time`.
+    fn schedule_control(&mut self, time: f64);
+    /// Schedules request `r` to arrive again at `time` (a client retry).
+    fn schedule_arrival(&mut self, r: usize, time: f64);
+    /// Takes request `r` out of wherever it waits; `false` if it is not
+    /// waiting (executing, done, or never admitted).
+    fn cancel_waiting(&mut self, r: usize, now: f64) -> bool;
+    /// Crashes shard `s` and returns its orphaned requests for the caller
+    /// to re-admit.
+    fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize>;
+    /// Brings crashed shard `s` back; routing it is the controller's call.
+    fn revive_shard(&mut self, s: usize);
+    /// Sets shard `s`'s service-time multiplier, re-pricing in-flight
+    /// work.
+    fn set_slowdown(&mut self, s: usize, factor: f64, now: f64);
+    /// Request `r`'s trace arrival instant.
+    fn arrival_s(&self, r: usize) -> f64;
+    /// Requests the client layer gave up on.
+    fn abandoned(&mut self) -> &mut usize;
+}
+
+/// The controller that applies a [`FaultPlan`] and enforces
+/// [`ClientConfig`] timeouts on either engine core, wrapping an inner
+/// controller (the no-op one for fixed fleets, the [`Autoscaler`], or the
+/// [`DisaggController`]) whose hooks it forwards.
+///
+/// The plan cursor, the timeout book and the retry counts live here
+/// once. Each core's batching discipline under faults lives in its
+/// controller-trait impl below, with `per_core` holding the state that
+/// discipline needs: nothing for the fleet, [`DecodeFaults`] for decode.
+struct FaultInjector<C, D = ()> {
     inner: C,
+    per_core: D,
     actions: Vec<(f64, Action)>,
     next_action: usize,
     client: ClientConfig,
@@ -677,29 +710,50 @@ struct FleetFaultInjector<C: FleetController> {
     attempts: Vec<u32>,
     /// Total retry events.
     retries: usize,
+    /// The incident window the client summary slices on.
+    window: Option<(f64, f64)>,
+    /// The latency SLO the client summary scores against.
+    slo: f64,
 }
 
-impl<C: FleetController> FleetFaultInjector<C> {
-    fn new(inner: C, plan: &FaultPlan, client: ClientConfig, n_requests: usize) -> Self {
+impl<C, D> FaultInjector<C, D> {
+    /// Checks `plan` against a fleet of `n_shards`, `client` and `slo` —
+    /// the failure layer's one input check, which every entry point runs
+    /// before it builds its core.
+    fn new(
+        inner: C,
+        per_core: D,
+        plan: &FaultPlan,
+        client: &ClientConfig,
+        slo: f64,
+        n_shards: usize,
+        n_requests: usize,
+    ) -> Self {
+        plan.validate(n_shards);
+        client.validate();
+        assert!(slo > 0.0, "SLO latency must be positive");
         Self {
             inner,
+            per_core,
             actions: plan.actions(),
             next_action: 0,
-            client,
+            client: *client,
             timeouts: ClientTimeouts::new(n_requests),
             attempts: vec![0; n_requests],
             retries: 0,
+            window: plan.incident_window(),
+            slo,
         }
     }
 
     /// Schedules a control event at every fault instant and every
     /// first-attempt timeout. Call once before `core.run`.
-    fn prime(&mut self, core: &mut FleetCore<'_>) {
+    fn prime(&mut self, core: &mut impl FaultTarget) {
         for &(t, _) in &self.actions {
             core.schedule_control(t);
         }
         if self.client.timeout_s.is_finite() {
-            let arrivals = core.trace.iter().map(|r| r.arrival_s);
+            let arrivals = (0..self.attempts.len()).map(|r| core.arrival_s(r));
             for &t in self
                 .timeouts
                 .arm_first_attempts(arrivals, self.client.timeout_s)
@@ -709,56 +763,29 @@ impl<C: FleetController> FleetFaultInjector<C> {
         }
     }
 
-    /// Applies every action due at `now` (crash / revive / re-price).
-    fn apply_due_actions(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        while self.next_action < self.actions.len() && self.actions[self.next_action].0 <= now {
-            let action = self.actions[self.next_action].1;
+    /// Takes the next plan action due at `now` off the cursor.
+    fn next_due(&mut self, now: f64) -> Option<Action> {
+        let &(t, action) = self.actions.get(self.next_action)?;
+        (t <= now).then(|| {
             self.next_action += 1;
-            match action {
-                Action::Down(s) => {
-                    let orphans = core.crash_shard(s, now);
-                    self.inner.on_shard_down(core, s, now);
-                    // Re-admit the dead shard's work among survivors; if
-                    // none accepts (total outage) `admit` parks it until
-                    // capacity returns. Orphans' batching windows have
-                    // long expired, so survivors dispatch them at once.
-                    let mut touched = Vec::new();
-                    for r in orphans {
-                        if let Some(s2) = core.admit(r, now) {
-                            if !touched.contains(&s2) {
-                                touched.push(s2);
-                            }
-                        }
-                    }
-                    for s2 in touched {
-                        core.try_dispatch(s2, now);
-                    }
-                }
-                Action::Up(s) => {
-                    core.revive_shard(s);
-                    self.inner.on_shard_up(core, s, now);
-                }
-                Action::Slow { shard, factor } => core.set_slowdown(shard, factor, now),
-                Action::Unslow(s) => core.set_slowdown(s, 1.0, now),
-            }
-        }
+            action
+        })
     }
 
     /// Fires every client timeout due at `now`: a still-waiting request
     /// is cancelled, then retried (backoff-delayed, budget permitting) or
     /// abandoned. Requests already executing are left alone — their
-    /// timeout simply lapses.
-    fn apply_due_timeouts(&mut self, core: &mut FleetCore<'_>, now: f64) {
+    /// timeout simply lapses; that includes a decode request already
+    /// emitting tokens, since its KV state is live
+    /// ([`DecodeCore::cancel_waiting`] refuses it).
+    fn fire_due_timeouts(&mut self, core: &mut impl FaultTarget, now: f64) {
         for r in self.timeouts.take_due(now) {
-            if core.completion_s[r].is_finite() {
-                continue; // dispatched (or done): the client got service
-            }
             if !core.cancel_waiting(r, now) {
                 continue; // not waiting anywhere: nothing to give up on
             }
             match self
                 .client
-                .on_timeout(now, core.trace[r].arrival_s, self.attempts[r])
+                .on_timeout(now, core.arrival_s(r), self.attempts[r])
             {
                 RetryDecision::Retry {
                     retry_at,
@@ -772,35 +799,112 @@ impl<C: FleetController> FleetFaultInjector<C> {
                         core.schedule_control(timeout_at);
                     }
                 }
-                RetryDecision::Abandon => core.abandoned += 1,
+                RetryDecision::Abandon => *core.abandoned() += 1,
             }
         }
     }
 
-    /// True when nothing can ever change again: every fault applied, no
-    /// pending timeout, *every* shard dead with no recovery coming,
-    /// nothing queued or in flight. Whatever is still parked is stranded
-    /// — counted abandoned so an inner autoscaler's evaluation tick chain
-    /// stops and the heap can drain (the
-    /// unrecovered-total-outage-with-a-patient-client end state). A
-    /// merely cold shard does NOT make a dead end: an autoscaler can
-    /// relaunch it, so the run must keep ticking.
-    fn fleet_dead_end(&self, core: &FleetCore<'_>) -> bool {
-        self.next_action >= self.actions.len()
+    /// The client view of a finished run over `trace` — the tail every
+    /// entry point shares. The SLO and phase latency is TTFT when
+    /// `ttft_s` is given (decode), else completion − arrival (fleet).
+    fn summarize<R: TraceEvent>(
+        &self,
+        mode: ReportMode,
+        trace: &[R],
+        completion_s: &[f64],
+        ttft_s: Option<&[f64]>,
+        makespan: f64,
+        scale_events: &[ScaleEvent],
+    ) -> ClientSummary {
+        let arrivals: Vec<f64> = trace.iter().map(R::arrival_s).collect();
+        summarize_clients(
+            mode,
+            self.window,
+            &arrivals,
+            completion_s,
+            &self.attempts,
+            |r| match ttft_s {
+                Some(ttft_s) => ttft_latency(ttft_s, r),
+                None => end_to_end_latency(completion_s, &arrivals, r),
+            },
+            self.slo,
+            makespan,
+            scale_events,
+        )
+    }
+}
+
+impl<C: FleetController> FaultInjector<C> {
+    /// The fleet entry points' report of the finished run on `core`.
+    fn failure_report(
+        &self,
+        core: FleetCore<'_>,
+        mode: ReportMode,
+        scale_events: &[ScaleEvent],
+    ) -> FailureReport {
+        let (trace, completion_s) = (core.trace, core.completion_s.clone());
+        let fleet = core.into_report();
+        let summary = self.summarize(
+            mode,
+            trace,
+            &completion_s,
+            None,
+            fleet.makespan_s,
+            scale_events,
+        );
+        FailureReport {
+            goodput_seq_s: summary.completed as f64 / fleet.makespan_s.max(1e-12),
+            fleet,
+            outcomes: summary.outcomes,
+            completed: summary.completed,
+            timed_out: summary.timed_out,
+            retried: summary.retried,
+            retries: self.retries,
+            slo_attainment: summary.slo_attainment,
+            phases: summary.phases,
+        }
+    }
+}
+
+/// The fleet's discipline: a crash's orphans re-admit among the
+/// survivors, and with none accepting they park until capacity returns.
+impl<C: FleetController> FleetController for FaultInjector<C> {
+    fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
+        while let Some(action) = self.next_due(now) {
+            match action {
+                Action::Down(s) => {
+                    let orphans = core.crash_shard(s, now);
+                    self.inner.on_shard_down(core, s, now);
+                    // Orphans' batching windows have long expired, so
+                    // survivors dispatch them at once.
+                    core.readmit(orphans, now);
+                }
+                Action::Up(s) => {
+                    core.revive_shard(s);
+                    self.inner.on_shard_up(core, s, now);
+                }
+                Action::Slow { shard, factor } => core.set_slowdown(shard, factor, now),
+                Action::Unslow(s) => core.set_slowdown(s, 1.0, now),
+            }
+        }
+        self.fire_due_timeouts(core, now);
+        // A dead end: every fault applied, no pending timeout, *every*
+        // shard dead with no recovery coming, nothing queued or in
+        // flight. Whatever is still parked is stranded — counted
+        // abandoned so an inner autoscaler's evaluation tick chain stops
+        // and the queue can drain (the unrecovered-total-outage-with-a-
+        // patient-client end state). A merely cold shard does NOT make a
+        // dead end: an autoscaler can relaunch it, so the run must keep
+        // ticking.
+        if !core.parked.is_empty()
+            && self.next_action == self.actions.len()
             && self.timeouts.is_empty()
             && core.dead.iter().all(|&d| d)
             && core
                 .state
                 .iter()
                 .all(|st| !st.book.busy && st.book.queue.is_empty())
-    }
-}
-
-impl<C: FleetController> FleetController for FleetFaultInjector<C> {
-    fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        self.apply_due_actions(core, now);
-        self.apply_due_timeouts(core, now);
-        if !core.parked.is_empty() && self.fleet_dead_end(core) {
+        {
             core.abandoned = core.trace.len() - core.completed();
         }
         // The inner controller ticks after faults and timeouts settle, so
@@ -812,51 +916,23 @@ impl<C: FleetController> FleetController for FleetFaultInjector<C> {
         // finished).
         if !core.parked.is_empty() && core.accepting.iter().any(|&a| a) {
             let parked = std::mem::take(&mut core.parked);
-            let mut touched = Vec::new();
-            for r in parked {
-                if let Some(s) = core.admit(r, now) {
-                    if !touched.contains(&s) {
-                        touched.push(s);
-                    }
-                }
-            }
-            for s in touched {
-                core.try_dispatch(s, now);
-            }
+            core.readmit(parked, now);
         }
     }
 
     fn after_completion(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
         self.inner.after_completion(core, shard, now);
     }
-
-    fn on_shard_down(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_down(core, shard, now);
-    }
-
-    fn on_shard_up(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_up(core, shard, now);
-    }
 }
 
-// ─────────────────────────── decode injector ───────────────────────────
-
-/// `DecodeController` twin of `FleetFaultInjector`. Two decode
-/// specifics: the engine cannot park work, so when a crash leaves no
-/// shard accepting, the live stragglers this injector closed to routing
-/// reopen (a slow shard beats none), and a plan must leave at least one
-/// live routable shard; and a straggler's KV residents follow
-/// `straggler_response` — [`DecodeScaleDown::Drain`] decodes them in
-/// place at the slow rate, [`DecodeScaleDown::Migrate`] evicts them at
+/// The decode discipline's state. The engine cannot park work, so when a
+/// crash leaves no shard accepting, the live stragglers the injector
+/// closed to routing reopen (a slow shard beats none), and a plan must
+/// leave at least one live routable shard. A straggler's KV residents
+/// follow `straggler_response`: [`DecodeScaleDown::Drain`] decodes them
+/// in place at the slow rate, [`DecodeScaleDown::Migrate`] evicts them at
 /// the next iteration boundary to re-prefill on a healthy shard.
-struct DecodeFaultInjector<C: DecodeController> {
-    inner: C,
-    actions: Vec<(f64, Action)>,
-    next_action: usize,
-    client: ClientConfig,
-    timeouts: ClientTimeouts,
-    attempts: Vec<u32>,
-    retries: usize,
+struct DecodeFaults {
     straggler_response: DecodeScaleDown,
     /// Shards whose residents await eviction at the next step boundary.
     migrate_from: Vec<bool>,
@@ -867,44 +943,13 @@ struct DecodeFaultInjector<C: DecodeController> {
     affected: Vec<usize>,
 }
 
-impl<C: DecodeController> DecodeFaultInjector<C> {
-    fn new(
-        inner: C,
-        plan: &FaultPlan,
-        client: ClientConfig,
-        n_requests: usize,
-        n_shards: usize,
-        straggler_response: DecodeScaleDown,
-    ) -> Self {
+impl DecodeFaults {
+    fn new(n_shards: usize, straggler_response: DecodeScaleDown) -> Self {
         Self {
-            inner,
-            actions: plan.actions(),
-            next_action: 0,
-            client,
-            timeouts: ClientTimeouts::new(n_requests),
-            attempts: vec![0; n_requests],
-            retries: 0,
             straggler_response,
             migrate_from: vec![false; n_shards],
             straggler_closed: vec![false; n_shards],
             affected: Vec::new(),
-        }
-    }
-
-    /// Schedules a control event at every fault instant and every
-    /// first-attempt timeout. Call once before `core.run`.
-    fn prime(&mut self, core: &mut DecodeCore<'_>) {
-        for &(t, _) in &self.actions {
-            core.schedule_control(t);
-        }
-        if self.client.timeout_s.is_finite() {
-            let arrivals = core.trace.iter().map(|r| r.arrival_s);
-            for &t in self
-                .timeouts
-                .arm_first_attempts(arrivals, self.client.timeout_s)
-            {
-                core.schedule_control(t);
-            }
         }
     }
 
@@ -915,74 +960,6 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
                 && !self.affected.contains(&sl.req)
             {
                 self.affected.push(sl.req);
-            }
-        }
-    }
-
-    fn apply_due_actions(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        while self.next_action < self.actions.len() && self.actions[self.next_action].0 <= now {
-            let action = self.actions[self.next_action].1;
-            self.next_action += 1;
-            match action {
-                Action::Down(s) => {
-                    self.record_affected(core, s);
-                    let orphans = core.crash_shard(s, now);
-                    self.inner.on_shard_down(core, s, now);
-                    if !core.accepting.iter().any(|&a| a) {
-                        self.reopen_stragglers(core);
-                    }
-                    assert!(
-                        core.accepting.iter().any(|&a| a),
-                        "decode fault plan killed every accepting shard \
-                         (the decode engine cannot park work)"
-                    );
-                    let mut touched = Vec::new();
-                    for r in orphans {
-                        let s2 = core.route_request(r, now);
-                        if !touched.contains(&s2) {
-                            touched.push(s2);
-                        }
-                    }
-                    for s2 in touched {
-                        core.start_iteration(s2, now);
-                    }
-                }
-                Action::Up(s) => {
-                    core.revive_shard(s);
-                    self.inner.on_shard_up(core, s, now);
-                }
-                Action::Slow { shard: s, factor } => {
-                    self.record_affected(core, s);
-                    core.set_slowdown(s, factor, now);
-                    let has_other = core.accepting.iter().enumerate().any(|(i, &a)| a && i != s);
-                    if !has_other {
-                        continue; // sole shard: nowhere to shift work to
-                    }
-                    // Waiting work always flees a straggler; what happens
-                    // to its residents is the drain-vs-migrate choice.
-                    self.straggler_closed[s] = core.accepting[s];
-                    core.accepting[s] = false;
-                    let mut touched =
-                        requeue_waiting(core, s, now, |core, r| core.route_request(r, now));
-                    if self.straggler_response == DecodeScaleDown::Migrate {
-                        if core.shards[s].book.busy {
-                            self.migrate_from[s] = true; // evict at the boundary
-                        } else {
-                            core.evict_unfinished(s, now, &mut touched);
-                        }
-                    }
-                    for s2 in touched {
-                        core.start_iteration(s2, now);
-                    }
-                }
-                Action::Unslow(s) => {
-                    core.set_slowdown(s, 1.0, now);
-                    self.migrate_from[s] = false;
-                    self.straggler_closed[s] = false;
-                    if !core.dead[s] {
-                        core.accepting[s] = true;
-                    }
-                }
             }
         }
     }
@@ -1004,78 +981,101 @@ impl<C: DecodeController> DecodeFaultInjector<C> {
     /// shard at fault onset: 0 if none, `f64::INFINITY` if one never
     /// finished.
     fn affected_drain_s(&self, completion_s: &[f64]) -> f64 {
-        self.affected
-            .iter()
-            .map(|&r| {
-                if completion_s[r].is_finite() {
-                    completion_s[r]
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .fold(0.0f64, f64::max)
+        self.affected.iter().fold(0.0f64, |latest, &r| {
+            let c = completion_s[r];
+            latest.max(if c.is_finite() { c } else { f64::INFINITY })
+        })
     }
+}
 
-    /// Decode twin of the fleet injector's timeout pass. A request that
-    /// already started emitting tokens is never abandoned — its KV state
-    /// is live, and mid-generation timeouts are not part of this client
-    /// model ([`DecodeCore::cancel_waiting`] refuses them).
-    fn apply_due_timeouts(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        for r in self.timeouts.take_due(now) {
-            if core.completion_s[r].is_finite() || !core.cancel_waiting(r, now) {
-                continue;
-            }
-            match self
-                .client
-                .on_timeout(now, core.trace[r].arrival_s, self.attempts[r])
-            {
-                RetryDecision::Retry {
-                    retry_at,
-                    timeout_at,
-                } => {
-                    self.attempts[r] += 1;
-                    self.retries += 1;
-                    core.schedule_arrival(r, retry_at);
-                    if timeout_at.is_finite() {
-                        self.timeouts.arm_retry(r, timeout_at);
-                        core.schedule_control(timeout_at);
-                    }
-                }
-                RetryDecision::Abandon => core.abandoned += 1,
-            }
+impl<C: DecodeController> FaultInjector<C, DecodeFaults> {
+    /// The decode entry points' report of the finished run on `core`;
+    /// the client summary is over TTFT, what generative SLOs are written
+    /// against.
+    fn failure_report(&self, core: DecodeCore<'_>, mode: ReportMode) -> DecodeFailureReport {
+        let (trace, completion_s, ttft_s) =
+            (core.trace, core.completion_s.clone(), core.ttft_s.clone());
+        let decode = core.into_report();
+        let makespan = decode.fleet.makespan_s;
+        let summary = self.summarize(mode, trace, &completion_s, Some(&ttft_s), makespan, &[]);
+        DecodeFailureReport {
+            decode,
+            outcomes: summary.outcomes,
+            completed: summary.completed,
+            timed_out: summary.timed_out,
+            retried: summary.retried,
+            retries: self.retries,
+            slo_attainment: summary.slo_attainment,
+            phases: summary.phases,
+            affected_drain_s: self.per_core.affected_drain_s(&completion_s),
         }
     }
 }
 
-impl<C: DecodeController> DecodeController for DecodeFaultInjector<C> {
+/// The decode discipline: see [`DecodeFaults`].
+impl<C: DecodeController> DecodeController for FaultInjector<C, DecodeFaults> {
     fn on_arrival(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) {
         self.inner.on_arrival(core, r, now);
     }
 
     fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        self.apply_due_actions(core, now);
-        self.apply_due_timeouts(core, now);
+        while let Some(action) = self.next_due(now) {
+            let faults = &mut self.per_core;
+            match action {
+                Action::Down(s) => {
+                    faults.record_affected(core, s);
+                    let orphans = core.crash_shard(s, now);
+                    if !core.accepting.iter().any(|&a| a) {
+                        faults.reopen_stragglers(core);
+                    }
+                    assert!(
+                        core.accepting.iter().any(|&a| a),
+                        "decode fault plan killed every accepting shard \
+                         (the decode engine cannot park work)"
+                    );
+                    core.readmit(orphans, now);
+                }
+                Action::Up(s) => {
+                    core.revive_shard(s);
+                    self.inner.on_shard_up(core, s, now);
+                }
+                Action::Slow { shard: s, factor } => {
+                    faults.record_affected(core, s);
+                    core.set_slowdown(s, factor, now);
+                    let has_other = core.accepting.iter().enumerate().any(|(i, &a)| a && i != s);
+                    if !has_other {
+                        continue; // sole shard: nowhere to shift work to
+                    }
+                    // Waiting work always flees a straggler; what happens
+                    // to its residents is the drain-vs-migrate choice.
+                    faults.straggler_closed[s] = core.accepting[s];
+                    core.accepting[s] = false;
+                    let migrate = faults.straggler_response == DecodeScaleDown::Migrate;
+                    core.shed(s, now, true, migrate);
+                    if migrate && core.shards[s].book.busy {
+                        faults.migrate_from[s] = true; // evict at the boundary
+                    }
+                }
+                Action::Unslow(s) => {
+                    core.set_slowdown(s, 1.0, now);
+                    faults.migrate_from[s] = false;
+                    faults.straggler_closed[s] = false;
+                    if !core.dead[s] {
+                        core.accepting[s] = true;
+                    }
+                }
+            }
+        }
+        self.fire_due_timeouts(core, now);
         self.inner.on_control(core, now);
     }
 
     fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        if self.migrate_from[shard] {
-            self.migrate_from[shard] = false;
-            let mut touched = Vec::new();
-            core.evict_unfinished(shard, now, &mut touched);
-            for s2 in touched {
-                core.start_iteration(s2, now);
-            }
+        if self.per_core.migrate_from[shard] {
+            self.per_core.migrate_from[shard] = false;
+            core.shed(shard, now, false, true);
         }
         self.inner.after_step(core, shard, now);
-    }
-
-    fn on_shard_down(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_down(core, shard, now);
-    }
-
-    fn on_shard_up(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        self.inner.on_shard_up(core, shard, now);
     }
 }
 
@@ -1444,9 +1444,15 @@ pub fn simulate_fleet_failure_mode(
     slo_latency_s: f64,
     mode: ReportMode,
 ) -> FailureReport {
-    plan.validate(shards.len());
-    client.validate();
-    assert!(slo_latency_s > 0.0, "SLO latency must be positive");
+    let mut injector = FaultInjector::new(
+        NullController,
+        (),
+        plan,
+        client,
+        slo_latency_s,
+        shards.len(),
+        trace.len(),
+    );
     let mut core = FleetCore::new(
         shards,
         trace,
@@ -1456,35 +1462,9 @@ pub fn simulate_fleet_failure_mode(
         vec![true; shards.len()],
     );
     core.set_mode(mode);
-    let mut injector = FleetFaultInjector::new(NullController, plan, *client, trace.len());
     injector.prime(&mut core);
     core.run(&mut injector);
-
-    let completion_s = core.completion_s.clone();
-    let fleet = core.into_report();
-    let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let summary = summarize_clients(
-        mode,
-        plan.incident_window(),
-        &arrivals,
-        &completion_s,
-        &injector.attempts,
-        |r| end_to_end_latency(&completion_s, &arrivals, r),
-        slo_latency_s,
-        fleet.makespan_s,
-        &[],
-    );
-    FailureReport {
-        goodput_seq_s: summary.completed as f64 / fleet.makespan_s.max(1e-12),
-        fleet,
-        outcomes: summary.outcomes,
-        completed: summary.completed,
-        timed_out: summary.timed_out,
-        retried: summary.retried,
-        retries: injector.retries,
-        slo_attainment: summary.slo_attainment,
-        phases: summary.phases,
-    }
+    injector.failure_report(core, mode, &[])
 }
 
 /// Runs `trace` over an *autoscaled* fleet under `plan` and `client`.
@@ -1544,13 +1524,19 @@ pub fn simulate_autoscale_failure_mode(
 ) -> AutoscaleFailureReport {
     assert!(!shards.is_empty(), "fleet needs at least one shard");
     cfg.validate(shards.len());
-    plan.validate(shards.len());
-    client.validate();
+    let ctl = Autoscaler::new(cfg, shards.len());
+    let mut injector = FaultInjector::new(
+        ctl,
+        (),
+        plan,
+        client,
+        cfg.slo_latency_s,
+        shards.len(),
+        trace.len(),
+    );
     let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
     core.set_mode(mode);
-    let ctl = Autoscaler::new(cfg, shards.len());
-    let mut injector = FleetFaultInjector::new(ctl, plan, *client, trace.len());
     injector.prime(&mut core);
     // Unlike the healthy entry point, the controller always runs — even a
     // pinned policy must observe crashes to keep its books truthful (for
@@ -1558,40 +1544,15 @@ pub fn simulate_autoscale_failure_mode(
     core.schedule_control(cfg.eval_interval_s);
     core.run(&mut injector);
 
-    let completion_s = core.completion_s.clone();
-    let fleet = core.into_report();
+    let failure = injector.failure_report(core, mode, &injector.inner.pool.events);
     let (shard_seconds, mean_active_shards, peak_active_shards) =
-        injector.inner.pool.close_books(fleet.makespan_s);
-    let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let scale_events = std::mem::take(&mut injector.inner.pool.events);
-    let summary = summarize_clients(
-        mode,
-        plan.incident_window(),
-        &arrivals,
-        &completion_s,
-        &injector.attempts,
-        |r| end_to_end_latency(&completion_s, &arrivals, r),
-        cfg.slo_latency_s,
-        fleet.makespan_s,
-        &scale_events,
-    );
-    let failure = FailureReport {
-        goodput_seq_s: summary.completed as f64 / fleet.makespan_s.max(1e-12),
-        fleet,
-        outcomes: summary.outcomes,
-        completed: summary.completed,
-        timed_out: summary.timed_out,
-        retried: summary.retried,
-        retries: injector.retries,
-        slo_attainment: summary.slo_attainment,
-        phases: summary.phases,
-    };
+        injector.inner.pool.close_books(failure.fleet.makespan_s);
     AutoscaleFailureReport {
         failure,
         shard_seconds,
         mean_active_shards,
         peak_active_shards,
-        scale_events,
+        scale_events: injector.inner.pool.events,
     }
 }
 
@@ -1656,9 +1617,15 @@ pub fn simulate_decode_failure_mode(
     slo_ttft_s: f64,
     mode: ReportMode,
 ) -> DecodeFailureReport {
-    plan.validate(shards.len());
-    client.validate();
-    assert!(slo_ttft_s > 0.0, "SLO TTFT must be positive");
+    let mut injector = FaultInjector::new(
+        NullDecodeController,
+        DecodeFaults::new(shards.len(), straggler_response),
+        plan,
+        client,
+        slo_ttft_s,
+        shards.len(),
+        trace.len(),
+    );
     let mut core = DecodeCore::new(
         shards,
         trace,
@@ -1669,45 +1636,10 @@ pub fn simulate_decode_failure_mode(
         vec![true; shards.len()],
     );
     core.set_mode(mode);
-    let mut injector = DecodeFaultInjector::new(
-        NullDecodeController,
-        plan,
-        *client,
-        trace.len(),
-        shards.len(),
-        straggler_response,
-    );
     injector.prime(&mut core);
     core.run(&mut injector);
 
-    let completion_s = core.completion_s.clone();
-    let ttft_s = core.ttft_s.clone();
-    let decode = core.into_report();
-    let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    // The phase / SLO latency metric for decode is TTFT, not end-to-end
-    // completion: it is what generative SLOs are written against.
-    let summary = summarize_clients(
-        mode,
-        plan.incident_window(),
-        &arrivals,
-        &completion_s,
-        &injector.attempts,
-        |r| ttft_latency(&ttft_s, r),
-        slo_ttft_s,
-        decode.fleet.makespan_s,
-        &[],
-    );
-    DecodeFailureReport {
-        decode,
-        outcomes: summary.outcomes,
-        completed: summary.completed,
-        timed_out: summary.timed_out,
-        retried: summary.retried,
-        retries: injector.retries,
-        slo_attainment: summary.slo_attainment,
-        phases: summary.phases,
-        affected_drain_s: injector.affected_drain_s(&completion_s),
-    }
+    injector.failure_report(core, mode)
 }
 
 /// Result of a disaggregated failure simulation: the full
@@ -1809,12 +1741,6 @@ pub fn simulate_disagg_failure_mode(
 ) -> DisaggFailureReport {
     let designs = combined_fleet(prefill_shards, decode_shards, trace, prefixes, dcfg);
     let n_prefill = prefill_shards.len();
-    plan.validate(designs.len());
-    client.validate();
-    assert!(slo_ttft_s > 0.0, "SLO TTFT must be positive");
-    let accepting: Vec<bool> = (0..designs.len()).map(|s| s < n_prefill).collect();
-    let mut core = DecodeCore::new(&designs, trace, policy, dispatch, scheduler, cfg, accepting);
-    core.set_mode(mode);
     let ctl = DisaggController::new(
         designs.len(),
         n_prefill,
@@ -1823,44 +1749,32 @@ pub fn simulate_disagg_failure_mode(
         trace.len(),
         dcfg,
     );
-    let mut injector = DecodeFaultInjector::new(
+    let mut injector = FaultInjector::new(
         ctl,
+        DecodeFaults::new(designs.len(), straggler_response),
         plan,
-        *client,
-        trace.len(),
+        client,
+        slo_ttft_s,
         designs.len(),
-        straggler_response,
+        trace.len(),
     );
+    let accepting: Vec<bool> = (0..designs.len()).map(|s| s < n_prefill).collect();
+    let mut core = DecodeCore::new(&designs, trace, policy, dispatch, scheduler, cfg, accepting);
+    core.set_mode(mode);
     injector.prime(&mut core);
     core.run(&mut injector);
 
-    let completion_s = core.completion_s.clone();
-    let ttft_s = core.ttft_s.clone();
-    let decode = core.into_report();
-    let arrivals: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let affected_drain_s = injector.affected_drain_s(&completion_s);
-    let disagg = injector.inner.into_report(decode);
-    let summary = summarize_clients(
-        mode,
-        plan.incident_window(),
-        &arrivals,
-        &completion_s,
-        &injector.attempts,
-        |r| ttft_latency(&ttft_s, r),
-        slo_ttft_s,
-        disagg.decode.fleet.makespan_s,
-        &[],
-    );
+    let r = injector.failure_report(core, mode);
     DisaggFailureReport {
-        disagg,
-        outcomes: summary.outcomes,
-        completed: summary.completed,
-        timed_out: summary.timed_out,
-        retried: summary.retried,
-        retries: injector.retries,
-        slo_attainment: summary.slo_attainment,
-        phases: summary.phases,
-        affected_drain_s,
+        disagg: injector.inner.into_report(r.decode),
+        outcomes: r.outcomes,
+        completed: r.completed,
+        timed_out: r.timed_out,
+        retried: r.retried,
+        retries: r.retries,
+        slo_attainment: r.slo_attainment,
+        phases: r.phases,
+        affected_drain_s: r.affected_drain_s,
     }
 }
 
@@ -2113,7 +2027,7 @@ mod tests {
     }
 
     #[test]
-    fn due_set_fires_like_the_scan_in_both_injectors() {
+    fn due_set_fires_like_the_scan_on_both_cores() {
         // Bursts of four identical arrivals put first-attempt timeouts
         // four to an instant; an outage (fleet) or a straggling sole shard
         // (decode) makes requests time out and retry, and the retries'
@@ -2151,7 +2065,8 @@ mod tests {
             &batcher,
             vec![true],
         );
-        let mut injector = FleetFaultInjector::new(NullController, &plan, client, trace.len());
+        let mut injector =
+            FaultInjector::new(NullController, (), &plan, &client, 0.25, 1, trace.len());
         injector.prime(&mut core);
         core.run(&mut injector);
         assert!(injector.retries > 0);
@@ -2187,13 +2102,14 @@ mod tests {
                 },
             }],
         };
-        let mut injector = DecodeFaultInjector::new(
+        let mut injector = FaultInjector::new(
             NullDecodeController,
+            DecodeFaults::new(1, DecodeScaleDown::Drain),
             &plan,
-            client,
-            trace.len(),
+            &client,
+            0.25,
             1,
-            DecodeScaleDown::Drain,
+            trace.len(),
         );
         injector.prime(&mut core);
         core.run(&mut injector);

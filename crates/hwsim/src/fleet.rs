@@ -50,6 +50,7 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
+use crate::failure::FaultTarget;
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::QuantileSketch;
 pub use lat_core::sketch::ReportMode;
@@ -1221,109 +1222,17 @@ impl<'a> FleetCore<'a> {
         }
     }
 
-    /// Crashes shard `s` at `now`: marks it dead and non-accepting, drains
-    /// its queue, and — if a batch was in flight — unwinds the
-    /// charge-at-dispatch bookkeeping (completion times back to NaN,
-    /// `completed`/`busy_time_s`/batch log rolled back) and bumps the
-    /// shard epoch so the scheduled completion event is dropped. Returns
-    /// every orphaned request (queued + in-flight) for the caller to
-    /// re-admit elsewhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard is already dead.
-    pub(crate) fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize> {
-        assert!(!self.dead[s], "shard crashed twice");
-        self.dead[s] = true;
-        self.accepting[s] = false;
-        let st = &mut self.state[s];
-        st.book.tick(now);
-        let mut orphans: Vec<usize> = st.book.queue.drain(..).collect();
-        st.window_scheduled_for = None;
-        if st.book.busy {
-            // Work a crash destroys never counts as busy time, and the
-            // rolled-back batch leaves the books entirely.
-            st.book.abort(now);
-            let take = st.inflight.len();
-            st.book.completed -= take;
-            st.book.batches -= 1;
-            st.book.batch_size_sum -= take;
-            for &r in &st.inflight {
-                self.completion_s[r] = f64::NAN;
-            }
-            orphans.append(&mut st.inflight);
-            self.report.unlog_last_of(s);
-        }
-        orphans
-    }
-
-    /// Brings a crashed shard back. Routing eligibility is the
-    /// controller's call ([`FleetController::on_shard_up`]), not this
-    /// method's: a plain fleet rejoins immediately, an autoscaled one
-    /// relaunches through warm-up.
-    pub(crate) fn revive_shard(&mut self, s: usize) {
-        assert!(self.dead[s], "revived a live shard");
-        self.dead[s] = false;
-    }
-
-    /// Sets shard `s`'s service-time multiplier (straggler ×`factor`,
-    /// recovery back to 1.0). An in-flight batch is re-priced on the fly:
-    /// its unexecuted remainder is scaled by `factor / old`, the shard
-    /// epoch bumps so the stale completion event is dropped, and a new one
-    /// is scheduled at the re-priced completion time.
-    pub(crate) fn set_slowdown(&mut self, s: usize, factor: f64, now: f64) {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "slowdown factor must be positive and finite"
+    /// Routes `requests` in order, then dispatches on every shard that
+    /// received one ([`route_then_kick`]) — how crash orphans, parked
+    /// outage work and an evicting retire's queue re-enter the fleet.
+    /// With no shard accepting, the requests park again.
+    pub(crate) fn readmit(&mut self, requests: Vec<usize>, now: f64) {
+        route_then_kick(
+            self,
+            requests,
+            |core, r| core.admit(r, now),
+            |core, s| core.try_dispatch(s, now),
         );
-        let old = self.slowdown[s];
-        self.slowdown[s] = factor;
-        let st = &mut self.state[s];
-        if factor == old || !st.book.busy {
-            return;
-        }
-        st.book.reprice(factor / old, now);
-        let (completion, epoch) = (st.book.busy_until_s, st.book.epoch);
-        for &r in &st.inflight {
-            self.completion_s[r] = completion;
-        }
-        if let Some(rec) = self.report.last_of(s) {
-            rec.completion_s = completion;
-        }
-        self.events
-            .push(completion, EventKind::Completion { shard: s, epoch });
-    }
-
-    /// Schedules an arrival event for request `r` at `time` — the re-entry
-    /// path for client retries. The event is indistinguishable from a
-    /// trace arrival when it pops, so it re-counts in `arrivals_seen`
-    /// (a retry *is* offered load, and forecasters should see it).
-    pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
-        self.events.push(time, EventKind::Arrival(r));
-    }
-
-    /// Removes request `r` from wherever it is waiting (parked or queued)
-    /// so a client layer can retry or abandon it. Returns `false` if the
-    /// request is not waiting — already dispatched (its completion time is
-    /// finite under charge-at-dispatch) or never admitted.
-    pub(crate) fn cancel_waiting(&mut self, r: usize, now: f64) -> bool {
-        if let Some(i) = self.parked.iter().position(|&x| x == r) {
-            self.parked.remove(i);
-            return true;
-        }
-        for s in 0..self.state.len() {
-            let st = &mut self.state[s];
-            if let Some(i) = st.book.queue.iter().position(|&x| x == r) {
-                st.book.tick(now);
-                st.book.queue.remove(i);
-                // The head (and so the window-close time) may have
-                // changed; let try_dispatch reschedule for the new head.
-                st.window_scheduled_for = None;
-                self.try_dispatch(s, now);
-                return true;
-            }
-        }
-        false
     }
 
     /// Runs the event loop to completion, calling `ctl`'s hooks.
@@ -1409,6 +1318,129 @@ impl<'a> FleetCore<'a> {
         let books = self.state.iter().map(|st| &st.book);
         self.report
             .into_report(self.trace, &self.completion_s, self.shards, books)
+    }
+}
+
+/// The fleet core under the failure layer's fault injector.
+impl FaultTarget for FleetCore<'_> {
+    fn schedule_control(&mut self, time: f64) {
+        FleetCore::schedule_control(self, time);
+    }
+
+    /// Crashes shard `s` at `now`: marks it dead and non-accepting, drains
+    /// its queue, and — if a batch was in flight — unwinds the
+    /// charge-at-dispatch bookkeeping (completion times back to NaN,
+    /// `completed`/`busy_time_s`/batch log rolled back) and bumps the
+    /// shard epoch so the scheduled completion event is dropped. Returns
+    /// every orphaned request (queued + in-flight) for the caller to
+    /// re-admit elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard is already dead.
+    fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize> {
+        assert!(!self.dead[s], "shard crashed twice");
+        self.dead[s] = true;
+        self.accepting[s] = false;
+        let st = &mut self.state[s];
+        st.book.tick(now);
+        let mut orphans: Vec<usize> = st.book.queue.drain(..).collect();
+        st.window_scheduled_for = None;
+        if st.book.busy {
+            // Work a crash destroys never counts as busy time, and the
+            // rolled-back batch leaves the books entirely.
+            st.book.abort(now);
+            let take = st.inflight.len();
+            st.book.completed -= take;
+            st.book.batches -= 1;
+            st.book.batch_size_sum -= take;
+            for &r in &st.inflight {
+                self.completion_s[r] = f64::NAN;
+            }
+            orphans.append(&mut st.inflight);
+            self.report.unlog_last_of(s);
+        }
+        orphans
+    }
+
+    /// Brings a crashed shard back. Routing eligibility is the
+    /// controller's call ([`FleetController::on_shard_up`]), not this
+    /// method's: a plain fleet rejoins immediately, an autoscaled one
+    /// relaunches through warm-up.
+    fn revive_shard(&mut self, s: usize) {
+        assert!(self.dead[s], "revived a live shard");
+        self.dead[s] = false;
+    }
+
+    /// Sets shard `s`'s service-time multiplier (straggler ×`factor`,
+    /// recovery back to 1.0). An in-flight batch is re-priced on the fly:
+    /// its unexecuted remainder is scaled by `factor / old`, the shard
+    /// epoch bumps so the stale completion event is dropped, and a new one
+    /// is scheduled at the re-priced completion time.
+    fn set_slowdown(&mut self, s: usize, factor: f64, now: f64) {
+        assert!(
+            factor > 0.0 && factor.is_finite(),
+            "slowdown factor must be positive and finite"
+        );
+        let old = self.slowdown[s];
+        self.slowdown[s] = factor;
+        let st = &mut self.state[s];
+        if factor == old || !st.book.busy {
+            return;
+        }
+        st.book.reprice(factor / old, now);
+        let (completion, epoch) = (st.book.busy_until_s, st.book.epoch);
+        for &r in &st.inflight {
+            self.completion_s[r] = completion;
+        }
+        if let Some(rec) = self.report.last_of(s) {
+            rec.completion_s = completion;
+        }
+        self.events
+            .push(completion, EventKind::Completion { shard: s, epoch });
+    }
+
+    /// Schedules an arrival event for request `r` at `time` — the re-entry
+    /// path for client retries. The event is indistinguishable from a
+    /// trace arrival when it pops, so it re-counts in `arrivals_seen`
+    /// (a retry *is* offered load, and forecasters should see it).
+    fn schedule_arrival(&mut self, r: usize, time: f64) {
+        self.events.push(time, EventKind::Arrival(r));
+    }
+
+    /// Removes request `r` from wherever it is waiting (parked or queued)
+    /// so a client layer can retry or abandon it. Returns `false` if the
+    /// request is not waiting — already dispatched (its completion time is
+    /// finite under charge-at-dispatch) or never admitted.
+    fn cancel_waiting(&mut self, r: usize, now: f64) -> bool {
+        if self.completion_s[r].is_finite() {
+            return false;
+        }
+        if let Some(i) = self.parked.iter().position(|&x| x == r) {
+            self.parked.remove(i);
+            return true;
+        }
+        for s in 0..self.state.len() {
+            let st = &mut self.state[s];
+            if let Some(i) = st.book.queue.iter().position(|&x| x == r) {
+                st.book.tick(now);
+                st.book.queue.remove(i);
+                // The head (and so the window-close time) may have
+                // changed; let try_dispatch reschedule for the new head.
+                st.window_scheduled_for = None;
+                self.try_dispatch(s, now);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn arrival_s(&self, r: usize) -> f64 {
+        self.trace[r].arrival_s
+    }
+
+    fn abandoned(&mut self) -> &mut usize {
+        &mut self.abandoned
     }
 }
 
@@ -1586,6 +1618,29 @@ pub(crate) fn route(
                 (0..shards.len()).filter(|&i| accepting(i) && shards[i].tuned_length() == target),
             )
         }
+    }
+}
+
+/// Routes `requests` in order through `route`, then kicks each shard
+/// that received one through `kick`, in first-touch order — the
+/// re-admission idiom both cores and the disaggregated handoff share.
+/// `route` may decline a request (the fleet parks it in a total outage).
+pub(crate) fn route_then_kick<T>(
+    core: &mut T,
+    requests: Vec<usize>,
+    mut route: impl FnMut(&mut T, usize) -> Option<usize>,
+    mut kick: impl FnMut(&mut T, usize),
+) {
+    let mut touched = Vec::new();
+    for r in requests {
+        if let Some(s) = route(core, r) {
+            if !touched.contains(&s) {
+                touched.push(s);
+            }
+        }
+    }
+    for s in touched {
+        kick(core, s);
     }
 }
 
