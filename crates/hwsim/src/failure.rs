@@ -844,16 +844,10 @@ impl<C: FleetController> FaultInjector<C> {
     ) -> FailureReport {
         let (trace, completion_s) = (core.trace, core.completion_s.clone());
         let fleet = core.into_report();
-        let summary = self.summarize(
-            mode,
-            trace,
-            &completion_s,
-            None,
-            fleet.makespan_s,
-            scale_events,
-        );
+        let makespan = fleet.makespan_s;
+        let summary = self.summarize(mode, trace, &completion_s, None, makespan, scale_events);
         FailureReport {
-            goodput_seq_s: summary.completed as f64 / fleet.makespan_s.max(1e-12),
+            goodput_seq_s: summary.completed as f64 / makespan.max(1e-12),
             fleet,
             outcomes: summary.outcomes,
             completed: summary.completed,
@@ -981,10 +975,16 @@ impl DecodeFaults {
     /// shard at fault onset: 0 if none, `f64::INFINITY` if one never
     /// finished.
     fn affected_drain_s(&self, completion_s: &[f64]) -> f64 {
-        self.affected.iter().fold(0.0f64, |latest, &r| {
-            let c = completion_s[r];
-            latest.max(if c.is_finite() { c } else { f64::INFINITY })
-        })
+        self.affected
+            .iter()
+            .map(|&r| {
+                if completion_s[r].is_finite() {
+                    completion_s[r]
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .fold(0.0f64, f64::max)
     }
 }
 
