@@ -24,7 +24,7 @@
 //! work pool the evaluation harnesses fan their sweep grids across —
 //! results land in input order regardless of worker count, so parallelism
 //! never changes output. [`sketch`] provides the streaming (O(1)-state)
-//! percentile and moment accumulators the serving engines use under
+//! percentile and moment accumulators the fleet engine uses under
 //! `ReportMode::Streaming` to survive million-request traces in bounded
 //! memory.
 //!

@@ -4,8 +4,8 @@
 //! The serving engines in `lat-hwsim` historically retained every
 //! per-request latency sample and sorted the full population at report
 //! time, so trace size was memory-bound long before it was compute-bound.
-//! This module provides the on-line replacements the engines route through
-//! when a report is built under `ReportMode::Streaming`:
+//! This module provides the on-line replacements the fleet engine routes
+//! through when a report is built under `ReportMode::Streaming`:
 //!
 //! - [`StreamingStats`]: count/mean/min/max in O(1) state, NaN-poisoning
 //!   exactly like `lat_tensor::stats::summarize` (one NaN observation
@@ -26,7 +26,8 @@
 //! stream moves the estimate within its error bound), which is why the
 //! engines feed it in simulated-event order — itself deterministic.
 
-/// How an engine builds its report.
+/// How the plain fleet engine builds its report. The other engines
+/// (decode, disaggregated, autoscaled, failure) always report exactly.
 ///
 /// - [`ReportMode::Exact`] retains every per-request sample and computes
 ///   nearest-rank percentiles over the sorted population — bit-identical
@@ -34,8 +35,7 @@
 /// - [`ReportMode::Streaming`] feeds each sample into a [`QuantileSketch`]
 ///   as it is produced and drops it, so a million-request trace runs in
 ///   bounded memory. Percentiles are P² estimates within a pinned ε of
-///   the exact path; per-request vectors in the report (`batch_log`,
-///   decode `requests`, failure `outcomes`) are left empty.
+///   the exact path, and the report's `batch_log` is left empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
     /// Retain all samples; reports are bit-identical to the pre-sketch era.

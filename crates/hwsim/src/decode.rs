@@ -119,11 +119,10 @@
 use crate::accelerator::AcceleratorDesign;
 use crate::failure::FaultTarget;
 use crate::fleet::{
-    route, route_then_kick, summarize, validate_run, BatchRecord, DispatchPolicy, EventKind,
+    route, route_then_kick, summarize_sample, validate_run, BatchRecord, DispatchPolicy, EventKind,
     EventQueue, FleetReport, RateProfile, ReportBook, ShardBook, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
-use lat_core::sketch::{P2Quantile, QuantileSketch, ReportMode};
 use lat_tensor::rng::SplitMix64;
 use lat_tensor::stats::percentile;
 use lat_workloads::datasets::LengthSampler;
@@ -478,8 +477,7 @@ pub(crate) struct DecodeShard {
     pub(crate) resident: Vec<Slot>,
     /// Live count of the in-flight iteration (stale once `book.busy`
     /// drops). Crash truncation and straggler re-pricing read the size
-    /// from here rather than from the step log, which
-    /// [`ReportMode::Streaming`] does not retain.
+    /// from here.
     stepping_live: usize,
     /// Σ resident × iteration duration (occupied-slot seconds).
     slot_integral: f64,
@@ -595,15 +593,8 @@ pub(crate) struct DecodeCore<'a> {
     /// context.
     pub(crate) prefill_skip: Vec<usize>,
     itl_gaps: Vec<f64>,
-    /// The fleet-level report half: mode, step log, latency sketch and
-    /// makespan. Under [`ReportMode::Streaming`] the token-proportional
-    /// populations (`itl_gaps`, the step log) and the per-request outcome
-    /// vector are never materialized; the sketches absorb each
-    /// observation as it happens.
+    /// The fleet-level report half: step log and makespan.
     report: ReportBook,
-    ttft_sketch: QuantileSketch,
-    itl_sketch: QuantileSketch,
-    high_ttft: P2Quantile,
 }
 
 impl DecodeCore<'_> {
@@ -916,20 +907,9 @@ impl DecodeCore<'_> {
             }
             self.emitted[r] += 1;
             if self.emitted[r] == 1 {
-                let ttft = now - self.trace[r].arrival_s;
-                self.ttft_s[r] = ttft;
-                if self.report.mode == ReportMode::Streaming {
-                    self.ttft_sketch.observe(ttft);
-                    if self.trace[r].priority == Priority::High {
-                        self.high_ttft.observe(ttft);
-                    }
-                }
+                self.ttft_s[r] = now - self.trace[r].arrival_s;
             } else {
-                let gap = now - self.last_emit_s[r];
-                match self.report.mode {
-                    ReportMode::Exact => self.itl_gaps.push(gap),
-                    ReportMode::Streaming => self.itl_sketch.observe(gap),
-                }
+                self.itl_gaps.push(now - self.last_emit_s[r]);
             }
             self.last_emit_s[r] = now;
             if self.emitted[r] == self.trace[r].output_len {
@@ -937,7 +917,6 @@ impl DecodeCore<'_> {
                 self.completion_s[r] = now;
                 self.shard_of[r] = s;
                 self.shards[s].book.completed += 1;
-                self.report.observe(now - self.trace[r].arrival_s);
             }
         }
         let emitted = &self.emitted;
@@ -1137,17 +1116,7 @@ impl<'a> DecodeCore<'a> {
             prefill_skip: vec![0; n],
             itl_gaps: Vec::new(),
             report: ReportBook::new(),
-            ttft_sketch: QuantileSketch::p50_p95_p99(),
-            itl_sketch: QuantileSketch::p50_p95_p99(),
-            high_ttft: P2Quantile::new(0.95),
         }
-    }
-
-    /// Switches report assembly to `mode`. Call before [`DecodeCore::run`]
-    /// — the streaming sketches only see observations made after the
-    /// switch.
-    pub(crate) fn set_mode(&mut self, mode: ReportMode) {
-        self.report.mode = mode;
     }
 
     /// Runs the event loop to completion, calling `ctl`'s hooks.
@@ -1210,36 +1179,24 @@ impl<'a> DecodeCore<'a> {
     pub(crate) fn into_report(self) -> DecodeReport {
         let n = self.trace.len();
         let cfg = self.cfg;
-        let mode = self.report.mode;
         let books = self.shards.iter().map(|sh| &sh.book);
         let fleet = self
             .report
             .into_report(self.trace, &self.completion_s, self.designs, books);
         let makespan = fleet.makespan_s;
-        let finite_ttfts = || {
-            self.ttft_s
+        let finite_ttfts = self.ttft_s.iter().copied().filter(|t| t.is_finite());
+        let (_, ttft_mean, ttft_pcts) = summarize_sample(finite_ttfts.collect());
+        let high_ttft_p95_s = {
+            let high_ttfts: Vec<f64> = self
+                .trace
                 .iter()
-                .copied()
-                .filter(|t| t.is_finite())
-                .collect()
+                .zip(&self.ttft_s)
+                .filter(|(r, t)| r.priority == Priority::High && t.is_finite())
+                .map(|(_, &t)| t)
+                .collect();
+            percentile(&high_ttfts, 0.95)
         };
-        let (_, ttft_mean, ttft_pcts) = summarize(mode, finite_ttfts, &self.ttft_sketch);
-        let high_ttft_p95_s = match mode {
-            ReportMode::Exact => {
-                let high_ttfts: Vec<f64> = self
-                    .trace
-                    .iter()
-                    .zip(&self.ttft_s)
-                    .filter(|(r, t)| r.priority == Priority::High && t.is_finite())
-                    .map(|(_, &t)| t)
-                    .collect();
-                percentile(&high_ttfts, 0.95)
-            }
-            ReportMode::Streaming => {
-                (self.high_ttft.count() > 0).then(|| self.high_ttft.quantile())
-            }
-        };
-        let (_, _, itl_pcts) = summarize(mode, || self.itl_gaps, &self.itl_sketch);
+        let (_, _, itl_pcts) = summarize_sample(self.itl_gaps);
         let decode_shards: Vec<DecodeShardReport> = self
             .shards
             .iter()
@@ -1255,21 +1212,16 @@ impl<'a> DecodeCore<'a> {
         // requests keep the outcome vector PartialEq-comparable, which the
         // determinism suites rely on (`NaN != NaN` would break them).
         let finite_or_inf = |x: f64| if x.is_finite() { x } else { f64::INFINITY };
-        let requests: Vec<RequestOutcome> = match mode {
-            ReportMode::Exact => (0..n)
-                .map(|r| RequestOutcome {
-                    shard: self.shard_of[r],
-                    ttft_s: finite_or_inf(self.ttft_s[r]),
-                    completion_s: finite_or_inf(self.completion_s[r]),
-                    tokens: self.emitted[r],
-                    preemptions: self.preempt_of[r],
-                    re_prefills: self.prefill_passes[r].saturating_sub(1),
-                })
-                .collect(),
-            // Streaming drops the per-request outcome vector — the whole
-            // point of the mode is not materializing O(n) report state.
-            ReportMode::Streaming => Vec::new(),
-        };
+        let requests: Vec<RequestOutcome> = (0..n)
+            .map(|r| RequestOutcome {
+                shard: self.shard_of[r],
+                ttft_s: finite_or_inf(self.ttft_s[r]),
+                completion_s: finite_or_inf(self.completion_s[r]),
+                tokens: self.emitted[r],
+                preemptions: self.preempt_of[r],
+                re_prefills: self.prefill_passes[r].saturating_sub(1),
+            })
+            .collect();
         let generated_tokens: u64 = self.emitted.iter().map(|&e| e as u64).sum();
         DecodeReport {
             ttft_mean_s: ttft_mean,
@@ -1313,41 +1265,6 @@ pub fn simulate_decode(
     scheduler: DecodeScheduler,
     cfg: &DecodeConfig,
 ) -> DecodeReport {
-    simulate_decode_mode(
-        shards,
-        trace,
-        policy,
-        dispatch,
-        scheduler,
-        cfg,
-        ReportMode::Exact,
-    )
-}
-
-/// [`simulate_decode`] with an explicit [`ReportMode`].
-///
-/// `Exact` is [`simulate_decode`] verbatim. `Streaming` runs the
-/// identical event sequence but feeds TTFT / inter-token gaps / latencies
-/// into P² sketches as tokens are emitted instead of retaining the
-/// token-proportional populations: the report's percentile fields are
-/// sketch estimates (within the ε the property suites pin), its
-/// `requests` and `fleet.batch_log` vectors are empty, and the counters,
-/// makespan, throughput, and per-shard stats are bit-identical to
-/// `Exact`.
-///
-/// # Panics
-///
-/// Same panics as [`simulate_decode`], including the conservation assert.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_decode_mode(
-    shards: &[AcceleratorDesign],
-    trace: &[DecodeRequest],
-    policy: SchedulingPolicy,
-    dispatch: DispatchPolicy,
-    scheduler: DecodeScheduler,
-    cfg: &DecodeConfig,
-    mode: ReportMode,
-) -> DecodeReport {
     let mut core = DecodeCore::new(
         shards,
         trace,
@@ -1357,7 +1274,6 @@ pub fn simulate_decode_mode(
         cfg,
         vec![true; shards.len()],
     );
-    core.set_mode(mode);
     core.run(&mut NullDecodeController);
     let report = core.into_report();
     assert_eq!(

@@ -25,11 +25,10 @@
 //! [`crate::decode::simulate_decode`] — the pools are one fleet whose
 //! `accepting` mask confines fresh arrivals to the prefill shards, and
 //! the handoff queue is a controller agenda — so the existing layers
-//! compose: [`ReportMode::Streaming`] reporting, fault injection on
-//! either pool ([`crate::failure::simulate_disagg_failure`]), and
-//! per-pool autoscaling through the shared
-//! [`crate::autoscale::ScalePolicy`] semantics
-//! ([`simulate_disagg_autoscale`]).
+//! compose: fault injection on either pool
+//! ([`crate::failure::simulate_disagg_failure`]) and per-pool
+//! autoscaling through the shared [`crate::autoscale::ScalePolicy`]
+//! semantics ([`simulate_disagg_autoscale`]).
 //!
 //! # Example
 //!
@@ -85,7 +84,6 @@ use crate::decode::{
 };
 use crate::fleet::{route_then_kick, DispatchPolicy};
 use lat_core::pipeline::SchedulingPolicy;
-use lat_core::sketch::ReportMode;
 use lat_workloads::prefix::PrefixGroup;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -519,48 +517,10 @@ pub fn simulate_disaggregated(
     cfg: &DecodeConfig,
     dcfg: &DisaggConfig,
 ) -> DisaggReport {
-    let report = simulate_disaggregated_mode(
-        prefill_shards,
-        decode_shards,
-        trace,
-        prefixes,
-        policy,
-        dispatch,
-        scheduler,
-        cfg,
-        dcfg,
-        ReportMode::Exact,
-    );
-    assert_eq!(
-        report.decode.fleet.completed,
-        trace.len(),
-        "request never completed (conservation bug in the disaggregated fleet)"
-    );
-    report
-}
-
-/// [`simulate_disaggregated`] with an explicit [`ReportMode`] (and
-/// without the conservation assert, mirroring
-/// [`crate::decode::simulate_decode_mode`]'s streaming contract: equal
-/// counters, sketch-estimated percentiles, empty per-request vectors).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_disaggregated_mode(
-    prefill_shards: &[AcceleratorDesign],
-    decode_shards: &[AcceleratorDesign],
-    trace: &[DecodeRequest],
-    prefixes: &[Option<PrefixGroup>],
-    policy: SchedulingPolicy,
-    dispatch: DispatchPolicy,
-    scheduler: DecodeScheduler,
-    cfg: &DecodeConfig,
-    dcfg: &DisaggConfig,
-    mode: ReportMode,
-) -> DisaggReport {
     let designs = combined_fleet(prefill_shards, decode_shards, trace, prefixes, dcfg);
     let n_prefill = prefill_shards.len();
     let accepting: Vec<bool> = (0..designs.len()).map(|s| s < n_prefill).collect();
     let mut core = DecodeCore::new(&designs, trace, policy, dispatch, scheduler, cfg, accepting);
-    core.set_mode(mode);
     let mut ctl = DisaggController::new(
         designs.len(),
         n_prefill,
@@ -570,7 +530,13 @@ pub fn simulate_disaggregated_mode(
         dcfg,
     );
     core.run(&mut ctl);
-    ctl.into_report(core.into_report())
+    let report = ctl.into_report(core.into_report());
+    assert_eq!(
+        report.decode.fleet.completed,
+        trace.len(),
+        "request never completed (conservation bug in the disaggregated fleet)"
+    );
+    report
 }
 
 /// Validates the pool/trace/prefix inputs and concatenates the pools
@@ -1091,44 +1057,6 @@ mod tests {
         dcfg.prefix_cache_capacity = 2;
         let go = || run(2, 2, &t, &prefixes, &dcfg);
         assert_eq!(go(), go());
-    }
-
-    #[test]
-    fn streaming_mode_matches_exact_counters() {
-        let t = trace(25, 350.0, 7);
-        let fleet = homogeneous_fleet(&tiny_design(64), 2);
-        let go = |mode| {
-            simulate_disaggregated_mode(
-                &fleet,
-                &fleet,
-                &t,
-                &[],
-                SchedulingPolicy::LengthAware,
-                DispatchPolicy::JoinShortestQueue,
-                DecodeScheduler::Continuous,
-                &DecodeConfig::default(),
-                &cheap(),
-                mode,
-            )
-        };
-        let exact = go(ReportMode::Exact);
-        let streaming = go(ReportMode::Streaming);
-        assert_eq!(
-            streaming.decode.fleet.completed,
-            exact.decode.fleet.completed
-        );
-        assert_eq!(
-            streaming.decode.generated_tokens,
-            exact.decode.generated_tokens
-        );
-        assert_eq!(streaming.transfers, exact.transfers);
-        assert_eq!(streaming.transfer_time_s, exact.transfer_time_s);
-        assert_eq!(
-            streaming.decode.fleet.makespan_s,
-            exact.decode.fleet.makespan_s
-        );
-        assert!(streaming.decode.requests.is_empty());
-        assert!(streaming.decode.fleet.batch_log.is_empty());
     }
 
     #[test]

@@ -107,7 +107,6 @@ use crate::fleet::{
     Request, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
-use lat_core::sketch::{P2Quantile, ReportMode};
 use lat_tensor::stats::percentile;
 use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
@@ -809,7 +808,6 @@ impl<C, D> FaultInjector<C, D> {
     /// `ttft_s` is given (decode), else completion − arrival (fleet).
     fn summarize<R: TraceEvent>(
         &self,
-        mode: ReportMode,
         trace: &[R],
         completion_s: &[f64],
         ttft_s: Option<&[f64]>,
@@ -818,7 +816,6 @@ impl<C, D> FaultInjector<C, D> {
     ) -> ClientSummary {
         let arrivals: Vec<f64> = trace.iter().map(R::arrival_s).collect();
         summarize_clients(
-            mode,
             self.window,
             &arrivals,
             completion_s,
@@ -836,16 +833,11 @@ impl<C, D> FaultInjector<C, D> {
 
 impl<C: FleetController> FaultInjector<C> {
     /// The fleet entry points' report of the finished run on `core`.
-    fn failure_report(
-        &self,
-        core: FleetCore<'_>,
-        mode: ReportMode,
-        scale_events: &[ScaleEvent],
-    ) -> FailureReport {
+    fn failure_report(&self, core: FleetCore<'_>, scale_events: &[ScaleEvent]) -> FailureReport {
         let (trace, completion_s) = (core.trace, core.completion_s.clone());
         let fleet = core.into_report();
         let makespan = fleet.makespan_s;
-        let summary = self.summarize(mode, trace, &completion_s, None, makespan, scale_events);
+        let summary = self.summarize(trace, &completion_s, None, makespan, scale_events);
         FailureReport {
             goodput_seq_s: summary.completed as f64 / makespan.max(1e-12),
             fleet,
@@ -992,12 +984,12 @@ impl<C: DecodeController> FaultInjector<C, DecodeFaults> {
     /// The decode entry points' report of the finished run on `core`;
     /// the client summary is over TTFT, what generative SLOs are written
     /// against.
-    fn failure_report(&self, core: DecodeCore<'_>, mode: ReportMode) -> DecodeFailureReport {
+    fn failure_report(&self, core: DecodeCore<'_>) -> DecodeFailureReport {
         let (trace, completion_s, ttft_s) =
             (core.trace, core.completion_s.clone(), core.ttft_s.clone());
         let decode = core.into_report();
         let makespan = decode.fleet.makespan_s;
-        let summary = self.summarize(mode, trace, &completion_s, Some(&ttft_s), makespan, &[]);
+        let summary = self.summarize(trace, &completion_s, Some(&ttft_s), makespan, &[]);
         DecodeFailureReport {
             decode,
             outcomes: summary.outcomes,
@@ -1085,7 +1077,6 @@ impl<C: DecodeController> DecodeController for FaultInjector<C, DecodeFaults> {
 /// tallies, SLO attainment and the incident phases.
 #[cfg_attr(test, derive(Debug))]
 struct ClientSummary {
-    /// Empty under [`ReportMode::Streaming`].
     outcomes: Vec<ClientOutcome>,
     completed: usize,
     timed_out: usize,
@@ -1122,10 +1113,8 @@ struct PhaseTally {
     completed: usize,
     slo_hits: usize,
     delivered: usize,
-    /// The phase's finite latencies in trace order (exact p95).
+    /// The phase's finite latencies in trace order.
     latencies: Vec<f64>,
-    /// The same latencies, sketched (streaming p95).
-    sketch: P2Quantile,
 }
 
 /// Builds the [`ClientSummary`] of a finished run in one pass over the
@@ -1138,13 +1127,8 @@ struct PhaseTally {
 /// `window`. With no window the whole run is one phase; an unrecovered
 /// incident leaves the post phase empty (`[∞, ∞)`), keeping the
 /// three-phase shape stable for downstream indexing.
-///
-/// `mode` decides only two things: whether the outcome vector is kept,
-/// and whether a phase's p95 is the exact percentile of its latencies or
-/// a P² estimate fed the same latencies in the same order.
 #[allow(clippy::too_many_arguments)]
 fn summarize_clients(
-    mode: ReportMode,
     window: Option<(f64, f64)>,
     arrivals: &[f64],
     completion_s: &[f64],
@@ -1168,7 +1152,6 @@ fn summarize_clients(
             slo_hits: 0,
             delivered: 0,
             latencies: Vec::new(),
-            sketch: P2Quantile::new(0.95),
         })
         .collect();
     let mut outcomes = Vec::new();
@@ -1179,20 +1162,18 @@ fn summarize_clients(
         completed += usize::from(done);
         retried += usize::from(done && attempts[r] > 0);
         slo_hits += usize::from(latency <= slo);
-        if mode == ReportMode::Exact {
-            outcomes.push(ClientOutcome {
-                disposition: if !done {
-                    Disposition::TimedOut
-                } else if attempts[r] > 0 {
-                    Disposition::Retried(attempts[r])
-                } else {
-                    Disposition::Completed
-                },
-                attempts: attempts[r],
-                completion_s: if done { completion_s[r] } else { f64::INFINITY },
-                latency_s: end_to_end_latency(completion_s, arrivals, r),
-            });
-        }
+        outcomes.push(ClientOutcome {
+            disposition: if !done {
+                Disposition::TimedOut
+            } else if attempts[r] > 0 {
+                Disposition::Retried(attempts[r])
+            } else {
+                Disposition::Completed
+            },
+            attempts: attempts[r],
+            completion_s: if done { completion_s[r] } else { f64::INFINITY },
+            latency_s: end_to_end_latency(completion_s, arrivals, r),
+        });
         for t in &mut tallies {
             if done && completion_s[r] >= t.lo && completion_s[r] < t.hi {
                 t.delivered += 1;
@@ -1202,10 +1183,7 @@ fn summarize_clients(
                 if latency.is_finite() {
                     t.completed += 1;
                     t.slo_hits += usize::from(latency <= slo);
-                    match mode {
-                        ReportMode::Exact => t.latencies.push(latency),
-                        ReportMode::Streaming => t.sketch.observe(latency),
-                    }
+                    t.latencies.push(latency);
                 }
             }
         }
@@ -1230,11 +1208,7 @@ fn summarize_clients(
                     t.slo_hits as f64 / t.arrivals as f64
                 },
                 goodput_seq_s: t.delivered as f64 / (hi_eff - t.lo).max(1e-12),
-                p95_latency_s: match mode {
-                    ReportMode::Exact => percentile(&t.latencies, 0.95).unwrap_or(0.0),
-                    ReportMode::Streaming if t.completed == 0 => 0.0,
-                    ReportMode::Streaming => t.sketch.quantile(),
-                },
+                p95_latency_s: percentile(&t.latencies, 0.95).unwrap_or(0.0),
                 scale_events: scale_events
                     .iter()
                     .filter(|e| e.time_s >= t.lo && e.time_s < t.hi)
@@ -1252,7 +1226,7 @@ fn summarize_clients(
         phases,
     };
     #[cfg(test)]
-    if mode == ReportMode::Exact {
+    {
         let reference = reference_summary(
             window,
             arrivals,
@@ -1274,11 +1248,11 @@ fn summarize_clients(
     summary
 }
 
-/// Reference for [`summarize_clients`] under [`ReportMode::Exact`]: the
-/// chain the entry points ran before it, one step after another. Build
-/// the outcomes, tally them, override each outcome's latency with
-/// `latency_of` (TTFT for decode, a no-op for the fleet), then slice
-/// phases and fold SLO attainment over the overridden outcomes.
+/// Reference for [`summarize_clients`]: the chain the entry points ran
+/// before it, one step after another. Build the outcomes, tally them,
+/// override each outcome's latency with `latency_of` (TTFT for decode, a
+/// no-op for the fleet), then slice phases and fold SLO attainment over
+/// the overridden outcomes.
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn reference_summary(
@@ -1410,40 +1384,6 @@ pub fn simulate_fleet_failure(
     client: &ClientConfig,
     slo_latency_s: f64,
 ) -> FailureReport {
-    simulate_fleet_failure_mode(
-        shards,
-        trace,
-        policy,
-        dispatch,
-        batcher,
-        plan,
-        client,
-        slo_latency_s,
-        ReportMode::Exact,
-    )
-}
-
-/// [`simulate_fleet_failure`] with an explicit [`ReportMode`]. `Exact`
-/// is the original verbatim; `Streaming` suppresses the per-request
-/// `outcomes` vector and the engine's batch log, computing tallies, SLO
-/// attainment, and per-phase p95 latencies in streaming passes (the p95s
-/// are P² estimates within the pinned ε).
-///
-/// # Panics
-///
-/// Same panics as [`simulate_fleet_failure`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_fleet_failure_mode(
-    shards: &[AcceleratorDesign],
-    trace: &[Request],
-    policy: SchedulingPolicy,
-    dispatch: DispatchPolicy,
-    batcher: &BatcherConfig,
-    plan: &FaultPlan,
-    client: &ClientConfig,
-    slo_latency_s: f64,
-    mode: ReportMode,
-) -> FailureReport {
     let mut injector = FaultInjector::new(
         NullController,
         (),
@@ -1461,10 +1401,9 @@ pub fn simulate_fleet_failure_mode(
         batcher,
         vec![true; shards.len()],
     );
-    core.set_mode(mode);
     injector.prime(&mut core);
     core.run(&mut injector);
-    injector.failure_report(core, mode, &[])
+    injector.failure_report(core, &[])
 }
 
 /// Runs `trace` over an *autoscaled* fleet under `plan` and `client`.
@@ -1489,39 +1428,6 @@ pub fn simulate_autoscale_failure(
     plan: &FaultPlan,
     client: &ClientConfig,
 ) -> AutoscaleFailureReport {
-    simulate_autoscale_failure_mode(
-        shards,
-        trace,
-        policy,
-        dispatch,
-        batcher,
-        cfg,
-        plan,
-        client,
-        ReportMode::Exact,
-    )
-}
-
-/// [`simulate_autoscale_failure`] with an explicit [`ReportMode`] —
-/// same `Exact`/`Streaming` contract as
-/// [`simulate_fleet_failure_mode`]; the autoscaler's books and event log
-/// are unaffected by the mode.
-///
-/// # Panics
-///
-/// Same panics as [`simulate_autoscale_failure`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_autoscale_failure_mode(
-    shards: &[AcceleratorDesign],
-    trace: &[Request],
-    policy: SchedulingPolicy,
-    dispatch: DispatchPolicy,
-    batcher: &BatcherConfig,
-    cfg: &AutoscaleConfig,
-    plan: &FaultPlan,
-    client: &ClientConfig,
-    mode: ReportMode,
-) -> AutoscaleFailureReport {
     assert!(!shards.is_empty(), "fleet needs at least one shard");
     cfg.validate(shards.len());
     let ctl = Autoscaler::new(cfg, shards.len());
@@ -1536,7 +1442,6 @@ pub fn simulate_autoscale_failure_mode(
     );
     let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
-    core.set_mode(mode);
     injector.prime(&mut core);
     // Unlike the healthy entry point, the controller always runs — even a
     // pinned policy must observe crashes to keep its books truthful (for
@@ -1544,7 +1449,7 @@ pub fn simulate_autoscale_failure_mode(
     core.schedule_control(cfg.eval_interval_s);
     core.run(&mut injector);
 
-    let failure = injector.failure_report(core, mode, &injector.inner.pool.events);
+    let failure = injector.failure_report(core, &injector.inner.pool.events);
     let (shard_seconds, mean_active_shards, peak_active_shards) =
         injector.inner.pool.close_books(failure.fleet.makespan_s);
     AutoscaleFailureReport {
@@ -1581,42 +1486,6 @@ pub fn simulate_decode_failure(
     straggler_response: DecodeScaleDown,
     slo_ttft_s: f64,
 ) -> DecodeFailureReport {
-    simulate_decode_failure_mode(
-        shards,
-        trace,
-        policy,
-        dispatch,
-        scheduler,
-        cfg,
-        plan,
-        client,
-        straggler_response,
-        slo_ttft_s,
-        ReportMode::Exact,
-    )
-}
-
-/// [`simulate_decode_failure`] with an explicit [`ReportMode`] — same
-/// `Exact`/`Streaming` contract as [`simulate_fleet_failure_mode`], with
-/// TTFT as the phase/SLO latency metric either way.
-///
-/// # Panics
-///
-/// Same panics as [`simulate_decode_failure`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_decode_failure_mode(
-    shards: &[AcceleratorDesign],
-    trace: &[DecodeRequest],
-    policy: SchedulingPolicy,
-    dispatch: DispatchPolicy,
-    scheduler: DecodeScheduler,
-    cfg: &DecodeConfig,
-    plan: &FaultPlan,
-    client: &ClientConfig,
-    straggler_response: DecodeScaleDown,
-    slo_ttft_s: f64,
-    mode: ReportMode,
-) -> DecodeFailureReport {
     let mut injector = FaultInjector::new(
         NullDecodeController,
         DecodeFaults::new(shards.len(), straggler_response),
@@ -1635,11 +1504,10 @@ pub fn simulate_decode_failure_mode(
         cfg,
         vec![true; shards.len()],
     );
-    core.set_mode(mode);
     injector.prime(&mut core);
     core.run(&mut injector);
 
-    injector.failure_report(core, mode)
+    injector.failure_report(core)
 }
 
 /// Result of a disaggregated failure simulation: the full
@@ -1649,8 +1517,7 @@ pub fn simulate_decode_failure_mode(
 pub struct DisaggFailureReport {
     /// Disaggregated-serving view (pools, transfers, prefix cache).
     pub disagg: DisaggReport,
-    /// Per-request client outcomes in trace order (empty under
-    /// [`ReportMode::Streaming`]).
+    /// Per-request client outcomes in trace order.
     pub outcomes: Vec<ClientOutcome>,
     /// Requests that completed (on any attempt).
     pub completed: usize,
@@ -1698,47 +1565,6 @@ pub fn simulate_disagg_failure(
     straggler_response: DecodeScaleDown,
     slo_ttft_s: f64,
 ) -> DisaggFailureReport {
-    simulate_disagg_failure_mode(
-        prefill_shards,
-        decode_shards,
-        trace,
-        prefixes,
-        policy,
-        dispatch,
-        scheduler,
-        cfg,
-        dcfg,
-        plan,
-        client,
-        straggler_response,
-        slo_ttft_s,
-        ReportMode::Exact,
-    )
-}
-
-/// [`simulate_disagg_failure`] with an explicit [`ReportMode`] — same
-/// `Exact`/`Streaming` contract as [`simulate_decode_failure_mode`].
-///
-/// # Panics
-///
-/// Same panics as [`simulate_disagg_failure`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_disagg_failure_mode(
-    prefill_shards: &[AcceleratorDesign],
-    decode_shards: &[AcceleratorDesign],
-    trace: &[DecodeRequest],
-    prefixes: &[Option<lat_workloads::prefix::PrefixGroup>],
-    policy: SchedulingPolicy,
-    dispatch: DispatchPolicy,
-    scheduler: DecodeScheduler,
-    cfg: &DecodeConfig,
-    dcfg: &DisaggConfig,
-    plan: &FaultPlan,
-    client: &ClientConfig,
-    straggler_response: DecodeScaleDown,
-    slo_ttft_s: f64,
-    mode: ReportMode,
-) -> DisaggFailureReport {
     let designs = combined_fleet(prefill_shards, decode_shards, trace, prefixes, dcfg);
     let n_prefill = prefill_shards.len();
     let ctl = DisaggController::new(
@@ -1760,11 +1586,10 @@ pub fn simulate_disagg_failure_mode(
     );
     let accepting: Vec<bool> = (0..designs.len()).map(|s| s < n_prefill).collect();
     let mut core = DecodeCore::new(&designs, trace, policy, dispatch, scheduler, cfg, accepting);
-    core.set_mode(mode);
     injector.prime(&mut core);
     core.run(&mut injector);
 
-    let r = injector.failure_report(core, mode);
+    let r = injector.failure_report(core);
     DisaggFailureReport {
         disagg: injector.inner.into_report(r.decode),
         outcomes: r.outcomes,
@@ -2770,15 +2595,15 @@ mod tests {
         })
     }
 
-    /// Every entry point through the surge plan and the hasty client, in
-    /// both report modes, hashed over its `Debug` form: `Debug` prints
-    /// each f64 in its shortest round-trip form, so equal hashes mean
-    /// bit-identical reports. Decode and disagg run under both straggler
-    /// responses: once on two shards, where the crash leaves the straggler
-    /// alone and clients time out, and once on three with long
-    /// generations, where the straggler sheds its residents onto a healthy
-    /// peer, so the two responses differ. The seed is fixed so the
-    /// constants hold at any `HARNESS_SEED`.
+    /// Every entry point through the surge plan and the hasty client,
+    /// hashed over its `Debug` form: `Debug` prints each f64 in its
+    /// shortest round-trip form, so equal hashes mean bit-identical
+    /// reports. Decode and disagg run under both straggler responses: once
+    /// on two shards, where the crash leaves the straggler alone and
+    /// clients time out, and once on three with long generations, where
+    /// the straggler sheds its residents onto a healthy peer, so the two
+    /// responses differ. The seed is fixed so the constants hold at any
+    /// `HARNESS_SEED`.
     #[test]
     fn faulted_reports_match_their_recorded_fingerprints() {
         const SEED: u64 = 17;
@@ -2799,69 +2624,54 @@ mod tests {
         );
         let (cont, dcfg) = (DecodeScheduler::Continuous, DecodeConfig::default());
         let mut prints = Vec::new();
-        for mode in [ReportMode::Exact, ReportMode::Streaming] {
-            let r =
-                simulate_fleet_failure_mode(two, &trace, lp, dp, &b, &plan, &client, 0.25, mode);
-            assert_stormy("fleet", r.retries, r.timed_out);
-            prints.push(fnv1a(&format!("{r:?}")));
-            let r = simulate_autoscale_failure_mode(
-                two, &trace, lp, dp, &b, &cfg, &plan, &client, mode,
-            );
-            assert_stormy("autoscale", r.failure.retries, r.failure.timed_out);
-            prints.push(fnv1a(&format!("{r:?}")));
-            for (shards, dtrace) in [(two, &decode_trace), (&three[..], &long_trace)] {
-                // The disagg plan also crashes the first decode shard.
-                let mut disagg_plan = surge_plan();
-                disagg_plan.faults.push(Fault {
-                    shard: shards.len(),
-                    kind: FaultKind::Crash {
-                        at_s: 0.2,
-                        recover_s: Some(0.6),
-                    },
-                });
-                for response in [DecodeScaleDown::Drain, DecodeScaleDown::Migrate] {
-                    let r = simulate_decode_failure_mode(
-                        shards, dtrace, lp, dp, cont, &dcfg, &plan, &client, response, 0.1, mode,
-                    );
-                    if shards.len() == 2 {
-                        assert_stormy("decode", r.retries, r.timed_out);
-                    }
-                    eprintln!(
-                        "DBG {} {:?} aff={} mk={} tok={} retries={}",
-                        shards.len(),
-                        response,
-                        r.affected_drain_s,
-                        r.decode.fleet.makespan_s,
-                        r.decode.generated_tokens,
-                        r.retries
-                    );
-                    prints.push(fnv1a(&format!("{r:?}")));
-                    let r = simulate_disagg_failure_mode(
-                        shards,
-                        two,
-                        dtrace,
-                        &[],
-                        lp,
-                        dp,
-                        cont,
-                        &dcfg,
-                        &disagg_cfg(),
-                        &disagg_plan,
-                        &client,
-                        response,
-                        0.1,
-                        mode,
-                    );
-                    if shards.len() == 2 {
-                        assert_stormy("disagg", r.retries, r.timed_out);
-                    }
-                    prints.push(fnv1a(&format!("{r:?}")));
+        let r = simulate_fleet_failure(two, &trace, lp, dp, &b, &plan, &client, 0.25);
+        assert_stormy("fleet", r.retries, r.timed_out);
+        prints.push(fnv1a(&format!("{r:?}")));
+        let r = simulate_autoscale_failure(two, &trace, lp, dp, &b, &cfg, &plan, &client);
+        assert_stormy("autoscale", r.failure.retries, r.failure.timed_out);
+        prints.push(fnv1a(&format!("{r:?}")));
+        for (shards, dtrace) in [(two, &decode_trace), (&three[..], &long_trace)] {
+            // The disagg plan also crashes the first decode shard.
+            let mut disagg_plan = surge_plan();
+            disagg_plan.faults.push(Fault {
+                shard: shards.len(),
+                kind: FaultKind::Crash {
+                    at_s: 0.2,
+                    recover_s: Some(0.6),
+                },
+            });
+            for response in [DecodeScaleDown::Drain, DecodeScaleDown::Migrate] {
+                let r = simulate_decode_failure(
+                    shards, dtrace, lp, dp, cont, &dcfg, &plan, &client, response, 0.1,
+                );
+                if shards.len() == 2 {
+                    assert_stormy("decode", r.retries, r.timed_out);
                 }
+                prints.push(fnv1a(&format!("{r:?}")));
+                let r = simulate_disagg_failure(
+                    shards,
+                    two,
+                    dtrace,
+                    &[],
+                    lp,
+                    dp,
+                    cont,
+                    &dcfg,
+                    &disagg_cfg(),
+                    &disagg_plan,
+                    &client,
+                    response,
+                    0.1,
+                );
+                if shards.len() == 2 {
+                    assert_stormy("disagg", r.retries, r.timed_out);
+                }
+                prints.push(fnv1a(&format!("{r:?}")));
             }
         }
-        // Per mode: fleet, autoscale, then (two shards, three shards) ×
+        // Fleet, autoscale, then (two shards, three shards) ×
         // (drain, migrate) × (decode, disagg).
-        let expected: [u64; 20] = [
+        let expected: [u64; 10] = [
             0x1b6b_3ba3_4eaa_52a6,
             0x216c_0514_401f_3248,
             0x21a5_5fd1_98b3_f4b2,
@@ -2872,16 +2682,6 @@ mod tests {
             0x31cb_aecf_3468_03de,
             0xed7a_9a04_a6f3_9f75,
             0xc6d7_8b98_c63d_4b65,
-            0x340e_30b1_bb05_9b6f,
-            0xa5d9_13f5_5648_cddb,
-            0x021d_431e_bf3b_957b,
-            0x0146_b924_1449_aa97,
-            0x021d_431e_bf3b_957b,
-            0x0146_b924_1449_aa97,
-            0x1948_e9e4_ed8e_02bb,
-            0x23c9_3483_2d46_7ff6,
-            0x0b6c_a696_801d_805a,
-            0x1057_760a_efb0_17c7,
         ];
         assert_eq!(prints, expected, "faulted report fingerprints moved");
     }
@@ -2943,7 +2743,6 @@ mod tests {
         let attempts = [0, 1, 2, 0, 1];
         let latency_of = |r: usize| end_to_end_latency(&completion_s, &arrivals, r);
         let s = summarize_clients(
-            ReportMode::Exact,
             Some((1.0, 2.0)),
             &arrivals,
             &completion_s,

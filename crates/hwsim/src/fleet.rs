@@ -853,27 +853,30 @@ pub(crate) fn busy_elapsed<'b>(books: impl Iterator<Item = &'b ShardBook>, t: f6
     books.map(|b| b.busy_elapsed(t)).sum()
 }
 
-/// Count, mean and p50/p95/p99 of one latency population, all zero when
-/// empty: the exact sample under [`ReportMode::Exact`] (`exact` is called
-/// only then), the sketch under [`ReportMode::Streaming`].
+/// Count, mean and p50/p95/p99 of one exact latency sample, all zero
+/// when empty. Takes the sample by value so it is freed here.
+pub(crate) fn summarize_sample(xs: Vec<f64>) -> (usize, f64, Vec<f64>) {
+    // One sort for all three percentiles (bit-identical to per-call
+    // `percentile`, which re-sorted the sample each time).
+    let pcts = percentiles(&xs, &[0.50, 0.95, 0.99]).unwrap_or_else(|| vec![0.0; 3]);
+    let mean = if xs.is_empty() {
+        0.0
+    } else {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    };
+    (xs.len(), mean, pcts)
+}
+
+/// [`summarize_sample`] of the exact sample under [`ReportMode::Exact`]
+/// (`exact` is called only then), the sketch's estimates under
+/// [`ReportMode::Streaming`].
 pub(crate) fn summarize(
     mode: ReportMode,
     exact: impl FnOnce() -> Vec<f64>,
     sketch: &QuantileSketch,
 ) -> (usize, f64, Vec<f64>) {
     match mode {
-        ReportMode::Exact => {
-            let xs = exact();
-            // One sort for all three percentiles (bit-identical to
-            // per-call `percentile`, which re-sorted the sample each time).
-            let pcts = percentiles(&xs, &[0.50, 0.95, 0.99]).unwrap_or_else(|| vec![0.0; 3]);
-            let mean = if xs.is_empty() {
-                0.0
-            } else {
-                xs.iter().sum::<f64>() / xs.len() as f64
-            };
-            (xs.len(), mean, pcts)
-        }
+        ReportMode::Exact => summarize_sample(exact()),
         ReportMode::Streaming if sketch.count() == 0 => (0, 0.0, vec![0.0; 3]),
         ReportMode::Streaming => (sketch.count() as usize, sketch.mean(), sketch.quantiles()),
     }
@@ -881,9 +884,11 @@ pub(crate) fn summarize(
 
 /// The report half both cores keep, and the one [`FleetReport`] builder.
 pub(crate) struct ReportBook {
-    /// Report construction mode. Under [`ReportMode::Streaming`] the batch
-    /// log is never grown and completed latencies feed `lat_sketch` as
-    /// they complete, so memory stays bounded for million-request traces.
+    /// Report construction mode; only the plain fleet sets it, so
+    /// `DecodeCore` always reports Exact. Under [`ReportMode::Streaming`]
+    /// the batch log is never grown and completed latencies feed
+    /// `lat_sketch` as they complete, so memory stays bounded for
+    /// million-request traces.
     pub(crate) mode: ReportMode,
     /// Every launched batch (decode: iteration), launch order; Exact only.
     log: Vec<BatchRecord>,
