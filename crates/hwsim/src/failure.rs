@@ -1110,10 +1110,10 @@ struct PhaseTally {
     lo: f64,
     hi: f64,
     arrivals: usize,
-    completed: usize,
     slo_hits: usize,
     delivered: usize,
-    /// The phase's finite latencies in trace order.
+    /// The phase's finite latencies in trace order, one per arrival that
+    /// completed.
     latencies: Vec<f64>,
 }
 
@@ -1148,7 +1148,6 @@ fn summarize_clients(
             lo: w[0],
             hi: w[1],
             arrivals: 0,
-            completed: 0,
             slo_hits: 0,
             delivered: 0,
             latencies: Vec::new(),
@@ -1181,7 +1180,6 @@ fn summarize_clients(
             if arrivals[r] >= t.lo && arrivals[r] < t.hi {
                 t.arrivals += 1;
                 if latency.is_finite() {
-                    t.completed += 1;
                     t.slo_hits += usize::from(latency <= slo);
                     t.latencies.push(latency);
                 }
@@ -1200,8 +1198,8 @@ fn summarize_clients(
                 start_s: t.lo,
                 end_s: t.hi,
                 arrivals: t.arrivals,
-                completed: t.completed,
-                timed_out: t.arrivals - t.completed,
+                completed: t.latencies.len(),
+                timed_out: t.arrivals - t.latencies.len(),
                 slo_attainment: if t.arrivals == 0 {
                     1.0
                 } else {
