@@ -18,11 +18,22 @@
 //! - *Memory*: weights streamed from HBM once per layer and amortized over
 //!   the batch, activations in/out of the stage, and the top-k index/value
 //!   spill between Stage 1 and Stage 2.
+//!
+//! Both depend on the sequence only through its length, so the serving
+//! engines price through a [`StageCostTable`]: one per shard, in the
+//! per-shard books the fleet and decode cores share. Its rows are keyed by
+//! true sequence length and filled lazily, the first time a length is
+//! priced; nothing is built in [`AcceleratorDesign::new`]. A row holds each
+//! stage's compute cycles and batch-independent HBM bytes, and memory
+//! cycles are recomputed from them with the design's own formula, so the
+//! table is bit-identical to the uncached [`AcceleratorDesign::stage_cycles`]
+//! and [`AcceleratorDesign::service_seconds`], which remain the reference
+//! for cold callers.
 
 use crate::report::FpgaRunReport;
 use crate::spec::FpgaSpec;
 use lat_core::pipeline::{batch_makespan, schedule_batch, Schedule, SchedulingPolicy, StageTiming};
-use lat_core::stage_alloc::{allocate_stages, ResourceModel, StageAllocation};
+use lat_core::stage_alloc::{allocate_stages, ResourceModel, Stage, StageAllocation};
 use lat_model::config::ModelConfig;
 use lat_model::graph::{AttentionMode, OpKind, OperatorGraph};
 
@@ -163,32 +174,52 @@ impl AcceleratorDesign {
     /// HBM cycles of stage `stage` for one sequence of `len` tokens, with
     /// weights amortized over `batch` sequences.
     pub fn stage_memory_cycles(&self, stage: usize, len: usize, batch: usize) -> u64 {
+        let st = &self.alloc.stages()[stage];
+        self.memory_cycles(self.weight_bytes(st), self.row_bytes(st, len), batch)
+    }
+
+    /// Weight bytes stage `st` streams from HBM (8-bit weights), once per
+    /// layer and shared by the whole batch.
+    fn weight_bytes(&self, st: &Stage) -> u64 {
         let d = self.cfg.hidden_dim as u64;
         let f = self.cfg.ffn_dim as u64;
-        let st = &self.alloc.stages()[stage];
-        let mut bytes = 0u64;
-        // Weight streaming (8-bit weights), once per layer, shared by batch.
-        let mut weight_bytes = 0u64;
-        for &kind in &st.ops {
-            weight_bytes += match kind {
+        st.ops
+            .iter()
+            .map(|kind| match kind {
                 OpKind::QkvLinear => 3 * d * d,
                 OpKind::OutLinear => d * d,
                 OpKind::Ffn1 => d * f,
                 OpKind::Ffn2 => f * d,
                 _ => 0,
-            };
-        }
-        bytes += weight_bytes / batch.max(1) as u64;
-        // Activations in and out of the stage (8-bit).
-        bytes += 2 * len as u64 * d;
-        // Top-k spill to / reload from HBM (index u16 + value u16 per pair).
+            })
+            .sum()
+    }
+
+    /// HBM bytes stage `st` moves for one sequence of `len` tokens,
+    /// whatever the batch: activations in and out of the stage (8-bit)
+    /// and, under sparse attention, the top-k spill to / reload from HBM
+    /// (index u16 + value u16 per pair).
+    fn row_bytes(&self, st: &Stage, len: usize) -> u64 {
+        let d = self.cfg.hidden_dim as u64;
+        let mut bytes = 2 * len as u64 * d;
         let k = self.mode.attended(len) as u64;
         let has_scores = st.ops.contains(&OpKind::AttnScores);
         let has_apply = st.ops.contains(&OpKind::AttnApply);
         if matches!(self.mode, AttentionMode::Sparse { .. }) && (has_scores || has_apply) {
             bytes += len as u64 * k * 4;
         }
-        crate::kernels::hbm_transfer_cycles(bytes, self.spec.hbm_bytes_per_cycle())
+        bytes
+    }
+
+    /// HBM cycles of one stage from its byte counts: `weight_bytes`
+    /// amortized over `batch` sequences plus the sequence's own
+    /// `row_bytes`. The one memory formula behind both
+    /// [`AcceleratorDesign::stage_memory_cycles`] and [`StageCostTable`].
+    fn memory_cycles(&self, weight_bytes: u64, row_bytes: u64, batch: usize) -> u64 {
+        crate::kernels::hbm_transfer_cycles(
+            weight_bytes / batch.max(1) as u64 + row_bytes,
+            self.spec.hbm_bytes_per_cycle(),
+        )
     }
 
     /// Full stage time: compute and memory overlap, slower one wins.
@@ -394,6 +425,219 @@ impl StageTiming for DesignTiming<'_> {
         } else {
             self.design.stage_cycles(stage, len, self.batch)
         }
+    }
+}
+
+/// Stage costs of one [`AcceleratorDesign`], priced once per sequence
+/// length and looked up by every batch after.
+///
+/// Row `len` holds, per stage, the compute cycles
+/// ([`AcceleratorDesign::stage_compute_cycles`]) and the HBM bytes a
+/// sequence of `len` tokens moves whatever the batch (activations plus the
+/// top-k spill). Rows are keyed by true length, so the table grows to the
+/// longest length priced, and each is filled on first use. Nothing is
+/// built up front: the per-stage weight bytes are computed on the first
+/// fill. Memory cycles stay `hbm_transfer_cycles(weight_bytes / batch +
+/// row_bytes)`, the formula behind
+/// [`AcceleratorDesign::stage_memory_cycles`], so every entry is the `u64`
+/// [`AcceleratorDesign::stage_cycles`] returns and
+/// [`StageCostTable::service_seconds`] is
+/// [`AcceleratorDesign::service_seconds`] bit for bit.
+///
+/// The table also memoizes whole pure-decode iterations (`batch`
+/// one-token sequences) per batch size and policy.
+///
+/// A table serves one design: pass the same design to every call.
+///
+/// ```
+/// use lat_core::pipeline::SchedulingPolicy;
+/// use lat_hwsim::accelerator::{AcceleratorDesign, StageCostTable};
+/// use lat_hwsim::spec::FpgaSpec;
+/// use lat_model::config::ModelConfig;
+/// use lat_model::graph::AttentionMode;
+///
+/// let design = AcceleratorDesign::new(
+///     &ModelConfig::tiny(),
+///     AttentionMode::paper_sparse(),
+///     FpgaSpec::alveo_u280(),
+///     64,
+/// );
+/// let mut table = StageCostTable::new();
+/// let batch = [64, 32, 16];
+/// let policy = SchedulingPolicy::LengthAware;
+/// assert_eq!(
+///     table.service_seconds(&design, &batch, policy).to_bits(),
+///     design.service_seconds(&batch, policy).to_bits(),
+/// );
+/// assert_eq!(table.stage_cycles(&design, 0, 32, 3), design.stage_cycles(0, 32, 3));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct StageCostTable {
+    /// Weight bytes per stage; empty until the first fill.
+    weight_bytes: Vec<u64>,
+    /// Stage `k` at length `len`, at `len * stages + k`.
+    cells: Vec<StageCell>,
+    /// `filled[len]`: row `len` has been priced.
+    filled: Vec<bool>,
+    /// Seconds of `batch` one-token sequences (index = batch) under
+    /// `one_token_policy`.
+    one_token: Vec<Option<f64>>,
+    one_token_policy: Option<SchedulingPolicy>,
+}
+
+impl StageCostTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Prices every length in `lengths` that has no row yet, binding the
+    /// table to `design` on first use.
+    fn fill(&mut self, design: &AcceleratorDesign, lengths: &[usize]) {
+        let stages = design.alloc.stages();
+        if self.weight_bytes.len() != stages.len() {
+            self.weight_bytes = stages.iter().map(|st| design.weight_bytes(st)).collect();
+            self.cells.clear();
+            self.filled.clear();
+            self.one_token.clear();
+        }
+        let res = design.alloc.resource_model();
+        for &len in lengths {
+            if self.filled.get(len) == Some(&true) {
+                continue;
+            }
+            if self.filled.len() <= len {
+                self.filled.resize(len + 1, false);
+                self.cells
+                    .resize((len + 1) * stages.len(), StageCell::default());
+            }
+            let row = self.cells.iter_mut().skip(len * stages.len());
+            for ((cell, st), &weight_bytes) in row.zip(stages).zip(&self.weight_bytes) {
+                let compute_cycles = st.latency_cycles(&design.graph, len, design.mode, res);
+                let row_bytes = design.row_bytes(st, len);
+                *cell = StageCell {
+                    compute_cycles,
+                    row_bytes,
+                    compute_bound: compute_cycles
+                        >= design.memory_cycles(weight_bytes, row_bytes, 1),
+                };
+            }
+            if let Some(filled) = self.filled.get_mut(len) {
+                *filled = true;
+            }
+        }
+    }
+
+    /// Stage `stage`'s cycles for a `len`-token sequence with weights
+    /// amortized over `batch` sequences, read from a filled row.
+    fn lookup(&self, design: &AcceleratorDesign, stage: usize, len: usize, batch: usize) -> u64 {
+        debug_assert_eq!(self.filled.get(len), Some(&true), "row {len} not filled");
+        let cell = self.cells.get(len * self.weight_bytes.len() + stage);
+        match (cell, self.weight_bytes.get(stage)) {
+            (Some(cell), _) if cell.compute_bound => cell.compute_cycles,
+            (Some(cell), Some(&weight_bytes)) => {
+                cell.compute_cycles
+                    .max(design.memory_cycles(weight_bytes, cell.row_bytes, batch))
+            }
+            _ => design.stage_cycles(stage, len, batch),
+        }
+    }
+
+    /// [`AcceleratorDesign::stage_cycles`]`(stage, len, batch)` from the
+    /// table, filling row `len` first if needed.
+    pub fn stage_cycles(
+        &mut self,
+        design: &AcceleratorDesign,
+        stage: usize,
+        len: usize,
+        batch: usize,
+    ) -> u64 {
+        self.fill(design, &[len]);
+        self.lookup(design, stage, len, batch)
+    }
+
+    /// [`AcceleratorDesign::service_seconds`]`(lengths, policy)`, bit for
+    /// bit, priced from the table's rows (filling any missing).
+    ///
+    /// # Panics
+    ///
+    /// Same panics as [`AcceleratorDesign::run_batch`].
+    pub fn service_seconds(
+        &mut self,
+        design: &AcceleratorDesign,
+        lengths: &[usize],
+        policy: SchedulingPolicy,
+    ) -> f64 {
+        self.fill(design, lengths);
+        let timing = TableTiming {
+            table: self,
+            design,
+            batch: lengths.len(),
+        };
+        let makespan = batch_makespan(lengths, design.cfg.layers, &timing, policy);
+        design.spec.cycles_to_seconds(makespan)
+    }
+
+    /// Service seconds of a pure-decode iteration: `batch` one-token
+    /// sequences, memoized per batch size. `ones` is scratch space for
+    /// the batch on a miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0`.
+    pub fn one_token_seconds(
+        &mut self,
+        design: &AcceleratorDesign,
+        batch: usize,
+        policy: SchedulingPolicy,
+        ones: &mut Vec<usize>,
+    ) -> f64 {
+        if self.one_token_policy != Some(policy) {
+            self.one_token.clear();
+            self.one_token_policy = Some(policy);
+        }
+        if let Some(&Some(seconds)) = self.one_token.get(batch) {
+            return seconds;
+        }
+        ones.clear();
+        ones.resize(batch, 1);
+        let seconds = self.service_seconds(design, ones, policy);
+        if self.one_token.len() <= batch {
+            self.one_token.resize(batch + 1, None);
+        }
+        if let Some(slot) = self.one_token.get_mut(batch) {
+            *slot = Some(seconds);
+        }
+        seconds
+    }
+}
+
+/// One `(length, stage)` entry of a [`StageCostTable`].
+#[derive(Debug, Clone, Copy, Default)]
+struct StageCell {
+    compute_cycles: u64,
+    /// HBM bytes that do not depend on the batch (activations, top-k spill).
+    row_bytes: u64,
+    /// `compute_cycles` bounds the stage at every batch size: it covers the
+    /// memory time of a batch of one, and memory time only falls as the
+    /// batch grows (`weight_bytes / batch` shrinks).
+    compute_bound: bool,
+}
+
+/// The [`StageTiming`] view of a filled [`StageCostTable`].
+struct TableTiming<'a> {
+    table: &'a StageCostTable,
+    design: &'a AcceleratorDesign,
+    batch: usize,
+}
+
+impl StageTiming for TableTiming<'_> {
+    fn num_stages(&self) -> usize {
+        self.table.weight_bytes.len()
+    }
+
+    fn stage_cycles(&self, stage: usize, len: usize) -> u64 {
+        self.table.lookup(self.design, stage, len, self.batch)
     }
 }
 

@@ -472,6 +472,7 @@ pub(crate) struct Slot {
     admit_seq: u64,
 }
 
+#[derive(Default)]
 pub(crate) struct DecodeShard {
     pub(crate) book: ShardBook,
     pub(crate) resident: Vec<Slot>,
@@ -483,24 +484,9 @@ pub(crate) struct DecodeShard {
     slot_integral: f64,
     peak_resident: usize,
     preemptions: usize,
-    /// Decode-iteration cost per resident count, computed once (index =
-    /// batch size).
-    decode_cost_cache: Vec<Option<f64>>,
 }
 
 impl DecodeShard {
-    fn new(max_slots: usize) -> Self {
-        Self {
-            book: ShardBook::default(),
-            resident: Vec::new(),
-            stepping_live: 0,
-            slot_integral: 0.0,
-            peak_resident: 0,
-            preemptions: 0,
-            decode_cost_cache: vec![None; max_slots + 1],
-        }
-    }
-
     /// Waiting + resident requests — the load metric dispatch balances.
     fn load(&self) -> usize {
         self.book.queue.len() + self.resident.len()
@@ -593,21 +579,23 @@ pub(crate) struct DecodeCore<'a> {
     /// context.
     pub(crate) prefill_skip: Vec<usize>,
     itl_gaps: Vec<f64>,
+    /// Scratch for the lengths of the iteration being priced.
+    lens: Vec<usize>,
     /// The fleet-level report half: step log and makespan.
     report: ReportBook,
 }
 
 impl DecodeCore<'_> {
     /// Decode-iteration cost for `batch` resident sequences: a
-    /// `batch`-sequence 1-token run through the shard's pipeline, cached
-    /// per batch size.
+    /// `batch`-sequence 1-token run through the shard's pipeline, memoized
+    /// per batch size in the shard's stage-cost table.
     fn decode_cost(&mut self, s: usize, batch: usize) -> f64 {
-        if let Some(c) = self.shards[s].decode_cost_cache[batch] {
-            return c;
-        }
-        let c = self.designs[s].service_seconds(&vec![1usize; batch], self.policy);
-        self.shards[s].decode_cost_cache[batch] = Some(c);
-        c
+        self.shards[s].book.costs.one_token_seconds(
+            &self.designs[s],
+            batch,
+            self.policy,
+            &mut self.lens,
+        )
     }
 
     /// Moves the request at `queue[idx]` of shard `s` into a free slot.
@@ -732,7 +720,7 @@ impl DecodeCore<'_> {
         // (padded), so `resident.len()` is the formed batch size and the
         // rigid engine keeps paying for it; `live` counts the sequences
         // that actually emit a token this iteration.
-        let mut lens = Vec::new();
+        self.lens.clear();
         for i in 0..self.shards[s].resident.len() {
             let sl = self.shards[s].resident[i];
             if sl.is_new {
@@ -740,7 +728,8 @@ impl DecodeCore<'_> {
                 // cached prefix (at least one fresh token always runs);
                 // skip == 0 prices exactly `prefill_len + emitted`.
                 let skip = self.prefill_skip[sl.req].min(self.trace[sl.req].prefill_len - 1);
-                lens.push(self.trace[sl.req].prefill_len - skip + self.emitted[sl.req]);
+                self.lens
+                    .push(self.trace[sl.req].prefill_len - skip + self.emitted[sl.req]);
                 self.prefill_passes[sl.req] += 1;
             }
         }
@@ -750,12 +739,15 @@ impl DecodeCore<'_> {
             .iter()
             .filter(|sl| self.emitted[sl.req] < self.trace[sl.req].output_len)
             .count();
-        let old = size - lens.len();
-        lens.extend(std::iter::repeat_n(1, old));
-        let cost = if lens.len() == old {
-            self.decode_cost(s, old) // pure-decode iteration: cached
+        let old = size - self.lens.len();
+        let cost = if self.lens.is_empty() {
+            self.decode_cost(s, old) // pure-decode iteration: memoized
         } else {
-            self.designs[s].service_seconds(&lens, self.policy)
+            self.lens.extend(std::iter::repeat_n(1, old));
+            self.shards[s]
+                .book
+                .costs
+                .service_seconds(&self.designs[s], &self.lens, self.policy)
         } * self.slowdown[s];
         let sh = &mut self.shards[s];
         for slot in sh.resident.iter_mut() {
@@ -1093,9 +1085,7 @@ impl<'a> DecodeCore<'a> {
             policy,
             scheduler,
             cfg,
-            shards: (0..shards.len())
-                .map(|_| DecodeShard::new(cfg.max_slots))
-                .collect(),
+            shards: (0..shards.len()).map(|_| DecodeShard::default()).collect(),
             accepting,
             dead: vec![false; shards.len()],
             slowdown: vec![1.0; shards.len()],
@@ -1115,6 +1105,7 @@ impl<'a> DecodeCore<'a> {
             kv_warm: vec![false; n],
             prefill_skip: vec![0; n],
             itl_gaps: Vec::new(),
+            lens: Vec::new(),
             report: ReportBook::new(),
         }
     }

@@ -49,7 +49,7 @@
 //! assert!(report.p95_latency_s >= report.p50_latency_s);
 //! ```
 
-use crate::accelerator::AcceleratorDesign;
+use crate::accelerator::{AcceleratorDesign, StageCostTable};
 use crate::failure::FaultTarget;
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::QuantileSketch;
@@ -776,6 +776,9 @@ pub(crate) struct ShardBook {
     pub(crate) queue_integral: f64,
     pub(crate) max_queue_depth: usize,
     pub(crate) last_event_s: f64,
+    /// The shard's stage-cost table: every batch or iteration it launches
+    /// is priced through it.
+    pub(crate) costs: StageCostTable,
 }
 
 impl ShardBook {
@@ -1084,6 +1087,8 @@ pub(crate) struct FleetCore<'a> {
     pub(crate) abandoned: usize,
     events: EventQueue<'a, Request>,
     rr_next: usize,
+    /// Scratch for the lengths of the batch being priced.
+    lengths: Vec<usize>,
     pub(crate) completion_s: Vec<f64>,
     /// Trace arrivals processed so far — the RNG-free, wall-clock-free
     /// observation stream predictive scaling policies consume (re-routed
@@ -1134,6 +1139,7 @@ impl<'a> FleetCore<'a> {
             abandoned: 0,
             events: EventQueue::new(trace),
             rr_next: 0,
+            lengths: Vec::new(),
             completion_s: vec![f64::NAN; trace.len()],
             arrivals_seen: 0,
             report: ReportBook::new(),
@@ -1195,14 +1201,14 @@ impl<'a> FleetCore<'a> {
         let window_close = self.trace[head].arrival_s + self.cfg.batch_window_s;
         if st.book.queue.len() >= self.cfg.max_batch || now >= window_close {
             let take = self.cfg.max_batch.min(st.book.queue.len());
-            let lengths: Vec<usize> = st
-                .book
-                .queue
-                .iter()
-                .take(take)
-                .map(|&r| self.trace[r].len)
-                .collect();
-            let service = self.shards[s].service_seconds(&lengths, self.policy) * self.slowdown[s];
+            self.lengths.clear();
+            self.lengths
+                .extend(st.book.queue.iter().take(take).map(|&r| self.trace[r].len));
+            let service =
+                st.book
+                    .costs
+                    .service_seconds(&self.shards[s], &self.lengths, self.policy)
+                    * self.slowdown[s];
             let completion = st.book.launch(now, service, take);
             for _ in 0..take {
                 let r = st.book.queue.pop_front().expect("counted above");

@@ -1,13 +1,13 @@
 //! Property-based tests of the FPGA simulator's invariants.
 
 use lat_fpga::core::pipeline::SchedulingPolicy;
-use lat_fpga::hwsim::accelerator::AcceleratorDesign;
+use lat_fpga::hwsim::accelerator::{AcceleratorDesign, StageCostTable};
 use lat_fpga::hwsim::hbm::HbmModel;
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 fn design() -> AcceleratorDesign {
     AcceleratorDesign::new(
@@ -41,10 +41,43 @@ fn pricing_designs() -> &'static [AcceleratorDesign] {
     })
 }
 
-/// Batches of 1–32 sequences: as drawn, all equal to the first length,
-/// or with every other sequence cut to a single token.
+/// The four paper models and `tiny`, each sparse and dense, on the U280,
+/// plus `tiny` and BERT-base on a U280 with 1/1000 of its HBM bandwidth,
+/// where memory bounds many stages (on the real chip compute bounds
+/// nearly all). Each carries one [`StageCostTable`], shared by every case
+/// so later cases read rows earlier ones filled.
+fn table_designs() -> &'static Mutex<Vec<(AcceleratorDesign, StageCostTable)>> {
+    static DESIGNS: OnceLock<Mutex<Vec<(AcceleratorDesign, StageCostTable)>>> = OnceLock::new();
+    DESIGNS.get_or_init(|| {
+        let starved = FpgaSpec {
+            hbm_bytes_per_s: FpgaSpec::alveo_u280().hbm_bytes_per_s / 1000.0,
+            ..FpgaSpec::alveo_u280()
+        };
+        let models = [
+            (ModelConfig::distilbert(), 177, FpgaSpec::alveo_u280()),
+            (ModelConfig::bert_base(), 177, FpgaSpec::alveo_u280()),
+            (ModelConfig::roberta(), 177, FpgaSpec::alveo_u280()),
+            (ModelConfig::bert_large(), 177, FpgaSpec::alveo_u280()),
+            (ModelConfig::tiny(), 64, FpgaSpec::alveo_u280()),
+            (ModelConfig::tiny(), 64, starved.clone()),
+            (ModelConfig::bert_base(), 177, starved),
+        ];
+        let mut designs = Vec::new();
+        for (cfg, s_avg, spec) in models {
+            for mode in [AttentionMode::paper_sparse(), AttentionMode::Dense] {
+                let design = AcceleratorDesign::new(&cfg, mode, spec.clone(), s_avg);
+                designs.push((design, StageCostTable::new()));
+            }
+        }
+        Mutex::new(designs)
+    })
+}
+
+/// Batches of 1–32 sequences of up to 1099 tokens (past BERT's 512): as
+/// drawn, all equal to the first length, or with every other sequence
+/// cut to a single token.
 fn pricing_batch_strategy() -> impl Strategy<Value = Vec<usize>> {
-    (proptest::collection::vec(1usize..400, 1..=32), 0usize..3).prop_map(|(mut batch, shape)| {
+    (proptest::collection::vec(1usize..1100, 1..=32), 0usize..3).prop_map(|(mut batch, shape)| {
         match shape {
             1 => {
                 let first = batch[0];
@@ -153,6 +186,59 @@ proptest! {
                     d.run_batch(&batch, policy).seconds.to_bits(),
                     "{} {:?} {} {:?}", d.config().name, d.mode(), policy, batch
                 );
+            }
+        }
+    }
+
+    /// Every stage-cost table entry is `stage_cycles(stage, len, batch)`,
+    /// at lengths past every model's `max_seq_len`.
+    #[test]
+    fn stage_cost_table_matches_stage_cycles(
+        lens in proptest::collection::vec(1usize..=1100, 1..=16),
+        batch in 1usize..=64,
+    ) {
+        let mut designs = table_designs().lock().expect("table lock");
+        for (d, table) in designs.iter_mut() {
+            for &len in &lens {
+                for stage in 0..d.allocation().num_stages() {
+                    prop_assert_eq!(
+                        table.stage_cycles(d, stage, len, batch),
+                        d.stage_cycles(stage, len, batch),
+                        "{} {:?} {} stage {} len {} batch {}",
+                        d.config().name, d.mode(), d.spec().hbm_bytes_per_s, stage, len, batch
+                    );
+                }
+            }
+        }
+    }
+
+    /// Pricing through a shared stage-cost table is `service_seconds`, bit
+    /// for bit, under every policy; so is its pure-decode memo.
+    #[test]
+    fn table_seconds_match_service_seconds(batch in pricing_batch_strategy()) {
+        let policies = [SchedulingPolicy::LengthAware, SchedulingPolicy::PadToMax]
+            .into_iter()
+            .chain((1..=8).map(|size| SchedulingPolicy::MicroBatch { size }));
+        let mut designs = table_designs().lock().expect("table lock");
+        let mut ones = Vec::new();
+        for (d, table) in designs.iter_mut() {
+            for policy in policies.clone() {
+                prop_assert_eq!(
+                    table.service_seconds(d, &batch, policy).to_bits(),
+                    d.service_seconds(&batch, policy).to_bits(),
+                    "{} {:?} {} {} {:?}",
+                    d.config().name, d.mode(), d.spec().hbm_bytes_per_s, policy, batch
+                );
+                // Priced on the first call, memoized on the second.
+                let one_token = d.service_seconds(&vec![1; batch.len()], policy).to_bits();
+                for _ in 0..2 {
+                    prop_assert_eq!(
+                        table.one_token_seconds(d, batch.len(), policy, &mut ones).to_bits(),
+                        one_token,
+                        "{} {:?} {} {} one-token batch of {}",
+                        d.config().name, d.mode(), d.spec().hbm_bytes_per_s, policy, batch.len()
+                    );
+                }
             }
         }
     }
