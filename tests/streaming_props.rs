@@ -11,6 +11,7 @@
 use lat_bench::scenarios::{
     harness_seed, FAILURE_BACKOFF_S, FAILURE_DEADLINE_S, FAILURE_MAX_RETRIES, FAILURE_TIMEOUT_S,
 };
+use lat_exp::artifact::fnv1a64;
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::core::sketch::ReportMode;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
@@ -18,8 +19,8 @@ use lat_fpga::hwsim::failure::{
     simulate_fleet_failure, ClientConfig, Fault, FaultKind, FaultPlan, RetryDecision,
 };
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, simulate_fleet_mode, BatcherConfig,
-    DispatchPolicy, FleetReport,
+    homogeneous_fleet, poisson_trace, simulate_fleet, simulate_fleet_instrumented,
+    simulate_fleet_mode, BatcherConfig, DispatchPolicy, FleetReport,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -151,6 +152,30 @@ fn fleet_streaming_matches_exact() {
         "Exact mode must be simulate_fleet verbatim"
     );
     assert_fleet_reports_equivalent(&stream, &exact);
+}
+
+/// Pins the bytes of a Streaming fleet report: `Debug` prints each f64
+/// in its shortest round-trip form, so an unchanged hash means every
+/// sketch estimate, the sketched mean and every counter kept their bits.
+/// The seed is a literal, so the constant holds at any `HARNESS_SEED`.
+#[test]
+fn fleet_streaming_report_bytes_pinned() {
+    let fleet = homogeneous_fleet(&tiny_design(64), 4);
+    let trace = poisson_trace(&DatasetSpec::rte(), 50_000.0, 4000, 0x5EED);
+    let (report, _) = simulate_fleet_instrumented(
+        &fleet,
+        &trace,
+        SchedulingPolicy::LengthAware,
+        DispatchPolicy::JoinShortestQueue,
+        &BatcherConfig::default(),
+        ReportMode::Streaming,
+    );
+    assert_eq!(report.completed, 4000);
+    let hash = fnv1a64(format!("{report:?}").as_bytes());
+    assert_eq!(
+        hash, 0xc306_75f0_6480_201b,
+        "Streaming report bytes moved: {hash:#018x}"
+    );
 }
 
 /// Regression pin for the deduplicated client-retry scheduling: the
