@@ -1,12 +1,12 @@
 //! Ablation: online serving latency under load — the deployment-level
 //! payoff of the co-design. Sweeps the request arrival rate and compares
 //! tail latencies between the length-aware schedule and pad-to-max on the
-//! same chip.
+//! same chip: one accelerator, i.e. the 1-shard join-shortest-queue fleet.
 
 use lat_bench::tables;
 use lat_core::pipeline::SchedulingPolicy;
 use lat_hwsim::accelerator::AcceleratorDesign;
-use lat_hwsim::serving::{simulate_serving, ServingConfig};
+use lat_hwsim::fleet::{poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy};
 use lat_hwsim::spec::FpgaSpec;
 use lat_model::config::ModelConfig;
 use lat_model::graph::AttentionMode;
@@ -20,23 +20,25 @@ fn main() {
         FpgaSpec::alveo_u280(),
         68,
     );
-    let dataset = DatasetSpec::rte();
+    let cfg = BatcherConfig {
+        batch_window_s: 0.05,
+        max_batch: 16,
+    };
 
     let mut rows = Vec::new();
     for rate in [10.0f64, 30.0, 60.0, 90.0, 120.0] {
-        let cfg = ServingConfig {
-            arrival_rate: rate,
-            num_requests: 300,
-            ..ServingConfig::default()
+        let trace = poisson_trace(&DatasetSpec::rte(), rate, 300, 0x5E12);
+        let serve = |policy| {
+            simulate_fleet(
+                std::slice::from_ref(&design),
+                &trace,
+                policy,
+                DispatchPolicy::JoinShortestQueue,
+                &cfg,
+            )
         };
-        let adaptive = simulate_serving(
-            &design,
-            &dataset,
-            SchedulingPolicy::LengthAware,
-            &cfg,
-            0x5E12,
-        );
-        let padded = simulate_serving(&design, &dataset, SchedulingPolicy::PadToMax, &cfg, 0x5E12);
+        let adaptive = serve(SchedulingPolicy::LengthAware);
+        let padded = serve(SchedulingPolicy::PadToMax);
         rows.push(vec![
             format!("{rate:.0}"),
             format!("{:.1}", adaptive.mean_batch_size),

@@ -24,9 +24,9 @@
 //! work pool the evaluation harnesses fan their sweep grids across —
 //! results land in input order regardless of worker count, so parallelism
 //! never changes output. [`sketch`] provides the streaming (O(1)-state)
-//! percentile and moment accumulators the fleet engine uses under
-//! `ReportMode::Streaming` to survive million-request traces in bounded
-//! memory.
+//! latency summary — an exact count and mean plus P² estimates of
+//! p50/p95/p99 — the fleet engine uses under `ReportMode::Streaming` to
+//! survive million-request traces in bounded memory.
 //!
 //! # Quickstart
 //!

@@ -1,8 +1,8 @@
 //! Event-driven multi-accelerator fleet simulator.
 //!
-//! Where [`crate::serving`] models one accelerator, this module simulates a
-//! *fleet* of N [`AcceleratorDesign`] shards (homogeneous or heterogeneous)
-//! fed by a single arrival stream through a pluggable [`DispatchPolicy`].
+//! This module simulates a *fleet* of N [`AcceleratorDesign`] shards
+//! (homogeneous or heterogeneous) fed by a single arrival stream through a
+//! pluggable [`DispatchPolicy`].
 //! Each shard runs its own batcher which closes a batch at the **earlier**
 //! of the batching-window expiry and the batch-cap fill — the cap-fill path
 //! is the fix for the batch-window stall the old serial batcher had (a full
@@ -11,8 +11,8 @@
 //! The engine is a classic discrete-event simulation: a priority queue of
 //! arrival / window-close / batch-completion events ordered by time with
 //! deterministic tie-breaking, so every run is bit-reproducible for a given
-//! trace. [`crate::serving::simulate_serving`] is reimplemented as the
-//! 1-shard special case of this engine.
+//! trace. One shard under [`DispatchPolicy::JoinShortestQueue`] is the
+//! single-accelerator online-serving case.
 //!
 //! # Example
 //!
@@ -1472,32 +1472,7 @@ pub fn simulate_fleet(
     dispatch: DispatchPolicy,
     cfg: &BatcherConfig,
 ) -> FleetReport {
-    simulate_fleet_mode(shards, trace, policy, dispatch, cfg, ReportMode::Exact)
-}
-
-/// [`simulate_fleet`] with an explicit [`ReportMode`].
-///
-/// `Exact` is [`simulate_fleet`] verbatim. `Streaming` runs the identical
-/// event sequence but never grows the batch log and feeds each completed
-/// latency into a P² sketch as its completion event pops, so a
-/// million-request trace runs in bounded memory: the report's percentiles
-/// are sketch estimates (within the ε the property suites pin), its
-/// `batch_log` is empty, and everything else — makespan, throughput,
-/// batch-size means, per-shard stats — is bit-identical to `Exact`.
-///
-/// # Panics
-///
-/// Same input panics as [`simulate_fleet`], plus the same conservation
-/// assert (every request completes exactly once).
-pub fn simulate_fleet_mode(
-    shards: &[AcceleratorDesign],
-    trace: &[Request],
-    policy: SchedulingPolicy,
-    dispatch: DispatchPolicy,
-    cfg: &BatcherConfig,
-    mode: ReportMode,
-) -> FleetReport {
-    simulate_fleet_instrumented(shards, trace, policy, dispatch, cfg, mode).0
+    simulate_fleet_instrumented(shards, trace, policy, dispatch, cfg, ReportMode::Exact).0
 }
 
 /// Engine-side run-size counters for scaling benches. Kept out of
@@ -1536,12 +1511,21 @@ impl FleetRunStats {
     }
 }
 
-/// [`simulate_fleet_mode`] returning the run-size counters alongside the
-/// report — the entry point the million-request smoke bench records.
+/// [`simulate_fleet`] with an explicit [`ReportMode`], returning the
+/// run-size counters alongside the report — the one streaming entry point.
+///
+/// `Exact` is [`simulate_fleet`] verbatim. `Streaming` runs the identical
+/// event sequence but never grows the batch log and feeds each completed
+/// latency into a P² sketch as its completion event pops, so a
+/// million-request trace runs in bounded memory: the report's percentiles
+/// are sketch estimates (within the ε the property suites pin), its
+/// `batch_log` is empty, and everything else — makespan, throughput,
+/// batch-size means, per-shard stats — is bit-identical to `Exact`.
 ///
 /// # Panics
 ///
-/// Same panics as [`simulate_fleet_mode`].
+/// Same input panics as [`simulate_fleet`], plus the same conservation
+/// assert (every request completes exactly once).
 pub fn simulate_fleet_instrumented(
     shards: &[AcceleratorDesign],
     trace: &[Request],
@@ -1960,6 +1944,107 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// BERT-base on the U280, tuned to RTE's average length.
+    fn bert_base_design() -> AcceleratorDesign {
+        AcceleratorDesign::new(
+            &ModelConfig::bert_base(),
+            AttentionMode::paper_sparse(),
+            FpgaSpec::alveo_u280(),
+            68,
+        )
+    }
+
+    /// The single-accelerator online-serving case: one BERT-base shard
+    /// under join-shortest-queue dispatch, 200 Poisson RTE arrivals at
+    /// `rate`, batches of at most 16 within a 50 ms window.
+    fn serve_one_shard(rate: f64, policy: SchedulingPolicy) -> FleetReport {
+        let trace = poisson_trace(&DatasetSpec::rte(), rate, 200, 7);
+        simulate_fleet(
+            &[bert_base_design()],
+            &trace,
+            policy,
+            DispatchPolicy::JoinShortestQueue,
+            &BatcherConfig {
+                batch_window_s: 0.05,
+                max_batch: 16,
+            },
+        )
+    }
+
+    #[test]
+    fn higher_load_raises_latency() {
+        let light = serve_one_shard(5.0, SchedulingPolicy::LengthAware);
+        let heavy = serve_one_shard(120.0, SchedulingPolicy::LengthAware);
+        assert!(
+            heavy.p95_latency_s > light.p95_latency_s,
+            "heavy p95 {} !> light p95 {}",
+            heavy.p95_latency_s,
+            light.p95_latency_s
+        );
+        assert!(heavy.mean_batch_size >= light.mean_batch_size);
+    }
+
+    #[test]
+    fn length_aware_serves_lower_tail_latency_under_load() {
+        // The deployment-level payoff of the co-design: at the same load
+        // the adaptive schedule completes batches faster, cutting tails.
+        let adaptive = serve_one_shard(80.0, SchedulingPolicy::LengthAware);
+        let padded = serve_one_shard(80.0, SchedulingPolicy::PadToMax);
+        assert!(
+            adaptive.p95_latency_s < padded.p95_latency_s,
+            "adaptive p95 {} !< padded p95 {}",
+            adaptive.p95_latency_s,
+            padded.p95_latency_s
+        );
+    }
+
+    #[test]
+    fn throughput_bounded_by_offered_load() {
+        let r = serve_one_shard(20.0, SchedulingPolicy::LengthAware);
+        assert!(
+            r.throughput_seq_s <= 20.0 * 1.2,
+            "throughput {}",
+            r.throughput_seq_s
+        );
+        assert!(r.throughput_seq_s > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate")]
+    fn zero_rate_rejected() {
+        let _ = poisson_trace(&DatasetSpec::rte(), 0.0, 400, 1);
+    }
+
+    #[test]
+    fn poisson_cap_fill_dispatches_before_window_close() {
+        // Stall regression under Poisson traffic (not just a hand-built
+        // burst): at 800 seq/s the cap (16) fills long before the 50 ms
+        // window, so the first batch must start at the cap-filling
+        // arrival's time — the old batcher stalled it to window close.
+        let cfg = BatcherConfig {
+            batch_window_s: 0.05,
+            max_batch: 16,
+        };
+        let trace = poisson_trace(&DatasetSpec::rte(), 800.0, 64, 7);
+        let cap_fill = trace[cfg.max_batch - 1].arrival_s;
+        assert!(
+            cap_fill < trace[0].arrival_s + cfg.batch_window_s,
+            "test premise: cap fills inside the window ({cap_fill})"
+        );
+        let r = simulate_fleet(
+            &[bert_base_design()],
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            &cfg,
+        );
+        assert_eq!(r.batch_log[0].size, cfg.max_batch);
+        assert_eq!(
+            r.batch_log[0].start_s, cap_fill,
+            "first batch stalled past the cap-filling arrival"
+        );
     }
 
     #[test]

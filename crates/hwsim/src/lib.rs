@@ -21,7 +21,8 @@
 //! - [`fleet`] — event-driven multi-shard serving simulator (round-robin /
 //!   join-shortest-queue / length-binned dispatch over N designs), plus
 //!   stationary and nonstationary (piecewise / diurnal) Poisson trace
-//!   generators; [`serving`] is its 1-shard special case.
+//!   generators. One shard under join-shortest-queue dispatch is the
+//!   single-accelerator online-serving case.
 //! - [`decode`] — generative (multi-step) serving on the fleet machinery:
 //!   static vs continuous (iteration-level) batching and deadline-driven
 //!   preemption, with TTFT / inter-token-latency / goodput reporting.
@@ -71,7 +72,6 @@ pub mod hbm;
 pub mod kernels;
 pub mod report;
 pub mod roofline;
-pub mod serving;
 pub mod spec;
 pub mod statemachine;
 pub mod substage;

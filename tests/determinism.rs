@@ -9,7 +9,6 @@ use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::fleet::{
     homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
 };
-use lat_fpga::hwsim::serving::{simulate_serving, ServingConfig};
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::graph::AttentionMode;
 use lat_fpga::workloads::datasets::MixedWorkload;
@@ -37,24 +36,25 @@ fn scenario_batches_are_bit_identical_across_runs() {
 
 #[test]
 fn serving_report_is_bit_identical_across_runs() {
+    // The single-accelerator case: one shard under join-shortest-queue.
     let scenario = &Scenario::hardware_eval()[0];
     let design = scenario_design(scenario);
-    let cfg = ServingConfig {
-        num_requests: 80,
-        ..ServingConfig::default()
-    };
+    let trace = poisson_trace(&scenario.dataset, 20.0, 80, HARNESS_SEED);
     let run = || {
-        simulate_serving(
-            &design,
-            &scenario.dataset,
+        simulate_fleet(
+            std::slice::from_ref(&design),
+            &trace,
             SchedulingPolicy::LengthAware,
-            &cfg,
-            HARNESS_SEED,
+            DispatchPolicy::JoinShortestQueue,
+            &BatcherConfig {
+                batch_window_s: 0.05,
+                max_batch: 16,
+            },
         )
     };
     let first = run();
     let second = run();
-    // ServingReport is PartialEq over f64 fields: equality here is bitwise,
+    // FleetReport is PartialEq over f64 fields: equality here is bitwise,
     // not approximate.
     assert_eq!(first, second, "serving simulation diverged between runs");
 }

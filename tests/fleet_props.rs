@@ -1,7 +1,6 @@
 //! Property-based tests of the event-driven fleet engine's invariants:
-//! request conservation, determinism under `HARNESS_SEED`, and exact
-//! agreement between the refactored serving simulator and the fleet
-//! engine's 1-shard join-shortest-queue case.
+//! request conservation, determinism under `HARNESS_SEED`, and
+//! length-binned routing partitioning the trace.
 
 use lat_bench::scenarios::harness_seed;
 use lat_fpga::core::pipeline::SchedulingPolicy;
@@ -9,7 +8,6 @@ use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::fleet::{
     homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
 };
-use lat_fpga::hwsim::serving::{simulate_serving, ServingConfig};
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
@@ -86,51 +84,6 @@ proptest! {
             &BatcherConfig::default(),
         );
         prop_assert_eq!(run(), run());
-    }
-
-    /// The refactored `simulate_serving` IS the 1-shard JSQ fleet: every
-    /// report field agrees bit-for-bit (same trace, same batcher, same
-    /// percentile convention).
-    #[test]
-    fn serving_equals_one_shard_jsq_fleet(
-        rate in 20.0f64..800.0,
-        max_batch in 1usize..20,
-        window_ms in 1.0f64..80.0,
-        n in 8usize..40,
-        seed in 0u64..1_000_000,
-    ) {
-        let design = tiny_design(64);
-        let scfg = ServingConfig {
-            arrival_rate: rate,
-            batch_window_s: window_ms / 1e3,
-            max_batch,
-            num_requests: n,
-        };
-        let serving = simulate_serving(
-            &design,
-            &DatasetSpec::rte(),
-            SchedulingPolicy::LengthAware,
-            &scfg,
-            seed,
-        );
-        let trace = poisson_trace(&DatasetSpec::rte(), rate, n, seed);
-        let fleet = simulate_fleet(
-            std::slice::from_ref(&design),
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &BatcherConfig {
-                batch_window_s: window_ms / 1e3,
-                max_batch,
-            },
-        );
-        prop_assert_eq!(serving.completed, fleet.completed);
-        prop_assert_eq!(serving.mean_latency_s, fleet.mean_latency_s);
-        prop_assert_eq!(serving.p50_latency_s, fleet.p50_latency_s);
-        prop_assert_eq!(serving.p95_latency_s, fleet.p95_latency_s);
-        prop_assert_eq!(serving.p99_latency_s, fleet.p99_latency_s);
-        prop_assert_eq!(serving.throughput_seq_s, fleet.throughput_seq_s);
-        prop_assert_eq!(serving.mean_batch_size, fleet.mean_batch_size);
     }
 
     /// Arrivals are never lost to routing: per-shard completions partition

@@ -2,23 +2,17 @@
 //! fast so a sketch regression fails here first, before the engine-level
 //! streaming suites run.
 //!
-//! Three property families from the PR contract:
+//! Two property families:
 //!
 //! 1. **ε-bound vs the exact reference**: sketch p50/p95/p99 stay pinned
 //!    (relative ε *or* a ±4-rank-point window) against
 //!    `lat_tensor::stats::percentiles` on uniform, heavy-tailed and
 //!    adversarial (sorted / reversed / spiked / bimodal) streams.
-//! 2. **Merge-order invariance under Scheduler fan-out**: per-chunk
-//!    sketches built through `Scheduler::par_map_indexed` fold to
-//!    bit-identical results for any worker count, a single pairwise
-//!    merge is bit-symmetric, and chunk-order permutations agree with
-//!    the exact reference within the same pinned bound.
-//! 3. **Seed-matrix determinism**: rebuilding the sketch from the same
+//! 2. **Seed-matrix determinism**: rebuilding the sketch from the same
 //!    `HARNESS_SEED`-derived stream is bit-identical, for every seed in
 //!    the matrix.
 
 use lat_bench::scenarios::harness_seed;
-use lat_fpga::core::pool::Scheduler;
 use lat_fpga::core::sketch::QuantileSketch;
 use lat_fpga::tensor::rng::SplitMix64;
 use lat_fpga::tensor::stats;
@@ -32,7 +26,7 @@ const RANK_WINDOW: f64 = 0.04;
 /// Stream length — long enough that P² converges, short enough that the
 /// whole suite stays in the fast tier.
 const STREAM_LEN: usize = 20_000;
-/// The quantiles every report pins.
+/// The quantiles every report pins, in `QuantileSketch::quantiles` order.
 const PS: [f64; 3] = [0.50, 0.95, 0.99];
 
 /// Sketch value is acceptable if it is within `QUANTILE_EPS` (relative)
@@ -61,8 +55,8 @@ fn assert_quantile_pinned(tag: &str, p: f64, sketch: f64, sorted: &[f64]) {
 fn assert_sketch_pinned(tag: &str, sketch: &QuantileSketch, stream: &[f64]) {
     let mut sorted = stream.to_vec();
     sorted.sort_by(f64::total_cmp);
-    for &p in &PS {
-        assert_quantile_pinned(tag, p, sketch.quantile(p), &sorted);
+    for (p, q) in PS.into_iter().zip(sketch.quantiles()) {
+        assert_quantile_pinned(tag, p, q, &sorted);
     }
     // The exact moments ride along for free: count and mean are not
     // estimates, so they must match the reference bit-for-bit.
@@ -157,11 +151,11 @@ fn sketch_pinned_on_adversarial_orderings() {
     ascending.sort_by(f64::total_cmp);
     let descending: Vec<f64> = ascending.iter().rev().copied().collect();
     assert_sketch_pinned("sorted-ascending", &build(&ascending), &ascending);
-    let desc = build(&descending);
+    let desc = build(&descending).quantiles();
+    let replay = build(&descending).quantiles();
     let (lo, hi) = (ascending[0], ascending[ascending.len() - 1]);
     let mut prev = f64::NEG_INFINITY;
-    for &p in &PS {
-        let q = desc.quantile(p);
+    for ((p, q), again) in PS.into_iter().zip(desc).zip(replay) {
         assert!(
             (lo..=hi).contains(&q),
             "sorted-descending q{p}: {q} escaped the sample range [{lo}, {hi}]"
@@ -173,7 +167,7 @@ fn sketch_pinned_on_adversarial_orderings() {
         prev = q;
         assert_eq!(
             q.to_bits(),
-            build(&descending).quantile(p).to_bits(),
+            again.to_bits(),
             "sorted-descending q{p}: not reproducible"
         );
     }
@@ -183,7 +177,7 @@ fn sketch_pinned_on_adversarial_orderings() {
     // 99% of the mass sits exactly at 1.0; the median must sit on the
     // constant (up to parabolic-interpolation dust), not drift toward
     // the spikes.
-    let p50 = sk.quantile(0.50);
+    let p50 = sk.quantiles()[0];
     assert!(
         (p50 - 1.0).abs() <= 1e-6,
         "constant bulk median drifted: {p50}"
@@ -197,87 +191,14 @@ fn nan_poisons_the_sketch() {
     assert!(!sk.is_poisoned());
     sk.observe(f64::NAN);
     assert!(sk.is_poisoned(), "NaN input must poison, not vanish");
-    assert!(sk.quantile(0.95).is_nan(), "poisoned quantiles surface NaN");
+    assert!(sk.mean().is_nan(), "a NaN input poisons the mean");
+    assert!(
+        sk.quantiles().iter().all(|q| q.is_nan()),
+        "poisoned quantiles surface NaN"
+    );
 }
 
-// ---- 2. merge-order invariance under Scheduler fan-out ------------------
-
-const CHUNKS: usize = 16;
-
-fn chunked(stream: &[f64]) -> Vec<&[f64]> {
-    let size = stream.len().div_ceil(CHUNKS);
-    stream.chunks(size).collect()
-}
-
-fn fan_out_merge(pool: &Scheduler, chunks: &[&[f64]]) -> QuantileSketch {
-    let parts = pool.par_map_indexed(chunks, |c| build(c));
-    let mut acc = QuantileSketch::p50_p95_p99();
-    for part in &parts {
-        acc.merge(part);
-    }
-    acc
-}
-
-#[test]
-fn fan_out_merge_is_worker_count_invariant() {
-    let stream = exponential(harness_seed(), STREAM_LEN);
-    let chunks = chunked(&stream);
-    let serial = fan_out_merge(&Scheduler::serial(), &chunks);
-    for workers in [2, 4, 8] {
-        let parallel = fan_out_merge(&Scheduler::new(workers), &chunks);
-        assert_eq!(parallel.count(), serial.count(), "{workers} workers");
-        for &p in &PS {
-            assert_eq!(
-                parallel.quantile(p).to_bits(),
-                serial.quantile(p).to_bits(),
-                "{workers} workers: q{p} drifted from the serial fold"
-            );
-        }
-    }
-    // And the fan-out result is still a valid estimate of the stream.
-    assert_sketch_pinned("fan-out-merge", &serial, &stream);
-}
-
-#[test]
-fn pairwise_merge_is_bit_symmetric() {
-    let seed = harness_seed();
-    let a = build(&pareto(seed, STREAM_LEN / 2));
-    let b = build(&uniform(seed ^ 5, STREAM_LEN / 4));
-    let mut ab = a.clone();
-    ab.merge(&b);
-    let mut ba = b.clone();
-    ba.merge(&a);
-    assert_eq!(ab.count(), ba.count());
-    for &p in &PS {
-        assert_eq!(
-            ab.quantile(p).to_bits(),
-            ba.quantile(p).to_bits(),
-            "q{p}: a∪b differs from b∪a"
-        );
-    }
-}
-
-#[test]
-fn chunk_permutations_stay_pinned() {
-    let stream = bimodal(harness_seed(), STREAM_LEN);
-    let chunks = chunked(&stream);
-    // Chained merges are associative only up to the sketch's ε, so each
-    // permutation is held to the exact reference, not to each other.
-    let mut rotated: Vec<&[f64]> = chunks.clone();
-    rotated.rotate_left(CHUNKS / 3);
-    let reversed: Vec<&[f64]> = chunks.iter().rev().copied().collect();
-    for (tag, order) in [
-        ("in-order", &chunks),
-        ("rotated", &rotated),
-        ("reversed", &reversed),
-    ] {
-        let merged = fan_out_merge(&Scheduler::serial(), order);
-        assert_eq!(merged.count(), stream.len() as u64, "{tag}: count");
-        assert_sketch_pinned(tag, &merged, &stream);
-    }
-}
-
-// ---- 3. HARNESS_SEED-matrix determinism ---------------------------------
+// ---- 2. HARNESS_SEED-matrix determinism ---------------------------------
 
 #[test]
 fn seed_matrix_rebuilds_are_bit_identical() {
@@ -286,22 +207,15 @@ fn seed_matrix_rebuilds_are_bit_identical() {
         let first = build(&stream);
         let second = build(&stream);
         assert_eq!(first.count(), second.count(), "seed {seed:#x}");
-        for &p in &PS {
+        for ((p, a), b) in PS
+            .into_iter()
+            .zip(first.quantiles())
+            .zip(second.quantiles())
+        {
             assert_eq!(
-                first.quantile(p).to_bits(),
-                second.quantile(p).to_bits(),
+                a.to_bits(),
+                b.to_bits(),
                 "seed {seed:#x}: q{p} not reproducible"
-            );
-        }
-        // Fan-out path reproduces too — the property CI leans on.
-        let chunks = chunked(&stream);
-        let fanned = fan_out_merge(&Scheduler::new(4), &chunks);
-        let fanned2 = fan_out_merge(&Scheduler::new(4), &chunks);
-        for &p in &PS {
-            assert_eq!(
-                fanned.quantile(p).to_bits(),
-                fanned2.quantile(p).to_bits(),
-                "seed {seed:#x}: fan-out q{p} not reproducible"
             );
         }
     }

@@ -19,8 +19,8 @@ use lat_fpga::hwsim::failure::{
     simulate_fleet_failure, ClientConfig, Fault, FaultKind, FaultPlan, RetryDecision,
 };
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, simulate_fleet_instrumented,
-    simulate_fleet_mode, BatcherConfig, DispatchPolicy, FleetReport,
+    homogeneous_fleet, poisson_trace, simulate_fleet, simulate_fleet_instrumented, BatcherConfig,
+    DispatchPolicy, FleetReport,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -129,7 +129,7 @@ fn fleet_streaming_matches_exact() {
     let trace = poisson_trace(&DatasetSpec::rte(), 120.0, 800, harness_seed());
     let cfg = batcher();
     let run = |mode| {
-        simulate_fleet_mode(
+        simulate_fleet_instrumented(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -137,6 +137,7 @@ fn fleet_streaming_matches_exact() {
             &cfg,
             mode,
         )
+        .0
     };
     let exact = run(ReportMode::Exact);
     let stream = run(ReportMode::Streaming);
