@@ -245,11 +245,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn streaming_stats_matches_summarize() {
+        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
+        let mut s = QuantileSketch::p50_p95_p99();
+        for &x in &xs {
+            s.observe(x);
+        }
+        assert_eq!(s.count(), xs.len() as u64);
+        assert!((s.mean() - xs.iter().sum::<f64>() / xs.len() as f64).abs() < 1e-12);
+        assert!(!s.is_poisoned());
+    }
+
+    #[test]
+    fn streaming_stats_nan_poisons_uniformly() {
+        let mut s = QuantileSketch::p50_p95_p99();
+        s.observe(1.0);
+        s.observe(f64::NAN);
+        s.observe(3.0);
+        assert_eq!(s.count(), 3);
+        assert!(s.is_poisoned());
+        assert!(s.mean().is_nan());
+        assert!(s.quantiles().iter().all(|q| q.is_nan()));
+    }
+
+    #[test]
+    fn streaming_stats_empty_is_nan_not_garbage() {
+        let s = QuantileSketch::p50_p95_p99();
+        assert_eq!(s.count(), 0);
+        assert!(s.mean().is_nan());
+        assert!(s.quantiles().iter().all(|q| q.is_nan()));
+        assert!(!s.is_poisoned());
+    }
+
+    #[test]
     fn p2_exact_below_five_samples() {
-        let sk = QuantileSketch::p50_p95_p99();
-        assert_eq!(sk.count(), 0);
-        assert!(sk.mean().is_nan(), "empty mean is NaN, not garbage");
-        assert!(sk.quantiles().iter().all(|q| q.is_nan()));
         let mut q = P2Quantile::new(0.5);
         assert!(q.quantile().is_nan());
         for (i, &x) in [4.0, 1.0, 3.0, 2.0].iter().enumerate() {

@@ -1946,107 +1946,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// BERT-base on the U280, tuned to RTE's average length.
-    fn bert_base_design() -> AcceleratorDesign {
-        AcceleratorDesign::new(
-            &ModelConfig::bert_base(),
-            AttentionMode::paper_sparse(),
-            FpgaSpec::alveo_u280(),
-            68,
-        )
-    }
-
-    /// The single-accelerator online-serving case: one BERT-base shard
-    /// under join-shortest-queue dispatch, 200 Poisson RTE arrivals at
-    /// `rate`, batches of at most 16 within a 50 ms window.
-    fn serve_one_shard(rate: f64, policy: SchedulingPolicy) -> FleetReport {
-        let trace = poisson_trace(&DatasetSpec::rte(), rate, 200, 7);
-        simulate_fleet(
-            &[bert_base_design()],
-            &trace,
-            policy,
-            DispatchPolicy::JoinShortestQueue,
-            &BatcherConfig {
-                batch_window_s: 0.05,
-                max_batch: 16,
-            },
-        )
-    }
-
-    #[test]
-    fn higher_load_raises_latency() {
-        let light = serve_one_shard(5.0, SchedulingPolicy::LengthAware);
-        let heavy = serve_one_shard(120.0, SchedulingPolicy::LengthAware);
-        assert!(
-            heavy.p95_latency_s > light.p95_latency_s,
-            "heavy p95 {} !> light p95 {}",
-            heavy.p95_latency_s,
-            light.p95_latency_s
-        );
-        assert!(heavy.mean_batch_size >= light.mean_batch_size);
-    }
-
-    #[test]
-    fn length_aware_serves_lower_tail_latency_under_load() {
-        // The deployment-level payoff of the co-design: at the same load
-        // the adaptive schedule completes batches faster, cutting tails.
-        let adaptive = serve_one_shard(80.0, SchedulingPolicy::LengthAware);
-        let padded = serve_one_shard(80.0, SchedulingPolicy::PadToMax);
-        assert!(
-            adaptive.p95_latency_s < padded.p95_latency_s,
-            "adaptive p95 {} !< padded p95 {}",
-            adaptive.p95_latency_s,
-            padded.p95_latency_s
-        );
-    }
-
-    #[test]
-    fn throughput_bounded_by_offered_load() {
-        let r = serve_one_shard(20.0, SchedulingPolicy::LengthAware);
-        assert!(
-            r.throughput_seq_s <= 20.0 * 1.2,
-            "throughput {}",
-            r.throughput_seq_s
-        );
-        assert!(r.throughput_seq_s > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate")]
-    fn zero_rate_rejected() {
-        let _ = poisson_trace(&DatasetSpec::rte(), 0.0, 400, 1);
-    }
-
-    #[test]
-    fn poisson_cap_fill_dispatches_before_window_close() {
-        // Stall regression under Poisson traffic (not just a hand-built
-        // burst): at 800 seq/s the cap (16) fills long before the 50 ms
-        // window, so the first batch must start at the cap-filling
-        // arrival's time — the old batcher stalled it to window close.
-        let cfg = BatcherConfig {
-            batch_window_s: 0.05,
-            max_batch: 16,
-        };
-        let trace = poisson_trace(&DatasetSpec::rte(), 800.0, 64, 7);
-        let cap_fill = trace[cfg.max_batch - 1].arrival_s;
-        assert!(
-            cap_fill < trace[0].arrival_s + cfg.batch_window_s,
-            "test premise: cap fills inside the window ({cap_fill})"
-        );
-        let r = simulate_fleet(
-            &[bert_base_design()],
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &cfg,
-        );
-        assert_eq!(r.batch_log[0].size, cfg.max_batch);
-        assert_eq!(
-            r.batch_log[0].start_s, cap_fill,
-            "first batch stalled past the cap-filling arrival"
-        );
-    }
-
     #[test]
     #[should_panic(expected = "sorted by arrival")]
     fn unsorted_trace_rejected() {

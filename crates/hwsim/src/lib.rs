@@ -72,6 +72,8 @@ pub mod hbm;
 pub mod kernels;
 pub mod report;
 pub mod roofline;
+#[cfg(test)]
+mod serving;
 pub mod spec;
 pub mod statemachine;
 pub mod substage;

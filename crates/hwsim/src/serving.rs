@@ -1,119 +1,18 @@
-//! Online serving simulation: the "prolonged turnaround time" scenario the
-//! paper's introduction motivates.
-//!
-//! Requests with dataset-distributed lengths arrive as a Poisson process;
-//! the server forms batches (up to a size cap, waiting at most a batching
-//! window — whichever closes first) and executes each batch on the
-//! accelerator design. The report gives end-to-end request latency
-//! percentiles and sustained throughput — the quantities a deployment
-//! actually cares about, and where the length-aware pipeline's higher batch
-//! throughput turns into lower tail latency.
-//!
-//! Since the fleet refactor this module is a thin veneer: the simulation is
-//! the 1-shard case of [`crate::fleet::simulate_fleet`], which also fixed
-//! the old serial batcher's stall (a batch that filled `max_batch` early
-//! used to wait out the full window anyway).
+//! Single-accelerator online serving: one BERT-base shard under Poisson
+//! RTE arrivals, run as the 1-shard join-shortest-queue fleet
+//! ([`crate::fleet::simulate_fleet`]). The fleet is the engine; this
+//! module only holds the serving-level checks.
 
-use crate::accelerator::AcceleratorDesign;
-use crate::fleet::{poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy, FleetReport};
-use lat_core::pipeline::SchedulingPolicy;
-use lat_workloads::datasets::DatasetSpec;
-use serde::{Deserialize, Serialize};
-
-/// Parameters of the serving simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServingConfig {
-    /// Mean request arrival rate in sequences/second (Poisson).
-    pub arrival_rate: f64,
-    /// Maximum time the batcher waits after the first queued request; a
-    /// batch that fills `max_batch` earlier dispatches immediately.
-    pub batch_window_s: f64,
-    /// Maximum sequences per batch.
-    pub max_batch: usize,
-    /// Number of requests to simulate.
-    pub num_requests: usize,
-}
-
-impl Default for ServingConfig {
-    fn default() -> Self {
-        Self {
-            arrival_rate: 20.0,
-            batch_window_s: 0.05,
-            max_batch: 16,
-            num_requests: 400,
-        }
-    }
-}
-
-/// Result of a serving simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServingReport {
-    /// Requests completed.
-    pub completed: usize,
-    /// Mean end-to-end latency (arrival → batch completion) in seconds.
-    pub mean_latency_s: f64,
-    /// Median latency.
-    pub p50_latency_s: f64,
-    /// 95th-percentile latency.
-    pub p95_latency_s: f64,
-    /// 99th-percentile latency.
-    pub p99_latency_s: f64,
-    /// Sustained throughput in sequences/second.
-    pub throughput_seq_s: f64,
-    /// Mean formed batch size.
-    pub mean_batch_size: f64,
-}
-
-impl From<FleetReport> for ServingReport {
-    fn from(r: FleetReport) -> Self {
-        Self {
-            completed: r.completed,
-            mean_latency_s: r.mean_latency_s,
-            p50_latency_s: r.p50_latency_s,
-            p95_latency_s: r.p95_latency_s,
-            p99_latency_s: r.p99_latency_s,
-            throughput_seq_s: r.throughput_seq_s,
-            mean_batch_size: r.mean_batch_size,
-        }
-    }
-}
-
-/// Simulates serving `cfg.num_requests` requests with lengths from
-/// `dataset` on `design` under `policy` — the 1-shard case of
-/// [`simulate_fleet`].
-///
-/// # Panics
-///
-/// Panics if `cfg.arrival_rate <= 0`, `cfg.max_batch == 0` or
-/// `cfg.num_requests == 0`.
-pub fn simulate_serving(
-    design: &AcceleratorDesign,
-    dataset: &DatasetSpec,
-    policy: SchedulingPolicy,
-    cfg: &ServingConfig,
-    seed: u64,
-) -> ServingReport {
-    let trace = poisson_trace(dataset, cfg.arrival_rate, cfg.num_requests, seed);
-    simulate_fleet(
-        std::slice::from_ref(design),
-        &trace,
-        policy,
-        DispatchPolicy::JoinShortestQueue,
-        &BatcherConfig {
-            batch_window_s: cfg.batch_window_s,
-            max_batch: cfg.max_batch,
-        },
-    )
-    .into()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::fleet::Request;
+    use crate::accelerator::AcceleratorDesign;
+    use crate::fleet::{
+        poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy, FleetReport, Request,
+    };
     use crate::spec::FpgaSpec;
+    use lat_core::pipeline::SchedulingPolicy;
     use lat_model::config::ModelConfig;
     use lat_model::graph::AttentionMode;
+    use lat_workloads::datasets::DatasetSpec;
 
     fn design() -> AcceleratorDesign {
         AcceleratorDesign::new(
@@ -124,13 +23,20 @@ mod tests {
         )
     }
 
-    fn run(rate: f64, policy: SchedulingPolicy) -> ServingReport {
-        let cfg = ServingConfig {
-            arrival_rate: rate,
-            num_requests: 200,
-            ..ServingConfig::default()
-        };
-        simulate_serving(&design(), &DatasetSpec::rte(), policy, &cfg, 7)
+    /// 200 Poisson RTE arrivals at `rate`, batches of at most 16 within a
+    /// 50 ms window.
+    fn run(rate: f64, policy: SchedulingPolicy) -> FleetReport {
+        let trace = poisson_trace(&DatasetSpec::rte(), rate, 200, 7);
+        simulate_fleet(
+            &[design()],
+            &trace,
+            policy,
+            DispatchPolicy::JoinShortestQueue,
+            &BatcherConfig {
+                batch_window_s: 0.05,
+                max_batch: 16,
+            },
+        )
     }
 
     #[test]
@@ -189,17 +95,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arrival rate")]
     fn zero_rate_rejected() {
-        let cfg = ServingConfig {
-            arrival_rate: 0.0,
-            ..ServingConfig::default()
-        };
-        let _ = simulate_serving(
-            &design(),
-            &DatasetSpec::rte(),
-            SchedulingPolicy::LengthAware,
-            &cfg,
-            1,
-        );
+        let _ = poisson_trace(&DatasetSpec::rte(), 0.0, 400, 1);
     }
 
     #[test]
@@ -213,22 +109,20 @@ mod tests {
     fn full_batch_dispatches_at_arrival_time_not_window_close() {
         // Regression for the batch-window stall: a burst of 2×max_batch
         // simultaneous arrivals must start its first batch at the arrival
-        // time. The serving entry point only generates Poisson traffic, so
-        // the burst is driven through the 1-shard fleet engine serving now
-        // wraps.
-        let d = design();
+        // time.
         let cfg = BatcherConfig {
             batch_window_s: 0.5,
             max_batch: 16,
         };
-        let trace: Vec<Request> = (0..32)
-            .map(|_| Request {
+        let trace = vec![
+            Request {
                 arrival_s: 1.0,
                 len: 68,
-            })
-            .collect();
+            };
+            32
+        ];
         let r = simulate_fleet(
-            std::slice::from_ref(&d),
+            &[design()],
             &trace,
             SchedulingPolicy::LengthAware,
             DispatchPolicy::JoinShortestQueue,
@@ -250,26 +144,22 @@ mod tests {
         // burst): at 800 seq/s the cap (16) fills long before the 50 ms
         // window, so the first batch must start at the cap-filling
         // arrival's time — the old batcher stalled it to window close.
-        let cfg = ServingConfig {
-            arrival_rate: 800.0,
-            num_requests: 64,
-            ..ServingConfig::default()
+        let cfg = BatcherConfig {
+            batch_window_s: 0.05,
+            max_batch: 16,
         };
-        let trace = poisson_trace(&DatasetSpec::rte(), cfg.arrival_rate, cfg.num_requests, 7);
+        let trace = poisson_trace(&DatasetSpec::rte(), 800.0, 64, 7);
         let cap_fill = trace[cfg.max_batch - 1].arrival_s;
         assert!(
             cap_fill < trace[0].arrival_s + cfg.batch_window_s,
             "test premise: cap fills inside the window ({cap_fill})"
         );
         let r = simulate_fleet(
-            std::slice::from_ref(&design()),
+            &[design()],
             &trace,
             SchedulingPolicy::LengthAware,
             DispatchPolicy::JoinShortestQueue,
-            &BatcherConfig {
-                batch_window_s: cfg.batch_window_s,
-                max_batch: cfg.max_batch,
-            },
+            &cfg,
         );
         assert_eq!(r.batch_log[0].size, cfg.max_batch);
         assert_eq!(
