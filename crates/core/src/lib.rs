@@ -23,9 +23,10 @@
 //! Supporting infrastructure: [`pool`] is the deterministic scoped-thread
 //! work pool the evaluation harnesses fan their sweep grids across —
 //! results land in input order regardless of worker count, so parallelism
-//! never changes output. [`sketch`] provides the streaming (O(1)-state)
-//! latency summary — an exact count and mean plus P² estimates of
-//! p50/p95/p99 — the fleet engine uses under `ReportMode::Streaming` to
+//! never changes output. [`sketch`] provides the streaming (fixed-size)
+//! latency summary — an exact count and mean plus p50/p95/p99 from a
+//! log-linear histogram, within 2⁻⁷ relative for latencies from 1e-12 s
+//! to 1e9 s — the fleet engine uses under `ReportMode::Streaming` to
 //! survive million-request traces in bounded memory.
 //!
 //! # Quickstart

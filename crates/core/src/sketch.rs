@@ -6,17 +6,26 @@
 //! time, so trace size was memory-bound long before it was compute-bound.
 //! Under `ReportMode::Streaming` the fleet feeds each completed latency
 //! into one [`QuantileSketch`] instead: an exact count and mean, plus a
-//! Jain–Chlamtac P² estimator per reported quantile (p50, p95, p99) —
-//! five markers of O(1) state each, updated per observation with a
-//! piecewise-parabolic height adjustment, and exact (nearest-rank,
-//! matching `stats::percentile`) while fewer than five samples have been
-//! seen.
+//! fixed log-linear histogram — the HdrHistogram bucket layout read with
+//! DDSketch's relative-error guarantee (Masson, Rim & Lee, VLDB 2019).
+//!
+//! A bucket is a value's exponent and top six mantissa bits, so each
+//! binade splits into 64 equal-width buckets and a bucket's half-width is
+//! at most 2⁻⁷ of any value in it. Buckets span 1e-12 s to 1e9 s (4,466
+//! of them); smaller values, zero and subnormals share the first bucket,
+//! larger ones the last. Each bucket keeps its count and the smallest and
+//! largest value it has seen. A quantile is the nearest-rank order
+//! statistic `stats::percentile` reads, located by bucket and reported as
+//! that bucket's midpoint clamped to the bucket's seen range. Hence, for
+//! every p50/p95/p99 with exact value in `[1e-12, 1e9]` s,
+//! `|sketch − exact| ≤ 2⁻⁷ · exact`, and `≤ 1.01e-12` below 1e-12 s; a
+//! bucket holding one distinct value reports it exactly.
 //!
 //! Everything here is deterministic: no ambient RNG, no wall clock, no
-//! hash-order iteration; identical observation sequences produce
-//! bit-identical sketches. P² is *order-dependent* (observing a permuted
-//! stream moves the estimate within its error bound), which is why the
-//! fleet feeds it in simulated-event order — itself deterministic.
+//! hash-order iteration. The quantiles depend only on the multiset of
+//! observations, never on their order; the mean is a sum in observation
+//! order, so the fleet feeds the sketch in simulated-event order —
+//! itself deterministic.
 
 /// How the plain fleet engine builds its report. The other engines
 /// (decode, disaggregated, autoscaled, failure) always report exactly.
@@ -26,177 +35,47 @@
 ///   to the historical reports, O(n) memory.
 /// - [`ReportMode::Streaming`] feeds each sample into a [`QuantileSketch`]
 ///   as it is produced and drops it, so a million-request trace runs in
-///   bounded memory. Percentiles are P² estimates within a pinned ε of
-///   the exact path, and the report's `batch_log` is left empty.
+///   bounded memory. Percentiles are within 2⁻⁷ relative of the exact
+///   path for latencies from 1e-12 s to 1e9 s, and the report's
+///   `batch_log` is left empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
     /// Retain all samples; reports are bit-identical to the pre-sketch era.
     #[default]
     Exact,
-    /// O(1)-state streaming sketches; bounded memory, ε-approximate tails.
+    /// Fixed-size streaming histogram; bounded memory, percentiles within
+    /// 2⁻⁷ relative.
     Streaming,
 }
 
-/// Number of markers the P² estimator maintains per tracked quantile.
-const MARKERS: usize = 5;
-
-/// Single-quantile P² (piecewise-parabolic) estimator: Jain & Chlamtac,
-/// CACM 1985. Five markers (min, two flanks, the tracked quantile, max)
-/// whose heights approximate the empirical quantile function; each
-/// observation moves marker positions by O(1) work.
-///
-/// While fewer than `MARKERS` samples have been observed the estimate is
-/// *exact* — nearest-rank over the buffered samples, bit-identical to
-/// `lat_tensor::stats::percentile`.
-///
-/// Non-finite observations (NaN or ±∞) poison the estimator: the marker
-/// arithmetic cannot represent them, so rather than silently corrupt the
-/// estimate it reports NaN from then on.
-#[derive(Debug, Clone, PartialEq)]
-struct P2Quantile {
-    p: f64,
-    /// Total finite observations fed to the markers.
-    n: u64,
-    /// Marker heights; for `n < MARKERS` the first `n` entries are the raw
-    /// buffered samples (unsorted).
-    q: [f64; MARKERS],
-    /// Marker positions, 1-indexed (`pos[0] == 1`, `pos[4] == n`).
-    pos: [f64; MARKERS],
-    /// Desired marker positions.
-    want: [f64; MARKERS],
-    poisoned: bool,
-}
-
-impl P2Quantile {
-    /// A fresh estimator for quantile `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]` or NaN.
-    fn new(p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "quantile {p} outside [0,1]" // matches stats::percentile wording
-        );
-        Self {
-            p,
-            n: 0,
-            q: [0.0; MARKERS],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            want: [0.0; MARKERS],
-            poisoned: false,
-        }
-    }
-
-    /// Desired-position increments per observation for quantile `p`.
-    fn want_step(p: f64) -> [f64; MARKERS] {
-        [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-    }
-
-    /// Feeds one observation.
-    fn observe(&mut self, x: f64) {
-        if !x.is_finite() {
-            self.poisoned = true;
-            return;
-        }
-        if self.n < MARKERS as u64 {
-            self.q[self.n as usize] = x;
-            self.n += 1;
-            if self.n == MARKERS as u64 {
-                self.q.sort_by(f64::total_cmp);
-                let p = self.p;
-                self.want = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0];
-            }
-            return;
-        }
-        self.n += 1;
-        // Locate the cell containing x, clamping x into [q[0], q[4]].
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[MARKERS - 1] {
-            self.q[MARKERS - 1] = x;
-            MARKERS - 2
-        } else {
-            // q[k] <= x < q[k+1]
-            let mut k = 0;
-            while k + 1 < MARKERS - 1 && x >= self.q[k + 1] {
-                k += 1;
-            }
-            k
-        };
-        for pos in self.pos.iter_mut().skip(k + 1) {
-            *pos += 1.0;
-        }
-        for (want, step) in self.want.iter_mut().zip(Self::want_step(self.p)) {
-            *want += step;
-        }
-        // Adjust the three interior markers toward their desired positions.
-        for i in 1..MARKERS - 1 {
-            let d = self.want[i] - self.pos[i];
-            let up = self.pos[i + 1] - self.pos[i];
-            let dn = self.pos[i - 1] - self.pos[i];
-            if (d >= 1.0 && up > 1.0) || (d <= -1.0 && dn < -1.0) {
-                let s = d.signum();
-                let parab = self.parabolic(i, s);
-                if self.q[i - 1] < parab && parab < self.q[i + 1] {
-                    self.q[i] = parab;
-                } else {
-                    self.q[i] = self.linear(i, s);
-                }
-                self.pos[i] += s;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic height prediction for marker `i` moved by `s`.
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let q = &self.q;
-        let n = &self.pos;
-        q[i] + s / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + s) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - s) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    /// Linear fallback when the parabola overshoots a neighbour.
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = if s > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + s * (self.q[j] - self.q[i]) / (self.pos[j] - self.pos[i])
-    }
-
-    /// The current estimate; NaN when empty or poisoned. Exact
-    /// (nearest-rank) below `MARKERS` samples, P² beyond.
-    fn quantile(&self) -> f64 {
-        if self.poisoned || self.n == 0 {
-            return f64::NAN;
-        }
-        if self.n < MARKERS as u64 {
-            let mut buf = self.q;
-            let buf = &mut buf[..self.n as usize];
-            buf.sort_by(f64::total_cmp);
-            let idx = ((buf.len() as f64 - 1.0) * self.p).round() as usize;
-            return buf[idx];
-        }
-        self.q[2]
-    }
-}
+/// Bits below a bucket key: the 52 mantissa bits less the top six kept.
+const SHIFT: u32 = 46;
+/// Key of the bucket holding 1e-12 s; every smaller value lands here.
+const LO: u64 = 1e-12f64.to_bits() >> SHIFT;
+/// Key of the bucket holding 1e9 s; every larger value lands here.
+const HI: u64 = 1e9f64.to_bits() >> SHIFT;
 
 /// The quantiles every fleet report reads, in report order.
 const TRACKED: [f64; 3] = [0.50, 0.95, 0.99];
 
-/// The fleet's streaming latency summary: an exact count and mean plus a
-/// P² estimate of p50, p95 and p99, all fed by one
-/// [`QuantileSketch::observe`] call per sample.
+/// The fleet's streaming latency summary: an exact count and mean plus
+/// p50, p95 and p99 within 2⁻⁷ relative (see the module docs), all fed
+/// by one [`QuantileSketch::observe`] call per sample.
 ///
-/// A NaN observation poisons the mean and every quantile; ±∞ poisons the
-/// quantiles (the P² markers cannot hold it) and flows into the mean.
+/// NaN, ±∞ and negative observations poison the quantiles (NaN from then
+/// on); they still count and enter the sum, so a NaN makes the mean NaN.
+/// The buckets are allocated by the first observation, so a sketch that
+/// is never fed costs no heap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     count: u64,
     /// Sum of every observation in observation order, so one NaN makes it
     /// (and the mean) NaN for good.
     sum: f64,
-    marks: [P2Quantile; 3],
+    poisoned: bool,
+    /// `(count, min, max)` of bucket `key - LO` for keys `LO..=HI`;
+    /// empty until the first observation.
+    buckets: Vec<(u64, f64, f64)>,
 }
 
 impl QuantileSketch {
@@ -205,16 +84,28 @@ impl QuantileSketch {
         Self {
             count: 0,
             sum: 0.0,
-            marks: TRACKED.map(P2Quantile::new),
+            poisoned: false,
+            buckets: Vec::new(),
         }
     }
 
-    /// Feeds one observation into the moments and every tracked quantile.
+    /// Feeds one observation into the moments and the histogram.
     pub fn observe(&mut self, x: f64) {
         self.count += 1;
         self.sum += x;
-        for m in &mut self.marks {
-            m.observe(x);
+        if !(0.0..f64::INFINITY).contains(&x) {
+            self.poisoned = true;
+            return;
+        }
+        if self.buckets.is_empty() {
+            self.buckets = vec![(0, f64::INFINITY, f64::NEG_INFINITY); (HI - LO + 1) as usize];
+        }
+        // `abs` files -0.0 with +0.0 in the first bucket.
+        let key = (x.abs().to_bits() >> SHIFT).clamp(LO, HI);
+        if let Some((count, min, max)) = self.buckets.get_mut((key - LO) as usize) {
+            *count += 1;
+            *min = min.min(x);
+            *max = max.max(x);
         }
     }
 
@@ -223,9 +114,10 @@ impl QuantileSketch {
         self.count
     }
 
-    /// Whether a non-finite observation poisoned the quantiles.
+    /// Whether a NaN, infinite or negative observation poisoned the
+    /// quantiles.
     pub fn is_poisoned(&self) -> bool {
-        self.marks.iter().any(|m| m.poisoned)
+        self.poisoned
     }
 
     /// Mean of the observations; NaN when empty (`0 / 0`) or after a NaN.
@@ -236,7 +128,28 @@ impl QuantileSketch {
     /// The p50, p95 and p99 estimates, in that order; NaN when empty or
     /// poisoned.
     pub fn quantiles(&self) -> Vec<f64> {
-        self.marks.iter().map(P2Quantile::quantile).collect()
+        TRACKED.iter().map(|&p| self.quantile(p)).collect()
+    }
+
+    /// The bucket holding the nearest-rank order statistic for `p` (the
+    /// index `stats::percentile` reads), as its midpoint clamped to the
+    /// values it has seen.
+    fn quantile(&self, p: f64) -> f64 {
+        if self.poisoned {
+            return f64::NAN;
+        }
+        let rank = ((self.count as f64 - 1.0) * p).round() as u64;
+        let mut below = 0;
+        self.buckets
+            .iter()
+            .zip(LO..)
+            .find(|((count, _, _), _)| {
+                below += count;
+                below > rank
+            })
+            .map_or(f64::NAN, |(&(_, min, max), key)| {
+                f64::from_bits(key << SHIFT | 1 << (SHIFT - 1)).clamp(min, max)
+            })
     }
 }
 
@@ -277,78 +190,99 @@ mod tests {
         assert!(!s.is_poisoned());
     }
 
+    /// Feeds `xs` in order.
+    fn sketch(xs: impl IntoIterator<Item = f64>) -> QuantileSketch {
+        let mut s = QuantileSketch::p50_p95_p99();
+        for x in xs {
+            s.observe(x);
+        }
+        s
+    }
+
+    #[test]
+    fn bucket_layout_spans_1e_minus_12_to_1e9() {
+        assert_eq!(HI - LO + 1, 4466);
+        // Zero, subnormals and everything below 1e-12 share bucket 0.
+        let tiny = sketch([0.0, 5e-324, 1e-13]);
+        assert_eq!(tiny.buckets[0].0, 3);
+        // Its midpoint (~1.0018e-12) clamps to the largest value seen.
+        assert_eq!(tiny.quantiles(), vec![1e-13; 3]);
+        // -0.0 is zero, not a negative: it buckets with +0.0.
+        let zeros = sketch([-0.0, 0.0]);
+        assert!(!zeros.is_poisoned());
+        assert_eq!(zeros.buckets[0].0, 2);
+        // Everything from 1e9 up shares the last bucket.
+        let huge = sketch([1e9, 1e12]);
+        assert_eq!(huge.buckets[huge.buckets.len() - 1].0, 2);
+    }
+
     #[test]
     fn p2_exact_below_five_samples() {
-        let mut q = P2Quantile::new(0.5);
-        assert!(q.quantile().is_nan());
-        for (i, &x) in [4.0, 1.0, 3.0, 2.0].iter().enumerate() {
-            q.observe(x);
-            let sorted = {
-                let mut s = [4.0, 1.0, 3.0, 2.0][..=i].to_vec();
-                s.sort_by(f64::total_cmp);
-                s
-            };
-            let idx = ((sorted.len() as f64 - 1.0) * 0.5).round() as usize;
-            assert_eq!(q.quantile(), sorted[idx], "sample {i}");
+        // Each sample sits alone in its bucket, so every quantile is the
+        // exact nearest-rank sample.
+        let xs = [4.0, 1.0, 3.0, 2.0];
+        for i in 0..xs.len() {
+            let mut sorted = xs[..=i].to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let exact: Vec<f64> = TRACKED
+                .iter()
+                .map(|p| sorted[((sorted.len() as f64 - 1.0) * p).round() as usize])
+                .collect();
+            assert_eq!(
+                sketch(xs[..=i].iter().copied()).quantiles(),
+                exact,
+                "sample {i}"
+            );
         }
     }
 
     #[test]
     fn p2_median_of_uniform_ramp() {
-        let mut q = P2Quantile::new(0.5);
-        for i in 0..10_001 {
-            q.observe(i as f64 / 10.0);
-        }
+        let s = sketch((0..10_001).map(|i| i as f64 / 10.0));
         // True median of 0.0..=1000.0 uniform grid is 500.
-        assert!((q.quantile() - 500.0).abs() < 5.0, "got {}", q.quantile());
+        let p50 = s.quantiles()[0];
+        assert!((p50 - 500.0).abs() <= 500.0 / 128.0, "got {p50}");
     }
 
     #[test]
     fn p2_p99_of_uniform_ramp() {
-        let mut q = P2Quantile::new(0.99);
-        for i in 0..10_001 {
-            q.observe(i as f64 / 10.0);
-        }
-        assert!((q.quantile() - 990.0).abs() < 10.0, "got {}", q.quantile());
+        let s = sketch((0..10_001).map(|i| i as f64 / 10.0));
+        let p99 = s.quantiles()[2];
+        assert!((p99 - 990.0).abs() <= 990.0 / 128.0, "got {p99}");
     }
 
     #[test]
     fn p2_poisons_on_non_finite() {
-        let mut q = P2Quantile::new(0.5);
-        for i in 0..100 {
-            q.observe(i as f64);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-3] {
+            let mut s = sketch((0..100).map(f64::from));
+            s.observe(bad);
+            assert!(s.is_poisoned(), "{bad} did not poison");
+            assert!(s.quantiles().iter().all(|q| q.is_nan()), "{bad}");
+            assert_eq!(s.count(), 101);
         }
-        q.observe(f64::NAN);
-        assert!(q.poisoned);
-        assert!(q.quantile().is_nan());
-        let mut q = P2Quantile::new(0.5);
-        q.observe(f64::INFINITY);
-        assert!(q.quantile().is_nan());
+        // A poisoned sketch stays poisoned.
+        let s = sketch([-1.0, 1.0, 2.0]);
+        assert!(s.quantiles().iter().all(|q| q.is_nan()));
+        assert_eq!(s.mean().to_bits(), (2.0f64 / 3.0).to_bits());
     }
 
     #[test]
     fn p2_deterministic_replay() {
         let feed = |seed: u64| {
-            let mut q = P2Quantile::new(0.95);
             let mut state = seed;
-            for _ in 0..5000 {
+            sketch((0..5000).map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                q.observe((state >> 11) as f64 / (1u64 << 53) as f64);
-            }
-            q
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            }))
         };
         let a = feed(42);
         let b = feed(42);
         assert_eq!(a, b);
-        assert_eq!(a.quantile().to_bits(), b.quantile().to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0,1]")]
-    fn p2_range_checked() {
-        let _ = P2Quantile::new(1.5);
+        for (x, y) in a.quantiles().into_iter().zip(b.quantiles()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 
     #[test]

@@ -373,8 +373,8 @@ mod tests {
                     panic!("fidelity fields missing for {tag}")
                 };
                 assert!(
-                    *err <= exact.abs() * 0.25 + 1e-9,
-                    "{tag}: sketch error {err} exceeds ε bound on exact {exact}"
+                    *err <= exact.abs() * 0.0078125 + 1e-9,
+                    "{tag}: sketch error {err} exceeds the 2⁻⁷ bound on exact {exact}"
                 );
             }
         }

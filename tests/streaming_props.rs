@@ -3,10 +3,12 @@
 //!
 //! `ReportMode::Streaming` must change *representation*, never *events*:
 //! every counter, makespan, throughput, and batch-size mean is asserted
-//! bit-identical to the exact run of the same scenario, while the
-//! percentile fields — the only sketch-estimated values — are pinned to
-//! `|sketch − exact| ≤ ε`. Only the plain fleet streams; the decode,
-//! disaggregated and failure engines always report exactly.
+//! bit-identical to the exact run of the same scenario, the mean (a sum,
+//! not an estimate) agrees to 1e-12 relative, and the percentile fields —
+//! the only sketch-estimated values — are pinned to the histogram's
+//! guarantee, `|sketch − exact| ≤ 2⁻⁷ · exact`. Only the plain fleet
+//! streams; the decode, disaggregated and failure engines always report
+//! exactly.
 
 use lat_bench::scenarios::{
     harness_seed, FAILURE_BACKOFF_S, FAILURE_DEADLINE_S, FAILURE_MAX_RETRIES, FAILURE_TIMEOUT_S,
@@ -27,11 +29,10 @@ use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
 use lat_fpga::workloads::datasets::DatasetSpec;
 
-/// Relative tolerance pinned for every sketch-estimated percentile. The
-/// P² estimator is far tighter than this on the smooth latency
-/// populations the engines produce; the pin is deliberately loose enough
-/// to stay seed-robust under the `HARNESS_SEED` matrix.
-const QUANTILE_EPS: f64 = 0.25;
+/// Relative tolerance pinned for every sketch-estimated percentile: the
+/// log-linear histogram's guaranteed bound for latencies from 1e-12 s to
+/// 1e9 s, so it holds at every `HARNESS_SEED`.
+const QUANTILE_EPS: f64 = 0.0078125;
 
 fn tiny_design(s_avg: usize) -> AcceleratorDesign {
     AcceleratorDesign::new(
@@ -100,7 +101,9 @@ fn assert_quantile_close(tag: &str, sketch: f64, exact: f64) {
 /// and the mean must be bit-identical between modes — every counter, the
 /// makespan, throughput, batch-size mean, and per-shard stats, since
 /// `ReportMode::Streaming` changes representation, never events — and
-/// streaming keeps no batch log.
+/// streaming keeps no batch log. The mean sums the same latencies in
+/// completion order rather than trace order, so it may differ by rounding
+/// only.
 fn assert_fleet_reports_equivalent(stream: &FleetReport, exact: &FleetReport) {
     assert_eq!(stream.completed, exact.completed);
     assert_eq!(stream.makespan_s.to_bits(), exact.makespan_s.to_bits());
@@ -117,7 +120,11 @@ fn assert_fleet_reports_equivalent(stream: &FleetReport, exact: &FleetReport) {
         stream.batch_log.is_empty(),
         "streaming retained a batch log"
     );
-    assert_quantile_close("mean latency", stream.mean_latency_s, exact.mean_latency_s);
+    let (mean, exact_mean) = (stream.mean_latency_s, exact.mean_latency_s);
+    assert!(
+        (mean - exact_mean).abs() <= exact_mean.abs() * 1e-12 + 1e-12,
+        "mean latency: sketch {mean} vs exact {exact_mean}"
+    );
     assert_quantile_close("p50", stream.p50_latency_s, exact.p50_latency_s);
     assert_quantile_close("p95", stream.p95_latency_s, exact.p95_latency_s);
     assert_quantile_close("p99", stream.p99_latency_s, exact.p99_latency_s);
@@ -174,7 +181,7 @@ fn fleet_streaming_report_bytes_pinned() {
     assert_eq!(report.completed, 4000);
     let hash = fnv1a64(format!("{report:?}").as_bytes());
     assert_eq!(
-        hash, 0xc306_75f0_6480_201b,
+        hash, 0x8549_8919_2cd3_47bd,
         "Streaming report bytes moved: {hash:#018x}"
     );
 }
