@@ -30,8 +30,8 @@ use lat_hwsim::autoscale::{
     simulate_autoscale, AutoscaleConfig, AutoscaleReport, RetirePolicy, ScalePolicy, SchedulePhase,
 };
 use lat_hwsim::fleet::{
-    homogeneous_fleet, nonstationary_poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
-    RateProfile,
+    homogeneous_fleet, nonstationary_poisson_trace, simulate_fleet, with_batch_log, BatcherConfig,
+    DispatchPolicy, RateProfile,
 };
 use lat_hwsim::spec::FpgaSpec;
 use lat_model::config::ModelConfig;
@@ -199,8 +199,10 @@ fn main() {
     for k in 1..=AUTOSCALE_MAX_SHARDS {
         jobs.push((k, base_cfg(ScalePolicy::Pinned, k, k, bounds.clone())));
     }
+    // Cells keep their batch logs so that claim 3's equality covers them;
+    // the switch is per thread, so each worker sets it.
     let mut results = pool
-        .par_map_indexed(&jobs, |(k, cfg)| run(&fleet[..*k], cfg))
+        .par_map_indexed(&jobs, |(k, cfg)| with_batch_log(|| run(&fleet[..*k], cfg)))
         .into_iter();
     let mut next = || results.next().expect("one result per job");
     let (pinned, fixed_min, reactive, utilization, scheduled) =
@@ -208,13 +210,15 @@ fn main() {
     let frontier_fixed: Vec<AutoscaleReport> = (1..=AUTOSCALE_MAX_SHARDS).map(|_| next()).collect();
 
     // ── Claim 3: the pinned min==max autoscaler IS simulate_fleet ───────
-    let fixed_fleet = simulate_fleet(
-        &fleet,
-        &trace,
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        &batcher,
-    );
+    let fixed_fleet = with_batch_log(|| {
+        simulate_fleet(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            &batcher,
+        )
+    });
     assert_eq!(
         pinned.fleet, fixed_fleet,
         "pinned min==max autoscaling drifted from simulate_fleet"

@@ -43,7 +43,7 @@ use lat_hwsim::autoscale::{
 use lat_hwsim::decode::{
     nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeScheduler,
 };
-use lat_hwsim::fleet::{homogeneous_fleet, DispatchPolicy, RateProfile};
+use lat_hwsim::fleet::{homogeneous_fleet, with_batch_log, DispatchPolicy, RateProfile};
 use lat_hwsim::spec::FpgaSpec;
 use lat_model::config::ModelConfig;
 use lat_model::graph::AttentionMode;
@@ -243,21 +243,25 @@ fn main() {
         (name, mode)
     })
     .collect();
+    // Cells keep their step logs so that claim 3's equality covers them;
+    // the switch is per thread, so each worker sets it.
     let mut results = pool
-        .par_map_indexed(&jobs, |(k, cfg)| run(&fleet[..*k], cfg))
+        .par_map_indexed(&jobs, |(k, cfg)| with_batch_log(|| run(&fleet[..*k], cfg)))
         .into_iter();
     let mut next = || results.next().expect("one result per job");
     let (pinned, fixed_min) = (next(), next());
 
     // ── Claim 3: pinned min==max IS simulate_decode ────────────────────
-    let fixed_decode = simulate_decode(
-        &fleet,
-        &trace,
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        DecodeScheduler::Continuous,
-        &decode_cfg,
-    );
+    let fixed_decode = with_batch_log(|| {
+        simulate_decode(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &decode_cfg,
+        )
+    });
     assert_eq!(
         pinned.decode, fixed_decode,
         "pinned min==max decode autoscaling drifted from simulate_decode"

@@ -503,8 +503,10 @@ fn main() {
     );
     let wall_s = t0.elapsed().as_secs_f64();
     // Arrivals plus one dispatch and one completion per executed batch —
-    // the heap traffic the engine actually processed.
-    let events = trace.len() + 2 * timed.fleet.batch_log.len();
+    // the heap traffic the engine actually processed. A crash rolls its
+    // batch out of the shard's count, so Σ batches is the executed count.
+    let batches: usize = timed.fleet.shards.iter().map(|s| s.batches).sum();
+    let events = trace.len() + 2 * batches;
 
     // Multi-cell sweep timed serial vs 4 pool workers: the dispatch ×
     // client grid of the incident scenario. The equality assert is the
@@ -560,10 +562,7 @@ fn main() {
             )),
         ),
         ("requests".into(), Value::UInt(trace.len() as u64)),
-        (
-            "batches".into(),
-            Value::UInt(timed.fleet.batch_log.len() as u64),
-        ),
+        ("batches".into(), Value::UInt(batches as u64)),
         ("wall_s".into(), Value::Float(wall_s)),
         (
             "events_per_s".into(),

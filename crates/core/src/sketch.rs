@@ -36,8 +36,10 @@
 /// - [`ReportMode::Streaming`] feeds each sample into a [`QuantileSketch`]
 ///   as it is produced and drops it, so a million-request trace runs in
 ///   bounded memory. Percentiles are within 2⁻⁷ relative of the exact
-///   path for latencies from 1e-12 s to 1e9 s, and the report's
-///   `batch_log` is left empty.
+///   path for latencies from 1e-12 s to 1e9 s.
+///
+/// The mode does not decide the report's `batch_log`: in either mode it
+/// is empty unless the run is inside `lat_hwsim::fleet::with_batch_log`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
     /// Retain all samples; reports are bit-identical to the pre-sketch era.

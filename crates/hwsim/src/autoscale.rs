@@ -1674,8 +1674,8 @@ pub fn simulate_decode_autoscale(
 mod tests {
     use super::*;
     use crate::fleet::{
-        homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet, RatePhase,
-        RateProfile,
+        homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet,
+        with_batch_log, RatePhase, RateProfile,
     };
     use crate::spec::FpgaSpec;
     use lat_model::config::ModelConfig;
@@ -1725,26 +1725,30 @@ mod tests {
         let fleet = homogeneous_fleet(&tiny_design(64), 3);
         let trace = poisson_trace(&DatasetSpec::rte(), 500.0, 90, 42);
         let batcher = BatcherConfig::default();
-        let auto = simulate_autoscale(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &batcher,
-            &AutoscaleConfig {
-                min_shards: 3,
-                initial_shards: 3,
-                policy: ScalePolicy::Pinned,
-                ..AutoscaleConfig::default()
-            },
-        );
-        let fixed = simulate_fleet(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &batcher,
-        );
+        let auto = with_batch_log(|| {
+            simulate_autoscale(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &batcher,
+                &AutoscaleConfig {
+                    min_shards: 3,
+                    initial_shards: 3,
+                    policy: ScalePolicy::Pinned,
+                    ..AutoscaleConfig::default()
+                },
+            )
+        });
+        let fixed = with_batch_log(|| {
+            simulate_fleet(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &batcher,
+            )
+        });
         assert_eq!(auto.fleet, fixed);
         assert!(auto.scale_events.is_empty());
         assert_eq!(auto.peak_active_shards, 3);
@@ -1786,14 +1790,16 @@ mod tests {
     fn warming_shards_admit_no_work_before_join() {
         let fleet = homogeneous_fleet(&tiny_design(64), 4);
         let trace = nonstationary_poisson_trace(&DatasetSpec::mrpc(), &burst_profile(), 400, 11);
-        let r = simulate_autoscale(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &BatcherConfig::default(),
-            &reactive_cfg(1, 1),
-        );
+        let r = with_batch_log(|| {
+            simulate_autoscale(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &BatcherConfig::default(),
+                &reactive_cfg(1, 1),
+            )
+        });
         // Every batch on a launched shard starts at/after that shard's
         // join; shard 0 (initial) is exempt.
         for e in r
@@ -1808,6 +1814,7 @@ mod tests {
                 .expect("join without launch");
             assert!(e.time_s - launch.time_s >= 0.1 - 1e-9, "warm-up skipped");
         }
+        assert!(!r.fleet.batch_log.is_empty());
         for b in &r.fleet.batch_log {
             if b.shard == 0 {
                 continue;
@@ -1834,17 +1841,19 @@ mod tests {
         let fleet = homogeneous_fleet(&tiny_design(64), 4);
         let trace = nonstationary_poisson_trace(&DatasetSpec::mrpc(), &burst_profile(), 500, 3);
         for retire in [RetirePolicy::Drain, RetirePolicy::Evict] {
-            let r = simulate_autoscale(
-                &fleet,
-                &trace,
-                SchedulingPolicy::LengthAware,
-                DispatchPolicy::JoinShortestQueue,
-                &BatcherConfig::default(),
-                &AutoscaleConfig {
-                    retire,
-                    ..reactive_cfg(1, 4)
-                },
-            );
+            let r = with_batch_log(|| {
+                simulate_autoscale(
+                    &fleet,
+                    &trace,
+                    SchedulingPolicy::LengthAware,
+                    DispatchPolicy::JoinShortestQueue,
+                    &BatcherConfig::default(),
+                    &AutoscaleConfig {
+                        retire,
+                        ..reactive_cfg(1, 4)
+                    },
+                )
+            });
             assert_eq!(r.fleet.completed, 500, "{retire}");
             assert_eq!(
                 r.fleet.shards.iter().map(|s| s.completed).sum::<usize>(),
@@ -1852,6 +1861,7 @@ mod tests {
                 "{retire}"
             );
             // No batch on a shard after it retired (until a relaunch).
+            assert!(!r.fleet.batch_log.is_empty());
             for b in &r.fleet.batch_log {
                 let mut allowed = true;
                 for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
@@ -2409,7 +2419,8 @@ mod tests {
             cooldown_s: 0.0,
             ..DecodeAutoscaleConfig::default()
         };
-        let r = run_decode_auto(&trace, &fleet, &cfg, DecodeScheduler::Continuous);
+        let r =
+            with_batch_log(|| run_decode_auto(&trace, &fleet, &cfg, DecodeScheduler::Continuous));
         assert_eq!(r.decode.fleet.completed, 800);
         assert_eq!(r.migrations, 0, "drain never evicts");
         assert_eq!(r.re_prefills, 0, "drain pays no re-prefill");
@@ -2420,6 +2431,7 @@ mod tests {
             "the table scale-down never completed"
         );
         // Drained shards must not run an iteration after retiring.
+        assert!(!r.decode.fleet.batch_log.is_empty());
         for b in &r.decode.fleet.batch_log {
             let mut allowed = true;
             for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
@@ -2440,12 +2452,14 @@ mod tests {
     fn decode_warmup_never_admits_work_to_a_cold_shard() {
         let fleet = homogeneous_fleet(&tiny_design(64), 4);
         let trace = decode_burst_trace(1400, 17);
-        let r = run_decode_auto(
-            &trace,
-            &fleet,
-            &decode_reactive_cfg(1, 1),
-            DecodeScheduler::Continuous,
-        );
+        let r = with_batch_log(|| {
+            run_decode_auto(
+                &trace,
+                &fleet,
+                &decode_reactive_cfg(1, 1),
+                DecodeScheduler::Continuous,
+            )
+        });
         for e in r
             .scale_events
             .iter()
@@ -2458,6 +2472,7 @@ mod tests {
                 .expect("join without launch");
             assert!(e.time_s - launch.time_s >= 0.004 - 1e-9, "warm-up skipped");
         }
+        assert!(!r.decode.fleet.batch_log.is_empty());
         for b in &r.decode.fleet.batch_log {
             if b.shard == 0 {
                 continue;

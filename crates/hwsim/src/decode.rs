@@ -417,14 +417,15 @@ pub struct DecodeShardReport {
 }
 
 /// Result of a decode simulation: the fleet-level report (latency
-/// percentiles, throughput, per-shard utilization, step log) extended with
-/// decode-specific metrics.
+/// percentiles, throughput, per-shard utilization, opt-in step log)
+/// extended with decode-specific metrics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecodeReport {
-    /// Fleet-level view. `batch_log` holds one record per *iteration*
-    /// (size = resident sequences that step), `mean_batch_size` is the
-    /// mean resident count per iteration, and the latency percentiles are
-    /// end-to-end (arrival → last token).
+    /// Fleet-level view. `batch_log` is empty unless run inside
+    /// [`crate::fleet::with_batch_log`]; there it holds one record per
+    /// *iteration* (size = resident sequences that step).
+    /// `mean_batch_size` is the mean resident count per iteration, and the
+    /// latency percentiles are end-to-end (arrival → last token).
     pub fleet: FleetReport,
     /// Mean time to first token.
     pub ttft_mean_s: f64,
@@ -1278,7 +1279,9 @@ pub fn simulate_decode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig};
+    use crate::fleet::{
+        homogeneous_fleet, poisson_trace, simulate_fleet, with_batch_log, BatcherConfig,
+    };
     use crate::spec::FpgaSpec;
     use lat_model::config::ModelConfig;
     use lat_model::graph::AttentionMode;
@@ -1420,8 +1423,9 @@ mod tests {
         // slots; peak residency is the slot cap and every iteration after
         // the first runs full.
         let trace = burst(8, 0.0, 64, 2);
-        let r = run(&trace, DecodeScheduler::Continuous, 4, 1);
+        let r = with_batch_log(|| run(&trace, DecodeScheduler::Continuous, 4, 1));
         assert_eq!(r.shards[0].peak_resident, 4);
+        assert!(!r.fleet.batch_log.is_empty());
         assert!(r.fleet.batch_log.iter().all(|b| b.size <= 4));
         assert_eq!(r.fleet.completed, 8);
     }
@@ -1576,7 +1580,7 @@ mod tests {
         // be preempted. Exercises the smallest report the engine can emit.
         let trace = burst(1, 0.0, 64, 5);
         for scheduler in DecodeScheduler::ALL {
-            let r = run(&trace, scheduler, 1, 1);
+            let r = with_batch_log(|| run(&trace, scheduler, 1, 1));
             assert_eq!(r.fleet.completed, 1, "{scheduler}");
             assert_eq!(r.generated_tokens, 5);
             assert!(

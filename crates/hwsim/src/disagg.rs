@@ -887,7 +887,7 @@ pub fn simulate_disagg_autoscale(
 mod tests {
     use super::*;
     use crate::autoscale::ScaleEventKind;
-    use crate::fleet::homogeneous_fleet;
+    use crate::fleet::{homogeneous_fleet, with_batch_log};
     use crate::spec::FpgaSpec;
     use lat_model::config::ModelConfig;
     use lat_model::graph::AttentionMode;
@@ -1064,34 +1064,38 @@ mod tests {
         let t = trace(18, 280.0, 17);
         let fleet = homogeneous_fleet(&tiny_design(64), 2);
         let dcfg = cheap();
-        let plain = simulate_disaggregated(
-            &fleet,
-            &fleet,
-            &t,
-            &[],
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            DecodeScheduler::Continuous,
-            &DecodeConfig::default(),
-            &dcfg,
-        );
+        let plain = with_batch_log(|| {
+            simulate_disaggregated(
+                &fleet,
+                &fleet,
+                &t,
+                &[],
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::Continuous,
+                &DecodeConfig::default(),
+                &dcfg,
+            )
+        });
         let acfg = DisaggAutoscaleConfig {
             prefill: PoolPolicy::pinned(2),
             decode: PoolPolicy::pinned(2),
             ..DisaggAutoscaleConfig::default()
         };
-        let scaled = simulate_disagg_autoscale(
-            &fleet,
-            &fleet,
-            &t,
-            &[],
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            DecodeScheduler::Continuous,
-            &DecodeConfig::default(),
-            &dcfg,
-            &acfg,
-        );
+        let scaled = with_batch_log(|| {
+            simulate_disagg_autoscale(
+                &fleet,
+                &fleet,
+                &t,
+                &[],
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::Continuous,
+                &DecodeConfig::default(),
+                &dcfg,
+                &acfg,
+            )
+        });
         assert_eq!(scaled.disagg, plain);
         assert!(scaled.scale_events.is_empty());
         assert_eq!(scaled.peak_prefill_shards, 2);

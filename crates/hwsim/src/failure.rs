@@ -1606,7 +1606,7 @@ mod tests {
     use super::*;
     use crate::autoscale::{RetirePolicy, ScaleEventKind, ScalePolicy};
     use crate::decode::Priority;
-    use crate::fleet::{homogeneous_fleet, simulate_fleet};
+    use crate::fleet::{homogeneous_fleet, simulate_fleet, with_batch_log};
     use crate::spec::FpgaSpec;
     use lat_model::config::ModelConfig;
     use lat_model::graph::AttentionMode;
@@ -1657,23 +1657,27 @@ mod tests {
     fn empty_plan_patient_client_matches_healthy_fleet_bit_for_bit() {
         let fleet = homogeneous_fleet(&tiny_design(64), 2);
         let trace = steady_trace(40, 0.003, 64);
-        let healthy = simulate_fleet(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::RoundRobin,
-            &batcher(),
-        );
-        let report = simulate_fleet_failure(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::RoundRobin,
-            &batcher(),
-            &FaultPlan::none(),
-            &ClientConfig::patient(),
-            0.25,
-        );
+        let healthy = with_batch_log(|| {
+            simulate_fleet(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::RoundRobin,
+                &batcher(),
+            )
+        });
+        let report = with_batch_log(|| {
+            simulate_fleet_failure(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::RoundRobin,
+                &batcher(),
+                &FaultPlan::none(),
+                &ClientConfig::patient(),
+                0.25,
+            )
+        });
         assert_eq!(report.fleet, healthy);
         assert_eq!(report.completed, trace.len());
         assert_eq!(report.timed_out, 0);
@@ -2244,19 +2248,21 @@ mod tests {
     #[test]
     fn disagg_healthy_failure_run_is_bit_identical_to_plain() {
         let trace = steady_decode_trace(20, 0.002, 48, 12);
-        let healthy = run_disagg_failure(2, 2, &trace, &FaultPlan::none());
+        let healthy = with_batch_log(|| run_disagg_failure(2, 2, &trace, &FaultPlan::none()));
         let fleet = homogeneous_fleet(&tiny_design(64), 2);
-        let plain = crate::disagg::simulate_disaggregated(
-            &fleet,
-            &fleet,
-            &trace,
-            &[],
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            DecodeScheduler::Continuous,
-            &DecodeConfig::default(),
-            &disagg_cfg(),
-        );
+        let plain = with_batch_log(|| {
+            crate::disagg::simulate_disaggregated(
+                &fleet,
+                &fleet,
+                &trace,
+                &[],
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::Continuous,
+                &DecodeConfig::default(),
+                &disagg_cfg(),
+            )
+        });
         assert_eq!(healthy.disagg, plain);
         assert_eq!(healthy.completed, trace.len());
         assert_eq!(healthy.timed_out, 0);
@@ -2621,52 +2627,56 @@ mod tests {
             batcher(),
         );
         let (cont, dcfg) = (DecodeScheduler::Continuous, DecodeConfig::default());
-        let mut prints = Vec::new();
-        let r = simulate_fleet_failure(two, &trace, lp, dp, &b, &plan, &client, 0.25);
-        assert_stormy("fleet", r.retries, r.timed_out);
-        prints.push(fnv1a(&format!("{r:?}")));
-        let r = simulate_autoscale_failure(two, &trace, lp, dp, &b, &cfg, &plan, &client);
-        assert_stormy("autoscale", r.failure.retries, r.failure.timed_out);
-        prints.push(fnv1a(&format!("{r:?}")));
-        for (shards, dtrace) in [(two, &decode_trace), (&three[..], &long_trace)] {
-            // The disagg plan also crashes the first decode shard.
-            let mut disagg_plan = surge_plan();
-            disagg_plan.faults.push(Fault {
-                shard: shards.len(),
-                kind: FaultKind::Crash {
-                    at_s: 0.2,
-                    recover_s: Some(0.6),
-                },
-            });
-            for response in [DecodeScaleDown::Drain, DecodeScaleDown::Migrate] {
-                let r = simulate_decode_failure(
-                    shards, dtrace, lp, dp, cont, &dcfg, &plan, &client, response, 0.1,
-                );
-                if shards.len() == 2 {
-                    assert_stormy("decode", r.retries, r.timed_out);
+        // The recorded constants hash the batch log too.
+        let prints = with_batch_log(|| {
+            let mut prints = Vec::new();
+            let r = simulate_fleet_failure(two, &trace, lp, dp, &b, &plan, &client, 0.25);
+            assert_stormy("fleet", r.retries, r.timed_out);
+            prints.push(fnv1a(&format!("{r:?}")));
+            let r = simulate_autoscale_failure(two, &trace, lp, dp, &b, &cfg, &plan, &client);
+            assert_stormy("autoscale", r.failure.retries, r.failure.timed_out);
+            prints.push(fnv1a(&format!("{r:?}")));
+            for (shards, dtrace) in [(two, &decode_trace), (&three[..], &long_trace)] {
+                // The disagg plan also crashes the first decode shard.
+                let mut disagg_plan = surge_plan();
+                disagg_plan.faults.push(Fault {
+                    shard: shards.len(),
+                    kind: FaultKind::Crash {
+                        at_s: 0.2,
+                        recover_s: Some(0.6),
+                    },
+                });
+                for response in [DecodeScaleDown::Drain, DecodeScaleDown::Migrate] {
+                    let r = simulate_decode_failure(
+                        shards, dtrace, lp, dp, cont, &dcfg, &plan, &client, response, 0.1,
+                    );
+                    if shards.len() == 2 {
+                        assert_stormy("decode", r.retries, r.timed_out);
+                    }
+                    prints.push(fnv1a(&format!("{r:?}")));
+                    let r = simulate_disagg_failure(
+                        shards,
+                        two,
+                        dtrace,
+                        &[],
+                        lp,
+                        dp,
+                        cont,
+                        &dcfg,
+                        &disagg_cfg(),
+                        &disagg_plan,
+                        &client,
+                        response,
+                        0.1,
+                    );
+                    if shards.len() == 2 {
+                        assert_stormy("disagg", r.retries, r.timed_out);
+                    }
+                    prints.push(fnv1a(&format!("{r:?}")));
                 }
-                prints.push(fnv1a(&format!("{r:?}")));
-                let r = simulate_disagg_failure(
-                    shards,
-                    two,
-                    dtrace,
-                    &[],
-                    lp,
-                    dp,
-                    cont,
-                    &dcfg,
-                    &disagg_cfg(),
-                    &disagg_plan,
-                    &client,
-                    response,
-                    0.1,
-                );
-                if shards.len() == 2 {
-                    assert_stormy("disagg", r.retries, r.timed_out);
-                }
-                prints.push(fnv1a(&format!("{r:?}")));
             }
-        }
+            prints
+        });
         // Fleet, autoscale, then (two shards, three shards) ×
         // (drain, migrate) × (decode, disagg).
         let expected: [u64; 10] = [

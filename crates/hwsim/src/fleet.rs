@@ -58,6 +58,7 @@ use lat_tensor::rng::SplitMix64;
 use lat_tensor::stats::percentiles;
 use lat_workloads::datasets::LengthSampler;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -550,7 +551,8 @@ pub struct FleetReport {
     pub mean_batch_size: f64,
     /// Per-shard statistics.
     pub shards: Vec<ShardReport>,
-    /// Every executed batch in dispatch order.
+    /// Every executed batch in dispatch order. Empty unless run inside
+    /// [`with_batch_log`]; a diagnostic that no other field is built from.
     pub batch_log: Vec<BatchRecord>,
 }
 
@@ -885,16 +887,43 @@ pub(crate) fn summarize(
     }
 }
 
+thread_local! {
+    /// Whether a [`ReportBook`] built on this thread keeps a batch log;
+    /// set only by [`with_batch_log`].
+    static BATCH_LOG: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `run` with the batch log switched on: every report an engine
+/// builds inside it, on this thread, carries
+/// [`FleetReport::batch_log`]. Outside it the log is never grown and
+/// comes back empty; no other report field depends on the switch.
+///
+/// The switch is per thread, so a pool worker must enter the scope
+/// itself. It is restored on exit, also when `run` panics, so scopes
+/// nest.
+pub fn with_batch_log<R>(run: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            // `try_with`: a drop must not panic, even in thread teardown.
+            let _ = BATCH_LOG.try_with(|on| on.set(self.0));
+        }
+    }
+    let _restore = Restore(BATCH_LOG.with(|on| on.replace(true)));
+    run()
+}
+
 /// The report half both cores keep, and the one [`FleetReport`] builder.
 pub(crate) struct ReportBook {
     /// Report construction mode; only the plain fleet sets it, so
     /// `DecodeCore` always reports Exact. Under [`ReportMode::Streaming`]
-    /// the batch log is never grown and completed latencies feed
-    /// `lat_sketch` as they complete, so memory stays bounded for
-    /// million-request traces.
+    /// completed latencies feed `lat_sketch` as they complete, so memory
+    /// stays bounded for million-request traces.
     pub(crate) mode: ReportMode,
-    /// Every launched batch (decode: iteration), launch order; Exact only.
-    log: Vec<BatchRecord>,
+    /// Every launched batch (decode: iteration) in launch order; `Some`
+    /// only for a book built inside [`with_batch_log`]. The engines only
+    /// write it, so no other report field depends on it.
+    log: Option<Vec<BatchRecord>>,
     lat_sketch: QuantileSketch,
     /// Running max of final completion times: valid completion pops plus
     /// decode's crash truncations. Order-free, so one value for both modes.
@@ -905,28 +934,30 @@ impl ReportBook {
     pub(crate) fn new() -> Self {
         Self {
             mode: ReportMode::Exact,
-            log: Vec::new(),
+            log: BATCH_LOG.with(Cell::get).then(Vec::new),
             lat_sketch: QuantileSketch::p50_p95_p99(),
             makespan_s: 0.0,
         }
     }
 
-    /// Logs a launched batch (Exact only).
+    /// Logs a launched batch (only inside [`with_batch_log`]).
     pub(crate) fn log_batch(&mut self, rec: BatchRecord) {
-        if self.mode == ReportMode::Exact {
-            self.log.push(rec);
+        if let Some(log) = &mut self.log {
+            log.push(rec);
         }
     }
 
-    /// Shard `s`'s latest logged batch (always `None` under Streaming).
+    /// Shard `s`'s latest logged batch (`None` when nothing is logged).
     pub(crate) fn last_of(&mut self, s: usize) -> Option<&mut BatchRecord> {
-        self.log.iter_mut().rev().find(|b| b.shard == s)
+        self.log.as_mut()?.iter_mut().rev().find(|b| b.shard == s)
     }
 
     /// Drops shard `s`'s latest logged batch (a rolled-back crash).
     pub(crate) fn unlog_last_of(&mut self, s: usize) {
-        if let Some(i) = self.log.iter().rposition(|b| b.shard == s) {
-            self.log.remove(i);
+        if let Some(log) = &mut self.log {
+            if let Some(i) = log.iter().rposition(|b| b.shard == s) {
+                log.remove(i);
+            }
         }
     }
 
@@ -1002,7 +1033,7 @@ impl ReportBook {
                 total_batch_size as f64 / total_batches as f64
             },
             shards,
-            batch_log: self.log,
+            batch_log: self.log.unwrap_or_default(),
         }
     }
 }
@@ -1149,8 +1180,8 @@ impl<'a> FleetCore<'a> {
     }
 
     /// Switches the report mode. Call before [`FleetCore::run`]: under
-    /// [`ReportMode::Streaming`] the batch log is suppressed from the
-    /// start, and latencies stream into the sketch as completions pop.
+    /// [`ReportMode::Streaming`] latencies stream into the sketch as
+    /// completions pop.
     pub(crate) fn set_mode(&mut self, mode: ReportMode) {
         self.report.mode = mode;
     }
@@ -1492,8 +1523,8 @@ pub struct FleetRunStats {
     /// Per-request latency samples retained at report time (0 under
     /// [`ReportMode::Streaming`]).
     pub retained_latency_samples: usize,
-    /// Batch records retained in the report's log (0 under
-    /// [`ReportMode::Streaming`]).
+    /// Batch records retained in the report's log: 0 in either mode
+    /// unless run inside [`with_batch_log`].
     pub retained_batch_records: usize,
 }
 
@@ -1515,13 +1546,13 @@ impl FleetRunStats {
 /// run-size counters alongside the report — the one streaming entry point.
 ///
 /// `Exact` is [`simulate_fleet`] verbatim. `Streaming` runs the identical
-/// event sequence but never grows the batch log and feeds each completed
-/// latency into a log-linear histogram sketch as its completion event
-/// pops, so a million-request trace runs in bounded memory: the report's
-/// percentiles are within 2⁻⁷ relative of `Exact`'s for latencies from
-/// 1e-12 s to 1e9 s, its mean differs by rounding only, its
-/// `batch_log` is empty, and everything else — makespan, throughput,
-/// batch-size means, per-shard stats — is bit-identical to `Exact`.
+/// event sequence but feeds each completed latency into a log-linear
+/// histogram sketch as its completion event pops, so a million-request
+/// trace runs in bounded memory: the report's percentiles are within 2⁻⁷
+/// relative of `Exact`'s for latencies from 1e-12 s to 1e9 s, its mean
+/// differs by rounding only, and everything else — makespan, throughput,
+/// batch-size means, per-shard stats — is bit-identical to `Exact`. In
+/// both modes `batch_log` is empty unless run inside [`with_batch_log`].
 ///
 /// # Panics
 ///
@@ -1711,13 +1742,15 @@ mod tests {
             max_batch: 8,
         };
         let trace = burst(16, 0.25, 64);
-        let r = simulate_fleet(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &cfg,
-        );
+        let r = with_batch_log(|| {
+            simulate_fleet(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &cfg,
+            )
+        });
         assert_eq!(r.batch_log.len(), 2);
         assert_eq!(r.batch_log[0].size, 8);
         assert_eq!(
@@ -1741,13 +1774,15 @@ mod tests {
             max_batch: 16,
         };
         let trace = burst(6, 0.5, 64);
-        let r = simulate_fleet(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &cfg,
-        );
+        let r = with_batch_log(|| {
+            simulate_fleet(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &cfg,
+            )
+        });
         assert_eq!(r.batch_log.len(), 1, "burst split: {:?}", r.batch_log);
         assert_eq!(r.batch_log[0].size, 6);
         assert_eq!(r.batch_log[0].start_s, 0.5);
@@ -1761,13 +1796,15 @@ mod tests {
             max_batch: 8,
         };
         let trace = burst(3, 1.0, 64);
-        let r = simulate_fleet(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &cfg,
-        );
+        let r = with_batch_log(|| {
+            simulate_fleet(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &cfg,
+            )
+        });
         assert_eq!(r.batch_log.len(), 1);
         assert_eq!(r.batch_log[0].size, 3);
         assert!((r.batch_log[0].start_s - 1.2).abs() < 1e-12);
@@ -1780,13 +1817,15 @@ mod tests {
         for n in [1usize, 2, 3, 4] {
             let fleet = homogeneous_fleet(&base, n);
             for dispatch in DispatchPolicy::ALL {
-                let r = simulate_fleet(
-                    &fleet,
-                    &trace,
-                    SchedulingPolicy::LengthAware,
-                    dispatch,
-                    &BatcherConfig::default(),
-                );
+                let r = with_batch_log(|| {
+                    simulate_fleet(
+                        &fleet,
+                        &trace,
+                        SchedulingPolicy::LengthAware,
+                        dispatch,
+                        &BatcherConfig::default(),
+                    )
+                });
                 assert_eq!(r.completed, 60, "{n} shards, {dispatch}");
                 assert_eq!(
                     r.shards.iter().map(|s| s.completed).sum::<usize>(),
@@ -1859,22 +1898,25 @@ mod tests {
     fn jsq_balances_a_heavy_burst() {
         let fleet = homogeneous_fleet(&tiny_design(64), 4);
         let trace = burst(32, 0.0, 64);
-        let r = simulate_fleet(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &BatcherConfig {
-                batch_window_s: 0.05,
-                max_batch: 8,
-            },
-        );
+        let r = with_batch_log(|| {
+            simulate_fleet(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &BatcherConfig {
+                    batch_window_s: 0.05,
+                    max_batch: 8,
+                },
+            )
+        });
         // 32 simultaneous requests, cap 8, 4 shards → one full batch each.
         for s in &r.shards {
             assert_eq!(s.completed, 8, "shard {}", s.shard);
             assert_eq!(s.batches, 1, "shard {}", s.shard);
         }
         // All four batches start at t=0: no shard stalls on the window.
+        assert_eq!(r.batch_log.len(), 4);
         assert!(r.batch_log.iter().all(|b| b.start_s == 0.0));
     }
 

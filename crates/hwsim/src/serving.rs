@@ -6,7 +6,8 @@
 mod tests {
     use crate::accelerator::AcceleratorDesign;
     use crate::fleet::{
-        poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy, FleetReport, Request,
+        poisson_trace, simulate_fleet, with_batch_log, BatcherConfig, DispatchPolicy, FleetReport,
+        Request,
     };
     use crate::spec::FpgaSpec;
     use lat_core::pipeline::SchedulingPolicy;
@@ -121,13 +122,15 @@ mod tests {
             };
             32
         ];
-        let r = simulate_fleet(
-            &[design()],
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &cfg,
-        );
+        let r = with_batch_log(|| {
+            simulate_fleet(
+                &[design()],
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &cfg,
+            )
+        });
         assert_eq!(r.batch_log[0].size, 16);
         assert_eq!(
             r.batch_log[0].start_s, 1.0,
@@ -154,13 +157,15 @@ mod tests {
             cap_fill < trace[0].arrival_s + cfg.batch_window_s,
             "test premise: cap fills inside the window ({cap_fill})"
         );
-        let r = simulate_fleet(
-            &[design()],
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &cfg,
-        );
+        let r = with_batch_log(|| {
+            simulate_fleet(
+                &[design()],
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &cfg,
+            )
+        });
         assert_eq!(r.batch_log[0].size, cfg.max_batch);
         assert_eq!(
             r.batch_log[0].start_s, cap_fill,

@@ -14,8 +14,8 @@ use lat_fpga::hwsim::autoscale::{
     ScalePolicy, SchedulePhase,
 };
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet, BatcherConfig,
-    DispatchPolicy, RatePhase, RateProfile,
+    homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet, with_batch_log,
+    BatcherConfig, DispatchPolicy, RatePhase, RateProfile,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -98,6 +98,7 @@ fn bursty_profile(burst_rate: f64) -> RateProfile {
 /// "warm-up never admits work to a cold shard" and the "retired means
 /// retired" invariant.
 fn assert_batches_within_membership(r: &AutoscaleReport, initial_shards: usize) {
+    assert!(!r.fleet.batch_log.is_empty(), "empty batch log");
     for b in &r.fleet.batch_log {
         let mut allowed = b.shard < initial_shards;
         for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
@@ -213,14 +214,14 @@ proptest! {
             cooldown_s: 0.0,
             ..AutoscaleConfig::default()
         };
-        let r = simulate_autoscale(
+        let r = with_batch_log(|| simulate_autoscale(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             dispatch_from_index(dispatch_idx),
             &BatcherConfig::default(),
             &cfg,
-        );
+        ));
         prop_assert_eq!(r.fleet.completed, n);
         prop_assert_eq!(r.fleet.shards.iter().map(|s| s.completed).sum::<usize>(), n);
         prop_assert_eq!(r.fleet.batch_log.iter().map(|b| b.size).sum::<usize>(), n);
@@ -257,18 +258,18 @@ proptest! {
         let trace = poisson_trace(&DatasetSpec::rte(), rate, n, seed);
         let dispatch = dispatch_from_index(dispatch_idx);
         let batcher = BatcherConfig::default();
-        let fixed = simulate_fleet(
+        let fixed = with_batch_log(|| simulate_fleet(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             dispatch,
             &batcher,
-        );
+        ));
         for policy in [
             ScalePolicy::Pinned,
             ScalePolicy::Reactive { scale_up_depth: 4.0, scale_down_depth: 1.0 },
         ] {
-            let auto = simulate_autoscale(
+            let auto = with_batch_log(|| simulate_autoscale(
                 &fleet,
                 &trace,
                 SchedulingPolicy::LengthAware,
@@ -281,7 +282,7 @@ proptest! {
                     eval_interval_s: 0.05,
                     ..AutoscaleConfig::default()
                 },
-            );
+            ));
             prop_assert_eq!(&auto.fleet, &fixed);
             prop_assert!(auto.scale_events.is_empty());
             prop_assert_eq!(auto.peak_active_shards, shards);
@@ -309,7 +310,7 @@ proptest! {
             n,
             seed,
         );
-        let r = simulate_autoscale(
+        let r = with_batch_log(|| simulate_autoscale(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -325,7 +326,7 @@ proptest! {
                 cooldown_s: 0.0,
                 ..AutoscaleConfig::default()
             },
-        );
+        ));
         assert_batches_within_membership(&r, 1);
         let events = &r.scale_events;
         for (i, e) in events.iter().enumerate() {
@@ -365,7 +366,7 @@ proptest! {
             n,
             seed,
         );
-        let r = simulate_autoscale(
+        let r = with_batch_log(|| simulate_autoscale(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -381,7 +382,7 @@ proptest! {
                 cooldown_s: 0.0,
                 ..AutoscaleConfig::default()
             },
-        );
+        ));
         // Conservation is the "nothing dropped" half…
         prop_assert_eq!(r.fleet.completed, n);
         prop_assert_eq!(r.fleet.batch_log.iter().map(|b| b.size).sum::<usize>(), n);

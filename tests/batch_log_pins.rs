@@ -1,10 +1,13 @@
-//! Byte pins of the batch log. Each test hashes the `{:?}` rendering of
-//! one run's `batch_log` with FNV-1a, so any change to what the engines
-//! log — a launch record, a straggler's re-priced completion, a crash
-//! rollback or truncation — moves a constant. The failure runs put a
-//! straggler and a crash (with recovery) on busy shards, so every
-//! failure pin covers the reprice and the rollback (fleet) or truncation
-//! (decode) of an in-flight batch.
+//! Byte pins of the batch log, and of the switch that turns it on. Each
+//! pin runs an engine inside `with_batch_log` and hashes the `{:?}`
+//! rendering of its `batch_log` with FNV-1a, so any change to what the
+//! engines log — a launch record, a straggler's re-priced completion, a
+//! crash rollback or truncation — moves a constant. The same run outside
+//! the scope must have an empty log and otherwise equal the logged
+//! report field for field. The failure runs put a straggler and a crash
+//! (with recovery) on busy shards, so every failure pin covers the
+//! reprice and the rollback (fleet) or truncation (decode) of an
+//! in-flight batch.
 
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
@@ -17,14 +20,15 @@ use lat_fpga::hwsim::failure::{
     simulate_decode_failure, simulate_fleet_failure, ClientConfig, Fault, FaultKind, FaultPlan,
 };
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, BatchRecord, BatcherConfig, DispatchPolicy,
-    Request,
+    homogeneous_fleet, poisson_trace, simulate_fleet, with_batch_log, BatchRecord, BatcherConfig,
+    DispatchPolicy, FleetReport, Request,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
 use lat_fpga::workloads::datasets::DatasetSpec;
 use lat_fpga::workloads::prefix::PrefixProfile;
+use std::fmt::Debug;
 
 /// Fixed seed: the pins must not move with `HARNESS_SEED`.
 const SEED: u64 = 42;
@@ -48,7 +52,23 @@ fn fnv1a(log: &[BatchRecord]) -> u64 {
         })
 }
 
-fn assert_pinned(what: &str, log: &[BatchRecord], want: u64) {
+/// Runs `run` inside and outside `with_batch_log`. Pins the logged
+/// run's log to `want`, checks that the unlogged run's log is empty and
+/// that the two reports are equal once the logged one's log is cleared,
+/// and returns the logged report.
+fn assert_pinned<R: PartialEq + Debug>(
+    what: &str,
+    run: impl Fn() -> R,
+    fleet: impl Fn(&mut R) -> &mut FleetReport,
+    want: u64,
+) -> R {
+    let mut logged = with_batch_log(&run);
+    let mut plain = run();
+    assert!(
+        fleet(&mut plain).batch_log.is_empty(),
+        "{what}: logged outside with_batch_log"
+    );
+    let log = &mut fleet(&mut logged).batch_log;
     assert!(!log.is_empty(), "{what}: empty batch log");
     let got = fnv1a(log);
     assert_eq!(
@@ -57,10 +77,36 @@ fn assert_pinned(what: &str, log: &[BatchRecord], want: u64) {
         "{what}: batch log of {} records hashes to {got:#018x}",
         log.len()
     );
+    let kept = std::mem::take(log);
+    assert_eq!(logged, plain, "{what}: the log changed another field");
+    fleet(&mut logged).batch_log = kept;
+    logged
+}
+
+/// Σ `ShardReport::batches` counts exactly the logged batches, crashes
+/// included: the fleet's rollback drops both, decode's truncation keeps
+/// both.
+fn assert_batches_match_log(what: &str, r: &FleetReport) {
+    let batches: usize = r.shards.iter().map(|s| s.batches).sum();
+    assert_eq!(
+        batches,
+        r.batch_log.len(),
+        "{what}: Σ batches != log length"
+    );
 }
 
 fn fleet_trace() -> Vec<Request> {
     poisson_trace(&DatasetSpec::rte(), 200_000.0, 400, SEED)
+}
+
+fn run_fleet() -> FleetReport {
+    simulate_fleet(
+        &tiny_fleet(3),
+        &fleet_trace(),
+        SchedulingPolicy::LengthAware,
+        DispatchPolicy::JoinShortestQueue,
+        &BatcherConfig::default(),
+    )
 }
 
 /// Back-to-back long generations: every shard decodes without a gap
@@ -103,27 +149,27 @@ fn crash_and_straggler(slow: (f64, f64), down: (f64, f64)) -> FaultPlan {
 
 #[test]
 fn fleet_batch_log_bytes_pinned() {
-    let r = simulate_fleet(
-        &tiny_fleet(3),
-        &fleet_trace(),
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        &BatcherConfig::default(),
-    );
-    assert_pinned("simulate_fleet", &r.batch_log, 0x8f40_e91f_62eb_c0e7);
+    assert_pinned("simulate_fleet", run_fleet, |r| r, 0x8f40_e91f_62eb_c0e7);
 }
 
 #[test]
 fn decode_batch_log_bytes_pinned() {
-    let r = simulate_decode(
-        &tiny_fleet(3),
-        &decode_requests(),
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        DecodeScheduler::Continuous,
-        &DecodeConfig::default(),
+    let run = || {
+        simulate_decode(
+            &tiny_fleet(3),
+            &decode_requests(),
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+        )
+    };
+    assert_pinned(
+        "simulate_decode",
+        run,
+        |r| &mut r.fleet,
+        0x3dd0_4352_4bcc_b357,
     );
-    assert_pinned("simulate_decode", &r.fleet.batch_log, 0x3dd0_4352_4bcc_b357);
 }
 
 #[test]
@@ -135,83 +181,103 @@ fn disagg_batch_log_bytes_pinned() {
         grouped_fraction: 0.8,
     }
     .assign(trace.len(), SEED);
-    let r = simulate_disaggregated(
-        &tiny_fleet(2),
-        &tiny_fleet(2),
-        &trace,
-        &prefixes,
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        DecodeScheduler::Continuous,
-        &DecodeConfig::default(),
-        &DisaggConfig {
-            transfer: KvTransfer::Copy {
-                base_s: 1e-5,
-                per_token_s: 1e-8,
+    let run = || {
+        simulate_disaggregated(
+            &tiny_fleet(2),
+            &tiny_fleet(2),
+            &trace,
+            &prefixes,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            &DisaggConfig {
+                transfer: KvTransfer::Copy {
+                    base_s: 1e-5,
+                    per_token_s: 1e-8,
+                },
+                prefix_cache_capacity: 3,
             },
-            prefix_cache_capacity: 3,
-        },
-    );
+        )
+    };
     assert_pinned(
         "simulate_disaggregated",
-        &r.decode.fleet.batch_log,
+        run,
+        |r| &mut r.decode.fleet,
         0xe66b_6cc1_7485_791b,
     );
 }
 
 #[test]
 fn fleet_failure_batch_log_bytes_pinned() {
-    let r = simulate_fleet_failure(
-        &tiny_fleet(3),
-        &fleet_trace(),
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        &BatcherConfig::default(),
-        &crash_and_straggler((0.0008, 0.0015), (0.0009, 0.0016)),
-        &ClientConfig::patient(),
-        0.25,
-    );
-    assert_pinned(
-        "simulate_fleet_failure",
-        &r.fleet.batch_log,
-        0x9a91_718b_82ef_b898,
-    );
+    let run = || {
+        simulate_fleet_failure(
+            &tiny_fleet(3),
+            &fleet_trace(),
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            &BatcherConfig::default(),
+            &crash_and_straggler((0.0008, 0.0015), (0.0009, 0.0016)),
+            &ClientConfig::patient(),
+            0.25,
+        )
+    };
+    let what = "simulate_fleet_failure";
+    let r = assert_pinned(what, run, |r| &mut r.fleet, 0x9a91_718b_82ef_b898);
+    assert_batches_match_log(what, &r.fleet);
 }
 
-fn decode_failure_log(response: DecodeScaleDown) -> Vec<BatchRecord> {
-    simulate_decode_failure(
-        &tiny_fleet(3),
-        &decode_requests(),
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        DecodeScheduler::Continuous,
-        &DecodeConfig::default(),
-        &crash_and_straggler((0.0003, 0.0006), (0.00045, 0.0007)),
-        &ClientConfig::patient(),
-        response,
-        0.25,
-    )
-    .decode
-    .fleet
-    .batch_log
+fn assert_decode_failure_pinned(what: &str, response: DecodeScaleDown, want: u64) {
+    let run = || {
+        simulate_decode_failure(
+            &tiny_fleet(3),
+            &decode_requests(),
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            &crash_and_straggler((0.0003, 0.0006), (0.00045, 0.0007)),
+            &ClientConfig::patient(),
+            response,
+            0.25,
+        )
+    };
+    let r = assert_pinned(what, run, |r| &mut r.decode.fleet, want);
+    assert_batches_match_log(what, &r.decode.fleet);
 }
 
 #[test]
 fn decode_failure_drain_batch_log_bytes_pinned() {
-    let log = decode_failure_log(DecodeScaleDown::Drain);
-    assert_pinned(
+    assert_decode_failure_pinned(
         "simulate_decode_failure (Drain)",
-        &log,
+        DecodeScaleDown::Drain,
         0x3e55_f9ef_14b7_172b,
     );
 }
 
 #[test]
 fn decode_failure_migrate_batch_log_bytes_pinned() {
-    let log = decode_failure_log(DecodeScaleDown::Migrate);
-    assert_pinned(
+    assert_decode_failure_pinned(
         "simulate_decode_failure (Migrate)",
-        &log,
+        DecodeScaleDown::Migrate,
         0x2ec2_6dd8_da98_a95f,
     );
+}
+
+/// The switch's own contract: scopes nest and restore the outer state,
+/// and a panic inside a scope leaves the log off.
+#[test]
+fn batch_log_scope_nests_and_survives_a_panic() {
+    let logs = || !run_fleet().batch_log.is_empty();
+    assert!(!logs(), "logged by default");
+    with_batch_log(|| {
+        with_batch_log(|| assert!(logs()));
+        assert!(logs(), "leaving a nested scope switched the log off");
+    });
+    assert!(!logs(), "leaving the outer scope left the log on");
+    let caught = std::panic::catch_unwind(|| {
+        with_batch_log(|| std::panic::resume_unwind(Box::new("inside the scope")))
+    });
+    assert!(caught.is_err());
+    assert!(!logs(), "a panic inside the scope left the log on");
 }

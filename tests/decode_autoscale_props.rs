@@ -19,7 +19,9 @@ use lat_fpga::hwsim::autoscale::{
 use lat_fpga::hwsim::decode::{
     nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeRequest, DecodeScheduler,
 };
-use lat_fpga::hwsim::fleet::{homogeneous_fleet, DispatchPolicy, RatePhase, RateProfile};
+use lat_fpga::hwsim::fleet::{
+    homogeneous_fleet, with_batch_log, DispatchPolicy, RatePhase, RateProfile,
+};
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
@@ -112,6 +114,7 @@ fn burst_trace(n: usize, burst_rate: f64, seed: u64) -> Vec<DecodeRequest> {
 /// admits work to a cold shard" and the "retired means retired"
 /// invariant.
 fn assert_iterations_within_membership(r: &DecodeAutoscaleReport, initial_shards: usize) {
+    assert!(!r.decode.fleet.batch_log.is_empty(), "empty batch log");
     for b in &r.decode.fleet.batch_log {
         let mut allowed = b.shard < initial_shards;
         for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
@@ -226,7 +229,7 @@ proptest! {
             cooldown_s: 0.0,
             ..DecodeAutoscaleConfig::default()
         };
-        let r = simulate_decode_autoscale(
+        let r = with_batch_log(|| simulate_decode_autoscale(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -234,7 +237,7 @@ proptest! {
             scheduler_from_index(scheduler_idx),
             &DecodeConfig { max_slots: 4, ttft_deadline_s: 0.001 },
             &cfg,
-        );
+        ));
         prop_assert_eq!(r.decode.fleet.completed, n);
         prop_assert_eq!(
             r.decode.fleet.shards.iter().map(|s| s.completed).sum::<usize>(),
@@ -343,7 +346,7 @@ proptest! {
         let scale_down = scale_down_from_index(scale_down_idx);
         let fleet = homogeneous_fleet(&tiny_design(64), max_shards);
         let trace = burst_trace(n, burst_rate, seed);
-        let r = simulate_decode_autoscale(
+        let r = with_batch_log(|| simulate_decode_autoscale(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -363,7 +366,7 @@ proptest! {
                 cooldown_s: 0.0,
                 ..DecodeAutoscaleConfig::default()
             },
-        );
+        ));
         prop_assert_eq!(r.decode.fleet.completed, n);
         prop_assert_eq!(
             r.decode.generated_tokens,
@@ -400,7 +403,7 @@ proptest! {
     ) {
         let fleet = homogeneous_fleet(&tiny_design(64), max_shards);
         let trace = burst_trace(n, burst_rate, seed);
-        let r = simulate_decode_autoscale(
+        let r = with_batch_log(|| simulate_decode_autoscale(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -417,7 +420,7 @@ proptest! {
                 cooldown_s: 0.0,
                 ..DecodeAutoscaleConfig::default()
             },
-        );
+        ));
         assert_iterations_within_membership(&r, 1);
         let events = &r.scale_events;
         for (i, e) in events.iter().enumerate() {

@@ -14,8 +14,8 @@ use lat_fpga::hwsim::decode::{
     decode_trace, simulate_decode, DecodeConfig, DecodeScheduler, Priority,
 };
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet, BatcherConfig,
-    DispatchPolicy, RatePhase, RateProfile,
+    homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet, with_batch_log,
+    BatcherConfig, DispatchPolicy, RatePhase, RateProfile,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -82,14 +82,14 @@ proptest! {
             n,
             seed,
         );
-        let r = simulate_decode(
+        let r = with_batch_log(|| simulate_decode(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             dispatch_from_index(dispatch_idx),
             scheduler_from_index(scheduler_idx),
             &DecodeConfig { max_slots, ttft_deadline_s: 0.02 },
-        );
+        ));
         // Request and token conservation.
         prop_assert_eq!(r.fleet.completed, n);
         prop_assert_eq!(r.fleet.shards.iter().map(|s| s.completed).sum::<usize>(), n);
@@ -106,6 +106,10 @@ proptest! {
         }
         // Slot capacity: no iteration holds more live sequences than the
         // cap, and a shard never runs two iterations at once.
+        prop_assert_eq!(
+            r.fleet.batch_log.len(),
+            r.fleet.shards.iter().map(|s| s.batches).sum::<usize>()
+        );
         prop_assert!(r.fleet.batch_log.iter().all(|b| b.size >= 1 && b.size <= max_slots));
         for s in 0..shards {
             let mut last_end = 0.0f64;
@@ -332,7 +336,7 @@ proptest! {
             DecodeScheduler::Continuous,
             &DecodeConfig { max_slots: 4, ttft_deadline_s: 0.02 },
         );
-        let (a, b) = (run(&trace), run(&flattened));
+        let (a, b) = with_batch_log(|| (run(&trace), run(&flattened)));
         // Everything but the per-class TTFT slice (which by construction
         // reads the trace's priority labels) must be bit-identical.
         prop_assert_eq!(&a.fleet, &b.fleet);

@@ -7,7 +7,7 @@ use lat_bench::tables;
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
+    homogeneous_fleet, poisson_trace, simulate_fleet, with_batch_log, BatcherConfig, DispatchPolicy,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::graph::AttentionMode;
@@ -52,8 +52,8 @@ fn serving_report_is_bit_identical_across_runs() {
             },
         )
     };
-    let first = run();
-    let second = run();
+    let first = with_batch_log(run);
+    let second = with_batch_log(run);
     // FleetReport is PartialEq over f64 fields: equality here is bitwise,
     // not approximate.
     assert_eq!(first, second, "serving simulation diverged between runs");
@@ -77,8 +77,8 @@ fn fleet_report_is_bit_identical_across_runs() {
             &BatcherConfig::default(),
         )
     };
-    let first = run();
-    let second = run();
+    let first = with_batch_log(run);
+    let second = with_batch_log(run);
     assert_eq!(first, second, "fleet simulation diverged between runs");
     assert_eq!(first.completed, 60);
 }

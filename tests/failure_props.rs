@@ -19,7 +19,7 @@ use lat_fpga::hwsim::failure::{
     AutoscaleFailureReport, ClientConfig, Disposition, Fault, FaultKind, FaultPlan,
 };
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
+    homogeneous_fleet, poisson_trace, simulate_fleet, with_batch_log, BatcherConfig, DispatchPolicy,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -48,6 +48,7 @@ fn dispatch_from_index(i: usize) -> DispatchPolicy {
 /// is exactly the "crash during warm-up never admits work to a cold
 /// shard" invariant.
 fn assert_batches_within_membership(r: &AutoscaleFailureReport, initial_shards: usize) {
+    assert!(!r.failure.fleet.batch_log.is_empty(), "empty batch log");
     for b in &r.failure.fleet.batch_log {
         let mut allowed = b.shard < initial_shards;
         for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
@@ -145,14 +146,14 @@ proptest! {
         let trace = poisson_trace(&DatasetSpec::rte(), rate, n, seed);
         let dispatch = dispatch_from_index(dispatch_idx);
         let batcher = BatcherConfig::default();
-        let plain = simulate_fleet(
+        let plain = with_batch_log(|| simulate_fleet(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             dispatch,
             &batcher,
-        );
-        let r = simulate_fleet_failure(
+        ));
+        let r = with_batch_log(|| simulate_fleet_failure(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -161,7 +162,7 @@ proptest! {
             &FaultPlan::none(),
             &ClientConfig::patient(),
             0.25,
-        );
+        ));
         prop_assert_eq!(r.fleet, plain);
         prop_assert_eq!(r.completed, n);
         prop_assert_eq!(r.timed_out + r.retried + r.retries, 0);
@@ -190,15 +191,15 @@ proptest! {
         let dispatch = dispatch_from_index(dispatch_idx);
         let cfg = DecodeConfig::default();
         for scheduler in DecodeScheduler::ALL {
-            let plain = simulate_decode(
+            let plain = with_batch_log(|| simulate_decode(
                 &fleet,
                 &trace,
                 SchedulingPolicy::LengthAware,
                 dispatch,
                 scheduler,
                 &cfg,
-            );
-            let r = simulate_decode_failure(
+            ));
+            let r = with_batch_log(|| simulate_decode_failure(
                 &fleet,
                 &trace,
                 SchedulingPolicy::LengthAware,
@@ -209,7 +210,7 @@ proptest! {
                 &ClientConfig::patient(),
                 DecodeScaleDown::Drain,
                 0.25,
-            );
+            ));
             prop_assert_eq!(r.decode, plain);
             prop_assert_eq!(r.completed, n);
             prop_assert_eq!(r.timed_out + r.retried + r.retries, 0);
@@ -255,7 +256,7 @@ proptest! {
                 },
             }],
         };
-        let r = simulate_autoscale_failure(
+        let r = with_batch_log(|| simulate_autoscale_failure(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -264,7 +265,7 @@ proptest! {
             &cfg,
             &plan,
             &ClientConfig::patient(),
-        );
+        ));
         prop_assert_eq!(r.failure.completed + r.failure.timed_out, n);
         // A patient client is only ever stranded by an *unrecovered*
         // outage, which a >1-shard reactive fleet here never reaches.

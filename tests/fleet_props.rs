@@ -6,7 +6,7 @@ use lat_bench::scenarios::harness_seed;
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
+    homogeneous_fleet, poisson_trace, simulate_fleet, with_batch_log, BatcherConfig, DispatchPolicy,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -48,13 +48,13 @@ proptest! {
             batch_window_s: window_ms / 1e3,
             max_batch,
         };
-        let r = simulate_fleet(
+        let r = with_batch_log(|| simulate_fleet(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             dispatch_from_index(dispatch_idx),
             &cfg,
-        );
+        ));
         prop_assert_eq!(r.completed, n);
         prop_assert_eq!(r.shards.iter().map(|s| s.completed).sum::<usize>(), n);
         prop_assert_eq!(r.batch_log.iter().map(|b| b.size).sum::<usize>(), n);

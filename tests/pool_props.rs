@@ -19,7 +19,7 @@ use lat_fpga::hwsim::decode::{
 use lat_fpga::hwsim::disagg::{simulate_disaggregated, DisaggConfig};
 use lat_fpga::hwsim::failure::{simulate_fleet_failure, ClientConfig, Fault, FaultKind, FaultPlan};
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
+    homogeneous_fleet, poisson_trace, simulate_fleet, with_batch_log, BatcherConfig, DispatchPolicy,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -81,10 +81,13 @@ proptest::proptest! {
 
 // ── Per-bin sweep grids: serial ≡ 4 workers, bit-identical ──────────────
 
+/// Runs every cell with the batch log on, so the comparison covers the
+/// logs too. The switch is per thread: each worker turns it on itself.
 fn run_with<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(cells: &[T], f: F) -> (Vec<R>, Vec<R>) {
+    let logged = |cell: &T| with_batch_log(|| f(cell));
     (
-        Scheduler::serial().par_map_indexed(cells, &f),
-        Scheduler::new(PINNED_WORKERS).par_map_indexed(cells, &f),
+        Scheduler::serial().par_map_indexed(cells, logged),
+        Scheduler::new(PINNED_WORKERS).par_map_indexed(cells, logged),
     )
 }
 

@@ -21,8 +21,8 @@ use lat_fpga::hwsim::failure::{
     simulate_fleet_failure, ClientConfig, Fault, FaultKind, FaultPlan, RetryDecision,
 };
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, simulate_fleet_instrumented, BatcherConfig,
-    DispatchPolicy, FleetReport,
+    homogeneous_fleet, poisson_trace, simulate_fleet, simulate_fleet_instrumented, with_batch_log,
+    BatcherConfig, DispatchPolicy, FleetReport,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -101,9 +101,9 @@ fn assert_quantile_close(tag: &str, sketch: f64, exact: f64) {
 /// and the mean must be bit-identical between modes — every counter, the
 /// makespan, throughput, batch-size mean, and per-shard stats, since
 /// `ReportMode::Streaming` changes representation, never events — and
-/// streaming keeps no batch log. The mean sums the same latencies in
-/// completion order rather than trace order, so it may differ by rounding
-/// only.
+/// the streaming run, outside `with_batch_log`, keeps no batch log. The
+/// mean sums the same latencies in completion order rather than trace
+/// order, so it may differ by rounding only.
 fn assert_fleet_reports_equivalent(stream: &FleetReport, exact: &FleetReport) {
     assert_eq!(stream.completed, exact.completed);
     assert_eq!(stream.makespan_s.to_bits(), exact.makespan_s.to_bits());
@@ -246,16 +246,18 @@ fn retry_schedule_pinned_for_both_client_layers() {
 fn fleet_mean_batch_size_matches_batch_log() {
     let fleet = homogeneous_fleet(&tiny_design(64), 3);
     let trace = poisson_trace(&DatasetSpec::rte(), 800.0, 700, harness_seed());
-    let r = simulate_fleet_failure(
-        &fleet,
-        &trace,
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        &batcher(),
-        &blackout_plan(),
-        &impatient_client(),
-        0.25,
-    );
+    let r = with_batch_log(|| {
+        simulate_fleet_failure(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            &batcher(),
+            &blackout_plan(),
+            &impatient_client(),
+            0.25,
+        )
+    });
     assert!(r.timed_out > 0, "scenario too calm to exercise abandonment");
     let log = &r.fleet.batch_log;
     assert!(!log.is_empty());
