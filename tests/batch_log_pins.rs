@@ -53,46 +53,35 @@ fn fnv1a(log: &[BatchRecord]) -> u64 {
 }
 
 /// Runs `run` inside and outside `with_batch_log`. Pins the logged
-/// run's log to `want`, checks that the unlogged run's log is empty and
-/// that the two reports are equal once the logged one's log is cleared,
-/// and returns the logged report.
+/// run's log to `want` and checks that Σ `ShardReport::batches` is its
+/// length: the fleet's crash rollback drops a batch from both, decode's
+/// crash truncation keeps it in both. The unlogged run's log must be
+/// empty, and the two reports equal once the logged one's log is taken.
 fn assert_pinned<R: PartialEq + Debug>(
     what: &str,
     run: impl Fn() -> R,
     fleet: impl Fn(&mut R) -> &mut FleetReport,
     want: u64,
-) -> R {
+) {
     let mut logged = with_batch_log(&run);
     let mut plain = run();
     assert!(
         fleet(&mut plain).batch_log.is_empty(),
         "{what}: logged outside with_batch_log"
     );
-    let log = &mut fleet(&mut logged).batch_log;
+    let logged_fleet = fleet(&mut logged);
+    let log = std::mem::take(&mut logged_fleet.batch_log);
     assert!(!log.is_empty(), "{what}: empty batch log");
-    let got = fnv1a(log);
+    let got = fnv1a(&log);
     assert_eq!(
         got,
         want,
         "{what}: batch log of {} records hashes to {got:#018x}",
         log.len()
     );
-    let kept = std::mem::take(log);
+    let batches: usize = logged_fleet.shards.iter().map(|s| s.batches).sum();
+    assert_eq!(batches, log.len(), "{what}: Σ batches != log length");
     assert_eq!(logged, plain, "{what}: the log changed another field");
-    fleet(&mut logged).batch_log = kept;
-    logged
-}
-
-/// Σ `ShardReport::batches` counts exactly the logged batches, crashes
-/// included: the fleet's rollback drops both, decode's truncation keeps
-/// both.
-fn assert_batches_match_log(what: &str, r: &FleetReport) {
-    let batches: usize = r.shards.iter().map(|s| s.batches).sum();
-    assert_eq!(
-        batches,
-        r.batch_log.len(),
-        "{what}: Σ batches != log length"
-    );
 }
 
 fn fleet_trace() -> Vec<Request> {
@@ -222,9 +211,12 @@ fn fleet_failure_batch_log_bytes_pinned() {
             0.25,
         )
     };
-    let what = "simulate_fleet_failure";
-    let r = assert_pinned(what, run, |r| &mut r.fleet, 0x9a91_718b_82ef_b898);
-    assert_batches_match_log(what, &r.fleet);
+    assert_pinned(
+        "simulate_fleet_failure",
+        run,
+        |r| &mut r.fleet,
+        0x9a91_718b_82ef_b898,
+    );
 }
 
 fn assert_decode_failure_pinned(what: &str, response: DecodeScaleDown, want: u64) {
@@ -242,8 +234,7 @@ fn assert_decode_failure_pinned(what: &str, response: DecodeScaleDown, want: u64
             0.25,
         )
     };
-    let r = assert_pinned(what, run, |r| &mut r.decode.fleet, want);
-    assert_batches_match_log(what, &r.decode.fleet);
+    assert_pinned(what, run, |r| &mut r.decode.fleet, want);
 }
 
 #[test]
