@@ -144,15 +144,6 @@ fn main() {
     // (shard-slice length, config) fully describes a run.
     let mut jobs: Vec<(usize, AutoscaleConfig)> = vec![
         (
-            AUTOSCALE_MAX_SHARDS,
-            base_cfg(
-                ScalePolicy::Pinned,
-                AUTOSCALE_MAX_SHARDS,
-                AUTOSCALE_MAX_SHARDS,
-                bounds.clone(),
-            ),
-        ),
-        (
             AUTOSCALE_MIN_SHARDS,
             base_cfg(
                 ScalePolicy::Pinned,
@@ -199,25 +190,30 @@ fn main() {
     for k in 1..=AUTOSCALE_MAX_SHARDS {
         jobs.push((k, base_cfg(ScalePolicy::Pinned, k, k, bounds.clone())));
     }
-    // Cells keep their batch logs so that claim 3's equality covers them;
-    // the switch is per thread, so each worker sets it.
     let mut results = pool
-        .par_map_indexed(&jobs, |(k, cfg)| with_batch_log(|| run(&fleet[..*k], cfg)))
+        .par_map_indexed(&jobs, |(k, cfg)| run(&fleet[..*k], cfg))
         .into_iter();
     let mut next = || results.next().expect("one result per job");
-    let (pinned, fixed_min, reactive, utilization, scheduled) =
-        (next(), next(), next(), next(), next());
+    let (fixed_min, reactive, utilization, scheduled) = (next(), next(), next(), next());
     let frontier_fixed: Vec<AutoscaleReport> = (1..=AUTOSCALE_MAX_SHARDS).map(|_| next()).collect();
 
     // ── Claim 3: the pinned min==max autoscaler IS simulate_fleet ───────
-    let fixed_fleet = with_batch_log(|| {
-        simulate_fleet(
+    // Only this pair keeps its batch logs, so the equality covers them.
+    let pinned_cfg = base_cfg(
+        ScalePolicy::Pinned,
+        AUTOSCALE_MAX_SHARDS,
+        AUTOSCALE_MAX_SHARDS,
+        bounds.clone(),
+    );
+    let (pinned, fixed_fleet) = with_batch_log(|| {
+        let fixed_fleet = simulate_fleet(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             DispatchPolicy::JoinShortestQueue,
             &batcher,
-        )
+        );
+        (run(&fleet, &pinned_cfg), fixed_fleet)
     });
     assert_eq!(
         pinned.fleet, fixed_fleet,

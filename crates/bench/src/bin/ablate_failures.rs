@@ -47,8 +47,8 @@ use lat_hwsim::failure::{
     ClientOutcome, FailureReport, Fault, FaultKind, FaultPlan, IncidentPhase,
 };
 use lat_hwsim::fleet::{
-    homogeneous_fleet, nonstationary_poisson_trace, BatcherConfig, DispatchPolicy, RateProfile,
-    Request,
+    homogeneous_fleet, nonstationary_poisson_trace, with_batch_log, BatcherConfig, DispatchPolicy,
+    RateProfile, Request,
 };
 use lat_hwsim::spec::FpgaSpec;
 use lat_model::config::ModelConfig;
@@ -510,7 +510,8 @@ fn main() {
 
     // Multi-cell sweep timed serial vs 4 pool workers: the dispatch ×
     // client grid of the incident scenario. The equality assert is the
-    // determinism contract — worker count must never change a report bit.
+    // determinism contract — worker count must never change a report bit,
+    // batch logs included, so each worker runs its cells logged.
     let sweep_cells: Vec<(DispatchPolicy, bool)> = DispatchPolicy::ALL
         .iter()
         .flat_map(|&d| [(d, false), (d, true)])
@@ -523,16 +524,18 @@ fn main() {
             } else {
                 ClientConfig::patient()
             };
-            simulate_fleet_failure(
-                &fleet,
-                &trace,
-                SchedulingPolicy::LengthAware,
-                dispatch,
-                &batcher,
-                &plan,
-                &client,
-                FAILURE_SLO_LATENCY_S,
-            )
+            with_batch_log(|| {
+                simulate_fleet_failure(
+                    &fleet,
+                    &trace,
+                    SchedulingPolicy::LengthAware,
+                    dispatch,
+                    &batcher,
+                    &plan,
+                    &client,
+                    FAILURE_SLO_LATENCY_S,
+                )
+            })
         });
         (reports, t.elapsed().as_secs_f64())
     };

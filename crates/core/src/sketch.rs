@@ -38,8 +38,8 @@
 ///   bounded memory. Percentiles are within 2⁻⁷ relative of the exact
 ///   path for latencies from 1e-12 s to 1e9 s.
 ///
-/// The mode does not decide the report's `batch_log`: in either mode it
-/// is empty unless the run is inside `lat_hwsim::fleet::with_batch_log`.
+/// A report's `batch_log` is empty under `Streaming`, and under `Exact`
+/// unless the run is inside `lat_hwsim::fleet::with_batch_log`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
     /// Retain all samples; reports are bit-identical to the pre-sketch era.

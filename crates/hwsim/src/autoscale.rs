@@ -97,6 +97,8 @@
 //! );
 //! let fleet = homogeneous_fleet(&design, 2);
 //! let trace = poisson_trace(&DatasetSpec::rte(), 600.0, 12, 7);
+//! # // Logged, so the equality also compares the batch logs.
+//! # lat_hwsim::fleet::with_batch_log(|| {
 //! let plain = simulate_fleet(
 //!     &fleet,
 //!     &trace,
@@ -119,6 +121,8 @@
 //! );
 //! assert_eq!(pinned.fleet, plain);
 //! assert!(pinned.scale_events.is_empty());
+//! # assert!(!plain.batch_log.is_empty());
+//! # });
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
@@ -1984,14 +1988,16 @@ mod tests {
         let fleet = homogeneous_fleet(&tiny_design(64), 4);
         let trace = nonstationary_poisson_trace(&DatasetSpec::rte(), &burst_profile(), 300, 21);
         let go = || {
-            simulate_autoscale(
-                &fleet,
-                &trace,
-                SchedulingPolicy::LengthAware,
-                DispatchPolicy::JoinShortestQueue,
-                &BatcherConfig::default(),
-                &reactive_cfg(1, 2),
-            )
+            with_batch_log(|| {
+                simulate_autoscale(
+                    &fleet,
+                    &trace,
+                    SchedulingPolicy::LengthAware,
+                    DispatchPolicy::JoinShortestQueue,
+                    &BatcherConfig::default(),
+                    &reactive_cfg(1, 2),
+                )
+            })
         };
         assert_eq!(go(), go());
     }
@@ -2209,24 +2215,27 @@ mod tests {
         }
     }
 
+    /// A logged run, so whole-report equalities compare the step log.
     fn run_decode_auto(
         trace: &[DecodeRequest],
         fleet: &[AcceleratorDesign],
         cfg: &DecodeAutoscaleConfig,
         scheduler: DecodeScheduler,
     ) -> DecodeAutoscaleReport {
-        simulate_decode_autoscale(
-            fleet,
-            trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            scheduler,
-            &DecodeConfig {
-                max_slots: 4,
-                ttft_deadline_s: 0.25,
-            },
-            cfg,
-        )
+        with_batch_log(|| {
+            simulate_decode_autoscale(
+                fleet,
+                trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                scheduler,
+                &DecodeConfig {
+                    max_slots: 4,
+                    ttft_deadline_s: 0.25,
+                },
+                cfg,
+            )
+        })
     }
 
     #[test]
@@ -2237,28 +2246,32 @@ mod tests {
             max_slots: 4,
             ttft_deadline_s: 0.25,
         };
-        let auto = simulate_decode_autoscale(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            DecodeScheduler::ContinuousPreempt,
-            &decode_cfg,
-            &DecodeAutoscaleConfig {
-                min_shards: 3,
-                initial_shards: 3,
-                policy: ScalePolicy::Pinned,
-                ..DecodeAutoscaleConfig::default()
-            },
-        );
-        let fixed = simulate_decode(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            DecodeScheduler::ContinuousPreempt,
-            &decode_cfg,
-        );
+        let auto = with_batch_log(|| {
+            simulate_decode_autoscale(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::ContinuousPreempt,
+                &decode_cfg,
+                &DecodeAutoscaleConfig {
+                    min_shards: 3,
+                    initial_shards: 3,
+                    policy: ScalePolicy::Pinned,
+                    ..DecodeAutoscaleConfig::default()
+                },
+            )
+        });
+        let fixed = with_batch_log(|| {
+            simulate_decode(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::ContinuousPreempt,
+                &decode_cfg,
+            )
+        });
         assert_eq!(auto.decode, fixed);
         assert!(auto.scale_events.is_empty());
         assert_eq!(auto.migrations, 0);
@@ -2419,8 +2432,7 @@ mod tests {
             cooldown_s: 0.0,
             ..DecodeAutoscaleConfig::default()
         };
-        let r =
-            with_batch_log(|| run_decode_auto(&trace, &fleet, &cfg, DecodeScheduler::Continuous));
+        let r = run_decode_auto(&trace, &fleet, &cfg, DecodeScheduler::Continuous);
         assert_eq!(r.decode.fleet.completed, 800);
         assert_eq!(r.migrations, 0, "drain never evicts");
         assert_eq!(r.re_prefills, 0, "drain pays no re-prefill");

@@ -422,7 +422,7 @@ pub struct DecodeShardReport {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecodeReport {
     /// Fleet-level view. `batch_log` is empty unless run inside
-    /// [`crate::fleet::with_batch_log`]; there it holds one record per
+    /// `fleet::with_batch_log`; there it holds one record per
     /// *iteration* (size = resident sequences that step).
     /// `mean_batch_size` is the mean resident count per iteration, and the
     /// latency percentiles are end-to-end (arrival → last token).
@@ -1308,6 +1308,7 @@ mod tests {
         ]
     }
 
+    /// A logged run, so whole-report equalities compare the step log.
     fn run(
         trace: &[DecodeRequest],
         scheduler: DecodeScheduler,
@@ -1315,17 +1316,19 @@ mod tests {
         n_shards: usize,
     ) -> DecodeReport {
         let fleet = homogeneous_fleet(&tiny_design(64), n_shards);
-        simulate_decode(
-            &fleet,
-            trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            scheduler,
-            &DecodeConfig {
-                max_slots: slots,
-                ttft_deadline_s: 0.25,
-            },
-        )
+        with_batch_log(|| {
+            simulate_decode(
+                &fleet,
+                trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                scheduler,
+                &DecodeConfig {
+                    max_slots: slots,
+                    ttft_deadline_s: 0.25,
+                },
+            )
+        })
     }
 
     #[test]
@@ -1423,7 +1426,7 @@ mod tests {
         // slots; peak residency is the slot cap and every iteration after
         // the first runs full.
         let trace = burst(8, 0.0, 64, 2);
-        let r = with_batch_log(|| run(&trace, DecodeScheduler::Continuous, 4, 1));
+        let r = run(&trace, DecodeScheduler::Continuous, 4, 1);
         assert_eq!(r.shards[0].peak_resident, 4);
         assert!(!r.fleet.batch_log.is_empty());
         assert!(r.fleet.batch_log.iter().all(|b| b.size <= 4));
@@ -1580,7 +1583,7 @@ mod tests {
         // be preempted. Exercises the smallest report the engine can emit.
         let trace = burst(1, 0.0, 64, 5);
         for scheduler in DecodeScheduler::ALL {
-            let r = with_batch_log(|| run(&trace, scheduler, 1, 1));
+            let r = run(&trace, scheduler, 1, 1);
             assert_eq!(r.fleet.completed, 1, "{scheduler}");
             assert_eq!(r.generated_tokens, 5);
             assert!(

@@ -908,6 +908,7 @@ mod tests {
         crate::decode::decode_trace(&spec, &spec.decode_output(), 0.0, rate, n, seed)
     }
 
+    /// A logged run, so whole-report equalities compare the step log.
     fn run(
         n_prefill: usize,
         n_decode: usize,
@@ -916,17 +917,19 @@ mod tests {
         dcfg: &DisaggConfig,
     ) -> DisaggReport {
         let fleet = homogeneous_fleet(&tiny_design(64), n_prefill.max(n_decode));
-        simulate_disaggregated(
-            &fleet[..n_prefill],
-            &fleet[..n_decode],
-            trace,
-            prefixes,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            DecodeScheduler::Continuous,
-            &DecodeConfig::default(),
-            dcfg,
-        )
+        with_batch_log(|| {
+            simulate_disaggregated(
+                &fleet[..n_prefill],
+                &fleet[..n_decode],
+                trace,
+                prefixes,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::Continuous,
+                &DecodeConfig::default(),
+                dcfg,
+            )
+        })
     }
 
     fn cheap() -> DisaggConfig {

@@ -73,6 +73,8 @@
 //! );
 //! let fleet = homogeneous_fleet(&design, 2);
 //! let trace = poisson_trace(&DatasetSpec::rte(), 600.0, 10, 5);
+//! # // Logged, so the equality also compares the batch logs.
+//! # lat_hwsim::fleet::with_batch_log(|| {
 //! let plain = simulate_fleet(
 //!     &fleet,
 //!     &trace,
@@ -93,6 +95,8 @@
 //! assert_eq!(healthy.fleet, plain);
 //! assert_eq!(healthy.completed, trace.len());
 //! assert_eq!(healthy.timed_out + healthy.retried + healthy.retries, 0);
+//! # assert!(!plain.batch_log.is_empty());
+//! # });
 //! ```
 
 use crate::accelerator::AcceleratorDesign;

@@ -551,8 +551,9 @@ pub struct FleetReport {
     pub mean_batch_size: f64,
     /// Per-shard statistics.
     pub shards: Vec<ShardReport>,
-    /// Every executed batch in dispatch order. Empty unless run inside
-    /// [`with_batch_log`]; a diagnostic that no other field is built from.
+    /// Every executed batch in dispatch order. Empty unless an Exact run
+    /// is inside `with_batch_log`; a diagnostic that no other field is
+    /// built from.
     pub batch_log: Vec<BatchRecord>,
 }
 
@@ -893,14 +894,19 @@ thread_local! {
     static BATCH_LOG: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `run` with the batch log switched on: every report an engine
-/// builds inside it, on this thread, carries
+/// Runs `run` with the batch log switched on: every Exact report an
+/// engine builds inside it, on this thread, carries
 /// [`FleetReport::batch_log`]. Outside it the log is never grown and
 /// comes back empty; no other report field depends on the switch.
 ///
 /// The switch is per thread, so a pool worker must enter the scope
 /// itself. It is restored on exit, also when `run` panics, so scopes
 /// nest.
+///
+/// A test seam, hidden from the docs: nothing outside tests and the
+/// ablations' equality asserts reads the log. It goes, with the field,
+/// once the benchmark stops hashing the log.
+#[doc(hidden)]
 pub fn with_batch_log<R>(run: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -921,8 +927,8 @@ pub(crate) struct ReportBook {
     /// stays bounded for million-request traces.
     pub(crate) mode: ReportMode,
     /// Every launched batch (decode: iteration) in launch order; `Some`
-    /// only for a book built inside [`with_batch_log`]. The engines only
-    /// write it, so no other report field depends on it.
+    /// only for an Exact book built inside [`with_batch_log`]. The engines
+    /// only write it, so no other report field depends on it.
     log: Option<Vec<BatchRecord>>,
     lat_sketch: QuantileSketch,
     /// Running max of final completion times: valid completion pops plus
@@ -1180,10 +1186,14 @@ impl<'a> FleetCore<'a> {
     }
 
     /// Switches the report mode. Call before [`FleetCore::run`]: under
-    /// [`ReportMode::Streaming`] latencies stream into the sketch as
-    /// completions pop.
+    /// [`ReportMode::Streaming`] the batch log is dropped, even inside
+    /// [`with_batch_log`], and latencies stream into the sketch as
+    /// completions pop, so memory stays bounded.
     pub(crate) fn set_mode(&mut self, mode: ReportMode) {
         self.report.mode = mode;
+        if mode == ReportMode::Streaming {
+            self.report.log = None;
+        }
     }
 
     /// Schedules a [`FleetController::on_control`] callback at `time`.
@@ -1523,8 +1533,9 @@ pub struct FleetRunStats {
     /// Per-request latency samples retained at report time (0 under
     /// [`ReportMode::Streaming`]).
     pub retained_latency_samples: usize,
-    /// Batch records retained in the report's log: 0 in either mode
-    /// unless run inside [`with_batch_log`].
+    /// Batch records retained in the report's log: 0 under
+    /// [`ReportMode::Streaming`], and under Exact unless run inside
+    /// `with_batch_log`.
     pub retained_batch_records: usize,
 }
 
@@ -1551,8 +1562,9 @@ impl FleetRunStats {
 /// trace runs in bounded memory: the report's percentiles are within 2⁻⁷
 /// relative of `Exact`'s for latencies from 1e-12 s to 1e9 s, its mean
 /// differs by rounding only, and everything else — makespan, throughput,
-/// batch-size means, per-shard stats — is bit-identical to `Exact`. In
-/// both modes `batch_log` is empty unless run inside [`with_batch_log`].
+/// batch-size means, per-shard stats — is bit-identical to `Exact`. Its
+/// `batch_log` is always empty; `Exact`'s is empty unless run inside
+/// `with_batch_log`.
 ///
 /// # Panics
 ///
@@ -1978,13 +1990,15 @@ mod tests {
         let fleet = homogeneous_fleet(&tiny_design(64), 3);
         let trace = poisson_trace(&DatasetSpec::rte(), 400.0, 90, 1234);
         let run = || {
-            simulate_fleet(
-                &fleet,
-                &trace,
-                SchedulingPolicy::LengthAware,
-                DispatchPolicy::JoinShortestQueue,
-                &BatcherConfig::default(),
-            )
+            with_batch_log(|| {
+                simulate_fleet(
+                    &fleet,
+                    &trace,
+                    SchedulingPolicy::LengthAware,
+                    DispatchPolicy::JoinShortestQueue,
+                    &BatcherConfig::default(),
+                )
+            })
         };
         assert_eq!(run(), run());
     }

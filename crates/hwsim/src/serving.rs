@@ -25,19 +25,22 @@ mod tests {
     }
 
     /// 200 Poisson RTE arrivals at `rate`, batches of at most 16 within a
-    /// 50 ms window.
+    /// 50 ms window, logged so whole-report equalities compare the batch
+    /// log.
     fn run(rate: f64, policy: SchedulingPolicy) -> FleetReport {
         let trace = poisson_trace(&DatasetSpec::rte(), rate, 200, 7);
-        simulate_fleet(
-            &[design()],
-            &trace,
-            policy,
-            DispatchPolicy::JoinShortestQueue,
-            &BatcherConfig {
-                batch_window_s: 0.05,
-                max_batch: 16,
-            },
-        )
+        with_batch_log(|| {
+            simulate_fleet(
+                &[design()],
+                &trace,
+                policy,
+                DispatchPolicy::JoinShortestQueue,
+                &BatcherConfig {
+                    batch_window_s: 0.05,
+                    max_batch: 16,
+                },
+            )
+        })
     }
 
     #[test]

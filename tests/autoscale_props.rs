@@ -421,14 +421,14 @@ proptest! {
             phase_bounds_s: vec![0.5, 1.0],
             ..AutoscaleConfig::default()
         };
-        let go = || simulate_autoscale(
+        let go = || with_batch_log(|| simulate_autoscale(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             dispatch_from_index(dispatch_idx),
             &BatcherConfig::default(),
             &cfg,
-        );
+        ));
         prop_assert_eq!(go(), go());
     }
 }

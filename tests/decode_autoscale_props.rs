@@ -287,14 +287,14 @@ proptest! {
         let dispatch = dispatch_from_index(dispatch_idx);
         let scheduler = scheduler_from_index(scheduler_idx);
         let decode_cfg = DecodeConfig { max_slots: 4, ttft_deadline_s: 0.001 };
-        let fixed = simulate_decode(
+        let fixed = with_batch_log(|| simulate_decode(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             dispatch,
             scheduler,
             &decode_cfg,
-        );
+        ));
         for policy in [
             ScalePolicy::Pinned,
             ScalePolicy::Reactive { scale_up_depth: 4.0, scale_down_depth: 1.0 },
@@ -305,7 +305,7 @@ proptest! {
                 period_s: Some(0.1),
             },
         ] {
-            let auto = simulate_decode_autoscale(
+            let auto = with_batch_log(|| simulate_decode_autoscale(
                 &fleet,
                 &trace,
                 SchedulingPolicy::LengthAware,
@@ -319,7 +319,7 @@ proptest! {
                     eval_interval_s: 0.002,
                     ..DecodeAutoscaleConfig::default()
                 },
-            );
+            ));
             prop_assert_eq!(&auto.decode, &fixed);
             prop_assert!(auto.scale_events.is_empty());
             prop_assert_eq!(auto.migrations, 0);
@@ -481,7 +481,7 @@ proptest! {
             phase_bounds_s: vec![0.1, 0.2],
             ..DecodeAutoscaleConfig::default()
         };
-        let go = || simulate_decode_autoscale(
+        let go = || with_batch_log(|| simulate_decode_autoscale(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -489,7 +489,7 @@ proptest! {
             scheduler_from_index(scheduler_idx),
             &DecodeConfig { max_slots: 4, ttft_deadline_s: 0.001 },
             &cfg,
-        );
+        ));
         prop_assert_eq!(go(), go());
     }
 }

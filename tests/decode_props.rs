@@ -149,14 +149,14 @@ proptest! {
             n,
             seed,
         );
-        let run = |scheduler| simulate_decode(
+        let run = |scheduler| with_batch_log(|| simulate_decode(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             DispatchPolicy::JoinShortestQueue,
             scheduler,
             &DecodeConfig { max_slots: 1, ttft_deadline_s: 0.02 },
-        );
+        ));
         prop_assert_eq!(run(DecodeScheduler::Static), run(DecodeScheduler::Continuous));
     }
 
@@ -178,14 +178,14 @@ proptest! {
             n,
             harness_seed(),
         );
-        let run = || simulate_decode(
+        let run = || with_batch_log(|| simulate_decode(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             DispatchPolicy::JoinShortestQueue,
             scheduler_from_index(scheduler_idx),
             &DecodeConfig { max_slots: 4, ttft_deadline_s: 0.01 },
-        );
+        ));
         prop_assert_eq!(run(), run());
     }
 

@@ -19,7 +19,9 @@ use lat_fpga::hwsim::disagg::{
     simulate_disagg_autoscale, simulate_disaggregated, DisaggAutoscaleConfig, DisaggConfig,
     DisaggReport, PoolPolicy,
 };
-use lat_fpga::hwsim::fleet::{homogeneous_fleet, DispatchPolicy, RatePhase, RateProfile};
+use lat_fpga::hwsim::fleet::{
+    homogeneous_fleet, with_batch_log, DispatchPolicy, RatePhase, RateProfile,
+};
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
 use lat_fpga::model::graph::AttentionMode;
@@ -65,6 +67,8 @@ fn profile() -> PrefixProfile {
     }
 }
 
+/// A logged run, so that whole-report equalities also compare the step
+/// log (one record per iteration of either pool).
 fn run_disagg(
     prefill: usize,
     decode: usize,
@@ -72,17 +76,19 @@ fn run_disagg(
     prefixes: &[Option<PrefixGroup>],
     dcfg: &DisaggConfig,
 ) -> DisaggReport {
-    simulate_disaggregated(
-        &homogeneous_fleet(&tiny_design(64), prefill),
-        &homogeneous_fleet(&tiny_design(64), decode),
-        trace,
-        prefixes,
-        SchedulingPolicy::LengthAware,
-        DispatchPolicy::JoinShortestQueue,
-        DecodeScheduler::Continuous,
-        &DecodeConfig::default(),
-        dcfg,
-    )
+    with_batch_log(|| {
+        simulate_disaggregated(
+            &homogeneous_fleet(&tiny_design(64), prefill),
+            &homogeneous_fleet(&tiny_design(64), decode),
+            trace,
+            prefixes,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            dcfg,
+        )
+    })
 }
 
 proptest! {
@@ -277,18 +283,20 @@ fn disagg_reports_are_deterministic_under_harness_seed() {
         cooldown_s: 0.0,
     };
     let run = || {
-        simulate_disagg_autoscale(
-            &homogeneous_fleet(&tiny_design(64), 2),
-            &homogeneous_fleet(&tiny_design(64), 2),
-            &trace,
-            &prefixes,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            DecodeScheduler::Continuous,
-            &DecodeConfig::default(),
-            &dcfg,
-            &acfg,
-        )
+        with_batch_log(|| {
+            simulate_disagg_autoscale(
+                &homogeneous_fleet(&tiny_design(64), 2),
+                &homogeneous_fleet(&tiny_design(64), 2),
+                &trace,
+                &prefixes,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                DecodeScheduler::Continuous,
+                &DecodeConfig::default(),
+                &dcfg,
+                &acfg,
+            )
+        })
     };
     let a = run();
     let b = run();

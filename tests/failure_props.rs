@@ -367,7 +367,7 @@ proptest! {
             backoff_s: 0.005,
             deadline_s: 0.5,
         };
-        let run = || simulate_fleet_failure(
+        let run = || with_batch_log(|| simulate_fleet_failure(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
@@ -376,7 +376,7 @@ proptest! {
             &plan,
             &client,
             0.25,
-        );
+        ));
         let a = run();
         let b = run();
         prop_assert_eq!(&a, &b);

@@ -76,13 +76,13 @@ proptest! {
     ) {
         let fleet = homogeneous_fleet(&tiny_design(64), shards);
         let trace = poisson_trace(&DatasetSpec::mrpc(), rate, n, harness_seed());
-        let run = || simulate_fleet(
+        let run = || with_batch_log(|| simulate_fleet(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             dispatch_from_index(dispatch_idx),
             &BatcherConfig::default(),
-        );
+        ));
         prop_assert_eq!(run(), run());
     }
 

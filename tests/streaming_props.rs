@@ -101,9 +101,9 @@ fn assert_quantile_close(tag: &str, sketch: f64, exact: f64) {
 /// and the mean must be bit-identical between modes — every counter, the
 /// makespan, throughput, batch-size mean, and per-shard stats, since
 /// `ReportMode::Streaming` changes representation, never events — and
-/// the streaming run, outside `with_batch_log`, keeps no batch log. The
-/// mean sums the same latencies in completion order rather than trace
-/// order, so it may differ by rounding only.
+/// streaming keeps no batch log, even inside `with_batch_log`. The mean
+/// sums the same latencies in completion order rather than trace order,
+/// so it may differ by rounding only.
 fn assert_fleet_reports_equivalent(stream: &FleetReport, exact: &FleetReport) {
     assert_eq!(stream.completed, exact.completed);
     assert_eq!(stream.makespan_s.to_bits(), exact.makespan_s.to_bits());
@@ -136,27 +136,30 @@ fn fleet_streaming_matches_exact() {
     let trace = poisson_trace(&DatasetSpec::rte(), 120.0, 800, harness_seed());
     let cfg = batcher();
     let run = |mode| {
-        simulate_fleet_instrumented(
-            &fleet,
-            &trace,
-            SchedulingPolicy::LengthAware,
-            DispatchPolicy::JoinShortestQueue,
-            &cfg,
-            mode,
-        )
+        with_batch_log(|| {
+            simulate_fleet_instrumented(
+                &fleet,
+                &trace,
+                SchedulingPolicy::LengthAware,
+                DispatchPolicy::JoinShortestQueue,
+                &cfg,
+                mode,
+            )
+        })
         .0
     };
     let exact = run(ReportMode::Exact);
     let stream = run(ReportMode::Streaming);
+    assert!(!exact.batch_log.is_empty(), "Exact dropped its log");
     assert_eq!(
         exact,
-        simulate_fleet(
+        with_batch_log(|| simulate_fleet(
             &fleet,
             &trace,
             SchedulingPolicy::LengthAware,
             DispatchPolicy::JoinShortestQueue,
             &cfg,
-        ),
+        )),
         "Exact mode must be simulate_fleet verbatim"
     );
     assert_fleet_reports_equivalent(&stream, &exact);
