@@ -8,20 +8,32 @@
 //! (with recovery) on busy shards, so every failure pin covers the
 //! reprice and the rollback (fleet) or truncation (decode) of an
 //! in-flight batch.
+//!
+//! The entry points no other constant covers (the preempting decode
+//! scheduler and the three autoscalers) also pin the `{:?}` bytes of
+//! their whole logged report, so a change to any field they return moves
+//! a constant.
 
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
-use lat_fpga::hwsim::autoscale::DecodeScaleDown;
-use lat_fpga::hwsim::decode::{
-    simulate_decode, DecodeConfig, DecodeRequest, DecodeScheduler, KvTransfer, Priority,
+use lat_fpga::hwsim::autoscale::{
+    simulate_autoscale, simulate_decode_autoscale, AutoscaleConfig, DecodeAutoscaleConfig,
+    DecodeScaleDown, RetirePolicy, ScaleEventKind, ScalePolicy,
 };
-use lat_fpga::hwsim::disagg::{simulate_disaggregated, DisaggConfig};
+use lat_fpga::hwsim::decode::{
+    decode_trace, nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeRequest,
+    DecodeScheduler, KvTransfer, Priority,
+};
+use lat_fpga::hwsim::disagg::{
+    simulate_disagg_autoscale, simulate_disaggregated, DisaggAutoscaleConfig, DisaggConfig,
+    PoolPolicy,
+};
 use lat_fpga::hwsim::failure::{
     simulate_decode_failure, simulate_fleet_failure, ClientConfig, Fault, FaultKind, FaultPlan,
 };
 use lat_fpga::hwsim::fleet::{
-    homogeneous_fleet, poisson_trace, simulate_fleet, with_batch_log, BatchRecord, BatcherConfig,
-    DispatchPolicy, FleetReport, Request,
+    homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet, with_batch_log,
+    BatcherConfig, DispatchPolicy, FleetReport, RatePhase, RateProfile, Request,
 };
 use lat_fpga::hwsim::spec::FpgaSpec;
 use lat_fpga::model::config::ModelConfig;
@@ -43,9 +55,9 @@ fn tiny_fleet(shards: usize) -> Vec<AcceleratorDesign> {
     homogeneous_fleet(&design, shards)
 }
 
-/// FNV-1a over the log's `{:?}` bytes.
-fn fnv1a(log: &[BatchRecord]) -> u64 {
-    format!("{log:?}")
+/// FNV-1a over the `{:?}` bytes of a log or a whole report.
+fn fnv1a(x: &impl Debug) -> u64 {
+    format!("{x:?}")
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
@@ -57,12 +69,13 @@ fn fnv1a(log: &[BatchRecord]) -> u64 {
 /// length: the fleet's crash rollback drops a batch from both, decode's
 /// crash truncation keeps it in both. The unlogged run's log must be
 /// empty, and the two reports equal once the logged one's log is taken.
+/// Returns the logged report, log included.
 fn assert_pinned<R: PartialEq + Debug>(
     what: &str,
     run: impl Fn() -> R,
     fleet: impl Fn(&mut R) -> &mut FleetReport,
     want: u64,
-) {
+) -> R {
     let mut logged = with_batch_log(&run);
     let mut plain = run();
     assert!(
@@ -82,6 +95,8 @@ fn assert_pinned<R: PartialEq + Debug>(
     let batches: usize = logged_fleet.shards.iter().map(|s| s.batches).sum();
     assert_eq!(batches, log.len(), "{what}: Σ batches != log length");
     assert_eq!(logged, plain, "{what}: the log changed another field");
+    fleet(&mut logged).batch_log = log;
+    logged
 }
 
 fn fleet_trace() -> Vec<Request> {
@@ -253,6 +268,253 @@ fn decode_failure_migrate_batch_log_bytes_pinned() {
         DecodeScaleDown::Migrate,
         0x2ec2_6dd8_da98_a95f,
     );
+}
+
+#[test]
+fn decode_preempt_report_bytes_pinned() {
+    let spec = DatasetSpec::rte();
+    let trace = decode_trace(&spec, &spec.decode_output(), 0.3, 200_000.0, 120, SEED);
+    let run = || {
+        simulate_decode(
+            &tiny_fleet(2),
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::ContinuousPreempt,
+            &DecodeConfig {
+                max_slots: 2,
+                ttft_deadline_s: 0.0,
+            },
+        )
+    };
+    let what = "simulate_decode (ContinuousPreempt)";
+    let r = assert_pinned(what, run, |r| &mut r.fleet, 0xc3dc_3ee5_ae79_feaa);
+    assert!(r.preemptions > 0, "{what}: nothing preempted");
+    assert_eq!(fnv1a(&r), 0xba6d_1a34_e123_ab05, "{what}: whole report");
+}
+
+/// Quiet, burst, quiet: the burst backs the one warm shard up past the
+/// reactive threshold and the tail lets the fleet shrink again.
+fn bursty_fleet_trace() -> Vec<Request> {
+    let phase = |duration_s, rate| RatePhase { duration_s, rate };
+    nonstationary_poisson_trace(
+        &DatasetSpec::rte(),
+        &RateProfile::Piecewise(vec![
+            phase(0.1, 200.0),
+            phase(0.1, 20_000.0),
+            phase(0.5, 200.0),
+        ]),
+        2_200,
+        SEED,
+    )
+}
+
+fn assert_autoscale_pinned(retire: RetirePolicy, log: u64, whole: u64) {
+    let trace = bursty_fleet_trace();
+    let run = || {
+        simulate_autoscale(
+            &tiny_fleet(3),
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            &BatcherConfig::default(),
+            &AutoscaleConfig {
+                policy: ScalePolicy::Reactive {
+                    scale_up_depth: 6.0,
+                    scale_down_depth: 1.0,
+                },
+                retire,
+                eval_interval_s: 0.01,
+                warmup_s: 0.02,
+                cooldown_s: 0.02,
+                ..AutoscaleConfig::default()
+            },
+        )
+    };
+    let what = format!("simulate_autoscale (Reactive, {retire})");
+    let r = assert_pinned(&what, run, |r| &mut r.fleet, log);
+    let has = |k| r.scale_events.iter().any(|e| e.kind == k);
+    assert!(
+        has(ScaleEventKind::Launch) && has(ScaleEventKind::Retired),
+        "{what}: scaled only one way: {:?}",
+        r.scale_events.iter().map(|e| e.kind).collect::<Vec<_>>()
+    );
+    assert_eq!(fnv1a(&r), whole, "{what}: whole report");
+}
+
+#[test]
+fn autoscale_drain_report_bytes_pinned() {
+    assert_autoscale_pinned(
+        RetirePolicy::Drain,
+        0xd6f7_8314_aade_4a83,
+        0xff59_fa83_c178_522b,
+    );
+}
+
+#[test]
+fn autoscale_evict_report_bytes_pinned() {
+    assert_autoscale_pinned(
+        RetirePolicy::Evict,
+        0xf50c_9126_a555_0d8d,
+        0x2d55_c60d_5ac4_9c83,
+    );
+}
+
+/// Trickle, saturating burst, trickle in the decode request shape.
+fn bursty_decode_trace() -> Vec<DecodeRequest> {
+    let spec = DatasetSpec::mrpc();
+    let phase = |duration_s, rate| RatePhase { duration_s, rate };
+    nonstationary_decode_trace(
+        &spec,
+        &spec.decode_output(),
+        0.15,
+        &RateProfile::Piecewise(vec![
+            phase(0.01, 20_000.0),
+            phase(0.002, 200_000.0),
+            phase(1.0, 20_000.0),
+        ]),
+        800,
+        SEED,
+    )
+}
+
+fn assert_decode_autoscale_pinned(
+    policy: ScalePolicy,
+    scale_down: DecodeScaleDown,
+    log: u64,
+    whole: u64,
+) {
+    let trace = bursty_decode_trace();
+    let run = || {
+        simulate_decode_autoscale(
+            &tiny_fleet(3),
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig {
+                max_slots: 4,
+                ttft_deadline_s: 0.001,
+            },
+            &DecodeAutoscaleConfig {
+                initial_shards: 3,
+                policy: policy.clone(),
+                scale_down,
+                eval_interval_s: 0.002,
+                warmup_s: 0.004,
+                cooldown_s: 0.0,
+                ..DecodeAutoscaleConfig::default()
+            },
+        )
+    };
+    let what = format!("simulate_decode_autoscale ({policy:?}, {scale_down})");
+    let r = assert_pinned(&what, run, |r| &mut r.decode.fleet, log);
+    let has = |k| r.scale_events.iter().any(|e| e.kind == k);
+    assert!(
+        has(ScaleEventKind::Launch) && has(ScaleEventKind::Retired),
+        "{what}: scaled only one way: {:?}",
+        r.scale_events.iter().map(|e| e.kind).collect::<Vec<_>>()
+    );
+    if scale_down == DecodeScaleDown::Migrate {
+        assert!(r.migrations > 0, "{what}: no resident migrated");
+    }
+    assert_eq!(fnv1a(&r), whole, "{what}: whole report");
+}
+
+#[test]
+fn decode_autoscale_reactive_migrate_report_bytes_pinned() {
+    assert_decode_autoscale_pinned(
+        ScalePolicy::Reactive {
+            scale_up_depth: 4.0,
+            scale_down_depth: 3.5,
+        },
+        DecodeScaleDown::Migrate,
+        0x17d3_f0b4_174f_cee1,
+        0x28a6_b302_a32b_1a4d,
+    );
+}
+
+#[test]
+fn decode_autoscale_predictive_drain_report_bytes_pinned() {
+    assert_decode_autoscale_pinned(
+        ScalePolicy::Predictive {
+            shard_capacity: 25_000.0,
+            horizon_s: 0.004,
+            alpha: 0.2,
+            period_s: None,
+        },
+        DecodeScaleDown::Drain,
+        0x3631_3dd0_d178_fe07,
+        0xd9df_255d_c8a1_5f31,
+    );
+}
+
+#[test]
+fn disagg_autoscale_report_bytes_pinned() {
+    let spec = DatasetSpec::rte();
+    let phase = |duration_s, rate| RatePhase { duration_s, rate };
+    let trace = nonstationary_decode_trace(
+        &spec,
+        &spec.decode_output(),
+        0.0,
+        &RateProfile::Piecewise(vec![phase(0.003, 200_000.0), phase(1.0, 1_000.0)]),
+        800,
+        SEED,
+    );
+    let pool = |scale_up_depth| PoolPolicy {
+        min_shards: 1,
+        initial_shards: 1,
+        policy: ScalePolicy::Reactive {
+            scale_up_depth,
+            scale_down_depth: 0.5,
+        },
+    };
+    let run = || {
+        simulate_disagg_autoscale(
+            &tiny_fleet(2),
+            &tiny_fleet(2),
+            &trace,
+            &[],
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            DecodeScheduler::Continuous,
+            &DecodeConfig::default(),
+            &DisaggConfig {
+                transfer: KvTransfer::Copy {
+                    base_s: 1e-5,
+                    per_token_s: 1e-8,
+                },
+                prefix_cache_capacity: 0,
+            },
+            &DisaggAutoscaleConfig {
+                prefill: pool(2.0),
+                decode: pool(1.0),
+                eval_interval_s: 0.002,
+                warmup_s: 0.001,
+                cooldown_s: 0.0,
+            },
+        )
+    };
+    let what = "simulate_disagg_autoscale (Reactive on both pools)";
+    let r = assert_pinned(
+        what,
+        run,
+        |r| &mut r.disagg.decode.fleet,
+        0xcd8a_b50e_edce_8b1d,
+    );
+    for pool in [0..2, 2..4] {
+        let has = |k| {
+            r.scale_events
+                .iter()
+                .any(|e| e.kind == k && pool.contains(&e.shard))
+        };
+        assert!(
+            has(ScaleEventKind::Launch) && has(ScaleEventKind::Retired),
+            "{what}: pool {pool:?} scaled only one way: {:?}",
+            r.scale_events
+        );
+    }
+    assert_eq!(fnv1a(&r), 0x4681_ae7f_d61d_288b, "{what}: whole report");
 }
 
 /// The switch's own contract: scopes nest and restore the outer state,
