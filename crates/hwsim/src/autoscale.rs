@@ -4,9 +4,9 @@
 //! The encoder fleet ([`crate::fleet`]) and decode engine
 //! ([`crate::decode`]) simulate a *fixed* shard count, which wastes
 //! shard-seconds in the trough of a diurnal load curve and blows latency
-//! SLOs at its peak. This module drives the same event-driven core
-//! (`FleetCore`) with a controller that changes fleet
-//! membership at runtime:
+//! SLOs at its peak. This module drives the same event-driven core with
+//! one controller, `Autoscaler`, that changes fleet membership at
+//! runtime over either batching discipline:
 //!
 //! - [`ScalePolicy::Pinned`] — never scales; with `min == max` shards this
 //!   reproduces [`simulate_fleet`](crate::fleet::simulate_fleet) **bit-for-bit** (it is literally the
@@ -69,7 +69,9 @@
 //! engine's preemption machinery applied to scale-down. Either way no
 //! request is ever dropped, and a pinned `min == max` decode autoscaler
 //! reproduces [`crate::decode::simulate_decode`] bit-for-bit (same
-//! `DecodeCore` code path, zero control events).
+//! `DecodeCore` code path, zero control events). The fleet and decode
+//! autoscalers are one controller; each discipline supplies only its
+//! scale-down rule (`RetirePolicy` or `DecodeScaleDown`).
 //!
 //! # Example
 //!
@@ -127,11 +129,10 @@
 
 use crate::accelerator::AcceleratorDesign;
 use crate::decode::{
-    DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
-    DecodeShard, NullDecodeController,
+    DecodeConfig, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler, Slots,
 };
 use crate::fleet::{
-    busy_elapsed, BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport,
+    Batcher, BatcherConfig, Controller, Core, Discipline, DispatchPolicy, FleetCore, FleetReport,
     NullController, Request,
 };
 use lat_core::pipeline::SchedulingPolicy;
@@ -1121,13 +1122,61 @@ impl Ticker {
     }
 }
 
-/// [`PoolHost`] over the encoder fleet core.
-struct FleetHost<'c, 'a> {
-    core: &'c mut FleetCore<'a>,
-    retire: RetirePolicy,
+/// A discipline's scale-down rule: what a retiring shard hands to the
+/// survivors. [`RetirePolicy`] is the fleet's, [`DecodeScaleDown`]
+/// decode's.
+pub(crate) trait ScaleDown<D: Discipline>: Copy {
+    /// Shard `s` was just closed to routing: hands its work to the
+    /// survivors, as much of it as the rule moves. Returns the KV
+    /// residents moved.
+    fn drain(self, core: &mut Core<'_, D>, s: usize, now: f64) -> usize;
+    /// Retiring shard `s` finished a batch or an iteration, before its
+    /// next launch. Returns the KV residents moved.
+    fn at_boundary(self, _core: &mut Core<'_, D>, _s: usize, _now: f64) -> usize {
+        0
+    }
 }
 
-impl PoolHost for FleetHost<'_, '_> {
+impl ScaleDown<Batcher> for RetirePolicy {
+    /// [`RetirePolicy::Evict`] re-routes the waiting queue to the
+    /// survivors; under [`RetirePolicy::Drain`] the shard serves it.
+    fn drain(self, core: &mut FleetCore<'_>, s: usize, now: f64) -> usize {
+        if self == RetirePolicy::Evict {
+            let evicted = core.take_waiting(s, now);
+            core.disc.window_for[s] = None;
+            // At least one shard keeps accepting during a retire (the
+            // evaluate() guard), so eviction never parks.
+            core.readmit(evicted, now);
+        }
+        0
+    }
+}
+
+impl ScaleDown<Slots> for DecodeScaleDown {
+    /// Both modes hand the waiting queue to the survivors immediately (a
+    /// retiring shard admits nothing new into its slots); Migrate also
+    /// evicts the residents — at once if the shard is idle, else at the
+    /// next iteration boundary ([`ScaleDown::at_boundary`]).
+    fn drain(self, core: &mut DecodeCore<'_>, s: usize, now: f64) -> usize {
+        core.shed(s, now, true, self == DecodeScaleDown::Migrate)
+    }
+
+    /// The in-flight iteration completed: under Migrate, hand the
+    /// survivors the still-unfinished residents.
+    fn at_boundary(self, core: &mut DecodeCore<'_>, s: usize, now: f64) -> usize {
+        core.shed(s, now, false, self == DecodeScaleDown::Migrate)
+    }
+}
+
+/// [`PoolHost`] over a whole core, retiring by the rule `R`.
+struct CoreHost<'c, 'a, D: Discipline, R> {
+    core: &'c mut Core<'a, D>,
+    rule: R,
+    /// Where the rule's moved residents are counted.
+    moved: &'c mut usize,
+}
+
+impl<D: Discipline, R: ScaleDown<D>> PoolHost for CoreHost<'_, '_, D, R> {
     fn set_routable(&mut self, s: usize, open: bool) {
         self.core.accepting[s] = open;
     }
@@ -1136,24 +1185,12 @@ impl PoolHost for FleetHost<'_, '_> {
         self.core.accepting[range].iter().filter(|&&a| a).count()
     }
 
-    /// [`RetirePolicy::Evict`] re-routes the waiting queue to the
-    /// survivors; under [`RetirePolicy::Drain`] the shard serves it.
     fn drain(&mut self, s: usize, now: f64) {
-        if self.retire != RetirePolicy::Evict {
-            return;
-        }
-        let st = &mut self.core.state[s];
-        st.book.tick(now);
-        let evicted: Vec<usize> = st.book.queue.drain(..).collect();
-        st.window_scheduled_for = None;
-        // At least one shard keeps accepting during a retire (the
-        // evaluate() guard), so eviction never parks.
-        self.core.readmit(evicted, now);
+        *self.moved += self.rule.drain(self.core, s, now);
     }
 
     fn is_idle(&self, s: usize) -> bool {
-        let book = &self.core.state[s].book;
-        !book.busy && book.queue.is_empty()
+        self.core.is_idle(s)
     }
 
     fn schedule_control(&mut self, time: f64) {
@@ -1161,47 +1198,81 @@ impl PoolHost for FleetHost<'_, '_> {
     }
 }
 
-/// The policy-driven [`FleetController`]: one [`ShardPool`] over the
-/// whole fleet. `pub(crate)` so the failure layer ([`crate::failure`])
-/// can wrap it inside its fault injector.
-pub(crate) struct Autoscaler<'a> {
-    cfg: &'a AutoscaleConfig,
+/// The policy-driven [`Controller`] over either core: one [`ShardPool`]
+/// over the whole fleet, retiring shards by the discipline's scale-down
+/// rule `R`. `pub(crate)` so the failure layer ([`crate::failure`]) can
+/// wrap it inside its fault injector.
+pub(crate) struct Autoscaler<R> {
+    rule: R,
     pub(crate) pool: ShardPool,
     ticker: Ticker,
+    /// The policy is [`ScalePolicy::Pinned`].
+    pinned: bool,
+    /// KV residents the rule moved off retiring shards (decode Migrate).
+    migrations: usize,
 }
 
-impl<'a> Autoscaler<'a> {
-    pub(crate) fn new(cfg: &'a AutoscaleConfig, max_shards: usize) -> Self {
+impl<R> Autoscaler<R> {
+    /// An autoscaler over shards `0..max_shards` with the scaling
+    /// envelope shared by [`AutoscaleConfig`] and
+    /// [`DecodeAutoscaleConfig`].
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        rule: R,
+        max_shards: usize,
+        min_shards: usize,
+        initial_shards: usize,
+        policy: &ScalePolicy,
+        eval_interval_s: f64,
+        warmup_s: f64,
+        cooldown_s: f64,
+    ) -> Self {
         Self {
-            cfg,
+            rule,
             pool: ShardPool::new(
                 0..max_shards,
-                cfg.min_shards,
-                cfg.initial_shards,
-                &cfg.policy,
-                cfg.eval_interval_s,
-                cfg.warmup_s,
-                cfg.cooldown_s,
+                min_shards,
+                initial_shards,
+                policy,
+                eval_interval_s,
+                warmup_s,
+                cooldown_s,
             ),
-            ticker: Ticker::new(cfg.eval_interval_s),
+            ticker: Ticker::new(eval_interval_s),
+            pinned: matches!(policy, ScalePolicy::Pinned),
+            migrations: 0,
+        }
+    }
+
+    /// Runs `core` to the end under this autoscaler. A pinned policy
+    /// runs with no control events at all, so the event stream is the
+    /// plain engine's — which is what makes the min==max pins
+    /// bit-for-bit.
+    fn run<D: Discipline>(&mut self, core: &mut Core<'_, D>)
+    where
+        R: ScaleDown<D>,
+    {
+        if self.pinned {
+            core.run(&mut NullController);
+        } else {
+            core.schedule_control(self.ticker.interval_s);
+            core.run(self);
         }
     }
 }
 
-impl FleetController for Autoscaler<'_> {
-    fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
-        let retire = self.cfg.retire;
-        self.pool.join_warmed(&mut FleetHost { core, retire }, now);
-        if !self.ticker.due(now, || {
-            core.completed() + core.abandoned == core.trace.len()
-        }) {
+impl<D: Discipline, R: ScaleDown<D>> Controller<D> for Autoscaler<R> {
+    fn on_control(&mut self, core: &mut Core<'_, D>, now: f64) {
+        let (rule, moved) = (self.rule, &mut self.migrations);
+        self.pool
+            .join_warmed(&mut CoreHost { core, rule, moved }, now);
+        if !self.ticker.due(now, || core.finished()) {
             return;
         }
-        let waiting = core.state.iter().map(|st| st.book.queue.len()).sum();
-        let busy_elapsed = busy_elapsed(core.state.iter().map(|st| &st.book), now);
+        let (waiting, busy_elapsed) = core.load_of(0..core.books.len(), now);
         let arrivals = core.arrivals_seen;
         self.pool.evaluate(
-            &mut FleetHost { core, retire },
+            &mut CoreHost { core, rule, moved },
             now,
             waiting,
             busy_elapsed,
@@ -1210,18 +1281,38 @@ impl FleetController for Autoscaler<'_> {
         core.schedule_control(self.ticker.rearm(now));
     }
 
-    fn after_completion(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
-        let retire = self.cfg.retire;
+    fn after_completion(&mut self, core: &mut Core<'_, D>, shard: usize, now: f64) {
+        if !self.pool.is_retiring(shard) {
+            return;
+        }
+        self.migrations += self.rule.at_boundary(core, shard, now);
+        let (rule, moved) = (self.rule, &mut self.migrations);
         self.pool
-            .finish_retire_if_idle(&FleetHost { core, retire }, shard, now);
+            .finish_retire_if_idle(&CoreHost { core, rule, moved }, shard, now);
     }
 
-    fn on_shard_down(&mut self, _core: &mut FleetCore<'_>, s: usize, now: f64) {
+    fn on_shard_down(&mut self, _core: &mut Core<'_, D>, s: usize, now: f64) {
         self.pool.shard_down(s, now);
     }
 
-    fn on_shard_up(&mut self, _core: &mut FleetCore<'_>, s: usize, now: f64) {
+    fn on_shard_up(&mut self, _core: &mut Core<'_, D>, s: usize, now: f64) {
         self.pool.shard_up(s, now);
+    }
+}
+
+impl AutoscaleConfig {
+    /// The [`Autoscaler`] this configuration describes over `max_shards`.
+    pub(crate) fn autoscaler(&self, max_shards: usize) -> Autoscaler<RetirePolicy> {
+        Autoscaler::new(
+            self.retire,
+            max_shards,
+            self.min_shards,
+            self.initial_shards,
+            &self.policy,
+            self.eval_interval_s,
+            self.warmup_s,
+            self.cooldown_s,
+        )
     }
 }
 
@@ -1248,15 +1339,8 @@ pub fn simulate_autoscale(
     cfg.validate(shards.len());
     let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
-    let mut ctl = Autoscaler::new(cfg, shards.len());
-    if matches!(cfg.policy, ScalePolicy::Pinned) {
-        // No control events at all: the event stream is simulate_fleet's,
-        // which is what makes the min==max pin bit-for-bit.
-        core.run(&mut NullController);
-    } else {
-        core.schedule_control(cfg.eval_interval_s);
-        core.run(&mut ctl);
-    }
+    let mut ctl = cfg.autoscaler(shards.len());
+    ctl.run(&mut core);
 
     let latencies: Vec<f64> = core
         .completion_s
@@ -1468,134 +1552,19 @@ pub struct DecodeAutoscaleReport {
     pub re_prefills: usize,
 }
 
-/// The policy-driven `DecodeController`: one [`ShardPool`] over the
-/// whole fleet.
-struct DecodeAutoscaler<'a> {
-    cfg: &'a DecodeAutoscaleConfig,
-    pool: ShardPool,
-    ticker: Ticker,
-    /// Residents evicted by Migrate scale-downs.
-    migrations: usize,
-}
-
-/// [`PoolHost`] over the decode core.
-struct DecodeHost<'c, 'a> {
-    core: &'c mut DecodeCore<'a>,
-    scale_down: DecodeScaleDown,
-    migrations: &'c mut usize,
-}
-
-impl PoolHost for DecodeHost<'_, '_> {
-    fn set_routable(&mut self, s: usize, open: bool) {
-        self.core.accepting[s] = open;
-    }
-
-    fn routable(&self, range: Range<usize>) -> usize {
-        self.core.accepting[range].iter().filter(|&&a| a).count()
-    }
-
-    /// Both scale-down modes hand the waiting queue to the survivors
-    /// immediately (a retiring shard admits nothing new into its slots);
-    /// Migrate additionally evicts the residents — at once if the shard
-    /// is idle, else at the next iteration boundary
-    /// ([`DecodeController::after_step`]).
-    fn drain(&mut self, s: usize, now: f64) {
-        let migrate = self.scale_down == DecodeScaleDown::Migrate;
-        *self.migrations += self.core.shed(s, now, true, migrate);
-    }
-
-    fn is_idle(&self, s: usize) -> bool {
-        decode_shard_idle(self.core, s)
-    }
-
-    fn schedule_control(&mut self, time: f64) {
-        self.core.schedule_control(time);
-    }
-}
-
-/// Whether decode shard `s` is idle with no residents and an empty queue.
-pub(crate) fn decode_shard_idle(core: &DecodeCore<'_>, s: usize) -> bool {
-    let sh = &core.shards[s];
-    !sh.book.busy && sh.resident.is_empty() && sh.book.queue.is_empty()
-}
-
-/// Backlog and elapsed busy time of decode `shards`, the decode family's
-/// [`Observation::waiting`] and [`Observation::busy_elapsed`]. The
-/// backlog is slot-pool pressure, not just the queue: a KV resident holds
-/// capacity exactly like a waiting request, so reactive thresholds here
-/// are in units of in-system requests per accepting shard (compare
-/// against the slot count). Busy time is [`busy_elapsed`] over the
-/// shards' books.
-pub(crate) fn decode_load(shards: &[DecodeShard], t: f64) -> (usize, f64) {
-    let waiting = shards
-        .iter()
-        .map(|sh| sh.book.queue.len() + sh.resident.len())
-        .sum();
-    (waiting, busy_elapsed(shards.iter().map(|sh| &sh.book), t))
-}
-
-impl<'a> DecodeAutoscaler<'a> {
-    fn new(cfg: &'a DecodeAutoscaleConfig, max_shards: usize) -> Self {
-        Self {
-            cfg,
-            pool: ShardPool::new(
-                0..max_shards,
-                cfg.min_shards,
-                cfg.initial_shards,
-                &cfg.policy,
-                cfg.eval_interval_s,
-                cfg.warmup_s,
-                cfg.cooldown_s,
-            ),
-            ticker: Ticker::new(cfg.eval_interval_s),
-            migrations: 0,
-        }
-    }
-
-    fn host<'c, 'b>(
-        cfg: &DecodeAutoscaleConfig,
-        core: &'c mut DecodeCore<'b>,
-        migrations: &'c mut usize,
-    ) -> DecodeHost<'c, 'b> {
-        DecodeHost {
-            core,
-            scale_down: cfg.scale_down,
-            migrations,
-        }
-    }
-}
-
-impl DecodeController for DecodeAutoscaler<'_> {
-    fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        self.pool
-            .join_warmed(&mut Self::host(self.cfg, core, &mut self.migrations), now);
-        if !self.ticker.due(now, || {
-            core.completed() + core.abandoned == core.trace.len()
-        }) {
-            return;
-        }
-        let (waiting, busy_elapsed) = decode_load(&core.shards, now);
-        let arrivals = core.arrivals_seen;
-        self.pool.evaluate(
-            &mut Self::host(self.cfg, core, &mut self.migrations),
-            now,
-            waiting,
-            busy_elapsed,
-            arrivals,
-        );
-        core.schedule_control(self.ticker.rearm(now));
-    }
-
-    fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        if !self.pool.is_retiring(shard) {
-            return;
-        }
-        // The in-flight iteration completed: under Migrate, hand the
-        // survivors the still-unfinished residents.
-        let migrate = self.cfg.scale_down == DecodeScaleDown::Migrate;
-        self.migrations += core.shed(shard, now, false, migrate);
-        let host = Self::host(self.cfg, core, &mut self.migrations);
-        self.pool.finish_retire_if_idle(&host, shard, now);
+impl DecodeAutoscaleConfig {
+    /// The [`Autoscaler`] this configuration describes over `max_shards`.
+    fn autoscaler(&self, max_shards: usize) -> Autoscaler<DecodeScaleDown> {
+        Autoscaler::new(
+            self.scale_down,
+            max_shards,
+            self.min_shards,
+            self.initial_shards,
+            &self.policy,
+            self.eval_interval_s,
+            self.warmup_s,
+            self.cooldown_s,
+        )
     }
 }
 
@@ -1627,15 +1596,8 @@ pub fn simulate_decode_autoscale(
     let mut core = DecodeCore::new(
         shards, trace, policy, dispatch, scheduler, decode_cfg, accepting,
     );
-    let mut ctl = DecodeAutoscaler::new(cfg, shards.len());
-    if matches!(cfg.policy, ScalePolicy::Pinned) {
-        // No control events at all: the event stream is simulate_decode's,
-        // which is what makes the min==max pin bit-for-bit.
-        core.run(&mut NullDecodeController);
-    } else {
-        core.schedule_control(cfg.eval_interval_s);
-        core.run(&mut ctl);
-    }
+    let mut ctl = cfg.autoscaler(shards.len());
+    ctl.run(&mut core);
     let decode = core.into_report();
 
     // Close the books on shards still committed at the end of the run.

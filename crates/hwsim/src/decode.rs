@@ -44,27 +44,23 @@
 //! per-batch cost, which `tests/decode_props.rs` cross-checks against
 //! [`simulate_fleet`](crate::fleet::simulate_fleet).
 //!
-//! ## Controller hooks
+//! ## One core, decode's discipline
 //!
-//! Mirroring the encoder fleet's `FleetCore`/`FleetController` split, the
-//! engine's mutable state lives in a `DecodeCore` driven by a
-//! `DecodeController`: [`simulate_decode`] runs the no-op
-//! `NullDecodeController`, and
+//! The engine runs on the fleet's generic core with decode's batching
+//! discipline, `Slots`. The core owns the event loop, admission and
+//! routing, the per-shard `ShardBook` (a decode batch is one iteration
+//! and its size the live residents that step), the crash and straggler
+//! skeletons, and the `ReportBook` that builds the [`FleetReport`] half
+//! of [`DecodeReport`]. Decode keeps only its own work: admitting into
+//! slots and launching iterations, truncating an iteration on a crash,
+//! evicting and preempting residents, and the per-request token books.
+//!
+//! Controllers drive the core through the one `Controller` trait:
+//! [`simulate_decode`] runs the no-op `NullController`, and
 //! [`crate::autoscale::simulate_decode_autoscale`] drives the IDENTICAL
 //! code path with a policy controller that joins/retires shards at
 //! runtime — which is why a pinned `min == max` decode autoscaler
 //! reproduces [`simulate_decode`] bit-for-bit.
-//!
-//! ## Shared with the fleet core
-//!
-//! Only the batching discipline is decode's own: admitting into slots and
-//! launching iterations, truncating an iteration on a crash, evicting and
-//! preempting residents, and the per-request token books. The rest is the
-//! fleet core's code: the `EventQueue` and its one `EventKind` (a step end
-//! is a `Completion`), the per-shard `ShardBook` (a decode batch is one
-//! iteration and its size the live residents that step), the input checks,
-//! and the `ReportBook` that builds the [`FleetReport`] half of
-//! [`DecodeReport`].
 //!
 //! ## KV transfer
 //!
@@ -117,10 +113,9 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::failure::FaultTarget;
 use crate::fleet::{
-    route, route_then_kick, summarize_sample, validate_run, BatchRecord, DispatchPolicy, EventKind,
-    EventQueue, FleetReport, RateProfile, ReportBook, ShardBook, TraceEvent,
+    summarize_sample, validate_run, Controller, Core, Discipline, DispatchPolicy, FleetReport,
+    NullController, RateProfile, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_tensor::rng::SplitMix64;
@@ -162,6 +157,10 @@ pub struct DecodeRequest {
 impl TraceEvent for DecodeRequest {
     fn arrival_s(&self) -> f64 {
         self.arrival_s
+    }
+
+    fn route_len(&self) -> usize {
+        self.prefill_len
     }
 }
 
@@ -473,13 +472,13 @@ pub(crate) struct Slot {
     admit_seq: u64,
 }
 
+/// One shard's slots, beyond its [`ShardBook`].
 #[derive(Default)]
 pub(crate) struct DecodeShard {
-    pub(crate) book: ShardBook,
     pub(crate) resident: Vec<Slot>,
-    /// Live count of the in-flight iteration (stale once `book.busy`
-    /// drops). Crash truncation and straggler re-pricing read the size
-    /// from here.
+    /// Live count of the in-flight iteration (stale once the book's
+    /// `busy` drops). Crash truncation and straggler re-pricing read the
+    /// size from here.
     stepping_live: usize,
     /// Σ resident × iteration duration (occupied-slot seconds).
     slot_integral: f64,
@@ -487,85 +486,21 @@ pub(crate) struct DecodeShard {
     preemptions: usize,
 }
 
-impl DecodeShard {
-    /// Waiting + resident requests — the load metric dispatch balances.
-    fn load(&self) -> usize {
-        self.book.queue.len() + self.resident.len()
-    }
-}
-
-/// Hooks a controller drives the decode engine through;
-/// [`simulate_decode`] runs with the no-op `NullDecodeController`, the
-/// decode autoscaler ([`crate::autoscale`]) with a policy-driven one.
-pub(crate) trait DecodeController {
-    /// A control event scheduled via [`DecodeCore::schedule_control`]
-    /// fired.
-    fn on_control(&mut self, _core: &mut DecodeCore<'_>, _now: f64) {}
-    /// Request `r` popped as an arrival event (trace arrival or retry),
-    /// before it is routed — the window in which [`crate::disagg`] looks
-    /// up its shared-prefix group and sets the prefill discount.
-    fn on_arrival(&mut self, _core: &mut DecodeCore<'_>, _r: usize, _now: f64) {}
-    /// Shard `shard` finished an iteration: tokens are emitted and
-    /// finished residents released, but the next iteration has NOT been
-    /// launched yet — the window in which scale-down may evict residents.
-    fn after_step(&mut self, _core: &mut DecodeCore<'_>, _shard: usize, _now: f64) {}
-    /// The failure layer revived `shard`. The default is a plain rejoin:
-    /// the shard starts accepting routed work immediately.
-    fn on_shard_up(&mut self, core: &mut DecodeCore<'_>, shard: usize, _now: f64) {
-        core.accepting[shard] = true;
-    }
-}
-
-/// Controller that never intervenes — the fixed-membership decode fleet.
-pub(crate) struct NullDecodeController;
-
-impl DecodeController for NullDecodeController {}
-
-/// The decode engine's mutable core, shared by [`simulate_decode`] (fixed
-/// membership, no control events) and
-/// [`crate::autoscale::simulate_decode_autoscale`] (runtime shard
-/// join/retire): per-shard queues and resident sets, the event queue, and
-/// request bookkeeping.
-///
-/// `accepting[s]` gates *routing only* — a shard that stops accepting
-/// still steps its resident sequences, which is exactly the
-/// drain-on-retire semantics the decode autoscaler needs.
-pub(crate) struct DecodeCore<'a> {
-    designs: &'a [AcceleratorDesign],
-    pub(crate) trace: &'a [DecodeRequest],
-    policy: SchedulingPolicy,
+/// The decode discipline: iteration-level slots per shard, admitted by
+/// `scheduler`, with the per-request token books.
+pub(crate) struct Slots {
     scheduler: DecodeScheduler,
-    cfg: &'a DecodeConfig,
+    cfg: DecodeConfig,
     pub(crate) shards: Vec<DecodeShard>,
-    pub(crate) accepting: Vec<bool>,
-    /// Crashed shards ([`DecodeCore::crash_shard`]): routing skips them
-    /// and `start_iteration` refuses to launch on them until revived.
-    pub(crate) dead: Vec<bool>,
-    /// Per-shard iteration-cost multiplier (1.0 = healthy). Applied when
-    /// an iteration launches; [`DecodeCore::set_slowdown`] also re-prices
-    /// an in-flight iteration. Multiplying by exactly 1.0 is an IEEE
-    /// identity, so healthy runs stay bit-identical.
-    pub(crate) slowdown: Vec<f64>,
-    /// Requests permanently given up on by a client layer (timed out with
-    /// an exhausted retry budget). Termination checks count
-    /// `completed() + abandoned` against the trace length.
-    pub(crate) abandoned: usize,
-    events: EventQueue<'a, DecodeRequest>,
     admit_seq: u64,
-    rr_next: usize,
-    dispatch: DispatchPolicy,
     pub(crate) emitted: Vec<usize>,
     last_emit_s: Vec<f64>,
     pub(crate) ttft_s: Vec<f64>,
-    pub(crate) completion_s: Vec<f64>,
     shard_of: Vec<usize>,
     preempt_of: Vec<u32>,
     /// Prefill passes actually priced per request (first admission +
     /// every re-admission after a preemption or migration).
     prefill_passes: Vec<u32>,
-    /// Trace arrivals processed so far — the RNG-free, wall-clock-free
-    /// observation stream predictive scaling policies consume.
-    pub(crate) arrivals_seen: usize,
     /// Per-request one-shot "KV cache already materialized" flag: the next
     /// admission of a flagged request resumes decoding instead of
     /// re-prefilling (a completed [`KvTransfer::Copy`] handoff). Cleared
@@ -580,10 +515,130 @@ pub(crate) struct DecodeCore<'a> {
     /// context.
     pub(crate) prefill_skip: Vec<usize>,
     itl_gaps: Vec<f64>,
-    /// Scratch for the lengths of the iteration being priced.
-    lens: Vec<usize>,
-    /// The fleet-level report half: step log and makespan.
-    report: ReportBook,
+}
+
+/// The decode engine's core: [`simulate_decode`] runs it with fixed
+/// membership, [`crate::autoscale::simulate_decode_autoscale`] with
+/// runtime shard join/retire, and [`crate::disagg`] over both pools.
+pub(crate) type DecodeCore<'a> = Core<'a, Slots>;
+
+impl Discipline for Slots {
+    type Req = DecodeRequest;
+    const PARKS: bool = false;
+
+    fn in_service(&self, s: usize) -> usize {
+        self.shards[s].resident.len()
+    }
+
+    /// Slot-pool pressure, not just the queue: a KV resident holds
+    /// capacity exactly like a waiting request, so reactive thresholds
+    /// here are in units of in-system requests per accepting shard
+    /// (compare against the slot count).
+    fn backlog(&self, s: usize, queued: usize) -> usize {
+        queued + self.shards[s].resident.len()
+    }
+
+    fn kick(core: &mut DecodeCore<'_>, s: usize, now: f64) {
+        core.start_iteration(s, now);
+    }
+
+    /// Emits the step's tokens, runs the controller's hook, then launches
+    /// the next iteration.
+    fn complete<C: Controller<Self>>(core: &mut DecodeCore<'_>, ctl: &mut C, s: usize, now: f64) {
+        core.on_step_end(s, now);
+        ctl.after_completion(core, s, now);
+        core.start_iteration(s, now);
+    }
+
+    /// Truncates the in-flight iteration (its destroyed tail never counts
+    /// as occupied-slot time; tokens it would have emitted are lost) and
+    /// orphans every *unfinished* KV resident, whose grown context
+    /// re-prefills on re-admission exactly like a preemption victim.
+    /// Finished padded residents of a static batch are simply dropped. The
+    /// launch-time `batches`/`batch_size_sum` charges of the aborted
+    /// iteration stay (both sides of the mean-batch-size ratio keep
+    /// counting it).
+    fn crash(
+        core: &mut DecodeCore<'_>,
+        s: usize,
+        now: f64,
+        aborted: Option<f64>,
+        orphans: &mut Vec<usize>,
+    ) {
+        if let Some(remaining) = aborted {
+            let sh = &mut core.disc.shards[s];
+            sh.slot_integral -= sh.stepping_live as f64 * remaining;
+            // The truncated iteration ends now.
+            if let Some(rec) = core.report.last_of(s) {
+                rec.completion_s = now;
+            }
+            core.report.end_at(now);
+        }
+        orphans.extend(core.take_unfinished(s));
+        for &r in orphans.iter() {
+            // Any KV state the crash destroyed (including a queued warm
+            // handoff that never got admitted) is gone: the orphan
+            // re-prefills wherever it lands.
+            core.disc.kv_warm[r] = false;
+        }
+    }
+
+    fn repriced(core: &mut DecodeCore<'_>, s: usize, delta: f64, _done: f64) {
+        let sh = &mut core.disc.shards[s];
+        sh.slot_integral += sh.stepping_live as f64 * delta;
+    }
+
+    /// Emitting tokens or done: its KV state is live, and a timeout
+    /// mid-generation is not a client abandon in this model. A resident
+    /// that has not emitted yet is not queued, so cancelling finds nothing.
+    fn started(core: &DecodeCore<'_>, r: usize) -> bool {
+        core.disc.emitted[r] > 0 || core.completion_s[r].is_finite()
+    }
+}
+
+impl<'a> DecodeCore<'a> {
+    /// Validates the inputs and builds the core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` or `trace` is empty, `cfg.max_slots == 0`,
+    /// `cfg.ttft_deadline_s < 0`, any `output_len`/`prefill_len` is zero,
+    /// the trace is unsorted / non-finite, or `accepting` has the wrong
+    /// length / no accepting shard.
+    pub(crate) fn new(
+        shards: &'a [AcceleratorDesign],
+        trace: &'a [DecodeRequest],
+        policy: SchedulingPolicy,
+        dispatch: DispatchPolicy,
+        scheduler: DecodeScheduler,
+        cfg: &DecodeConfig,
+        accepting: Vec<bool>,
+    ) -> Self {
+        validate_run(shards.len(), trace, &accepting);
+        assert!(cfg.max_slots > 0, "max_slots must be >= 1");
+        assert!(cfg.ttft_deadline_s >= 0.0, "negative TTFT deadline");
+        assert!(
+            trace.iter().all(|r| r.output_len > 0 && r.prefill_len > 0),
+            "prefill_len and output_len must be >= 1"
+        );
+        let n = trace.len();
+        let slots = Slots {
+            scheduler,
+            cfg: cfg.clone(),
+            shards: (0..shards.len()).map(|_| DecodeShard::default()).collect(),
+            admit_seq: 0,
+            emitted: vec![0; n],
+            last_emit_s: vec![f64::NAN; n],
+            ttft_s: vec![f64::NAN; n],
+            shard_of: vec![usize::MAX; n],
+            preempt_of: vec![0; n],
+            prefill_passes: vec![0; n],
+            kv_warm: vec![false; n],
+            prefill_skip: vec![0; n],
+            itl_gaps: Vec::new(),
+        };
+        Core::assemble(shards, trace, policy, dispatch, accepting, slots)
+    }
 }
 
 impl DecodeCore<'_> {
@@ -591,12 +646,9 @@ impl DecodeCore<'_> {
     /// `batch`-sequence 1-token run through the shard's pipeline, memoized
     /// per batch size in the shard's stage-cost table.
     fn decode_cost(&mut self, s: usize, batch: usize) -> f64 {
-        self.shards[s].book.costs.one_token_seconds(
-            &self.designs[s],
-            batch,
-            self.policy,
-            &mut self.lens,
-        )
+        self.books[s]
+            .costs
+            .one_token_seconds(&self.designs[s], batch, self.policy, &mut self.lens)
     }
 
     /// Moves the request at `queue[idx]` of shard `s` into a free slot.
@@ -604,16 +656,16 @@ impl DecodeCore<'_> {
     /// decoding; everyone else (re-)prefills. The warmth flag is one-shot:
     /// any later re-admission pays the re-prefill again.
     fn admit_at(&mut self, s: usize, idx: usize) {
-        let req = self.shards[s]
-            .book
+        let req = self.books[s]
             .queue
             .remove(idx)
             .expect("admit index in bounds");
-        let admit_seq = self.admit_seq;
-        self.admit_seq += 1;
-        let is_new = !self.kv_warm[req];
-        self.kv_warm[req] = false;
-        self.shards[s].resident.push(Slot {
+        let d = &mut self.disc;
+        let admit_seq = d.admit_seq;
+        d.admit_seq += 1;
+        let is_new = !d.kv_warm[req];
+        d.kv_warm[req] = false;
+        d.shards[s].resident.push(Slot {
             req,
             is_new,
             admit_seq,
@@ -624,11 +676,11 @@ impl DecodeCore<'_> {
     /// static/continuous, high-priority-first (each class FIFO) under the
     /// preempting scheduler.
     fn next_admit_index(&self, s: usize) -> Option<usize> {
-        let queue = &self.shards[s].book.queue;
+        let queue = &self.books[s].queue;
         if queue.is_empty() {
             return None;
         }
-        if self.scheduler == DecodeScheduler::ContinuousPreempt {
+        if self.disc.scheduler == DecodeScheduler::ContinuousPreempt {
             if let Some(idx) = queue
                 .iter()
                 .position(|&r| self.trace[r].priority == Priority::High)
@@ -648,71 +700,59 @@ impl DecodeCore<'_> {
     /// on re-admission.
     fn preempt_for_deadlines(&mut self, s: usize, now: f64) {
         loop {
-            if self.shards[s].resident.len() < self.cfg.max_slots {
+            if self.disc.shards[s].resident.len() < self.disc.cfg.max_slots {
                 return; // free slot: the admission loop already drained the queue
             }
-            let Some(qidx) = self.shards[s]
-                .book
+            let Some(qidx) = self.books[s]
                 .queue
                 .iter()
                 .position(|&r| self.trace[r].priority == Priority::High)
             else {
                 return;
             };
-            let high = self.shards[s].book.queue[qidx];
-            let next_step = self.decode_cost(s, self.shards[s].resident.len());
-            let deadline = self.trace[high].arrival_s + self.cfg.ttft_deadline_s;
+            let high = self.books[s].queue[qidx];
+            let next_step = self.decode_cost(s, self.disc.shards[s].resident.len());
+            let deadline = self.trace[high].arrival_s + self.disc.cfg.ttft_deadline_s;
             if now + next_step <= deadline {
                 return; // it can still make the deadline without a preemption
             }
-            let victim_pos = self.shards[s]
+            let victim_pos = self.disc.shards[s]
                 .resident
                 .iter()
                 .enumerate()
                 .filter(|(_, sl)| self.trace[sl.req].priority == Priority::Normal)
-                .max_by_key(|(_, sl)| (self.emitted[sl.req], std::cmp::Reverse(sl.admit_seq)))
+                .max_by_key(|(_, sl)| (self.disc.emitted[sl.req], std::cmp::Reverse(sl.admit_seq)))
                 .map(|(i, _)| i);
             let Some(pos) = victim_pos else {
                 return; // every resident is high-priority: nothing to evict
             };
-            let victim = self.shards[s].resident.remove(pos);
+            let victim = self.disc.shards[s].resident.remove(pos);
             self.admit_at(s, qidx);
-            self.shards[s].book.queue.push_front(victim.req);
-            self.shards[s].preemptions += 1;
-            self.preempt_of[victim.req] += 1;
+            self.books[s].queue.push_front(victim.req);
+            self.disc.shards[s].preemptions += 1;
+            self.disc.preempt_of[victim.req] += 1;
         }
     }
 
     /// Runs the scheduler's admission step and, if the shard holds any
     /// resident sequences, prices and launches the next iteration.
     pub(crate) fn start_iteration(&mut self, s: usize, now: f64) {
-        if self.dead[s] || self.shards[s].book.busy {
+        if self.dead[s] || self.books[s].busy {
             return;
         }
-        match self.scheduler {
-            DecodeScheduler::Static => {
-                if self.shards[s].resident.is_empty() {
-                    while self.shards[s].resident.len() < self.cfg.max_slots {
-                        match self.next_admit_index(s) {
-                            Some(idx) => self.admit_at(s, idx),
-                            None => break,
-                        }
-                    }
-                }
-            }
-            DecodeScheduler::Continuous | DecodeScheduler::ContinuousPreempt => {
-                while self.shards[s].resident.len() < self.cfg.max_slots {
-                    match self.next_admit_index(s) {
-                        Some(idx) => self.admit_at(s, idx),
-                        None => break,
-                    }
-                }
-                if self.scheduler == DecodeScheduler::ContinuousPreempt {
-                    self.preempt_for_deadlines(s, now);
+        let scheduler = self.disc.scheduler;
+        if scheduler != DecodeScheduler::Static || self.disc.shards[s].resident.is_empty() {
+            while self.disc.shards[s].resident.len() < self.disc.cfg.max_slots {
+                match self.next_admit_index(s) {
+                    Some(idx) => self.admit_at(s, idx),
+                    None => break,
                 }
             }
         }
-        if self.shards[s].resident.is_empty() {
+        if scheduler == DecodeScheduler::ContinuousPreempt {
+            self.preempt_for_deadlines(s, now);
+        }
+        if self.disc.shards[s].resident.is_empty() {
             return; // idle until the next arrival
         }
         // Price the iteration as ONE fused pass: full contexts for newly
@@ -722,110 +762,41 @@ impl DecodeCore<'_> {
         // rigid engine keeps paying for it; `live` counts the sequences
         // that actually emit a token this iteration.
         self.lens.clear();
-        for i in 0..self.shards[s].resident.len() {
-            let sl = self.shards[s].resident[i];
+        let d = &mut self.disc;
+        for sl in &d.shards[s].resident {
             if sl.is_new {
                 // A shared-prefix cache hit discounts the prompt by the
                 // cached prefix (at least one fresh token always runs);
                 // skip == 0 prices exactly `prefill_len + emitted`.
-                let skip = self.prefill_skip[sl.req].min(self.trace[sl.req].prefill_len - 1);
+                let skip = d.prefill_skip[sl.req].min(self.trace[sl.req].prefill_len - 1);
                 self.lens
-                    .push(self.trace[sl.req].prefill_len - skip + self.emitted[sl.req]);
-                self.prefill_passes[sl.req] += 1;
+                    .push(self.trace[sl.req].prefill_len - skip + d.emitted[sl.req]);
+                d.prefill_passes[sl.req] += 1;
             }
         }
-        let size = self.shards[s].resident.len();
-        let live = self.shards[s]
+        let size = d.shards[s].resident.len();
+        let live = d.shards[s]
             .resident
             .iter()
-            .filter(|sl| self.emitted[sl.req] < self.trace[sl.req].output_len)
+            .filter(|sl| d.emitted[sl.req] < self.trace[sl.req].output_len)
             .count();
         let old = size - self.lens.len();
         let cost = if self.lens.is_empty() {
             self.decode_cost(s, old) // pure-decode iteration: memoized
         } else {
             self.lens.extend(std::iter::repeat_n(1, old));
-            self.shards[s]
-                .book
+            self.books[s]
                 .costs
                 .service_seconds(&self.designs[s], &self.lens, self.policy)
         } * self.slowdown[s];
-        let sh = &mut self.shards[s];
+        self.launch(s, now, cost, live);
+        let sh = &mut self.disc.shards[s];
         for slot in sh.resident.iter_mut() {
             slot.is_new = false;
         }
-        let done = sh.book.launch(now, cost, live);
         sh.stepping_live = live;
         sh.slot_integral += live as f64 * cost;
         sh.peak_resident = sh.peak_resident.max(size);
-        let epoch = sh.book.epoch;
-        self.report.log_batch(BatchRecord {
-            shard: s,
-            start_s: now,
-            completion_s: done,
-            size: live,
-        });
-        self.events
-            .push(done, EventKind::Completion { shard: s, epoch });
-    }
-
-    /// Routes request `r` among accepting shards and queues it; returns
-    /// the destination shard. Used for fresh arrivals and for work a
-    /// retiring shard hands back (queued requests and migrated
-    /// residents).
-    pub(crate) fn route_request(&mut self, r: usize, now: f64) -> usize {
-        let s = {
-            let shards = &self.shards;
-            let accepting = &self.accepting;
-            route(
-                self.dispatch,
-                self.designs,
-                &|i| accepting[i],
-                &|i| shards[i].load(),
-                self.trace[r].prefill_len,
-                &mut self.rr_next,
-            )
-        };
-        self.shards[s].book.enqueue(r, now);
-        s
-    }
-
-    /// Routes request `r` among the shards `eligible` marks true, with the
-    /// caller's own round-robin cursor — how [`crate::disagg`] lands
-    /// completed handoffs in the decode pool while `accepting` keeps fresh
-    /// arrivals in the prefill pool. Same dispatch policy and queueing as
-    /// [`DecodeCore::route_request`], different shard mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics (inside [`route`]) if no eligible shard exists.
-    pub(crate) fn route_request_into(
-        &mut self,
-        r: usize,
-        now: f64,
-        eligible: &[bool],
-        rr_next: &mut usize,
-    ) -> usize {
-        let s = {
-            let shards = &self.shards;
-            route(
-                self.dispatch,
-                self.designs,
-                &|i| eligible[i],
-                &|i| shards[i].load(),
-                self.trace[r].prefill_len,
-                rr_next,
-            )
-        };
-        self.shards[s].book.enqueue(r, now);
-        s
-    }
-
-    /// Takes shard `s`'s waiting queue, in order (ticking its books
-    /// first).
-    pub(crate) fn take_waiting(&mut self, s: usize, now: f64) -> Vec<usize> {
-        self.shards[s].book.tick(now);
-        self.shards[s].book.queue.drain(..).collect()
     }
 
     /// Takes shard `s`'s *unfinished* residents out of their slots with
@@ -834,34 +805,13 @@ impl DecodeCore<'_> {
     /// a static batch still holds as padded slots have nothing left to
     /// generate — they are released, never migrated or re-priced.
     fn take_unfinished(&mut self, s: usize) -> Vec<usize> {
-        let mut taken: Vec<usize> = self.shards[s].resident.drain(..).map(|sl| sl.req).collect();
-        taken.retain(|&r| self.emitted[r] < self.trace[r].output_len);
+        let d = &mut self.disc;
+        let mut taken: Vec<usize> = d.shards[s].resident.drain(..).map(|sl| sl.req).collect();
+        taken.retain(|&r| d.emitted[r] < self.trace[r].output_len);
         for &r in &taken {
-            self.kv_warm[r] = false;
+            d.kv_warm[r] = false;
         }
         taken
-    }
-
-    /// Schedules a [`DecodeController::on_control`] callback at `time`.
-    pub(crate) fn schedule_control(&mut self, time: f64) {
-        self.events.push(time, EventKind::Control);
-    }
-
-    /// Requests completed so far across the fleet.
-    pub(crate) fn completed(&self) -> usize {
-        self.shards.iter().map(|sh| sh.book.completed).sum()
-    }
-
-    /// Routes `requests` in order, then kicks every shard that received
-    /// one ([`route_then_kick`]) — how crash orphans and shed work
-    /// re-enter the fleet.
-    pub(crate) fn readmit(&mut self, requests: Vec<usize>, now: f64) {
-        route_then_kick(
-            self,
-            requests,
-            |core, r| Some(core.route_request(r, now)),
-            |core, s| core.start_iteration(s, now),
-        );
     }
 
     /// Sheds shard `s`, already closed to routing, onto the accepting
@@ -877,7 +827,7 @@ impl DecodeCore<'_> {
             Vec::new()
         };
         let queued = moving.len();
-        if migrate && !self.shards[s].book.busy {
+        if migrate && !self.books[s].busy {
             moving.extend(self.take_unfinished(s));
         }
         let migrated = moving.len() - queued;
@@ -888,275 +838,42 @@ impl DecodeCore<'_> {
     /// One token emitted per live resident at the end of an iteration.
     /// Continuous schedulers free finished slots immediately; the static
     /// scheduler holds every slot (padded) until the whole batch drains.
-    /// Does NOT launch the next iteration — the run loop does, after the
-    /// controller's [`DecodeController::after_step`] hook.
+    /// Does NOT launch the next iteration — [`Discipline::complete`] does,
+    /// after the controller's [`Controller::after_completion`] hook.
     fn on_step_end(&mut self, s: usize, now: f64) {
-        self.shards[s].book.finish(now);
+        self.books[s].finish(now);
         self.report.end_at(now);
-        let residents: Vec<usize> = self.shards[s].resident.iter().map(|sl| sl.req).collect();
-        for r in residents {
-            if self.emitted[r] >= self.trace[r].output_len {
+        let d = &mut self.disc;
+        for sl in &d.shards[s].resident {
+            let r = sl.req;
+            if d.emitted[r] >= self.trace[r].output_len {
                 continue; // padded slot in a static batch: no live token
             }
-            self.emitted[r] += 1;
-            if self.emitted[r] == 1 {
-                self.ttft_s[r] = now - self.trace[r].arrival_s;
+            d.emitted[r] += 1;
+            if d.emitted[r] == 1 {
+                d.ttft_s[r] = now - self.trace[r].arrival_s;
             } else {
-                self.itl_gaps.push(now - self.last_emit_s[r]);
+                d.itl_gaps.push(now - d.last_emit_s[r]);
             }
-            self.last_emit_s[r] = now;
-            if self.emitted[r] == self.trace[r].output_len {
+            d.last_emit_s[r] = now;
+            if d.emitted[r] == self.trace[r].output_len {
                 assert!(self.completion_s[r].is_nan(), "request completed twice");
                 self.completion_s[r] = now;
-                self.shard_of[r] = s;
-                self.shards[s].book.completed += 1;
+                d.shard_of[r] = s;
+                self.books[s].completed += 1;
             }
         }
-        let emitted = &self.emitted;
-        let trace = self.trace;
-        if self.scheduler == DecodeScheduler::Static {
-            if self.shards[s]
-                .resident
+        let (emitted, trace) = (&d.emitted, self.trace);
+        let resident = &mut d.shards[s].resident;
+        if d.scheduler == DecodeScheduler::Static {
+            if resident
                 .iter()
                 .all(|sl| emitted[sl.req] >= trace[sl.req].output_len)
             {
-                self.shards[s].resident.clear();
+                resident.clear();
             }
         } else {
-            self.shards[s]
-                .resident
-                .retain(|sl| emitted[sl.req] < trace[sl.req].output_len);
-        }
-    }
-}
-
-/// The decode core under the failure layer's fault injector.
-impl FaultTarget for DecodeCore<'_> {
-    fn schedule_control(&mut self, time: f64) {
-        DecodeCore::schedule_control(self, time);
-    }
-
-    /// Crashes shard `s` at `now`: marks it dead and non-accepting,
-    /// truncates the in-flight iteration (its destroyed tail never counts
-    /// as busy or occupied-slot time; tokens it would have emitted are
-    /// lost), and returns every orphaned request — the waiting queue plus
-    /// every *unfinished* KV resident, whose grown context re-prefills on
-    /// re-admission exactly like a preemption victim. Finished padded
-    /// residents of a static batch are simply dropped. The launch-time
-    /// `batches`/`batch_size_sum` charges of the aborted iteration stay
-    /// (both sides of the mean-batch-size ratio keep counting it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard is already dead.
-    fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize> {
-        assert!(!self.dead[s], "shard crashed twice");
-        self.dead[s] = true;
-        self.accepting[s] = false;
-        let sh = &mut self.shards[s];
-        sh.book.tick(now);
-        if sh.book.busy {
-            let remaining = sh.book.abort(now);
-            sh.slot_integral -= sh.stepping_live as f64 * remaining;
-            // The truncated iteration ends now.
-            if let Some(rec) = self.report.last_of(s) {
-                rec.completion_s = now;
-            }
-            self.report.end_at(now);
-        }
-        let mut orphans: Vec<usize> = self.shards[s].book.queue.drain(..).collect();
-        orphans.extend(self.take_unfinished(s));
-        for &r in &orphans {
-            // Any KV state the crash destroyed (including a queued warm
-            // handoff that never got admitted) is gone: the orphan
-            // re-prefills wherever it lands.
-            self.kv_warm[r] = false;
-        }
-        orphans
-    }
-
-    /// Brings a crashed shard back. Routing eligibility is the
-    /// controller's call ([`DecodeController::on_shard_up`]).
-    fn revive_shard(&mut self, s: usize) {
-        assert!(self.dead[s], "revived a live shard");
-        self.dead[s] = false;
-    }
-
-    /// Sets shard `s`'s iteration-cost multiplier (straggler ×`factor`,
-    /// recovery back to 1.0). An in-flight iteration is re-priced on the
-    /// fly: its unexecuted remainder is scaled by `factor / old`, the
-    /// shard epoch bumps so the stale step-end event is dropped, and a new
-    /// one is scheduled at the re-priced completion time.
-    fn set_slowdown(&mut self, s: usize, factor: f64, now: f64) {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "slowdown factor must be positive and finite"
-        );
-        let old = self.slowdown[s];
-        self.slowdown[s] = factor;
-        let sh = &mut self.shards[s];
-        if factor == old || !sh.book.busy {
-            return;
-        }
-        let delta = sh.book.reprice(factor / old, now);
-        sh.slot_integral += sh.stepping_live as f64 * delta;
-        let (done, epoch) = (sh.book.busy_until_s, sh.book.epoch);
-        if let Some(rec) = self.report.last_of(s) {
-            rec.completion_s = done;
-        }
-        self.events
-            .push(done, EventKind::Completion { shard: s, epoch });
-    }
-
-    /// Schedules an arrival event for request `r` at `time` — the
-    /// re-entry path for client retries and for work orphaned by a crash.
-    /// Indistinguishable from a trace arrival when it pops, so it
-    /// re-counts in `arrivals_seen` (a retry *is* offered load).
-    fn schedule_arrival(&mut self, r: usize, time: f64) {
-        self.events.push(time, EventKind::Arrival(r));
-    }
-
-    /// Removes request `r` from the shard queue it is waiting in so a
-    /// client layer can retry or abandon it. Returns `false` if the
-    /// request is not cancellable: already emitting tokens (its KV state
-    /// is live — a timeout mid-generation is not a client abandon in this
-    /// model), resident in a slot, or done.
-    fn cancel_waiting(&mut self, r: usize, now: f64) -> bool {
-        if self.emitted[r] > 0 || self.completion_s[r].is_finite() {
-            return false;
-        }
-        if self
-            .shards
-            .iter()
-            .any(|sh| sh.resident.iter().any(|sl| sl.req == r))
-        {
-            return false;
-        }
-        for s in 0..self.shards.len() {
-            let book = &mut self.shards[s].book;
-            if let Some(i) = book.queue.iter().position(|&x| x == r) {
-                book.tick(now);
-                book.queue.remove(i);
-                return true;
-            }
-        }
-        false
-    }
-
-    fn arrival_s(&self, r: usize) -> f64 {
-        self.trace[r].arrival_s
-    }
-
-    fn abandoned(&mut self) -> &mut usize {
-        &mut self.abandoned
-    }
-}
-
-impl<'a> DecodeCore<'a> {
-    /// Validates the inputs. Trace arrivals are not queued up front: the
-    /// [`EventQueue`] reads them from `trace` as the run reaches them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `trace` is empty, `cfg.max_slots == 0`,
-    /// `cfg.ttft_deadline_s < 0`, any `output_len`/`prefill_len` is zero,
-    /// the trace is unsorted / non-finite, or `accepting` has the wrong
-    /// length / no accepting shard.
-    pub(crate) fn new(
-        shards: &'a [AcceleratorDesign],
-        trace: &'a [DecodeRequest],
-        policy: SchedulingPolicy,
-        dispatch: DispatchPolicy,
-        scheduler: DecodeScheduler,
-        cfg: &'a DecodeConfig,
-        accepting: Vec<bool>,
-    ) -> Self {
-        validate_run(shards.len(), trace, &accepting);
-        assert!(cfg.max_slots > 0, "max_slots must be >= 1");
-        assert!(cfg.ttft_deadline_s >= 0.0, "negative TTFT deadline");
-        assert!(
-            trace.iter().all(|r| r.output_len > 0 && r.prefill_len > 0),
-            "prefill_len and output_len must be >= 1"
-        );
-
-        let n = trace.len();
-        Self {
-            designs: shards,
-            trace,
-            policy,
-            scheduler,
-            cfg,
-            shards: (0..shards.len()).map(|_| DecodeShard::default()).collect(),
-            accepting,
-            dead: vec![false; shards.len()],
-            slowdown: vec![1.0; shards.len()],
-            abandoned: 0,
-            events: EventQueue::new(trace),
-            admit_seq: 0,
-            rr_next: 0,
-            dispatch,
-            emitted: vec![0; n],
-            last_emit_s: vec![f64::NAN; n],
-            ttft_s: vec![f64::NAN; n],
-            completion_s: vec![f64::NAN; n],
-            shard_of: vec![usize::MAX; n],
-            preempt_of: vec![0; n],
-            prefill_passes: vec![0; n],
-            arrivals_seen: 0,
-            kv_warm: vec![false; n],
-            prefill_skip: vec![0; n],
-            itl_gaps: Vec::new(),
-            lens: Vec::new(),
-            report: ReportBook::new(),
-        }
-    }
-
-    /// Runs the event loop to completion, calling `ctl`'s hooks.
-    pub(crate) fn run<C: DecodeController>(&mut self, ctl: &mut C) {
-        // Shards an arrival burst queued work on; reused across bursts.
-        let mut touched = Vec::new();
-        while let Some(ev) = self.events.pop() {
-            match ev.kind {
-                EventKind::Arrival(r) => {
-                    // Admit ALL same-instant arrivals before any iteration
-                    // starts, so a simultaneous burst fills the batch slots
-                    // instead of launching a singleton iteration.
-                    self.arrivals_seen += 1;
-                    ctl.on_arrival(self, r, ev.time);
-                    touched.push(self.route_request(r, ev.time));
-                    while let Some(next) = self.events.peek() {
-                        match next.kind {
-                            EventKind::Arrival(r2) if next.time == ev.time => {
-                                self.events.pop();
-                                self.arrivals_seen += 1;
-                                ctl.on_arrival(self, r2, ev.time);
-                                let s = self.route_request(r2, ev.time);
-                                if !touched.contains(&s) {
-                                    touched.push(s);
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                    for s in touched.drain(..) {
-                        self.start_iteration(s, ev.time);
-                    }
-                }
-                EventKind::Completion { shard: s, epoch } => {
-                    // Stale if the shard crashed or was re-priced after
-                    // this event was scheduled.
-                    if epoch != self.shards[s].book.epoch {
-                        continue;
-                    }
-                    self.on_step_end(s, ev.time);
-                    ctl.after_step(self, s, ev.time);
-                    self.start_iteration(s, ev.time);
-                }
-                EventKind::Control => ctl.on_control(self, ev.time),
-                EventKind::WindowClose { .. } => {
-                    unreachable!("decode never schedules a window close")
-                }
-            }
+            resident.retain(|sl| emitted[sl.req] < trace[sl.req].output_len);
         }
     }
 
@@ -1170,33 +887,36 @@ impl<'a> DecodeCore<'a> {
     /// failure layer accounts shortfalls through client dispositions.
     pub(crate) fn into_report(self) -> DecodeReport {
         let n = self.trace.len();
-        let cfg = self.cfg;
-        let books = self.shards.iter().map(|sh| &sh.book);
-        let fleet = self
-            .report
-            .into_report(self.trace, &self.completion_s, self.designs, books);
+        let d = self.disc;
+        let fleet = self.report.into_report(
+            self.trace,
+            &self.completion_s,
+            self.designs,
+            self.books.iter(),
+        );
         let makespan = fleet.makespan_s;
-        let finite_ttfts = self.ttft_s.iter().copied().filter(|t| t.is_finite());
+        let finite_ttfts = d.ttft_s.iter().copied().filter(|t| t.is_finite());
         let (_, ttft_mean, ttft_pcts) = summarize_sample(finite_ttfts.collect());
         let high_ttft_p95_s = {
             let high_ttfts: Vec<f64> = self
                 .trace
                 .iter()
-                .zip(&self.ttft_s)
+                .zip(&d.ttft_s)
                 .filter(|(r, t)| r.priority == Priority::High && t.is_finite())
                 .map(|(_, &t)| t)
                 .collect();
             percentile(&high_ttfts, 0.95)
         };
-        let (_, _, itl_pcts) = summarize_sample(self.itl_gaps);
-        let decode_shards: Vec<DecodeShardReport> = self
+        let (_, _, itl_pcts) = summarize_sample(d.itl_gaps);
+        let max_slots = d.cfg.max_slots;
+        let decode_shards: Vec<DecodeShardReport> = d
             .shards
             .iter()
             .enumerate()
             .map(|(i, sh)| DecodeShardReport {
                 shard: i,
                 preemptions: sh.preemptions,
-                slot_utilization: sh.slot_integral / (makespan.max(1e-12) * cfg.max_slots as f64),
+                slot_utilization: sh.slot_integral / (makespan.max(1e-12) * max_slots as f64),
                 peak_resident: sh.peak_resident,
             })
             .collect();
@@ -1206,15 +926,15 @@ impl<'a> DecodeCore<'a> {
         let finite_or_inf = |x: f64| if x.is_finite() { x } else { f64::INFINITY };
         let requests: Vec<RequestOutcome> = (0..n)
             .map(|r| RequestOutcome {
-                shard: self.shard_of[r],
-                ttft_s: finite_or_inf(self.ttft_s[r]),
+                shard: d.shard_of[r],
+                ttft_s: finite_or_inf(d.ttft_s[r]),
                 completion_s: finite_or_inf(self.completion_s[r]),
-                tokens: self.emitted[r],
-                preemptions: self.preempt_of[r],
-                re_prefills: self.prefill_passes[r].saturating_sub(1),
+                tokens: d.emitted[r],
+                preemptions: d.preempt_of[r],
+                re_prefills: d.prefill_passes[r].saturating_sub(1),
             })
             .collect();
-        let generated_tokens: u64 = self.emitted.iter().map(|&e| e as u64).sum();
+        let generated_tokens: u64 = d.emitted.iter().map(|&e| e as u64).sum();
         DecodeReport {
             ttft_mean_s: ttft_mean,
             ttft_p50_s: ttft_pcts[0],
@@ -1226,9 +946,9 @@ impl<'a> DecodeCore<'a> {
             itl_p99_s: itl_pcts[2],
             generated_tokens,
             goodput_tok_s: generated_tokens as f64 / makespan.max(1e-12),
-            slot_utilization: self.shards.iter().map(|sh| sh.slot_integral).sum::<f64>()
-                / (makespan.max(1e-12) * (cfg.max_slots * self.designs.len()) as f64),
-            preemptions: self.shards.iter().map(|sh| sh.preemptions).sum(),
+            slot_utilization: d.shards.iter().map(|sh| sh.slot_integral).sum::<f64>()
+                / (makespan.max(1e-12) * (max_slots * self.designs.len()) as f64),
+            preemptions: d.shards.iter().map(|sh| sh.preemptions).sum(),
             shards: decode_shards,
             requests,
             fleet,
@@ -1266,7 +986,7 @@ pub fn simulate_decode(
         cfg,
         vec![true; shards.len()],
     );
-    core.run(&mut NullDecodeController);
+    core.run(&mut NullController);
     let report = core.into_report();
     assert_eq!(
         report.fleet.completed,

@@ -75,14 +75,11 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::autoscale::{
-    decode_load, decode_shard_idle, PoolHost, ScaleEvent, ScalePolicy, ShardPool, Ticker,
-};
+use crate::autoscale::{PoolHost, ScaleEvent, ScalePolicy, ShardPool, Ticker};
 use crate::decode::{
-    DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
-    KvTransfer,
+    DecodeConfig, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler, KvTransfer, Slots,
 };
-use crate::fleet::{route_then_kick, DispatchPolicy};
+use crate::fleet::{route_then_kick, Controller, DispatchPolicy};
 use lat_core::pipeline::SchedulingPolicy;
 use lat_workloads::prefix::PrefixGroup;
 use serde::{Deserialize, Serialize};
@@ -325,14 +322,13 @@ impl<'a> DisaggController<'a> {
     /// is unroutable (crashed/retired), the sequence falls back to the
     /// accepting shards and re-prefills there — the KV copy has no
     /// destination, so its warmth is forfeit.
-    fn route_to_decode(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) -> usize {
+    fn route_to_decode(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) -> Option<usize> {
         let mask = self.decode_mask(core);
-        if mask.iter().any(|&m| m) {
-            core.route_request_into(r, now, &mask, &mut self.rr_decode)
-        } else {
-            core.kv_warm[r] = false;
-            core.route_request(r, now)
-        }
+        core.admit_into(r, now, &mask, &mut self.rr_decode)
+            .or_else(|| {
+                core.disc.kv_warm[r] = false;
+                core.admit(r, now)
+            })
     }
 
     /// Routes `requests` into the decode pool in order
@@ -342,7 +338,7 @@ impl<'a> DisaggController<'a> {
         route_then_kick(
             core,
             requests,
-            |core, r| Some(self.route_to_decode(core, r, now)),
+            |core, r| self.route_to_decode(core, r, now),
             |core, s| core.start_iteration(s, now),
         );
     }
@@ -415,7 +411,7 @@ impl<'a> DisaggController<'a> {
     }
 }
 
-impl DecodeController for DisaggController<'_> {
+impl Controller<Slots> for DisaggController<'_> {
     fn on_arrival(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) {
         if self.looked_up[r] {
             return; // a retry re-arrives; the lookup already happened
@@ -428,7 +424,7 @@ impl DecodeController for DisaggController<'_> {
             // The discount can never consume the whole prompt: at least
             // one fresh token must run through prefill.
             let skip = cached_len.min(core.trace[r].prefill_len.saturating_sub(1));
-            core.prefill_skip[r] = skip;
+            core.disc.prefill_skip[r] = skip;
             self.tokens_saved += skip as u64;
         }
     }
@@ -438,7 +434,7 @@ impl DecodeController for DisaggController<'_> {
         self.land_due_handoffs(core, now);
     }
 
-    fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
+    fn after_completion(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
         if shard >= self.n_prefill {
             return; // decode-pool sequences finish in place
         }
@@ -448,10 +444,10 @@ impl DecodeController for DisaggController<'_> {
         // here — exactly the colocated engine.
         let mut detached: Vec<(usize, usize)> = Vec::new(); // (req, context)
         {
-            let emitted = &core.emitted;
-            let trace = core.trace;
+            let (d, trace) = (&mut core.disc, core.trace);
+            let emitted = &d.emitted;
             let transfer = self.transfer;
-            core.shards[shard].resident.retain(|sl| {
+            d.shards[shard].resident.retain(|sl| {
                 let r = sl.req;
                 let decoding = emitted[r] >= 1 && emitted[r] < trace[r].output_len;
                 if !decoding {
@@ -471,7 +467,7 @@ impl DecodeController for DisaggController<'_> {
             self.transfer_time_s += latency;
             self.transferred_tokens += context as u64;
             if self.transfer.preserves_kv() {
-                core.kv_warm[r] = true;
+                core.disc.kv_warm[r] = true;
             }
             let ready = now + latency;
             self.pending.push((ready, r));
@@ -708,7 +704,7 @@ impl PoolHost for DisaggHost<'_, '_, '_> {
     }
 
     fn is_idle(&self, s: usize) -> bool {
-        decode_shard_idle(self.core, s)
+        self.core.is_idle(s)
     }
 
     fn schedule_control(&mut self, time: f64) {
@@ -755,7 +751,7 @@ impl<'a> DisaggAutoscaler<'a> {
     }
 
     fn evaluate_pool(&mut self, core: &mut DecodeCore<'_>, pool: usize, now: f64) {
-        let (waiting, busy_elapsed) = decode_load(&core.shards[self.pools[pool].range()], now);
+        let (waiting, busy_elapsed) = core.load_of(self.pools[pool].range(), now);
         // The decode pool's offered load is the handoff stream, not the
         // trace arrivals.
         let arrivals = if pool == 0 {
@@ -771,7 +767,7 @@ impl<'a> DisaggAutoscaler<'a> {
     }
 }
 
-impl DecodeController for DisaggAutoscaler<'_> {
+impl Controller<Slots> for DisaggAutoscaler<'_> {
     fn on_arrival(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) {
         self.inner.on_arrival(core, r, now);
     }
@@ -785,9 +781,7 @@ impl DecodeController for DisaggAutoscaler<'_> {
             pool.join_warmed(host, now);
         }
         self.inner.on_control(core, now);
-        if !self.ticker.due(now, || {
-            core.completed() + core.abandoned == core.trace.len()
-        }) {
+        if !self.ticker.due(now, || core.finished()) {
             return;
         }
         self.evaluate_pool(core, 0, now);
@@ -795,8 +789,8 @@ impl DecodeController for DisaggAutoscaler<'_> {
         core.schedule_control(self.ticker.rearm(now));
     }
 
-    fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        self.inner.after_step(core, shard, now);
+    fn after_completion(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
+        self.inner.after_completion(core, shard, now);
         let pool = usize::from(shard >= self.inner.n_prefill);
         let host = DisaggHost {
             core,

@@ -100,15 +100,14 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::autoscale::{AutoscaleConfig, Autoscaler, DecodeScaleDown, ScaleEvent};
+use crate::autoscale::{AutoscaleConfig, DecodeScaleDown, ScaleEvent};
 use crate::decode::{
-    DecodeConfig, DecodeController, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler,
-    NullDecodeController,
+    DecodeConfig, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler, Slots,
 };
 use crate::disagg::{combined_fleet, DisaggConfig, DisaggController, DisaggReport};
 use crate::fleet::{
-    BatcherConfig, DispatchPolicy, FleetController, FleetCore, FleetReport, NullController,
-    Request, TraceEvent,
+    Batcher, BatcherConfig, Controller, Core, Discipline, DispatchPolicy, FleetCore, FleetReport,
+    NullController, Request, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_tensor::stats::percentile;
@@ -667,44 +666,20 @@ impl ClientTimeouts {
 
 // ──────────────────────────── fault injector ────────────────────────────
 
-/// The engine-core surface a [`FaultInjector`] drives, in the
-/// [`crate::autoscale`] `PoolHost` pattern: [`FleetCore`] and
-/// [`DecodeCore`] implement it with methods of the same names, so the
-/// plan cursor, the client timeouts and the retry books exist once.
-pub(crate) trait FaultTarget {
-    /// Schedules a control event at `time`.
-    fn schedule_control(&mut self, time: f64);
-    /// Schedules request `r` to arrive again at `time` (a client retry).
-    fn schedule_arrival(&mut self, r: usize, time: f64);
-    /// Takes request `r` out of wherever it waits; `false` if it is not
-    /// waiting (executing, done, or never admitted).
-    fn cancel_waiting(&mut self, r: usize, now: f64) -> bool;
-    /// Crashes shard `s` and returns its orphaned requests for the caller
-    /// to re-admit.
-    fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize>;
-    /// Brings crashed shard `s` back; routing it is the controller's call.
-    fn revive_shard(&mut self, s: usize);
-    /// Sets shard `s`'s service-time multiplier, re-pricing in-flight
-    /// work.
-    fn set_slowdown(&mut self, s: usize, factor: f64, now: f64);
-    /// Request `r`'s trace arrival instant.
-    fn arrival_s(&self, r: usize) -> f64;
-    /// Requests the client layer gave up on.
-    fn abandoned(&mut self) -> &mut usize;
-}
-
 /// The controller that applies a [`FaultPlan`] and enforces
 /// [`ClientConfig`] timeouts on either engine core, wrapping an inner
-/// controller (the no-op one for fixed fleets, the [`Autoscaler`], or the
+/// controller (the no-op one for fixed fleets, the
+/// [`Autoscaler`](crate::autoscale::Autoscaler), or the
 /// [`DisaggController`]) whose hooks it forwards.
 ///
-/// The plan cursor, the timeout book and the retry counts live here
-/// once. Each core's batching discipline under faults lives in its
-/// controller-trait impl below, with `per_core` holding the state that
-/// discipline needs: nothing for the fleet, [`DecodeFaults`] for decode.
-struct FaultInjector<C, D = ()> {
+/// The plan cursor, the timeout book, the retry counts, the crash and
+/// re-admission path and outage parking live here once, driving the
+/// [`Core`] directly. What a discipline does beyond that under faults is
+/// its [`FaultResponse`], held in `per_core`: nothing for the fleet,
+/// [`DecodeFaults`] for decode.
+struct FaultInjector<C, P = ()> {
     inner: C,
-    per_core: D,
+    per_core: P,
     actions: Vec<(f64, Action)>,
     next_action: usize,
     client: ClientConfig,
@@ -719,13 +694,13 @@ struct FaultInjector<C, D = ()> {
     slo: f64,
 }
 
-impl<C, D> FaultInjector<C, D> {
+impl<C, P> FaultInjector<C, P> {
     /// Checks `plan` against a fleet of `n_shards`, `client` and `slo` —
     /// the failure layer's one input check, which every entry point runs
     /// before it builds its core.
     fn new(
         inner: C,
-        per_core: D,
+        per_core: P,
         plan: &FaultPlan,
         client: &ClientConfig,
         slo: f64,
@@ -751,12 +726,12 @@ impl<C, D> FaultInjector<C, D> {
 
     /// Schedules a control event at every fault instant and every
     /// first-attempt timeout. Call once before `core.run`.
-    fn prime(&mut self, core: &mut impl FaultTarget) {
+    fn prime<D: Discipline>(&mut self, core: &mut Core<'_, D>) {
         for &(t, _) in &self.actions {
             core.schedule_control(t);
         }
         if self.client.timeout_s.is_finite() {
-            let arrivals = (0..self.attempts.len()).map(|r| core.arrival_s(r));
+            let arrivals = core.trace.iter().map(TraceEvent::arrival_s);
             for &t in self
                 .timeouts
                 .arm_first_attempts(arrivals, self.client.timeout_s)
@@ -780,15 +755,15 @@ impl<C, D> FaultInjector<C, D> {
     /// abandoned. Requests already executing are left alone — their
     /// timeout simply lapses; that includes a decode request already
     /// emitting tokens, since its KV state is live
-    /// ([`DecodeCore::cancel_waiting`] refuses it).
-    fn fire_due_timeouts(&mut self, core: &mut impl FaultTarget, now: f64) {
+    /// ([`Discipline::started`]).
+    fn fire_due_timeouts<D: Discipline>(&mut self, core: &mut Core<'_, D>, now: f64) {
         for r in self.timeouts.take_due(now) {
             if !core.cancel_waiting(r, now) {
                 continue; // not waiting anywhere: nothing to give up on
             }
             match self
                 .client
-                .on_timeout(now, core.arrival_s(r), self.attempts[r])
+                .on_timeout(now, core.trace[r].arrival_s(), self.attempts[r])
             {
                 RetryDecision::Retry {
                     retry_at,
@@ -802,7 +777,7 @@ impl<C, D> FaultInjector<C, D> {
                         core.schedule_control(timeout_at);
                     }
                 }
-                RetryDecision::Abandon => *core.abandoned() += 1,
+                RetryDecision::Abandon => core.abandoned += 1,
             }
         }
     }
@@ -835,7 +810,7 @@ impl<C, D> FaultInjector<C, D> {
     }
 }
 
-impl<C: FleetController> FaultInjector<C> {
+impl<C: Controller<Batcher>> FaultInjector<C> {
     /// The fleet entry points' report of the finished run on `core`.
     fn failure_report(&self, core: FleetCore<'_>, scale_events: &[ScaleEvent]) -> FailureReport {
         let (trace, completion_s) = (core.trace, core.completion_s.clone());
@@ -856,14 +831,47 @@ impl<C: FleetController> FaultInjector<C> {
     }
 }
 
-/// The fleet's discipline: a crash's orphans re-admit among the
-/// survivors, and with none accepting they park until capacity returns.
-impl<C: FleetController> FleetController for FaultInjector<C> {
-    fn on_control(&mut self, core: &mut FleetCore<'_>, now: f64) {
+/// What a discipline does under faults beyond the injector's shared
+/// crash, re-admission and parking. The defaults are the fleet's, which
+/// adds nothing.
+trait FaultResponse<D: Discipline> {
+    /// Shard `s` is about to crash.
+    fn before_crash(&mut self, _core: &Core<'_, D>, _s: usize) {}
+    /// A crash just closed a shard to routing, before its orphans are
+    /// re-admitted.
+    fn after_crash(&mut self, _core: &mut Core<'_, D>) {}
+    /// Shard `s` starts straggling ×`factor`.
+    fn slow(&mut self, core: &mut Core<'_, D>, s: usize, factor: f64, now: f64) {
+        core.set_slowdown(s, factor, now);
+    }
+    /// Shard `s` stops straggling.
+    fn unslow(&mut self, core: &mut Core<'_, D>, s: usize, now: f64) {
+        core.set_slowdown(s, 1.0, now);
+    }
+    /// Shard `s` finished a batch or an iteration, before the inner
+    /// controller's hook.
+    fn at_boundary(&mut self, _core: &mut Core<'_, D>, _s: usize, _now: f64) {}
+}
+
+/// The fleet parks a crash's orphans when no survivor accepts, so it
+/// needs nothing beyond the shared path.
+impl FaultResponse<Batcher> for () {}
+
+/// The shared fault path: a crash's orphans re-admit among the survivors,
+/// and with none accepting they park until capacity returns (a parking
+/// discipline only).
+impl<D: Discipline, C: Controller<D>, P: FaultResponse<D>> Controller<D> for FaultInjector<C, P> {
+    fn on_arrival(&mut self, core: &mut Core<'_, D>, r: usize, now: f64) {
+        self.inner.on_arrival(core, r, now);
+    }
+
+    fn on_control(&mut self, core: &mut Core<'_, D>, now: f64) {
         while let Some(action) = self.next_due(now) {
             match action {
                 Action::Down(s) => {
+                    self.per_core.before_crash(core, s);
                     let orphans = core.crash_shard(s, now);
+                    self.per_core.after_crash(core);
                     self.inner.on_shard_down(core, s, now);
                     // Orphans' batching windows have long expired, so
                     // survivors dispatch them at once.
@@ -873,8 +881,8 @@ impl<C: FleetController> FleetController for FaultInjector<C> {
                     core.revive_shard(s);
                     self.inner.on_shard_up(core, s, now);
                 }
-                Action::Slow { shard, factor } => core.set_slowdown(shard, factor, now),
-                Action::Unslow(s) => core.set_slowdown(s, 1.0, now),
+                Action::Slow { shard, factor } => self.per_core.slow(core, shard, factor, now),
+                Action::Unslow(s) => self.per_core.unslow(core, s, now),
             }
         }
         self.fire_due_timeouts(core, now);
@@ -890,10 +898,7 @@ impl<C: FleetController> FleetController for FaultInjector<C> {
             && self.next_action == self.actions.len()
             && self.timeouts.is_empty()
             && core.dead.iter().all(|&d| d)
-            && core
-                .state
-                .iter()
-                .all(|st| !st.book.busy && st.book.queue.is_empty())
+            && core.books.iter().all(|b| !b.busy && b.queue.is_empty())
         {
             core.abandoned = core.trace.len() - core.completed();
         }
@@ -910,18 +915,20 @@ impl<C: FleetController> FleetController for FaultInjector<C> {
         }
     }
 
-    fn after_completion(&mut self, core: &mut FleetCore<'_>, shard: usize, now: f64) {
+    fn after_completion(&mut self, core: &mut Core<'_, D>, shard: usize, now: f64) {
+        self.per_core.at_boundary(core, shard, now);
         self.inner.after_completion(core, shard, now);
     }
 }
 
-/// The decode discipline's state. The engine cannot park work, so when a
-/// crash leaves no shard accepting, the live stragglers the injector
-/// closed to routing reopen (a slow shard beats none), and a plan must
-/// leave at least one live routable shard. A straggler's KV residents
-/// follow `straggler_response`: [`DecodeScaleDown::Drain`] decodes them
-/// in place at the slow rate, [`DecodeScaleDown::Migrate`] evicts them at
-/// the next iteration boundary to re-prefill on a healthy shard.
+/// The decode discipline's response to faults. The engine cannot park
+/// work, so when a crash leaves no shard accepting, the live stragglers
+/// the injector closed to routing reopen (a slow shard beats none), and a
+/// plan must leave at least one live routable shard. A straggler's KV
+/// residents follow `straggler_response`: [`DecodeScaleDown::Drain`]
+/// decodes them in place at the slow rate, [`DecodeScaleDown::Migrate`]
+/// evicts them at the next iteration boundary to re-prefill on a healthy
+/// shard.
 struct DecodeFaults {
     straggler_response: DecodeScaleDown,
     /// Shards whose residents await eviction at the next step boundary.
@@ -945,24 +952,11 @@ impl DecodeFaults {
 
     /// Records the shard's unfinished residents as incident victims.
     fn record_affected(&mut self, core: &DecodeCore<'_>, s: usize) {
-        for sl in &core.shards[s].resident {
-            if core.emitted[sl.req] < core.trace[sl.req].output_len
+        for sl in &core.disc.shards[s].resident {
+            if core.disc.emitted[sl.req] < core.trace[sl.req].output_len
                 && !self.affected.contains(&sl.req)
             {
                 self.affected.push(sl.req);
-            }
-        }
-    }
-
-    /// Reopens the live shards the straggler arm closed, cancelling their
-    /// pending migrations: a crash took the last accepting shard, and the
-    /// engine cannot park work.
-    fn reopen_stragglers(&mut self, core: &mut DecodeCore<'_>) {
-        for s in 0..self.straggler_closed.len() {
-            if self.straggler_closed[s] && !core.dead[s] {
-                self.straggler_closed[s] = false;
-                self.migrate_from[s] = false;
-                core.accepting[s] = true;
             }
         }
     }
@@ -984,13 +978,76 @@ impl DecodeFaults {
     }
 }
 
-impl<C: DecodeController> FaultInjector<C, DecodeFaults> {
+impl FaultResponse<Slots> for DecodeFaults {
+    fn before_crash(&mut self, core: &DecodeCore<'_>, s: usize) {
+        self.record_affected(core, s);
+    }
+
+    /// Reopens the live shards the straggler arm closed, cancelling their
+    /// pending migrations, if the crash took the last accepting shard: the
+    /// engine cannot park work.
+    fn after_crash(&mut self, core: &mut DecodeCore<'_>) {
+        if !core.accepting.iter().any(|&a| a) {
+            for s in 0..self.straggler_closed.len() {
+                if self.straggler_closed[s] && !core.dead[s] {
+                    self.straggler_closed[s] = false;
+                    self.migrate_from[s] = false;
+                    core.accepting[s] = true;
+                }
+            }
+        }
+        assert!(
+            core.accepting.iter().any(|&a| a),
+            "decode fault plan killed every accepting shard \
+             (the decode engine cannot park work)"
+        );
+    }
+
+    fn slow(&mut self, core: &mut DecodeCore<'_>, s: usize, factor: f64, now: f64) {
+        self.record_affected(core, s);
+        core.set_slowdown(s, factor, now);
+        let has_other = core.accepting.iter().enumerate().any(|(i, &a)| a && i != s);
+        if !has_other {
+            return; // sole shard: nowhere to shift work to
+        }
+        // Waiting work always flees a straggler; what happens to its
+        // residents is the drain-vs-migrate choice.
+        self.straggler_closed[s] = core.accepting[s];
+        core.accepting[s] = false;
+        let migrate = self.straggler_response == DecodeScaleDown::Migrate;
+        core.shed(s, now, true, migrate);
+        if migrate && core.books[s].busy {
+            self.migrate_from[s] = true; // evict at the boundary
+        }
+    }
+
+    fn unslow(&mut self, core: &mut DecodeCore<'_>, s: usize, now: f64) {
+        core.set_slowdown(s, 1.0, now);
+        self.migrate_from[s] = false;
+        self.straggler_closed[s] = false;
+        if !core.dead[s] {
+            core.accepting[s] = true;
+        }
+    }
+
+    fn at_boundary(&mut self, core: &mut DecodeCore<'_>, s: usize, now: f64) {
+        if self.migrate_from[s] {
+            self.migrate_from[s] = false;
+            core.shed(s, now, false, true);
+        }
+    }
+}
+
+impl<C: Controller<Slots>> FaultInjector<C, DecodeFaults> {
     /// The decode entry points' report of the finished run on `core`;
     /// the client summary is over TTFT, what generative SLOs are written
     /// against.
     fn failure_report(&self, core: DecodeCore<'_>) -> DecodeFailureReport {
-        let (trace, completion_s, ttft_s) =
-            (core.trace, core.completion_s.clone(), core.ttft_s.clone());
+        let (trace, completion_s, ttft_s) = (
+            core.trace,
+            core.completion_s.clone(),
+            core.disc.ttft_s.clone(),
+        );
         let decode = core.into_report();
         let makespan = decode.fleet.makespan_s;
         let summary = self.summarize(trace, &completion_s, Some(&ttft_s), makespan, &[]);
@@ -1005,73 +1062,6 @@ impl<C: DecodeController> FaultInjector<C, DecodeFaults> {
             phases: summary.phases,
             affected_drain_s: self.per_core.affected_drain_s(&completion_s),
         }
-    }
-}
-
-/// The decode discipline: see [`DecodeFaults`].
-impl<C: DecodeController> DecodeController for FaultInjector<C, DecodeFaults> {
-    fn on_arrival(&mut self, core: &mut DecodeCore<'_>, r: usize, now: f64) {
-        self.inner.on_arrival(core, r, now);
-    }
-
-    fn on_control(&mut self, core: &mut DecodeCore<'_>, now: f64) {
-        while let Some(action) = self.next_due(now) {
-            let faults = &mut self.per_core;
-            match action {
-                Action::Down(s) => {
-                    faults.record_affected(core, s);
-                    let orphans = core.crash_shard(s, now);
-                    if !core.accepting.iter().any(|&a| a) {
-                        faults.reopen_stragglers(core);
-                    }
-                    assert!(
-                        core.accepting.iter().any(|&a| a),
-                        "decode fault plan killed every accepting shard \
-                         (the decode engine cannot park work)"
-                    );
-                    core.readmit(orphans, now);
-                }
-                Action::Up(s) => {
-                    core.revive_shard(s);
-                    self.inner.on_shard_up(core, s, now);
-                }
-                Action::Slow { shard: s, factor } => {
-                    faults.record_affected(core, s);
-                    core.set_slowdown(s, factor, now);
-                    let has_other = core.accepting.iter().enumerate().any(|(i, &a)| a && i != s);
-                    if !has_other {
-                        continue; // sole shard: nowhere to shift work to
-                    }
-                    // Waiting work always flees a straggler; what happens
-                    // to its residents is the drain-vs-migrate choice.
-                    faults.straggler_closed[s] = core.accepting[s];
-                    core.accepting[s] = false;
-                    let migrate = faults.straggler_response == DecodeScaleDown::Migrate;
-                    core.shed(s, now, true, migrate);
-                    if migrate && core.shards[s].book.busy {
-                        faults.migrate_from[s] = true; // evict at the boundary
-                    }
-                }
-                Action::Unslow(s) => {
-                    core.set_slowdown(s, 1.0, now);
-                    faults.migrate_from[s] = false;
-                    faults.straggler_closed[s] = false;
-                    if !core.dead[s] {
-                        core.accepting[s] = true;
-                    }
-                }
-            }
-        }
-        self.fire_due_timeouts(core, now);
-        self.inner.on_control(core, now);
-    }
-
-    fn after_step(&mut self, core: &mut DecodeCore<'_>, shard: usize, now: f64) {
-        if self.per_core.migrate_from[shard] {
-            self.per_core.migrate_from[shard] = false;
-            core.shed(shard, now, false, true);
-        }
-        self.inner.after_step(core, shard, now);
     }
 }
 
@@ -1432,7 +1422,7 @@ pub fn simulate_autoscale_failure(
 ) -> AutoscaleFailureReport {
     assert!(!shards.is_empty(), "fleet needs at least one shard");
     cfg.validate(shards.len());
-    let ctl = Autoscaler::new(cfg, shards.len());
+    let ctl = cfg.autoscaler(shards.len());
     let mut injector = FaultInjector::new(
         ctl,
         (),
@@ -1489,7 +1479,7 @@ pub fn simulate_decode_failure(
     slo_ttft_s: f64,
 ) -> DecodeFailureReport {
     let mut injector = FaultInjector::new(
-        NullDecodeController,
+        NullController,
         DecodeFaults::new(shards.len(), straggler_response),
         plan,
         client,
@@ -1934,7 +1924,7 @@ mod tests {
             }],
         };
         let mut injector = FaultInjector::new(
-            NullDecodeController,
+            NullController,
             DecodeFaults::new(1, DecodeScaleDown::Drain),
             &plan,
             &client,

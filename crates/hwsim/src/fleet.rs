@@ -50,7 +50,6 @@
 //! ```
 
 use crate::accelerator::{AcceleratorDesign, StageCostTable};
-use crate::failure::FaultTarget;
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::QuantileSketch;
 pub use lat_core::sketch::ReportMode;
@@ -62,6 +61,7 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
 /// One serving request in an arrival trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -633,15 +633,22 @@ impl Ord for Event {
 }
 
 /// A trace entry: anything with an arrival instant, so [`EventQueue`] can
-/// synthesize trace arrival `r` instead of storing it.
+/// synthesize trace arrival `r` instead of storing it, and a length that
+/// [`route`] bins it by.
 pub(crate) trait TraceEvent {
     /// Arrival instant in seconds since simulation start.
     fn arrival_s(&self) -> f64;
+    /// The length [`DispatchPolicy::LengthBinned`] routes by.
+    fn route_len(&self) -> usize;
 }
 
 impl TraceEvent for Request {
     fn arrival_s(&self) -> f64 {
         self.arrival_s
+    }
+
+    fn route_len(&self) -> usize {
+        self.len
     }
 }
 
@@ -1044,43 +1051,76 @@ impl ReportBook {
     }
 }
 
-#[derive(Default)]
-pub(crate) struct ShardState {
-    pub(crate) book: ShardBook,
-    /// Request indices of the in-flight batch (empty while idle). The
-    /// failure layer needs the members, not just the count, to re-route a
-    /// crashed shard's batch.
-    pub(crate) inflight: Vec<usize>,
-    /// Head request a window-close event is already scheduled for
-    /// (request indices are unique, so this dedup is safe for the run).
-    pub(crate) window_scheduled_for: Option<usize>,
+/// A batching discipline: how the shards of a [`Core`] fill and run
+/// their slots. [`Batcher`] closes encoder batches by window or cap;
+/// [`crate::decode::Slots`] steps decode slots an iteration at a time.
+/// The core owns everything else: the event loop, admission and routing,
+/// the shard books, faults and the report half.
+pub(crate) trait Discipline: Sized {
+    /// One trace entry.
+    type Req: TraceEvent + 'static;
+    /// Whether admission parks a request when no shard accepts (the
+    /// fleet, until the failure layer re-admits it) rather than panicking
+    /// (decode, which cannot park work).
+    const PARKS: bool;
+    /// Requests shard `s` holds in service: the in-flight batch, or the
+    /// KV residents. Waiting plus in service is the load JSQ balances.
+    fn in_service(&self, s: usize) -> usize;
+    /// Shard `s`'s backlog as an autoscaler reads it, given its `queued`
+    /// requests.
+    fn backlog(&self, s: usize, queued: usize) -> usize;
+    /// Launches shard `s`'s next batch or iteration if one is ready.
+    fn kick(core: &mut Core<'_, Self>, s: usize, now: f64);
+    /// Shard `s`'s in-flight work completed at `now`. Calls
+    /// [`Controller::after_completion`] in the discipline's own order
+    /// relative to the next launch.
+    fn complete<C: Controller<Self>>(core: &mut Core<'_, Self>, ctl: &mut C, s: usize, now: f64);
+    /// The discipline's part of crashing shard `s` at `now`, after the
+    /// core closed the shard and moved its queue into `orphans`.
+    /// `aborted` is the destroyed tail of the in-flight work, if any.
+    fn crash(
+        core: &mut Core<'_, Self>,
+        s: usize,
+        now: f64,
+        aborted: Option<f64>,
+        orphans: &mut Vec<usize>,
+    );
+    /// Shard `s`'s in-flight work was re-priced: it now ends at `done`,
+    /// `delta` seconds later than before.
+    fn repriced(core: &mut Core<'_, Self>, s: usize, delta: f64, done: f64);
+    /// Whether request `r` has started executing, so a client timeout can
+    /// no longer cancel it.
+    fn started(core: &Core<'_, Self>, r: usize) -> bool;
+    /// Request was taken out of shard `s`'s queue by a cancellation.
+    fn dequeued(_core: &mut Core<'_, Self>, _s: usize, _now: f64) {}
 }
 
-impl ShardState {
-    /// Waiting + in-flight requests — the load metric JSQ balances.
-    pub(crate) fn load(&self) -> usize {
-        self.book.queue.len() + self.inflight.len()
-    }
-}
-
-/// Hooks a controller drives the engine through;
-/// [`simulate_fleet`] runs with the no-op [`NullController`], the
-/// autoscaler ([`crate::autoscale`]) with a policy-driven one.
-pub(crate) trait FleetController {
-    /// A control event scheduled via [`FleetCore::schedule_control`] fired.
-    fn on_control(&mut self, _core: &mut FleetCore<'_>, _now: f64) {}
-    /// A shard finished a batch (called after its queue re-dispatched).
-    fn after_completion(&mut self, _core: &mut FleetCore<'_>, _shard: usize, _now: f64) {}
+/// Hooks a controller drives a [`Core`] through; the plain `simulate_*`
+/// entry points run with the no-op [`NullController`], the autoscalers,
+/// the fault injector and the disaggregation controller with their own.
+pub(crate) trait Controller<D: Discipline> {
+    /// A control event scheduled via [`Core::schedule_control`] fired.
+    fn on_control(&mut self, _core: &mut Core<'_, D>, _now: f64) {}
+    /// Request `r` popped as an arrival event (trace arrival or retry),
+    /// before it is routed — the window in which [`crate::disagg`] looks
+    /// up its shared-prefix group and sets the prefill discount.
+    fn on_arrival(&mut self, _core: &mut Core<'_, D>, _r: usize, _now: f64) {}
+    /// Shard `shard` finished a batch or an iteration. The fleet calls it
+    /// after the shard's queue re-dispatched; decode calls it once tokens
+    /// are emitted and finished residents released, but before the next
+    /// iteration launches — the window in which scale-down may evict
+    /// residents.
+    fn after_completion(&mut self, _core: &mut Core<'_, D>, _shard: usize, _now: f64) {}
     /// The failure layer crashed `shard` (already marked dead and not
     /// accepting; its orphaned work is re-admitted by the caller). Lets an
     /// autoscaling controller close the shard's cost books and stop
     /// counting it as capacity.
-    fn on_shard_down(&mut self, _core: &mut FleetCore<'_>, _shard: usize, _now: f64) {}
+    fn on_shard_down(&mut self, _core: &mut Core<'_, D>, _shard: usize, _now: f64) {}
     /// The failure layer revived `shard`. The default is a plain rejoin:
     /// the shard starts accepting routed work immediately. An autoscaling
     /// controller overrides this to put the shard back through its normal
     /// launch/warm-up path instead.
-    fn on_shard_up(&mut self, core: &mut FleetCore<'_>, shard: usize, _now: f64) {
+    fn on_shard_up(&mut self, core: &mut Core<'_, D>, shard: usize, _now: f64) {
         core.accepting[shard] = true;
     }
 }
@@ -1088,62 +1128,518 @@ pub(crate) trait FleetController {
 /// Controller that never intervenes — the fixed-membership fleet.
 pub(crate) struct NullController;
 
-impl FleetController for NullController {}
+impl<D: Discipline> Controller<D> for NullController {}
 
-/// The fleet engine's mutable core, shared by [`simulate_fleet`] (fixed
-/// membership, no control events) and
-/// [`crate::autoscale::simulate_autoscale`] (runtime shard join/retire):
-/// per-shard queues, the event queue, and dispatch bookkeeping.
+/// The engine core both serving families run on, generic over its
+/// batching discipline `D`: [`FleetCore`] for one-shot encoder requests,
+/// [`crate::decode::DecodeCore`] for multi-step generative ones. The core
+/// owns the event queue and loop, admission and routing, the per-shard
+/// [`ShardBook`]s, crash, straggler and cancellation skeletons, and the
+/// report half; `disc` holds the discipline's own state.
 ///
 /// `accepting[s]` gates *routing only* — a shard that stops accepting
-/// still drains its own queue through the normal window/cap machinery,
-/// which is exactly the drain-on-retire semantics the autoscaler needs.
-pub(crate) struct FleetCore<'a> {
-    pub(crate) shards: &'a [AcceleratorDesign],
-    pub(crate) trace: &'a [Request],
-    policy: SchedulingPolicy,
+/// still drains its own queue (or steps its residents), which is exactly
+/// the drain-on-retire semantics the autoscalers need.
+pub(crate) struct Core<'a, D: Discipline> {
+    pub(crate) designs: &'a [AcceleratorDesign],
+    pub(crate) trace: &'a [D::Req],
+    pub(crate) policy: SchedulingPolicy,
     dispatch: DispatchPolicy,
-    cfg: &'a BatcherConfig,
-    pub(crate) state: Vec<ShardState>,
+    pub(crate) books: Vec<ShardBook>,
     pub(crate) accepting: Vec<bool>,
-    /// Crashed shards ([`FleetCore::crash_shard`]): routing skips them and
-    /// `try_dispatch` refuses to launch batches on them until revived.
+    /// Crashed shards ([`Core::crash_shard`]): routing skips them and the
+    /// discipline launches nothing on them until revived.
     pub(crate) dead: Vec<bool>,
     /// Per-shard service-time multiplier (1.0 = healthy). Applied at
-    /// dispatch; [`FleetCore::set_slowdown`] also re-prices an in-flight
-    /// batch. Multiplying by exactly 1.0 is an IEEE identity, so healthy
-    /// runs stay bit-identical to the pre-failure-layer engine.
+    /// launch; [`Core::set_slowdown`] also re-prices in-flight work.
+    /// Multiplying by exactly 1.0 is an IEEE identity, so healthy runs
+    /// stay bit-identical to the pre-failure-layer engine.
     pub(crate) slowdown: Vec<f64>,
-    /// Requests that arrived while no shard was accepting (total outage).
-    /// The failure layer re-admits them when capacity returns; the
-    /// fixed-membership engines never park (they always accept).
+    /// Requests that arrived while no shard was accepting (total outage;
+    /// only a [`Discipline::PARKS`] core parks). The failure layer
+    /// re-admits them when capacity returns.
     pub(crate) parked: Vec<usize>,
     /// Requests permanently given up on by a client layer (timed out with
     /// an exhausted retry budget). Termination and conservation checks
     /// count `completed() + abandoned` against the trace length.
     pub(crate) abandoned: usize,
-    events: EventQueue<'a, Request>,
+    events: EventQueue<'a, D::Req>,
     rr_next: usize,
-    /// Scratch for the lengths of the batch being priced.
-    lengths: Vec<usize>,
+    /// Scratch for the lengths of the batch or iteration being priced.
+    pub(crate) lens: Vec<usize>,
+    /// Per-request completion time; NaN until the request completes (the
+    /// fleet charges it at dispatch).
     pub(crate) completion_s: Vec<f64>,
     /// Trace arrivals processed so far — the RNG-free, wall-clock-free
     /// observation stream predictive scaling policies consume (re-routed
     /// work is not re-counted).
     pub(crate) arrivals_seen: usize,
-    report: ReportBook,
-    /// Events popped off the queue (all modes; cheap counter for
-    /// events/second scaling benches).
+    pub(crate) report: ReportBook,
+    /// Events popped off the queue (cheap counter for events/second
+    /// scaling benches).
     pub(crate) events_processed: u64,
     /// Peak in-flight event population ([`EventQueue::in_flight`]),
     /// tracked engine-side because the workspace forbids a counting
     /// global allocator (`unsafe_code = "forbid"`).
     pub(crate) peak_heap_events: usize,
+    /// The batching discipline's own state.
+    pub(crate) disc: D,
+}
+
+impl<'a, D: Discipline> Core<'a, D> {
+    /// A core over inputs the caller already validated. Trace arrivals
+    /// are not queued up front: the [`EventQueue`] reads them from
+    /// `trace` as the run reaches them.
+    pub(crate) fn assemble(
+        designs: &'a [AcceleratorDesign],
+        trace: &'a [D::Req],
+        policy: SchedulingPolicy,
+        dispatch: DispatchPolicy,
+        accepting: Vec<bool>,
+        disc: D,
+    ) -> Self {
+        let n = designs.len();
+        Self {
+            designs,
+            trace,
+            policy,
+            dispatch,
+            books: (0..n).map(|_| ShardBook::default()).collect(),
+            accepting,
+            dead: vec![false; n],
+            slowdown: vec![1.0; n],
+            parked: Vec::new(),
+            abandoned: 0,
+            events: EventQueue::new(trace),
+            rr_next: 0,
+            lens: Vec::new(),
+            completion_s: vec![f64::NAN; trace.len()],
+            arrivals_seen: 0,
+            report: ReportBook::new(),
+            events_processed: 0,
+            peak_heap_events: 0,
+            disc,
+        }
+    }
+
+    /// Switches the report mode. Call before [`Core::run`]: under
+    /// [`ReportMode::Streaming`] the batch log is dropped, even inside
+    /// [`with_batch_log`], and latencies stream into the sketch as
+    /// completions pop, so memory stays bounded.
+    pub(crate) fn set_mode(&mut self, mode: ReportMode) {
+        self.report.mode = mode;
+        if mode == ReportMode::Streaming {
+            self.report.log = None;
+        }
+    }
+
+    /// Schedules a [`Controller::on_control`] callback at `time`.
+    pub(crate) fn schedule_control(&mut self, time: f64) {
+        self.events.push(time, EventKind::Control);
+    }
+
+    /// Schedules an arrival event for request `r` at `time` — the re-entry
+    /// path for client retries. The event is indistinguishable from a
+    /// trace arrival when it pops, so it re-counts in `arrivals_seen`
+    /// (a retry *is* offered load, and forecasters should see it).
+    pub(crate) fn schedule_arrival(&mut self, r: usize, time: f64) {
+        self.events.push(time, EventKind::Arrival(r));
+    }
+
+    /// Requests completed so far across the fleet.
+    pub(crate) fn completed(&self) -> usize {
+        self.books.iter().map(|b| b.completed).sum()
+    }
+
+    /// Every request completed or was given up on by the client layer.
+    pub(crate) fn finished(&self) -> bool {
+        self.completed() + self.abandoned == self.trace.len()
+    }
+
+    /// Whether shard `s` holds no work: nothing queued, in flight or
+    /// resident.
+    pub(crate) fn is_idle(&self, s: usize) -> bool {
+        let book = &self.books[s];
+        !book.busy && book.queue.is_empty() && self.disc.in_service(s) == 0
+    }
+
+    /// Σ backlog ([`Discipline::backlog`]) and busy time elapsed by `t`
+    /// over the shards of `range` — an autoscaler's readings of its
+    /// observation's `waiting` and `busy_elapsed`.
+    pub(crate) fn load_of(&self, range: Range<usize>, t: f64) -> (usize, f64) {
+        let books = &self.books[range.clone()];
+        let waiting = range
+            .zip(books)
+            .map(|(s, b)| self.disc.backlog(s, b.queue.len()))
+            .sum();
+        (waiting, busy_elapsed(books.iter(), t))
+    }
+
+    /// The shard [`route`] picks for request `r` among the `eligible`
+    /// ones, advancing `rr_next`.
+    fn pick(&self, r: usize, eligible: &[bool], rr_next: &mut usize) -> Option<usize> {
+        route(
+            self.dispatch,
+            self.designs,
+            &|i| eligible[i],
+            &|i| self.books[i].queue.len() + self.disc.in_service(i),
+            self.trace[r].route_len(),
+            rr_next,
+        )
+    }
+
+    /// Routes request `r` among accepting shards and queues it; returns
+    /// the destination shard. With no shard accepting (a total outage) a
+    /// parking discipline parks the request until the failure layer
+    /// re-admits it, and any other panics.
+    pub(crate) fn admit(&mut self, r: usize, now: f64) -> Option<usize> {
+        let mut rr_next = self.rr_next;
+        let s = self.pick(r, &self.accepting, &mut rr_next);
+        self.rr_next = rr_next;
+        match s {
+            Some(s) => self.books[s].enqueue(r, now),
+            None if D::PARKS => self.parked.push(r),
+            None => panic!("at least one accepting shard"),
+        }
+        s
+    }
+
+    /// Routes request `r` among the shards `eligible` marks, with the
+    /// caller's own round-robin cursor, and queues it — how
+    /// [`crate::disagg`] lands handoffs in the decode pool while
+    /// `accepting` keeps fresh arrivals in the prefill pool. `None` if no
+    /// shard is eligible.
+    pub(crate) fn admit_into(
+        &mut self,
+        r: usize,
+        now: f64,
+        eligible: &[bool],
+        rr_next: &mut usize,
+    ) -> Option<usize> {
+        let s = self.pick(r, eligible, rr_next)?;
+        self.books[s].enqueue(r, now);
+        Some(s)
+    }
+
+    /// Routes `requests` in order, then kicks every shard that received
+    /// one ([`route_then_kick`]) — how crash orphans, parked outage work
+    /// and shed or evicted work re-enter the fleet. With no shard
+    /// accepting, a parking discipline parks them again.
+    pub(crate) fn readmit(&mut self, requests: Vec<usize>, now: f64) {
+        route_then_kick(
+            self,
+            requests,
+            |core, r| core.admit(r, now),
+            |core, s| D::kick(core, s, now),
+        );
+    }
+
+    /// Takes shard `s`'s waiting queue, in order (ticking its books
+    /// first).
+    pub(crate) fn take_waiting(&mut self, s: usize, now: f64) -> Vec<usize> {
+        self.books[s].tick(now);
+        self.books[s].queue.drain(..).collect()
+    }
+
+    /// Charges shard `s` a batch or iteration of `size` launched at `now`
+    /// for `cost` seconds, logs it and schedules its completion; returns
+    /// the completion time.
+    pub(crate) fn launch(&mut self, s: usize, now: f64, cost: f64, size: usize) -> f64 {
+        let book = &mut self.books[s];
+        let done = book.launch(now, cost, size);
+        let epoch = book.epoch;
+        self.report.log_batch(BatchRecord {
+            shard: s,
+            start_s: now,
+            completion_s: done,
+            size,
+        });
+        self.events
+            .push(done, EventKind::Completion { shard: s, epoch });
+        done
+    }
+
+    /// Admits arrival `r` at `now` and notes its shard in `touched`.
+    fn arrive<C: Controller<D>>(
+        &mut self,
+        ctl: &mut C,
+        r: usize,
+        now: f64,
+        touched: &mut Vec<usize>,
+    ) {
+        self.arrivals_seen += 1;
+        ctl.on_arrival(self, r, now);
+        if let Some(s) = self.admit(r, now) {
+            if !touched.contains(&s) {
+                touched.push(s);
+            }
+        }
+    }
+
+    /// Runs the event loop to completion, calling `ctl`'s hooks.
+    pub(crate) fn run<C: Controller<D>>(&mut self, ctl: &mut C) {
+        // Shards an arrival burst queued work on; reused across bursts.
+        let mut touched = Vec::new();
+        loop {
+            self.peak_heap_events = self.peak_heap_events.max(self.events.in_flight());
+            let Some(ev) = self.events.pop() else { break };
+            self.events_processed += 1;
+            let now = ev.time;
+            match ev.kind {
+                EventKind::Arrival(r) => {
+                    // Admit ALL same-instant arrivals before any launch
+                    // decision, so a zero (or exactly-elapsed) window can't
+                    // split a simultaneous burst that the serial batcher
+                    // would have admitted into one batch, and a burst
+                    // fills decode slots instead of launching a singleton
+                    // iteration. Arrivals rank first among same-instant
+                    // events, so ties are contiguous in pop order.
+                    self.arrive(ctl, r, now, &mut touched);
+                    while let Some(next) = self.events.peek() {
+                        match next.kind {
+                            EventKind::Arrival(r2) if next.time == now => {
+                                self.events.pop();
+                                self.events_processed += 1;
+                                self.arrive(ctl, r2, now, &mut touched);
+                            }
+                            _ => break,
+                        }
+                    }
+                    for s in touched.drain(..) {
+                        D::kick(self, s, now);
+                    }
+                }
+                EventKind::Completion { shard: s, epoch } => {
+                    // Stale if the shard crashed or was re-priced after
+                    // this event was scheduled.
+                    if epoch == self.books[s].epoch {
+                        D::complete(self, ctl, s, now);
+                    }
+                }
+                EventKind::WindowClose { shard: s, head } => {
+                    // Stale if the head batch already dispatched (cap fill
+                    // or a busy shard draining past the window).
+                    let book = &mut self.books[s];
+                    if !book.busy && book.queue.front() == Some(&head) {
+                        book.tick(now);
+                        D::kick(self, s, now);
+                    }
+                }
+                EventKind::Control => ctl.on_control(self, now),
+            }
+        }
+    }
+
+    /// Crashes shard `s` at `now`: marks it dead and non-accepting, takes
+    /// its queue and aborts any in-flight work (the destroyed tail never
+    /// counts as busy time, and the epoch bump drops the scheduled
+    /// completion); the discipline then rolls back or truncates that work
+    /// ([`Discipline::crash`]). Returns every orphaned request for the
+    /// caller to re-admit elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard is already dead.
+    pub(crate) fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize> {
+        assert!(!self.dead[s], "shard crashed twice");
+        self.dead[s] = true;
+        self.accepting[s] = false;
+        let book = &mut self.books[s];
+        book.tick(now);
+        let mut orphans: Vec<usize> = book.queue.drain(..).collect();
+        let aborted = book.busy.then(|| book.abort(now));
+        D::crash(self, s, now, aborted, &mut orphans);
+        orphans
+    }
+
+    /// Brings a crashed shard back. Routing eligibility is the
+    /// controller's call ([`Controller::on_shard_up`]), not this
+    /// method's: a plain fleet rejoins immediately, an autoscaled one
+    /// relaunches through warm-up.
+    pub(crate) fn revive_shard(&mut self, s: usize) {
+        assert!(self.dead[s], "revived a live shard");
+        self.dead[s] = false;
+    }
+
+    /// Sets shard `s`'s service-time multiplier (straggler ×`factor`,
+    /// recovery back to 1.0). In-flight work is re-priced on the fly: its
+    /// unexecuted remainder is scaled by `factor / old`, the shard epoch
+    /// bumps so the stale completion event is dropped, and a new one is
+    /// scheduled at the re-priced completion time.
+    pub(crate) fn set_slowdown(&mut self, s: usize, factor: f64, now: f64) {
+        assert!(
+            factor > 0.0 && factor.is_finite(),
+            "slowdown factor must be positive and finite"
+        );
+        let old = self.slowdown[s];
+        self.slowdown[s] = factor;
+        let book = &mut self.books[s];
+        if factor == old || !book.busy {
+            return;
+        }
+        let delta = book.reprice(factor / old, now);
+        let (done, epoch) = (book.busy_until_s, book.epoch);
+        D::repriced(self, s, delta, done);
+        if let Some(rec) = self.report.last_of(s) {
+            rec.completion_s = done;
+        }
+        self.events
+            .push(done, EventKind::Completion { shard: s, epoch });
+    }
+
+    /// Removes request `r` from wherever it is waiting (parked or queued)
+    /// so a client layer can retry or abandon it. Returns `false` if the
+    /// request is not waiting: it already started
+    /// ([`Discipline::started`]) or was never admitted.
+    pub(crate) fn cancel_waiting(&mut self, r: usize, now: f64) -> bool {
+        if D::started(self, r) {
+            return false;
+        }
+        if let Some(i) = self.parked.iter().position(|&x| x == r) {
+            self.parked.remove(i);
+            return true;
+        }
+        for s in 0..self.books.len() {
+            let book = &mut self.books[s];
+            if let Some(i) = book.queue.iter().position(|&x| x == r) {
+                book.tick(now);
+                book.queue.remove(i);
+                D::dequeued(self, s, now);
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The fleet's batching discipline: a window-or-cap batcher per shard. A
+/// batch closes at the earlier of its head request's window expiry and
+/// the cap filling, runs on an idle shard, and completes all at once.
+pub(crate) struct Batcher {
+    cfg: BatcherConfig,
+    /// Per shard: request indices of the in-flight batch (empty while
+    /// idle). The failure layer needs the members, not just the count, to
+    /// re-route a crashed shard's batch.
+    inflight: Vec<Vec<usize>>,
+    /// Per shard: the head request a window-close event is already
+    /// scheduled for (request indices are unique, so this dedup is safe
+    /// for the run).
+    pub(crate) window_for: Vec<Option<usize>>,
+}
+
+/// The encoder fleet's core: [`simulate_fleet`] runs it with fixed
+/// membership, [`crate::autoscale::simulate_autoscale`] with runtime
+/// shard join/retire.
+pub(crate) type FleetCore<'a> = Core<'a, Batcher>;
+
+impl Discipline for Batcher {
+    type Req = Request;
+    const PARKS: bool = true;
+
+    fn in_service(&self, s: usize) -> usize {
+        self.inflight[s].len()
+    }
+
+    fn backlog(&self, _s: usize, queued: usize) -> usize {
+        queued
+    }
+
+    /// Dispatches the shard's next batch if one is ready (shard idle AND
+    /// cap full or window expired); otherwise schedules the window close.
+    fn kick(core: &mut FleetCore<'_>, s: usize, now: f64) {
+        let (cfg, book) = (&core.disc.cfg, &mut core.books[s]);
+        if core.dead[s] || book.busy || book.queue.is_empty() {
+            return;
+        }
+        let head = *book.queue.front().expect("non-empty queue");
+        let window_close = core.trace[head].arrival_s + cfg.batch_window_s;
+        if book.queue.len() >= cfg.max_batch || now >= window_close {
+            let take = cfg.max_batch.min(book.queue.len());
+            core.lens.clear();
+            core.lens
+                .extend(book.queue.iter().take(take).map(|&r| core.trace[r].len));
+            let service = book
+                .costs
+                .service_seconds(&core.designs[s], &core.lens, core.policy)
+                * core.slowdown[s];
+            let completion = core.launch(s, now, service, take);
+            let (book, inflight) = (&mut core.books[s], &mut core.disc.inflight[s]);
+            for _ in 0..take {
+                let r = book.queue.pop_front().expect("counted above");
+                core.completion_s[r] = completion;
+                inflight.push(r);
+            }
+            book.completed += take;
+            core.disc.window_for[s] = None;
+        } else if core.disc.window_for[s] != Some(head) {
+            core.disc.window_for[s] = Some(head);
+            core.events
+                .push(window_close, EventKind::WindowClose { shard: s, head });
+        }
+    }
+
+    /// Observes the batch's latencies, then re-dispatches the shard before
+    /// the controller's hook.
+    fn complete<C: Controller<Self>>(core: &mut FleetCore<'_>, ctl: &mut C, s: usize, now: f64) {
+        core.books[s].finish(now);
+        // Crash rollbacks never reach this point (stale epoch), so each
+        // completed request is observed exactly once, with the latency
+        // Exact reads from `completion_s`.
+        for &r in &core.disc.inflight[s] {
+            core.report.observe(now - core.trace[r].arrival_s);
+        }
+        core.report.end_at(now);
+        core.disc.inflight[s].clear();
+        Self::kick(core, s, now);
+        ctl.after_completion(core, s, now);
+    }
+
+    /// Rolls an aborted batch back out of the books entirely: completion
+    /// times back to NaN, `completed`, the batch counts and the log entry
+    /// undone. Its members join the orphans.
+    fn crash(
+        core: &mut FleetCore<'_>,
+        s: usize,
+        _now: f64,
+        aborted: Option<f64>,
+        orphans: &mut Vec<usize>,
+    ) {
+        core.disc.window_for[s] = None;
+        if aborted.is_some() {
+            let (book, inflight) = (&mut core.books[s], &mut core.disc.inflight[s]);
+            let take = inflight.len();
+            book.completed -= take;
+            book.batches -= 1;
+            book.batch_size_sum -= take;
+            for &r in inflight.iter() {
+                core.completion_s[r] = f64::NAN;
+            }
+            orphans.append(inflight);
+            core.report.unlog_last_of(s);
+        }
+    }
+
+    fn repriced(core: &mut FleetCore<'_>, s: usize, _delta: f64, done: f64) {
+        for &r in &core.disc.inflight[s] {
+            core.completion_s[r] = done;
+        }
+    }
+
+    /// Dispatched: its completion time is finite under charge-at-dispatch.
+    fn started(core: &FleetCore<'_>, r: usize) -> bool {
+        core.completion_s[r].is_finite()
+    }
+
+    /// The head (and so the window-close time) may have changed; let the
+    /// batcher reschedule for the new head.
+    fn dequeued(core: &mut FleetCore<'_>, s: usize, now: f64) {
+        core.disc.window_for[s] = None;
+        Self::kick(core, s, now);
+    }
 }
 
 impl<'a> FleetCore<'a> {
-    /// Validates the inputs. Trace arrivals are not queued up front: the
-    /// [`EventQueue`] reads them from `trace` as the run reaches them.
+    /// Validates the inputs and builds the core.
     ///
     /// # Panics
     ///
@@ -1155,209 +1651,18 @@ impl<'a> FleetCore<'a> {
         trace: &'a [Request],
         policy: SchedulingPolicy,
         dispatch: DispatchPolicy,
-        cfg: &'a BatcherConfig,
+        cfg: &BatcherConfig,
         accepting: Vec<bool>,
     ) -> Self {
         validate_run(shards.len(), trace, &accepting);
         assert!(cfg.max_batch > 0, "max_batch must be >= 1");
         assert!(cfg.batch_window_s >= 0.0, "negative batch window");
-
-        Self {
-            shards,
-            trace,
-            policy,
-            dispatch,
-            cfg,
-            state: (0..shards.len()).map(|_| ShardState::default()).collect(),
-            accepting,
-            dead: vec![false; shards.len()],
-            slowdown: vec![1.0; shards.len()],
-            parked: Vec::new(),
-            abandoned: 0,
-            events: EventQueue::new(trace),
-            rr_next: 0,
-            lengths: Vec::new(),
-            completion_s: vec![f64::NAN; trace.len()],
-            arrivals_seen: 0,
-            report: ReportBook::new(),
-            events_processed: 0,
-            peak_heap_events: 0,
-        }
-    }
-
-    /// Switches the report mode. Call before [`FleetCore::run`]: under
-    /// [`ReportMode::Streaming`] the batch log is dropped, even inside
-    /// [`with_batch_log`], and latencies stream into the sketch as
-    /// completions pop, so memory stays bounded.
-    pub(crate) fn set_mode(&mut self, mode: ReportMode) {
-        self.report.mode = mode;
-        if mode == ReportMode::Streaming {
-            self.report.log = None;
-        }
-    }
-
-    /// Schedules a [`FleetController::on_control`] callback at `time`.
-    pub(crate) fn schedule_control(&mut self, time: f64) {
-        self.events.push(time, EventKind::Control);
-    }
-
-    /// Requests completed so far across the fleet.
-    pub(crate) fn completed(&self) -> usize {
-        self.state.iter().map(|st| st.book.completed).sum()
-    }
-
-    /// Routes request `r` among accepting shards and queues it; returns
-    /// the destination shard, or `None` if no shard is accepting (total
-    /// outage), in which case the request is parked until the failure
-    /// layer re-admits it.
-    pub(crate) fn admit(&mut self, r: usize, now: f64) -> Option<usize> {
-        if !self.accepting.iter().any(|&a| a) {
-            self.parked.push(r);
-            return None;
-        }
-        let s = {
-            let accepting = &self.accepting;
-            let state = &self.state;
-            route(
-                self.dispatch,
-                self.shards,
-                &|i| accepting[i],
-                &|i| state[i].load(),
-                self.trace[r].len,
-                &mut self.rr_next,
-            )
+        let batcher = Batcher {
+            cfg: cfg.clone(),
+            inflight: vec![Vec::new(); shards.len()],
+            window_for: vec![None; shards.len()],
         };
-        self.state[s].book.enqueue(r, now);
-        Some(s)
-    }
-
-    /// Dispatches the shard's next batch if one is ready (shard idle AND
-    /// cap full or window expired); otherwise schedules the window close.
-    pub(crate) fn try_dispatch(&mut self, s: usize, now: f64) {
-        let st = &mut self.state[s];
-        if self.dead[s] || st.book.busy || st.book.queue.is_empty() {
-            return;
-        }
-        let head = *st.book.queue.front().expect("non-empty queue");
-        let window_close = self.trace[head].arrival_s + self.cfg.batch_window_s;
-        if st.book.queue.len() >= self.cfg.max_batch || now >= window_close {
-            let take = self.cfg.max_batch.min(st.book.queue.len());
-            self.lengths.clear();
-            self.lengths
-                .extend(st.book.queue.iter().take(take).map(|&r| self.trace[r].len));
-            let service =
-                st.book
-                    .costs
-                    .service_seconds(&self.shards[s], &self.lengths, self.policy)
-                    * self.slowdown[s];
-            let completion = st.book.launch(now, service, take);
-            for _ in 0..take {
-                let r = st.book.queue.pop_front().expect("counted above");
-                self.completion_s[r] = completion;
-                st.inflight.push(r);
-            }
-            st.book.completed += take;
-            st.window_scheduled_for = None;
-            let epoch = st.book.epoch;
-            self.report.log_batch(BatchRecord {
-                shard: s,
-                start_s: now,
-                completion_s: completion,
-                size: take,
-            });
-            self.events
-                .push(completion, EventKind::Completion { shard: s, epoch });
-        } else if st.window_scheduled_for != Some(head) {
-            st.window_scheduled_for = Some(head);
-            self.events
-                .push(window_close, EventKind::WindowClose { shard: s, head });
-        }
-    }
-
-    /// Routes `requests` in order, then dispatches on every shard that
-    /// received one ([`route_then_kick`]) — how crash orphans, parked
-    /// outage work and an evicting retire's queue re-enter the fleet.
-    /// With no shard accepting, the requests park again.
-    pub(crate) fn readmit(&mut self, requests: Vec<usize>, now: f64) {
-        route_then_kick(
-            self,
-            requests,
-            |core, r| core.admit(r, now),
-            |core, s| core.try_dispatch(s, now),
-        );
-    }
-
-    /// Runs the event loop to completion, calling `ctl`'s hooks.
-    pub(crate) fn run<C: FleetController>(&mut self, ctl: &mut C) {
-        // Shards an arrival burst queued work on; reused across bursts.
-        let mut touched = Vec::new();
-        loop {
-            self.peak_heap_events = self.peak_heap_events.max(self.events.in_flight());
-            let Some(ev) = self.events.pop() else { break };
-            self.events_processed += 1;
-            let now = ev.time;
-            match ev.kind {
-                EventKind::Arrival(r) => {
-                    // Admit ALL same-instant arrivals before any dispatch
-                    // decision, so a zero (or exactly-elapsed) window can't
-                    // split a simultaneous burst that the serial batcher
-                    // would have admitted into one batch. Arrivals rank
-                    // first among same-instant events, so ties are
-                    // contiguous in pop order.
-                    self.arrivals_seen += 1;
-                    if let Some(s) = self.admit(r, now) {
-                        touched.push(s);
-                    }
-                    while let Some(next) = self.events.peek() {
-                        match next.kind {
-                            EventKind::Arrival(r2) if next.time == now => {
-                                self.events.pop();
-                                self.events_processed += 1;
-                                self.arrivals_seen += 1;
-                                if let Some(s) = self.admit(r2, now) {
-                                    if !touched.contains(&s) {
-                                        touched.push(s);
-                                    }
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                    for s in touched.drain(..) {
-                        self.try_dispatch(s, now);
-                    }
-                }
-                EventKind::Completion { shard: s, epoch } => {
-                    // Stale if the shard crashed or was re-priced after
-                    // this event was scheduled.
-                    if epoch != self.state[s].book.epoch {
-                        continue;
-                    }
-                    self.state[s].book.finish(now);
-                    // Crash rollbacks never reach this point (stale
-                    // epoch), so each completed request is observed
-                    // exactly once, with the latency Exact reads from
-                    // `completion_s`.
-                    for &r in &self.state[s].inflight {
-                        self.report.observe(now - self.trace[r].arrival_s);
-                    }
-                    self.report.end_at(now);
-                    self.state[s].inflight.clear();
-                    self.try_dispatch(s, now);
-                    ctl.after_completion(self, s, now);
-                }
-                EventKind::WindowClose { shard: s, head } => {
-                    // Stale if the head batch already dispatched (cap fill
-                    // or a busy shard draining past the window).
-                    let book = &mut self.state[s].book;
-                    if !book.busy && book.queue.front() == Some(&head) {
-                        book.tick(now);
-                        self.try_dispatch(s, now);
-                    }
-                }
-                EventKind::Control => ctl.on_control(self, now),
-            }
-        }
+        Core::assemble(shards, trace, policy, dispatch, accepting, batcher)
     }
 
     /// Assembles the [`FleetReport`] after the queue drained
@@ -1367,132 +1672,12 @@ impl<'a> FleetCore<'a> {
     /// complete everything; the failure layer accounts for the shortfall
     /// through client dispositions instead.
     pub(crate) fn into_report(self) -> FleetReport {
-        let books = self.state.iter().map(|st| &st.book);
-        self.report
-            .into_report(self.trace, &self.completion_s, self.shards, books)
-    }
-}
-
-/// The fleet core under the failure layer's fault injector.
-impl FaultTarget for FleetCore<'_> {
-    fn schedule_control(&mut self, time: f64) {
-        FleetCore::schedule_control(self, time);
-    }
-
-    /// Crashes shard `s` at `now`: marks it dead and non-accepting, drains
-    /// its queue, and — if a batch was in flight — unwinds the
-    /// charge-at-dispatch bookkeeping (completion times back to NaN,
-    /// `completed`/`busy_time_s`/batch log rolled back) and bumps the
-    /// shard epoch so the scheduled completion event is dropped. Returns
-    /// every orphaned request (queued + in-flight) for the caller to
-    /// re-admit elsewhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard is already dead.
-    fn crash_shard(&mut self, s: usize, now: f64) -> Vec<usize> {
-        assert!(!self.dead[s], "shard crashed twice");
-        self.dead[s] = true;
-        self.accepting[s] = false;
-        let st = &mut self.state[s];
-        st.book.tick(now);
-        let mut orphans: Vec<usize> = st.book.queue.drain(..).collect();
-        st.window_scheduled_for = None;
-        if st.book.busy {
-            // Work a crash destroys never counts as busy time, and the
-            // rolled-back batch leaves the books entirely.
-            st.book.abort(now);
-            let take = st.inflight.len();
-            st.book.completed -= take;
-            st.book.batches -= 1;
-            st.book.batch_size_sum -= take;
-            for &r in &st.inflight {
-                self.completion_s[r] = f64::NAN;
-            }
-            orphans.append(&mut st.inflight);
-            self.report.unlog_last_of(s);
-        }
-        orphans
-    }
-
-    /// Brings a crashed shard back. Routing eligibility is the
-    /// controller's call ([`FleetController::on_shard_up`]), not this
-    /// method's: a plain fleet rejoins immediately, an autoscaled one
-    /// relaunches through warm-up.
-    fn revive_shard(&mut self, s: usize) {
-        assert!(self.dead[s], "revived a live shard");
-        self.dead[s] = false;
-    }
-
-    /// Sets shard `s`'s service-time multiplier (straggler ×`factor`,
-    /// recovery back to 1.0). An in-flight batch is re-priced on the fly:
-    /// its unexecuted remainder is scaled by `factor / old`, the shard
-    /// epoch bumps so the stale completion event is dropped, and a new one
-    /// is scheduled at the re-priced completion time.
-    fn set_slowdown(&mut self, s: usize, factor: f64, now: f64) {
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "slowdown factor must be positive and finite"
-        );
-        let old = self.slowdown[s];
-        self.slowdown[s] = factor;
-        let st = &mut self.state[s];
-        if factor == old || !st.book.busy {
-            return;
-        }
-        st.book.reprice(factor / old, now);
-        let (completion, epoch) = (st.book.busy_until_s, st.book.epoch);
-        for &r in &st.inflight {
-            self.completion_s[r] = completion;
-        }
-        if let Some(rec) = self.report.last_of(s) {
-            rec.completion_s = completion;
-        }
-        self.events
-            .push(completion, EventKind::Completion { shard: s, epoch });
-    }
-
-    /// Schedules an arrival event for request `r` at `time` — the re-entry
-    /// path for client retries. The event is indistinguishable from a
-    /// trace arrival when it pops, so it re-counts in `arrivals_seen`
-    /// (a retry *is* offered load, and forecasters should see it).
-    fn schedule_arrival(&mut self, r: usize, time: f64) {
-        self.events.push(time, EventKind::Arrival(r));
-    }
-
-    /// Removes request `r` from wherever it is waiting (parked or queued)
-    /// so a client layer can retry or abandon it. Returns `false` if the
-    /// request is not waiting — already dispatched (its completion time is
-    /// finite under charge-at-dispatch) or never admitted.
-    fn cancel_waiting(&mut self, r: usize, now: f64) -> bool {
-        if self.completion_s[r].is_finite() {
-            return false;
-        }
-        if let Some(i) = self.parked.iter().position(|&x| x == r) {
-            self.parked.remove(i);
-            return true;
-        }
-        for s in 0..self.state.len() {
-            let st = &mut self.state[s];
-            if let Some(i) = st.book.queue.iter().position(|&x| x == r) {
-                st.book.tick(now);
-                st.book.queue.remove(i);
-                // The head (and so the window-close time) may have
-                // changed; let try_dispatch reschedule for the new head.
-                st.window_scheduled_for = None;
-                self.try_dispatch(s, now);
-                return true;
-            }
-        }
-        false
-    }
-
-    fn arrival_s(&self, r: usize) -> f64 {
-        self.trace[r].arrival_s
-    }
-
-    fn abandoned(&mut self) -> &mut usize {
-        &mut self.abandoned
+        self.report.into_report(
+            self.trace,
+            &self.completion_s,
+            self.designs,
+            self.books.iter(),
+        )
     }
 }
 
@@ -1613,10 +1798,8 @@ pub fn simulate_fleet_instrumented(
 /// differ in how they measure per-shard load (`load(i)` = waiting +
 /// in-flight requests) and in which shards accept routed work
 /// (`accepting(i)`; the fixed-membership engines accept everywhere).
-///
-/// # Panics
-///
-/// Panics if no shard accepts.
+/// `None` when no shard accepts; round-robin then leaves `rr_next` one
+/// full lap on, so its position among the shards is unchanged.
 pub(crate) fn route(
     dispatch: DispatchPolicy,
     shards: &[AcceleratorDesign],
@@ -1624,37 +1807,28 @@ pub(crate) fn route(
     load: &dyn Fn(usize) -> usize,
     len: usize,
     rr_next: &mut usize,
-) -> usize {
+) -> Option<usize> {
+    let n = shards.len();
     match dispatch {
-        DispatchPolicy::RoundRobin => {
-            for _ in 0..shards.len() {
-                let s = *rr_next % shards.len();
-                *rr_next += 1;
-                if accepting(s) {
-                    return s;
-                }
-            }
-            panic!("at least one accepting shard")
-        }
-        DispatchPolicy::JoinShortestQueue => {
-            least_loaded(load, (0..shards.len()).filter(|&i| accepting(i)))
-        }
+        DispatchPolicy::RoundRobin => (0..n).find_map(|_| {
+            let s = *rr_next % n;
+            *rr_next += 1;
+            accepting(s).then_some(s)
+        }),
+        DispatchPolicy::JoinShortestQueue => least_loaded(load, (0..n).filter(|&i| accepting(i))),
         DispatchPolicy::LengthBinned => {
-            let target = (0..shards.len())
-                .filter(|&i| accepting(i))
-                .map(|i| shards[i].tuned_length())
+            let tuned = || {
+                (0..n)
+                    .filter(|&i| accepting(i))
+                    .map(|i| shards[i].tuned_length())
+            };
+            let target = tuned()
                 .filter(|&t| t >= len)
                 .min()
-                .unwrap_or_else(|| {
-                    (0..shards.len())
-                        .filter(|&i| accepting(i))
-                        .map(|i| shards[i].tuned_length())
-                        .max()
-                        .expect("at least one accepting shard")
-                });
+                .or_else(|| tuned().max())?;
             least_loaded(
                 load,
-                (0..shards.len()).filter(|&i| accepting(i) && shards[i].tuned_length() == target),
+                (0..n).filter(|&i| accepting(i) && shards[i].tuned_length() == target),
             )
         }
     }
@@ -1683,10 +1857,11 @@ pub(crate) fn route_then_kick<T>(
     }
 }
 
-fn least_loaded(load: &dyn Fn(usize) -> usize, candidates: impl Iterator<Item = usize>) -> usize {
-    candidates
-        .min_by_key(|&i| (load(i), i))
-        .expect("at least one candidate shard")
+fn least_loaded(
+    load: &dyn Fn(usize) -> usize,
+    candidates: impl Iterator<Item = usize>,
+) -> Option<usize> {
+    candidates.min_by_key(|&i| (load(i), i))
 }
 
 #[cfg(test)]
@@ -1710,21 +1885,23 @@ mod tests {
         vec![Request { arrival_s: at, len }; n]
     }
 
-    /// Round-robin scans one lap for an accepting shard, then panics
-    /// like the other policies instead of spinning forever.
+    /// With no shard accepting, every policy routes nowhere instead of
+    /// panicking; round-robin scans one lap, so its cursor ends a whole
+    /// lap on and keeps its position among the shards.
     #[test]
-    #[should_panic(expected = "at least one accepting shard")]
-    fn round_robin_with_no_accepting_shard_panics() {
+    fn no_accepting_shard_routes_nowhere() {
         let shards = homogeneous_fleet(&tiny_design(64), 3);
-        let mut rr_next = 0;
-        route(
-            DispatchPolicy::RoundRobin,
-            &shards,
-            &|_| false,
-            &|_| 0,
-            64,
-            &mut rr_next,
-        );
+        for dispatch in DispatchPolicy::ALL {
+            let mut rr_next = 1;
+            let s = route(dispatch, &shards, &|_| false, &|_| 0, 64, &mut rr_next);
+            assert_eq!(s, None, "{dispatch}");
+            let lap = if dispatch == DispatchPolicy::RoundRobin {
+                3
+            } else {
+                0
+            };
+            assert_eq!(rr_next, 1 + lap, "{dispatch}");
+        }
     }
 
     /// With some shard accepting, one lap lands where the unbounded scan
@@ -1741,7 +1918,7 @@ mod tests {
             64,
             &mut rr_next,
         );
-        assert_eq!((s, rr_next), (0, 9));
+        assert_eq!((s, rr_next), (Some(0), 9));
     }
 
     #[test]
