@@ -1248,7 +1248,7 @@ impl<R> Autoscaler<R> {
     /// runs with no control events at all, so the event stream is the
     /// plain engine's — which is what makes the min==max pins
     /// bit-for-bit.
-    fn run<D: Discipline>(&mut self, core: &mut Core<'_, D>)
+    fn drive<D: Discipline>(&mut self, core: &mut Core<'_, D>)
     where
         R: ScaleDown<D>,
     {
@@ -1340,7 +1340,7 @@ pub fn simulate_autoscale(
     let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
     let mut ctl = cfg.autoscaler(shards.len());
-    ctl.run(&mut core);
+    ctl.drive(&mut core);
 
     let latencies: Vec<f64> = core
         .completion_s
@@ -1597,7 +1597,7 @@ pub fn simulate_decode_autoscale(
         shards, trace, policy, dispatch, scheduler, decode_cfg, accepting,
     );
     let mut ctl = cfg.autoscaler(shards.len());
-    ctl.run(&mut core);
+    ctl.drive(&mut core);
     let decode = core.into_report();
 
     // Close the books on shards still committed at the end of the run.

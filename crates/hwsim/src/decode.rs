@@ -472,7 +472,7 @@ pub(crate) struct Slot {
     admit_seq: u64,
 }
 
-/// One shard's slots, beyond its [`ShardBook`].
+/// One shard's slots, beyond its [`ShardBook`](crate::fleet::ShardBook).
 #[derive(Default)]
 pub(crate) struct DecodeShard {
     pub(crate) resident: Vec<Slot>,

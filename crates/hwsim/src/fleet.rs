@@ -1170,9 +1170,10 @@ pub(crate) struct Core<'a, D: Discipline> {
     /// Per-request completion time; NaN until the request completes (the
     /// fleet charges it at dispatch).
     pub(crate) completion_s: Vec<f64>,
-    /// Trace arrivals processed so far — the RNG-free, wall-clock-free
-    /// observation stream predictive scaling policies consume (re-routed
-    /// work is not re-counted).
+    /// Arrival events processed so far — the RNG-free, wall-clock-free
+    /// observation stream predictive scaling policies consume. Client
+    /// retries re-count ([`Core::schedule_arrival`]); re-routed work
+    /// (crash orphans, shed or evicted requests) does not.
     pub(crate) arrivals_seen: usize,
     pub(crate) report: ReportBook,
     /// Events popped off the queue (cheap counter for events/second
