@@ -1886,6 +1886,22 @@ mod tests {
         vec![Request { arrival_s: at, len }; n]
     }
 
+    /// The mean sums the sample in its given order: summed in order,
+    /// `1e16 + 1.0` rounds back to `1e16` and the sample's sum is 1.0;
+    /// summed sorted it is 0.0. Reordering the sample (sorting it, or
+    /// selecting ranks in place) before the mean would move its bits.
+    #[test]
+    fn summarize_sample_means_in_input_order() {
+        let xs = vec![1e16, 1.0, -1e16, 1.0];
+        let mut sorted = xs.clone();
+        sorted.sort_by(f64::total_cmp);
+        assert_eq!(sorted.iter().sum::<f64>(), 0.0);
+        let (n, mean, pcts) = summarize_sample(xs);
+        assert_eq!(n, 4);
+        assert_eq!(mean.to_bits(), 0.25f64.to_bits());
+        assert_eq!(pcts, vec![1.0, 1e16, 1e16]);
+    }
+
     /// With no shard accepting, every policy routes nowhere instead of
     /// panicking; round-robin scans one lap, so its cursor ends a whole
     /// lap on and keeps its position among the shards.
