@@ -30,9 +30,9 @@
 /// How the plain fleet engine builds its report. The other engines
 /// (decode, disaggregated, autoscaled, failure) always report exactly.
 ///
-/// - [`ReportMode::Exact`] retains every per-request sample and computes
-///   nearest-rank percentiles over the sorted population — bit-identical
-///   to the historical reports, O(n) memory.
+/// - [`ReportMode::Exact`] retains every per-request sample and reads
+///   its nearest-rank order statistics by in-place selection — the bits a
+///   sort of the population would give, O(n) memory.
 /// - [`ReportMode::Streaming`] feeds each sample into a [`QuantileSketch`]
 ///   as it is produced and drops it, so a million-request trace runs in
 ///   bounded memory. Percentiles are within 2⁻⁷ relative of the exact

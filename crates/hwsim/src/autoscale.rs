@@ -132,11 +132,10 @@ use crate::decode::{
     DecodeConfig, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler, Slots,
 };
 use crate::fleet::{
-    Batcher, BatcherConfig, Controller, Core, Discipline, DispatchPolicy, FleetCore, FleetReport,
-    NullController, Request,
+    p95_mut, Batcher, BatcherConfig, Controller, Core, Discipline, DispatchPolicy, FleetCore,
+    FleetReport, NullController, Request,
 };
 use lat_core::pipeline::SchedulingPolicy;
-use lat_tensor::stats::percentile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
@@ -1392,7 +1391,7 @@ fn slo_phases<R>(
     let phases = edges
         .windows(2)
         .map(|w| {
-            let phase_lat: Vec<f64> = trace
+            let mut phase_lat: Vec<f64> = trace
                 .iter()
                 .zip(latencies)
                 .filter(|(r, _)| arrival_s(r) >= w[0] && arrival_s(r) < w[1])
@@ -1407,7 +1406,7 @@ fn slo_phases<R>(
                 } else {
                     phase_lat.iter().filter(|&&l| in_slo(l)).count() as f64 / phase_lat.len() as f64
                 },
-                p95_latency_s: percentile(&phase_lat, 0.95).unwrap_or(0.0),
+                p95_latency_s: p95_mut(&mut phase_lat).unwrap_or(0.0),
             }
         })
         .collect();

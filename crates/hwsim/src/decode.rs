@@ -114,12 +114,11 @@
 
 use crate::accelerator::AcceleratorDesign;
 use crate::fleet::{
-    summarize_sample, validate_run, Controller, Core, Discipline, DispatchPolicy, FleetReport,
-    NullController, RateProfile, TraceEvent,
+    p95_mut, summarize_sample, validate_run, Controller, Core, Discipline, DispatchPolicy,
+    FleetReport, NullController, RateProfile, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_tensor::rng::SplitMix64;
-use lat_tensor::stats::percentile;
 use lat_workloads::datasets::LengthSampler;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -898,14 +897,14 @@ impl DecodeCore<'_> {
         let finite_ttfts = d.ttft_s.iter().copied().filter(|t| t.is_finite());
         let (_, ttft_mean, ttft_pcts) = summarize_sample(finite_ttfts.collect());
         let high_ttft_p95_s = {
-            let high_ttfts: Vec<f64> = self
+            let mut high_ttfts: Vec<f64> = self
                 .trace
                 .iter()
                 .zip(&d.ttft_s)
                 .filter(|(r, t)| r.priority == Priority::High && t.is_finite())
                 .map(|(_, &t)| t)
                 .collect();
-            percentile(&high_ttfts, 0.95)
+            p95_mut(&mut high_ttfts)
         };
         let (_, _, itl_pcts) = summarize_sample(d.itl_gaps);
         let max_slots = d.cfg.max_slots;

@@ -106,11 +106,10 @@ use crate::decode::{
 };
 use crate::disagg::{combined_fleet, DisaggConfig, DisaggController, DisaggReport};
 use crate::fleet::{
-    Batcher, BatcherConfig, Controller, Core, Discipline, DispatchPolicy, FleetCore, FleetReport,
-    NullController, Request, TraceEvent,
+    p95_mut, Batcher, BatcherConfig, Controller, Core, Discipline, DispatchPolicy, FleetCore,
+    FleetReport, NullController, Request, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
-use lat_tensor::stats::percentile;
 use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -1182,7 +1181,7 @@ fn summarize_clients(
     }
     let phases = tallies
         .into_iter()
-        .map(|t| {
+        .map(|mut t| {
             let hi_eff = if t.hi.is_finite() {
                 t.hi
             } else {
@@ -1200,7 +1199,7 @@ fn summarize_clients(
                     t.slo_hits as f64 / t.arrivals as f64
                 },
                 goodput_seq_s: t.delivered as f64 / (hi_eff - t.lo).max(1e-12),
-                p95_latency_s: percentile(&t.latencies, 0.95).unwrap_or(0.0),
+                p95_latency_s: p95_mut(&mut t.latencies).unwrap_or(0.0),
                 scale_events: scale_events
                     .iter()
                     .filter(|e| e.time_s >= t.lo && e.time_s < t.hi)
@@ -1308,7 +1307,7 @@ fn reference_summary(
                 .filter(|(&a, _)| a >= lo && a < hi)
                 .map(|(_, o)| o)
                 .collect();
-            let completed_lat: Vec<f64> = in_phase
+            let mut completed_lat: Vec<f64> = in_phase
                 .iter()
                 .filter(|o| o.latency_s.is_finite())
                 .map(|o| o.latency_s)
@@ -1331,7 +1330,7 @@ fn reference_summary(
                         / in_phase.len() as f64
                 },
                 goodput_seq_s: delivered as f64 / (hi_eff - lo).max(1e-12),
-                p95_latency_s: percentile(&completed_lat, 0.95).unwrap_or(0.0),
+                p95_latency_s: p95_mut(&mut completed_lat).unwrap_or(0.0),
                 scale_events: scale_events
                     .iter()
                     .filter(|e| e.time_s >= lo && e.time_s < hi)

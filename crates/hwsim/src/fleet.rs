@@ -54,7 +54,7 @@ use lat_core::pipeline::SchedulingPolicy;
 use lat_core::sketch::QuantileSketch;
 pub use lat_core::sketch::ReportMode;
 use lat_tensor::rng::SplitMix64;
-use lat_tensor::stats::percentiles;
+use lat_tensor::stats::percentiles_mut;
 use lat_workloads::datasets::LengthSampler;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -868,16 +868,22 @@ pub(crate) fn busy_elapsed<'b>(books: impl Iterator<Item = &'b ShardBook>, t: f6
 
 /// Count, mean and p50/p95/p99 of one exact latency sample, all zero
 /// when empty. Takes the sample by value so it is freed here.
-pub(crate) fn summarize_sample(xs: Vec<f64>) -> (usize, f64, Vec<f64>) {
-    // One sort for all three percentiles (bit-identical to per-call
-    // `percentile`, which re-sorted the sample each time).
-    let pcts = percentiles(&xs, &[0.50, 0.95, 0.99]).unwrap_or_else(|| vec![0.0; 3]);
+pub(crate) fn summarize_sample(mut xs: Vec<f64>) -> (usize, f64, Vec<f64>) {
+    // The mean first: the sum's bits depend on the sample's order, which
+    // selecting the percentiles in place then scrambles (no copy, no sort).
     let mean = if xs.is_empty() {
         0.0
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     };
+    let pcts = percentiles_mut(&mut xs, &[0.50, 0.95, 0.99]).unwrap_or_else(|| vec![0.0; 3]);
     (xs.len(), mean, pcts)
+}
+
+/// 95th percentile of a sample the caller owns, read in place (`xs` is
+/// left reordered); `None` when empty.
+pub(crate) fn p95_mut(xs: &mut [f64]) -> Option<f64> {
+    percentiles_mut(xs, &[0.95]).and_then(|v| v.first().copied())
 }
 
 /// [`summarize_sample`] of the exact sample under [`ReportMode::Exact`]

@@ -1,6 +1,8 @@
 //! Small statistics helpers shared by the evaluation harnesses
 //! (summaries, percentiles, histograms for printed reports).
 
+use std::cmp::Reverse;
+
 /// Summary statistics of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -57,48 +59,78 @@ pub fn summarize(xs: &[f64]) -> Option<Summary> {
 }
 
 /// `p`-th percentile (0.0–1.0) by nearest-rank on a copy of the data;
-/// `None` for an empty slice. NaN-bearing input never panics: `total_cmp`
-/// sorts NaNs after `+inf`, so they only surface at the top percentiles.
+/// `None` for an empty slice. NaN-bearing input never panics: under
+/// `total_cmp` NaNs order after `+inf`, so they only surface at the top
+/// percentiles.
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1]`.
 pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&p), "percentile {p} outside [0,1]");
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    Some(rank(&sorted, p))
+    percentiles(xs, &[p]).and_then(|v| v.first().copied())
 }
 
-/// Several percentiles from a single sort — the report builders ask for
-/// p50/p95/p99 (and TTFT/ITL triples) of the same sample, and re-sorting
-/// per call dominated report construction. Each returned value is
-/// bit-identical to `percentile(xs, p)` for the corresponding `p`
-/// (same sort, same nearest-rank arithmetic); `None` for an empty slice.
+/// Several percentiles of one sample, read by [`percentiles_mut`] on a
+/// copy of the data. Each returned value is bit-identical to
+/// `percentile(xs, p)` for the corresponding `p`; `None` for an empty
+/// slice.
 ///
 /// # Panics
 ///
 /// Panics if any `p` is outside `[0, 1]`.
 pub fn percentiles(xs: &[f64], ps: &[f64]) -> Option<Vec<f64>> {
+    percentiles_mut(&mut xs.to_vec(), ps)
+}
+
+/// Nearest-rank percentiles of `xs`, read in place by selection rather
+/// than a sort: each `p` reads the order statistic at index
+/// `round((n−1)·p)` under `f64::total_cmp`, so the values are the bits a
+/// full sort would put there. `ps` may come in any order, repeats
+/// included; values return in `ps` order. `xs` is left reordered (a
+/// permutation of its input), which is why a caller that owns its
+/// sample and needs anything order-sensitive, such as a sum, takes that
+/// first. `None` for an empty slice.
+///
+/// The highest rank is selected first; every later (lower) rank lies
+/// left of the previous pivot, among values no greater than it, so each
+/// selection runs on that prefix only. O(n) time per rank; the only
+/// allocations are two of `ps.len()` entries.
+///
+/// # Panics
+///
+/// Panics if any `p` is outside `[0, 1]`.
+pub fn percentiles_mut(xs: &mut [f64], ps: &[f64]) -> Option<Vec<f64>> {
     for &p in ps {
         assert!((0.0..=1.0).contains(&p), "percentile {p} outside [0,1]");
     }
     if xs.is_empty() {
         return None;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    Some(ps.iter().map(|&p| rank(&sorted, p)).collect())
+    // (position in `ps`, rank index, value), highest rank first.
+    let mut ranks: Vec<(usize, usize, f64)> = ps
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (i, rank_index(xs.len(), p), 0.0))
+        .collect();
+    ranks.sort_unstable_by_key(|&(_, k, _)| Reverse(k));
+    let mut end = xs.len();
+    let mut pivot = 0.0;
+    for (_, k, v) in &mut ranks {
+        // A repeated rank equals the previous pivot, which no later
+        // selection moves.
+        if *k < end {
+            pivot = *xs[..end].select_nth_unstable_by(*k, f64::total_cmp).1;
+            end = *k;
+        }
+        *v = pivot;
+    }
+    ranks.sort_unstable_by_key(|&(i, _, _)| i);
+    Some(ranks.into_iter().map(|(_, _, v)| v).collect())
 }
 
-/// Nearest-rank lookup in already-sorted data (shared by [`percentile`]
-/// and [`percentiles`] so the two can never drift).
-fn rank(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
+/// Nearest-rank index of the `p`-th percentile in a sample of `n`.
+fn rank_index(n: usize, p: f64) -> usize {
+    ((n as f64 - 1.0) * p).round() as usize
 }
 
 /// Fixed-width histogram over `[lo, hi)` with `bins` buckets; values
@@ -205,6 +237,71 @@ mod tests {
     #[should_panic(expected = "outside [0,1]")]
     fn percentiles_range_checked() {
         let _ = percentiles(&[1.0], &[0.5, 1.5]);
+    }
+
+    /// One sample value: mostly the awkward ones (duplicates, signed
+    /// zeros, NaNs of both signs and a payload NaN, infinities,
+    /// subnormals), else any bit pattern.
+    fn awkward_f64((kind, bits): (u8, u64)) -> f64 {
+        match kind {
+            0 => (bits % 4) as f64,
+            1 => 0.0,
+            2 => -0.0,
+            3 => f64::NAN,
+            4 => -f64::NAN,
+            5 => f64::from_bits(0x7ff0_0000_0000_0001),
+            6 => f64::INFINITY,
+            7 => f64::NEG_INFINITY,
+            8 => f64::from_bits(bits % 16),
+            9 => -f64::from_bits(1 + bits % 0x000f_ffff_ffff_ffff),
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    /// One percentile: often the ends and the report's ranks, else any.
+    fn any_p((kind, p): (u8, f64)) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 0.5,
+            3 => 0.95,
+            4 => 0.99,
+            _ => p,
+        }
+    }
+
+    /// The sort this module used to read ranks from: copy, sort under
+    /// `total_cmp`, index at `round((n−1)·p)`.
+    fn sorted_reference(xs: &[f64], ps: &[f64]) -> Vec<f64> {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        ps.iter()
+            .map(|&p| sorted[((sorted.len() - 1) as f64 * p).round() as usize])
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn percentiles_mut_matches_a_full_sort_bit_for_bit(
+            raw in proptest::collection::vec((0u8..14, proptest::arbitrary::any::<u64>()), 1..=2000),
+            raw_ps in proptest::collection::vec((0u8..8, 0.0f64..1.0), 1..=12),
+        ) {
+            let xs: Vec<f64> = raw.into_iter().map(awkward_f64).collect();
+            let ps: Vec<f64> = raw_ps.into_iter().map(any_p).collect();
+            let mut selected = xs.clone();
+            let got = percentiles_mut(&mut selected, &ps).unwrap_or_default();
+            proptest::prop_assert_eq!(bits(&got), bits(&sorted_reference(&xs, &ps)), "ps {:?}", ps);
+            // Selection only reorders: the same multiset of bit patterns.
+            let (mut before, mut after) = (bits(&xs), bits(&selected));
+            before.sort_unstable();
+            after.sort_unstable();
+            proptest::prop_assert!(before == after, "xs is not a permutation of its input");
+        }
     }
 
     #[test]
