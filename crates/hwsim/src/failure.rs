@@ -1307,7 +1307,7 @@ fn reference_summary(
                 .filter(|(&a, _)| a >= lo && a < hi)
                 .map(|(_, o)| o)
                 .collect();
-            let mut completed_lat: Vec<f64> = in_phase
+            let completed_lat: Vec<f64> = in_phase
                 .iter()
                 .filter(|o| o.latency_s.is_finite())
                 .map(|o| o.latency_s)
@@ -1330,7 +1330,7 @@ fn reference_summary(
                         / in_phase.len() as f64
                 },
                 goodput_seq_s: delivered as f64 / (hi_eff - lo).max(1e-12),
-                p95_latency_s: p95_mut(&mut completed_lat).unwrap_or(0.0),
+                p95_latency_s: lat_tensor::stats::percentile(&completed_lat, 0.95).unwrap_or(0.0),
                 scale_events: scale_events
                     .iter()
                     .filter(|e| e.time_s >= lo && e.time_s < hi)
