@@ -37,8 +37,7 @@ use lat_core::pipeline::SchedulingPolicy;
 use lat_core::pool::Scheduler;
 use lat_hwsim::accelerator::AcceleratorDesign;
 use lat_hwsim::autoscale::{
-    simulate_decode_autoscale, DecodeAutoscaleConfig, DecodeAutoscaleReport, DecodeScaleDown,
-    ScalePolicy,
+    simulate_decode_autoscale, AutoscaleConfig, DecodeAutoscaleReport, DecodeScaleDown, ScalePolicy,
 };
 use lat_hwsim::decode::{
     nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeScheduler,
@@ -82,16 +81,16 @@ fn base_cfg(
     min: usize,
     initial: usize,
     bounds: Vec<f64>,
-) -> DecodeAutoscaleConfig {
-    DecodeAutoscaleConfig {
+) -> AutoscaleConfig<DecodeScaleDown> {
+    AutoscaleConfig {
         min_shards: min,
         initial_shards: initial,
         policy,
-        scale_down,
+        retire: scale_down,
         eval_interval_s: DECODE_AUTOSCALE_EVAL_INTERVAL_S,
         warmup_s: DECODE_AUTOSCALE_WARMUP_S,
         cooldown_s: DECODE_AUTOSCALE_COOLDOWN_S,
-        slo_ttft_s: DECODE_AUTOSCALE_SLO_TTFT_S,
+        slo_latency_s: DECODE_AUTOSCALE_SLO_TTFT_S,
         phase_bounds_s: bounds,
     }
 }
@@ -161,7 +160,7 @@ fn main() {
         max_slots: DECODE_AUTOSCALE_SLOTS,
         ttft_deadline_s: DECODE_TTFT_DEADLINE_S,
     };
-    let run = |shards: &[AcceleratorDesign], cfg: &DecodeAutoscaleConfig| {
+    let run = |shards: &[AcceleratorDesign], cfg: &AutoscaleConfig<DecodeScaleDown>| {
         simulate_decode_autoscale(
             shards,
             &trace,
@@ -198,7 +197,7 @@ fn main() {
     // against an 18 seq/s capacity) — the deployment-realistic initial
     // state; the diurnal swing still forces both scale directions.
     let initial = (DECODE_AUTOSCALE_MEAN_RATE / DECODE_AUTOSCALE_SHARD_CAPACITY).ceil() as usize;
-    let mut jobs: Vec<(usize, DecodeAutoscaleConfig)> = vec![(
+    let mut jobs: Vec<(usize, AutoscaleConfig<DecodeScaleDown>)> = vec![(
         DECODE_AUTOSCALE_MIN_SHARDS,
         base_cfg(
             ScalePolicy::Pinned,

@@ -70,8 +70,10 @@
 //! request is ever dropped, and a pinned `min == max` decode autoscaler
 //! reproduces [`crate::decode::simulate_decode`] bit-for-bit (same
 //! `DecodeCore` code path, zero control events). The fleet and decode
-//! autoscalers are one controller; each discipline supplies only its
-//! scale-down rule (`RetirePolicy` or `DecodeScaleDown`).
+//! autoscalers are one controller with one configuration,
+//! [`AutoscaleConfig<R>`](AutoscaleConfig): each discipline supplies only
+//! its scale-down rule `R` in the `retire` field ([`RetirePolicy`] or
+//! [`DecodeScaleDown`]), and decode scores `slo_latency_s` against TTFT.
 //!
 //! # Example
 //!
@@ -205,9 +207,12 @@ pub enum ScalePolicy {
 
 impl ScalePolicy {
     /// Panics unless the policy is well-formed for a fleet scaling
-    /// between `min_shards` and `max_shards` shards. Shared by the
-    /// request-level ([`AutoscaleConfig`]) and decode
-    /// ([`DecodeAutoscaleConfig`]) configurations.
+    /// between `min_shards` and `max_shards` shards. Shared by
+    /// [`AutoscaleConfig`] (fleet and decode) and each pool of
+    /// [`crate::disagg::DisaggAutoscaleConfig`]. A scheduled table must
+    /// be non-empty, sorted by strictly increasing, finite start times,
+    /// and hold counts inside the envelope: a phase starting at NaN or
+    /// +∞ would never apply.
     pub(crate) fn validate(&self, min_shards: usize, max_shards: usize) {
         match self {
             ScalePolicy::Pinned => {}
@@ -226,6 +231,10 @@ impl ScalePolicy {
                 assert!(
                     !table.is_empty(),
                     "scheduled table needs at least one phase"
+                );
+                assert!(
+                    table.iter().all(|p| p.start_s.is_finite()),
+                    "scheduled phase start times must be finite"
                 );
                 assert!(
                     table.windows(2).all(|w| w[0].start_s < w[1].start_s),
@@ -569,27 +578,34 @@ impl fmt::Display for RetirePolicy {
     }
 }
 
-/// Parameters of the autoscaling layer. The maximum shard count is the
-/// length of the design slice handed to [`simulate_autoscale`].
+/// Parameters of the autoscaling layer, generic over the scale-down rule
+/// `R`: [`RetirePolicy`] for the encoder fleet ([`simulate_autoscale`]),
+/// [`DecodeScaleDown`] for the decode engine
+/// ([`simulate_decode_autoscale`]). The maximum shard count is the length
+/// of the design slice handed to the entry point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AutoscaleConfig {
+pub struct AutoscaleConfig<R = RetirePolicy> {
     /// Floor on committed (active + warming) shards; never retires below.
     pub min_shards: usize,
     /// Shards active at `t = 0` (already warm).
     pub initial_shards: usize,
     /// Scaling decision rule.
     pub policy: ScalePolicy,
-    /// Eviction-vs-drain semantics of scale-down.
-    pub retire: RetirePolicy,
+    /// Scale-down rule: what a retiring shard does with its queued work
+    /// ([`RetirePolicy`]) or with its KV residents ([`DecodeScaleDown`]).
+    pub retire: R,
     /// Controller sampling period in seconds.
     pub eval_interval_s: f64,
     /// Weight-streaming delay between launching a shard and it joining
     /// dispatch; the shard is paid for but admits no work while warming.
     pub warmup_s: f64,
     /// Minimum time between scaling actions of the feedback policies
-    /// (reactive / utilization-target); scheduled tables ignore it.
+    /// (reactive / utilization-target); scheduled and predictive policies
+    /// ignore it.
     pub cooldown_s: f64,
-    /// End-to-end latency SLO used for attainment reporting.
+    /// Latency SLO used for attainment reporting: end-to-end latency for
+    /// the fleet, time to first token (the user-facing target of
+    /// generative serving) for decode.
     pub slo_latency_s: f64,
     /// Ascending arrival-time boundaries splitting the trace into
     /// reporting phases (empty = one phase). Purely observational.
@@ -615,58 +631,96 @@ impl Default for AutoscaleConfig {
     }
 }
 
-impl AutoscaleConfig {
-    /// Panics unless the configuration is well-formed for a fleet of
-    /// `max_shards` designs.
-    pub fn validate(&self, max_shards: usize) {
-        validate_scaling(
-            max_shards,
-            self.min_shards,
-            self.initial_shards,
-            self.eval_interval_s,
-            self.warmup_s,
-            self.cooldown_s,
-            (self.slo_latency_s > 0.0, "SLO latency must be positive"),
-            &self.phase_bounds_s,
-            &self.policy,
-        );
+impl Default for AutoscaleConfig<DecodeScaleDown> {
+    fn default() -> Self {
+        Self {
+            min_shards: 1,
+            initial_shards: 1,
+            policy: ScalePolicy::Reactive {
+                scale_up_depth: 8.0,
+                scale_down_depth: 1.0,
+            },
+            retire: DecodeScaleDown::Drain,
+            eval_interval_s: 0.2,
+            warmup_s: 0.3,
+            cooldown_s: 0.4,
+            slo_latency_s: 0.25,
+            phase_bounds_s: Vec::new(),
+        }
     }
 }
 
-/// The checks of [`AutoscaleConfig::validate`] and
-/// [`DecodeAutoscaleConfig::validate`], in order; `slo` is the one that
-/// differs (its condition and panic message).
-#[allow(clippy::too_many_arguments)]
-fn validate_scaling(
-    max_shards: usize,
+impl<R: Copy> AutoscaleConfig<R> {
+    /// Panics unless the configuration is well-formed for a fleet of
+    /// `max_shards` designs.
+    pub fn validate(&self, max_shards: usize) {
+        validate_envelope("fleet", self.min_shards, self.initial_shards, max_shards);
+        validate_timing(self.eval_interval_s, self.warmup_s, self.cooldown_s);
+        assert!(self.slo_latency_s > 0.0, "SLO latency must be positive");
+        let bounds = &self.phase_bounds_s;
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1])
+                && bounds.iter().all(|b| b.is_finite() && *b > 0.0),
+            "phase bounds must be ascending, positive and finite"
+        );
+        self.policy.validate(self.min_shards, max_shards);
+    }
+
+    /// The start-up path of every autoscaled entry point: checks the
+    /// fleet of `n_shards` and this configuration (before any input check
+    /// of the core), then returns the [`Autoscaler`] and the core's
+    /// initial `accepting` mask, where the first `initial_shards` shards
+    /// start warm.
+    pub(crate) fn autoscaler(&self, n_shards: usize) -> (Autoscaler<R>, Vec<bool>) {
+        assert!(n_shards > 0, "fleet needs at least one shard");
+        self.validate(n_shards);
+        let ctl = Autoscaler {
+            rule: self.retire,
+            pool: ShardPool::new(
+                0..n_shards,
+                self.min_shards,
+                self.initial_shards,
+                &self.policy,
+                self.eval_interval_s,
+                self.warmup_s,
+                self.cooldown_s,
+            ),
+            ticker: Ticker::new(self.eval_interval_s),
+            pinned: matches!(self.policy, ScalePolicy::Pinned),
+            migrations: 0,
+        };
+        let accepting = (0..n_shards).map(|s| s < self.initial_shards).collect();
+        (ctl, accepting)
+    }
+}
+
+/// Panics unless `initial_shards` lies in `[min_shards, max_shards]` with
+/// `min_shards >= 1`; `scope` names what scales (the fleet, or one pool of
+/// [`crate::disagg::DisaggAutoscaleConfig`]).
+pub(crate) fn validate_envelope(
+    scope: &str,
     min_shards: usize,
     initial_shards: usize,
-    eval_interval_s: f64,
-    warmup_s: f64,
-    cooldown_s: f64,
-    (slo_ok, slo_msg): (bool, &str),
-    phase_bounds_s: &[f64],
-    policy: &ScalePolicy,
+    max_shards: usize,
 ) {
-    assert!(min_shards >= 1, "min_shards must be >= 1");
+    assert!(min_shards >= 1, "{scope} min_shards must be >= 1");
     assert!(
         min_shards <= max_shards,
-        "min_shards exceeds the fleet size"
+        "min_shards exceeds the {scope} size"
     );
     assert!(
         (min_shards..=max_shards).contains(&initial_shards),
-        "initial_shards outside [min_shards, fleet size]"
+        "initial_shards outside [min_shards, {scope} size]"
     );
+}
+
+/// Panics unless the controller timing shared by every autoscaling
+/// config is well-formed: a positive evaluation interval, and a warm-up
+/// and a cooldown that are not negative (nor NaN).
+pub(crate) fn validate_timing(eval_interval_s: f64, warmup_s: f64, cooldown_s: f64) {
     assert!(eval_interval_s > 0.0, "eval interval must be positive");
     assert!(warmup_s >= 0.0, "negative warm-up");
     assert!(cooldown_s >= 0.0, "negative cooldown");
-    assert!(slo_ok, "{slo_msg}");
-    assert!(
-        phase_bounds_s.windows(2).all(|w| w[0] < w[1])
-            && phase_bounds_s.iter().all(|b| b.is_finite() && *b > 0.0),
-        "phase bounds must be ascending, positive and finite"
-    );
-    policy.validate(min_shards, max_shards);
 }
 
 /// What a [`ScaleEvent`] records.
@@ -1212,37 +1266,6 @@ pub(crate) struct Autoscaler<R> {
 }
 
 impl<R> Autoscaler<R> {
-    /// An autoscaler over shards `0..max_shards` with the scaling
-    /// envelope shared by [`AutoscaleConfig`] and
-    /// [`DecodeAutoscaleConfig`].
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        rule: R,
-        max_shards: usize,
-        min_shards: usize,
-        initial_shards: usize,
-        policy: &ScalePolicy,
-        eval_interval_s: f64,
-        warmup_s: f64,
-        cooldown_s: f64,
-    ) -> Self {
-        Self {
-            rule,
-            pool: ShardPool::new(
-                0..max_shards,
-                min_shards,
-                initial_shards,
-                policy,
-                eval_interval_s,
-                warmup_s,
-                cooldown_s,
-            ),
-            ticker: Ticker::new(eval_interval_s),
-            pinned: matches!(policy, ScalePolicy::Pinned),
-            migrations: 0,
-        }
-    }
-
     /// Runs `core` to the end under this autoscaler. A pinned policy
     /// runs with no control events at all, so the event stream is the
     /// plain engine's — which is what makes the min==max pins
@@ -1299,22 +1322,6 @@ impl<D: Discipline, R: ScaleDown<D>> Controller<D> for Autoscaler<R> {
     }
 }
 
-impl AutoscaleConfig {
-    /// The [`Autoscaler`] this configuration describes over `max_shards`.
-    pub(crate) fn autoscaler(&self, max_shards: usize) -> Autoscaler<RetirePolicy> {
-        Autoscaler::new(
-            self.retire,
-            max_shards,
-            self.min_shards,
-            self.initial_shards,
-            &self.policy,
-            self.eval_interval_s,
-            self.warmup_s,
-            self.cooldown_s,
-        )
-    }
-}
-
 /// Simulates `trace` over a fleet of up to `shards.len()` shards whose
 /// membership the autoscaling controller drives at runtime; batching,
 /// dispatch and the cost model are exactly [`simulate_fleet`](crate::fleet::simulate_fleet)'s.
@@ -1334,11 +1341,8 @@ pub fn simulate_autoscale(
     batcher: &BatcherConfig,
     cfg: &AutoscaleConfig,
 ) -> AutoscaleReport {
-    assert!(!shards.is_empty(), "fleet needs at least one shard");
-    cfg.validate(shards.len());
-    let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
+    let (mut ctl, accepting) = cfg.autoscaler(shards.len());
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
-    let mut ctl = cfg.autoscaler(shards.len());
     ctl.drive(&mut core);
 
     let latencies: Vec<f64> = core
@@ -1440,72 +1444,6 @@ impl fmt::Display for DecodeScaleDown {
     }
 }
 
-/// Parameters of the decode autoscaling layer; the maximum shard count is
-/// the length of the design slice handed to [`simulate_decode_autoscale`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecodeAutoscaleConfig {
-    /// Floor on committed (active + warming) shards; never retires below.
-    pub min_shards: usize,
-    /// Shards active at `t = 0` (already warm).
-    pub initial_shards: usize,
-    /// Scaling decision rule (shared with the request-level autoscaler).
-    pub policy: ScalePolicy,
-    /// What scale-down does with a retiring shard's KV residents.
-    pub scale_down: DecodeScaleDown,
-    /// Controller sampling period in seconds.
-    pub eval_interval_s: f64,
-    /// Weight-streaming delay between launching a shard and it joining
-    /// dispatch; the shard is paid for but admits no work while warming.
-    pub warmup_s: f64,
-    /// Minimum time between scaling actions of the feedback policies
-    /// (reactive / utilization-target); scheduled and predictive policies
-    /// ignore it.
-    pub cooldown_s: f64,
-    /// Time-to-first-token SLO used for attainment reporting (the
-    /// user-facing latency target of generative serving).
-    pub slo_ttft_s: f64,
-    /// Ascending arrival-time boundaries splitting the trace into
-    /// reporting phases (empty = one phase). Purely observational.
-    pub phase_bounds_s: Vec<f64>,
-}
-
-impl Default for DecodeAutoscaleConfig {
-    fn default() -> Self {
-        Self {
-            min_shards: 1,
-            initial_shards: 1,
-            policy: ScalePolicy::Reactive {
-                scale_up_depth: 8.0,
-                scale_down_depth: 1.0,
-            },
-            scale_down: DecodeScaleDown::Drain,
-            eval_interval_s: 0.2,
-            warmup_s: 0.3,
-            cooldown_s: 0.4,
-            slo_ttft_s: 0.25,
-            phase_bounds_s: Vec::new(),
-        }
-    }
-}
-
-impl DecodeAutoscaleConfig {
-    /// Panics unless the configuration is well-formed for a fleet of
-    /// `max_shards` designs.
-    pub fn validate(&self, max_shards: usize) {
-        validate_scaling(
-            max_shards,
-            self.min_shards,
-            self.initial_shards,
-            self.eval_interval_s,
-            self.warmup_s,
-            self.cooldown_s,
-            (self.slo_ttft_s > 0.0, "TTFT SLO must be positive"),
-            &self.phase_bounds_s,
-            &self.policy,
-        );
-    }
-}
-
 /// TTFT SLO attainment over one reporting phase of a decode trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecodePhaseSlo {
@@ -1539,7 +1477,7 @@ pub struct DecodeAutoscaleReport {
     pub peak_active_shards: usize,
     /// Every scaling action in time order (empty for a pinned policy).
     pub scale_events: Vec<ScaleEvent>,
-    /// Fraction of all requests whose TTFT met `slo_ttft_s`.
+    /// Fraction of all requests whose TTFT met `slo_latency_s`.
     pub slo_attainment: f64,
     /// Per-phase TTFT SLO attainment along `phase_bounds_s`.
     pub phases: Vec<DecodePhaseSlo>,
@@ -1549,22 +1487,6 @@ pub struct DecodeAutoscaleReport {
     /// migration whose re-admission ran) — the cost migrating KV state
     /// adds on top of drain.
     pub re_prefills: usize,
-}
-
-impl DecodeAutoscaleConfig {
-    /// The [`Autoscaler`] this configuration describes over `max_shards`.
-    fn autoscaler(&self, max_shards: usize) -> Autoscaler<DecodeScaleDown> {
-        Autoscaler::new(
-            self.scale_down,
-            max_shards,
-            self.min_shards,
-            self.initial_shards,
-            &self.policy,
-            self.eval_interval_s,
-            self.warmup_s,
-            self.cooldown_s,
-        )
-    }
 }
 
 /// Simulates a decode `trace` over a fleet of up to `shards.len()` shards
@@ -1579,7 +1501,7 @@ impl DecodeAutoscaleConfig {
 /// # Panics
 ///
 /// Panics on the [`crate::decode::simulate_decode`] input errors or a
-/// malformed [`DecodeAutoscaleConfig`].
+/// malformed [`AutoscaleConfig`] (see [`AutoscaleConfig::validate`]).
 pub fn simulate_decode_autoscale(
     shards: &[AcceleratorDesign],
     trace: &[DecodeRequest],
@@ -1587,15 +1509,12 @@ pub fn simulate_decode_autoscale(
     dispatch: DispatchPolicy,
     scheduler: DecodeScheduler,
     decode_cfg: &DecodeConfig,
-    cfg: &DecodeAutoscaleConfig,
+    cfg: &AutoscaleConfig<DecodeScaleDown>,
 ) -> DecodeAutoscaleReport {
-    assert!(!shards.is_empty(), "fleet needs at least one shard");
-    cfg.validate(shards.len());
-    let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
+    let (mut ctl, accepting) = cfg.autoscaler(shards.len());
     let mut core = DecodeCore::new(
         shards, trace, policy, dispatch, scheduler, decode_cfg, accepting,
     );
-    let mut ctl = cfg.autoscaler(shards.len());
     ctl.drive(&mut core);
     let decode = core.into_report();
 
@@ -1607,7 +1526,7 @@ pub fn simulate_decode_autoscale(
         trace,
         |r| r.arrival_s,
         &ttfts,
-        cfg.slo_ttft_s,
+        cfg.slo_latency_s,
         &cfg.phase_bounds_s,
     );
     let phases = phases
@@ -2161,8 +2080,8 @@ mod tests {
         )
     }
 
-    fn decode_reactive_cfg(min: usize, initial: usize) -> DecodeAutoscaleConfig {
-        DecodeAutoscaleConfig {
+    fn decode_reactive_cfg(min: usize, initial: usize) -> AutoscaleConfig<DecodeScaleDown> {
+        AutoscaleConfig {
             min_shards: min,
             initial_shards: initial,
             policy: ScalePolicy::Reactive {
@@ -2172,7 +2091,7 @@ mod tests {
             eval_interval_s: 0.002,
             warmup_s: 0.004,
             cooldown_s: 0.0,
-            ..DecodeAutoscaleConfig::default()
+            ..AutoscaleConfig::default()
         }
     }
 
@@ -2180,7 +2099,7 @@ mod tests {
     fn run_decode_auto(
         trace: &[DecodeRequest],
         fleet: &[AcceleratorDesign],
-        cfg: &DecodeAutoscaleConfig,
+        cfg: &AutoscaleConfig<DecodeScaleDown>,
         scheduler: DecodeScheduler,
     ) -> DecodeAutoscaleReport {
         with_batch_log(|| {
@@ -2215,11 +2134,11 @@ mod tests {
                 DispatchPolicy::JoinShortestQueue,
                 DecodeScheduler::ContinuousPreempt,
                 &decode_cfg,
-                &DecodeAutoscaleConfig {
+                &AutoscaleConfig {
                     min_shards: 3,
                     initial_shards: 3,
                     policy: ScalePolicy::Pinned,
-                    ..DecodeAutoscaleConfig::default()
+                    ..AutoscaleConfig::default()
                 },
             )
         });
@@ -2249,8 +2168,8 @@ mod tests {
             let r = run_decode_auto(
                 &trace,
                 &fleet,
-                &DecodeAutoscaleConfig {
-                    scale_down,
+                &AutoscaleConfig {
+                    retire: scale_down,
                     ..decode_reactive_cfg(1, 1)
                 },
                 DecodeScheduler::Continuous,
@@ -2284,18 +2203,18 @@ mod tests {
         // preemptions out of the count.
         let fleet = homogeneous_fleet(&tiny_design(64), 3);
         let trace = decode_burst_trace(800, 11);
-        let cfg = DecodeAutoscaleConfig {
+        let cfg = AutoscaleConfig {
             min_shards: 1,
             initial_shards: 3,
             policy: ScalePolicy::Scheduled(vec![SchedulePhase {
                 start_s: 0.104, // mid-burst backlog: residents in flight
                 shards: 1,
             }]),
-            scale_down: DecodeScaleDown::Migrate,
+            retire: DecodeScaleDown::Migrate,
             eval_interval_s: 0.002,
             warmup_s: 0.004,
             cooldown_s: 0.0,
-            ..DecodeAutoscaleConfig::default()
+            ..AutoscaleConfig::default()
         };
         let r = run_decode_auto(&trace, &fleet, &cfg, DecodeScheduler::Continuous);
         assert_eq!(r.decode.fleet.completed, 800);
@@ -2346,18 +2265,18 @@ mod tests {
                 max_slots: 2,
                 ttft_deadline_s: 0.25,
             },
-            &DecodeAutoscaleConfig {
+            &AutoscaleConfig {
                 min_shards: 1,
                 initial_shards: 2,
                 policy: ScalePolicy::Scheduled(vec![SchedulePhase {
                     start_s: 1e-4, // lands mid-batch, after the out=1 members finished
                     shards: 1,
                 }]),
-                scale_down: DecodeScaleDown::Migrate,
+                retire: DecodeScaleDown::Migrate,
                 eval_interval_s: 1e-4,
                 warmup_s: 0.001,
                 cooldown_s: 0.0,
-                ..DecodeAutoscaleConfig::default()
+                ..AutoscaleConfig::default()
             },
         );
         assert_eq!(r.decode.fleet.completed, 4);
@@ -2380,18 +2299,18 @@ mod tests {
     fn decode_drain_retires_without_re_prefills() {
         let fleet = homogeneous_fleet(&tiny_design(64), 3);
         let trace = decode_burst_trace(800, 13);
-        let cfg = DecodeAutoscaleConfig {
+        let cfg = AutoscaleConfig {
             min_shards: 1,
             initial_shards: 3,
             policy: ScalePolicy::Scheduled(vec![SchedulePhase {
                 start_s: 0.104,
                 shards: 1,
             }]),
-            scale_down: DecodeScaleDown::Drain,
+            retire: DecodeScaleDown::Drain,
             eval_interval_s: 0.002,
             warmup_s: 0.004,
             cooldown_s: 0.0,
-            ..DecodeAutoscaleConfig::default()
+            ..AutoscaleConfig::default()
         };
         let r = run_decode_auto(&trace, &fleet, &cfg, DecodeScheduler::Continuous);
         assert_eq!(r.decode.fleet.completed, 800);
@@ -2474,7 +2393,7 @@ mod tests {
         // (the satellite pin: no wall-clock reads in the estimator).
         let fleet = homogeneous_fleet(&tiny_design(64), 4);
         let trace = decode_burst_trace(600, 21);
-        let cfg = DecodeAutoscaleConfig {
+        let cfg = AutoscaleConfig {
             min_shards: 1,
             initial_shards: 1,
             policy: ScalePolicy::Predictive {
@@ -2483,11 +2402,11 @@ mod tests {
                 alpha: 0.4,
                 period_s: Some(0.5),
             },
-            scale_down: DecodeScaleDown::Migrate,
+            retire: DecodeScaleDown::Migrate,
             eval_interval_s: 0.002,
             warmup_s: 0.004,
             cooldown_s: 0.0,
-            ..DecodeAutoscaleConfig::default()
+            ..AutoscaleConfig::default()
         };
         let go = || run_decode_auto(&trace, &fleet, &cfg, DecodeScheduler::ContinuousPreempt);
         assert_eq!(go(), go());
@@ -2501,10 +2420,10 @@ mod tests {
         let _ = run_decode_auto(
             &trace,
             &fleet,
-            &DecodeAutoscaleConfig {
+            &AutoscaleConfig {
                 min_shards: 2,
                 initial_shards: 1,
-                ..DecodeAutoscaleConfig::default()
+                ..AutoscaleConfig::default()
             },
             DecodeScheduler::Continuous,
         );
@@ -2552,5 +2471,25 @@ mod tests {
                 ..AutoscaleConfig::default()
             },
         );
+    }
+
+    /// A one-phase table starting at `start_s`.
+    fn one_phase_schedule(start_s: f64) -> AutoscaleConfig {
+        AutoscaleConfig {
+            policy: ScalePolicy::Scheduled(vec![SchedulePhase { start_s, shards: 2 }]),
+            ..AutoscaleConfig::default()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "start times must be finite")]
+    fn scheduled_nan_start_rejected() {
+        one_phase_schedule(f64::NAN).validate(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "start times must be finite")]
+    fn scheduled_infinite_start_rejected() {
+        one_phase_schedule(f64::INFINITY).validate(2);
     }
 }

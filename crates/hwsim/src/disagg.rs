@@ -75,7 +75,9 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::autoscale::{PoolHost, ScaleEvent, ScalePolicy, ShardPool, Ticker};
+use crate::autoscale::{
+    validate_envelope, validate_timing, PoolHost, ScaleEvent, ScalePolicy, ShardPool, Ticker,
+};
 use crate::decode::{
     DecodeConfig, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler, KvTransfer, Slots,
 };
@@ -624,24 +626,14 @@ impl DisaggAutoscaleConfig {
     /// Panics unless the configuration is well-formed for the given pool
     /// ceilings.
     pub fn validate(&self, max_prefill: usize, max_decode: usize) {
-        for (pool, max, name) in [
-            (&self.prefill, max_prefill, "prefill"),
-            (&self.decode, max_decode, "decode"),
+        for (pool, max, scope) in [
+            (&self.prefill, max_prefill, "prefill pool"),
+            (&self.decode, max_decode, "decode pool"),
         ] {
-            assert!(pool.min_shards >= 1, "{name} pool min_shards must be >= 1");
-            assert!(
-                pool.min_shards <= max,
-                "{name} pool min_shards exceeds the pool size"
-            );
-            assert!(
-                (pool.min_shards..=max).contains(&pool.initial_shards),
-                "{name} pool initial_shards outside [min_shards, pool size]"
-            );
+            validate_envelope(scope, pool.min_shards, pool.initial_shards, max);
             pool.policy.validate(pool.min_shards, max);
         }
-        assert!(self.eval_interval_s > 0.0, "eval interval must be positive");
-        assert!(self.warmup_s >= 0.0, "negative warm-up");
-        assert!(self.cooldown_s >= 0.0, "negative cooldown");
+        validate_timing(self.eval_interval_s, self.warmup_s, self.cooldown_s);
     }
 }
 

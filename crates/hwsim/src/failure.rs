@@ -1419,9 +1419,7 @@ pub fn simulate_autoscale_failure(
     plan: &FaultPlan,
     client: &ClientConfig,
 ) -> AutoscaleFailureReport {
-    assert!(!shards.is_empty(), "fleet needs at least one shard");
-    cfg.validate(shards.len());
-    let ctl = cfg.autoscaler(shards.len());
+    let (ctl, accepting) = cfg.autoscaler(shards.len());
     let mut injector = FaultInjector::new(
         ctl,
         (),
@@ -1431,7 +1429,6 @@ pub fn simulate_autoscale_failure(
         shards.len(),
         trace.len(),
     );
-    let accepting: Vec<bool> = (0..shards.len()).map(|s| s < cfg.initial_shards).collect();
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
     injector.prime(&mut core);
     // Unlike the healthy entry point, the controller always runs — even a

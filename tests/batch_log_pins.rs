@@ -17,8 +17,8 @@
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::autoscale::{
-    simulate_autoscale, simulate_decode_autoscale, AutoscaleConfig, DecodeAutoscaleConfig,
-    DecodeScaleDown, RetirePolicy, ScaleEventKind, ScalePolicy,
+    simulate_autoscale, simulate_decode_autoscale, AutoscaleConfig, DecodeScaleDown, RetirePolicy,
+    ScaleEventKind, ScalePolicy,
 };
 use lat_fpga::hwsim::decode::{
     decode_trace, nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeRequest,
@@ -396,14 +396,14 @@ fn assert_decode_autoscale_pinned(
                 max_slots: 4,
                 ttft_deadline_s: 0.001,
             },
-            &DecodeAutoscaleConfig {
+            &AutoscaleConfig {
                 initial_shards: 3,
                 policy: policy.clone(),
-                scale_down,
+                retire: scale_down,
                 eval_interval_s: 0.002,
                 warmup_s: 0.004,
                 cooldown_s: 0.0,
-                ..DecodeAutoscaleConfig::default()
+                ..AutoscaleConfig::default()
             },
         )
     };

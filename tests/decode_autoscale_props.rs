@@ -13,7 +13,7 @@ use lat_bench::scenarios::harness_seed;
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::autoscale::{
-    simulate_decode_autoscale, DecodeAutoscaleConfig, DecodeAutoscaleReport, DecodeScaleDown,
+    simulate_decode_autoscale, AutoscaleConfig, DecodeAutoscaleReport, DecodeScaleDown,
     ScaleEventKind, ScalePolicy, SchedulePhase,
 };
 use lat_fpga::hwsim::decode::{
@@ -219,15 +219,15 @@ proptest! {
     ) {
         let fleet = homogeneous_fleet(&tiny_design(64), max_shards);
         let trace = burst_trace(n, burst_rate, seed);
-        let cfg = DecodeAutoscaleConfig {
+        let cfg = AutoscaleConfig {
             min_shards,
             initial_shards: min_shards,
             policy: policy_from_index(policy_idx, min_shards, max_shards),
-            scale_down: scale_down_from_index(scale_down_idx),
+            retire: scale_down_from_index(scale_down_idx),
             eval_interval_s: 0.002,
             warmup_s,
             cooldown_s: 0.0,
-            ..DecodeAutoscaleConfig::default()
+            ..AutoscaleConfig::default()
         };
         let r = with_batch_log(|| simulate_decode_autoscale(
             &fleet,
@@ -312,12 +312,12 @@ proptest! {
                 dispatch,
                 scheduler,
                 &decode_cfg,
-                &DecodeAutoscaleConfig {
+                &AutoscaleConfig {
                     min_shards: shards,
                     initial_shards: shards,
                     policy,
                     eval_interval_s: 0.002,
-                    ..DecodeAutoscaleConfig::default()
+                    ..AutoscaleConfig::default()
                 },
             ));
             prop_assert_eq!(&auto.decode, &fixed);
@@ -353,18 +353,18 @@ proptest! {
             DispatchPolicy::JoinShortestQueue,
             DecodeScheduler::Continuous,
             &DecodeConfig { max_slots: 4, ttft_deadline_s: 0.001 },
-            &DecodeAutoscaleConfig {
+            &AutoscaleConfig {
                 min_shards: 1,
                 initial_shards: max_shards, // start big: guarantees retires
                 policy: ScalePolicy::Scheduled(vec![SchedulePhase {
                     start_s: 0.102, // mid-burst backlog: residents in flight
                     shards: 1,
                 }]),
-                scale_down,
+                retire: scale_down,
                 eval_interval_s: 0.002,
                 warmup_s: 0.004,
                 cooldown_s: 0.0,
-                ..DecodeAutoscaleConfig::default()
+                ..AutoscaleConfig::default()
             },
         ));
         prop_assert_eq!(r.decode.fleet.completed, n);
@@ -410,15 +410,15 @@ proptest! {
             DispatchPolicy::JoinShortestQueue,
             DecodeScheduler::Continuous,
             &DecodeConfig { max_slots: 4, ttft_deadline_s: 0.001 },
-            &DecodeAutoscaleConfig {
+            &AutoscaleConfig {
                 min_shards: 1,
                 initial_shards: 1,
                 policy: ScalePolicy::Reactive { scale_up_depth: 4.0, scale_down_depth: 0.5 },
-                scale_down: scale_down_from_index(scale_down_idx),
+                retire: scale_down_from_index(scale_down_idx),
                 eval_interval_s: 0.002,
                 warmup_s,
                 cooldown_s: 0.0,
-                ..DecodeAutoscaleConfig::default()
+                ..AutoscaleConfig::default()
             },
         ));
         assert_iterations_within_membership(&r, 1);
@@ -470,16 +470,16 @@ proptest! {
     ) {
         let fleet = homogeneous_fleet(&tiny_design(64), max_shards);
         let trace = burst_trace(n, 250_000.0, harness_seed());
-        let cfg = DecodeAutoscaleConfig {
+        let cfg = AutoscaleConfig {
             min_shards: 1,
             initial_shards: 2.min(max_shards),
             policy: policy_from_index(policy_idx, 1, max_shards),
-            scale_down: scale_down_from_index(scale_down_idx),
+            retire: scale_down_from_index(scale_down_idx),
             eval_interval_s: 0.002,
             warmup_s: 0.004,
             cooldown_s: 0.002,
             phase_bounds_s: vec![0.1, 0.2],
-            ..DecodeAutoscaleConfig::default()
+            ..AutoscaleConfig::default()
         };
         let go = || with_batch_log(|| simulate_decode_autoscale(
             &fleet,

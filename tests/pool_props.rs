@@ -10,8 +10,8 @@ use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::core::pool::Scheduler;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::autoscale::{
-    simulate_autoscale, simulate_decode_autoscale, AutoscaleConfig, DecodeAutoscaleConfig,
-    DecodeScaleDown, RetirePolicy, ScalePolicy,
+    simulate_autoscale, simulate_decode_autoscale, AutoscaleConfig, DecodeScaleDown, RetirePolicy,
+    ScalePolicy,
 };
 use lat_fpga::hwsim::decode::{
     decode_trace, simulate_decode, DecodeConfig, DecodeScheduler, KvTransfer,
@@ -182,11 +182,9 @@ fn decode_autoscale_sweep_is_identical_serial_and_parallel() {
     let fleet = homogeneous_fleet(&design, 3);
     let mix = DatasetSpec::mrpc();
     let trace = decode_trace(&mix, &mix.decode_output(), 0.2, 400.0, 48, harness_seed());
-    let cells = [DecodeScaleDown::Drain, DecodeScaleDown::Migrate].map(|scale_down| {
-        DecodeAutoscaleConfig {
-            scale_down,
-            ..DecodeAutoscaleConfig::default()
-        }
+    let cells = [DecodeScaleDown::Drain, DecodeScaleDown::Migrate].map(|retire| AutoscaleConfig {
+        retire,
+        ..AutoscaleConfig::default()
     });
     let (serial, parallel) = run_with(&cells, |c| {
         simulate_decode_autoscale(

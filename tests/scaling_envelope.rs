@@ -4,9 +4,7 @@
 //! runs the per-pool cases on each of its two pools, plus the timing
 //! cases; it has no SLO or reporting phases.
 
-use lat_fpga::hwsim::autoscale::{
-    AutoscaleConfig, DecodeAutoscaleConfig, DecodeScaleDown, RetirePolicy, ScalePolicy,
-};
+use lat_fpga::hwsim::autoscale::{AutoscaleConfig, DecodeScaleDown, RetirePolicy, ScalePolicy};
 use lat_fpga::hwsim::disagg::{DisaggAutoscaleConfig, PoolPolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -148,15 +146,15 @@ fn fleet(e: &Envelope) {
 }
 
 fn decode(e: &Envelope) {
-    DecodeAutoscaleConfig {
+    AutoscaleConfig {
         min_shards: e.min_shards,
         initial_shards: e.initial_shards,
         policy: e.policy.clone(),
-        scale_down: DecodeScaleDown::Drain,
+        retire: DecodeScaleDown::Drain,
         eval_interval_s: e.eval_interval_s,
         warmup_s: e.warmup_s,
         cooldown_s: e.cooldown_s,
-        slo_ttft_s: e.slo_s,
+        slo_latency_s: e.slo_s,
         phase_bounds_s: e.phase_bounds_s.clone(),
     }
     .validate(MAX_SHARDS);
