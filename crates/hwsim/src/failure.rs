@@ -1592,7 +1592,12 @@ pub fn simulate_disagg_failure(
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/value_fold.rs"]
+mod value_fold;
+
+#[cfg(test)]
 mod tests {
+    use super::value_fold::value_fold;
     use super::*;
     use crate::autoscale::{RetirePolicy, ScaleEventKind, ScalePolicy};
     use crate::decode::Priority;
@@ -2618,8 +2623,8 @@ mod tests {
         );
         let (cont, dcfg) = (DecodeScheduler::Continuous, DecodeConfig::default());
         // The recorded constants hash the batch log too.
-        let prints = with_batch_log(|| {
-            let mut prints = Vec::new();
+        let (prints, values) = with_batch_log(|| {
+            let (mut prints, mut values) = (Vec::new(), Vec::new());
             let r = simulate_fleet_failure(two, &trace, lp, dp, &b, &plan, &client, 0.25);
             assert_stormy("fleet", r.retries, r.timed_out);
             prints.push(fnv1a(&format!("{r:?}")));
@@ -2644,6 +2649,7 @@ mod tests {
                         assert_stormy("decode", r.retries, r.timed_out);
                     }
                     prints.push(fnv1a(&format!("{r:?}")));
+                    values.push(value_fold(&r));
                     let r = simulate_disagg_failure(
                         shards,
                         two,
@@ -2663,9 +2669,10 @@ mod tests {
                         assert_stormy("disagg", r.retries, r.timed_out);
                     }
                     prints.push(fnv1a(&format!("{r:?}")));
+                    values.push(value_fold(&r));
                 }
             }
-            prints
+            (prints, values)
         });
         // Fleet, autoscale, then (two shards, three shards) ×
         // (drain, migrate) × (decode, disagg).
@@ -2682,6 +2689,19 @@ mod tests {
             0xc6d7_8b98_c63d_4b65,
         ];
         assert_eq!(prints, expected, "faulted report fingerprints moved");
+        // The decode and disagg entries' value fingerprints, which hold
+        // when a report's fields are renamed or nested.
+        let expected_values: [u64; 8] = [
+            0x9feb_965a_1d5e_7c86,
+            0xf039_970e_52f9_1ca0,
+            0x9feb_965a_1d5e_7c86,
+            0xf039_970e_52f9_1ca0,
+            0x5678_bab3_6ead_636a,
+            0xd5b9_5989_dad9_b174,
+            0x71e6_a8ba_c460_8f68,
+            0xb95e_1a0b_d7e9_a6a4,
+        ];
+        assert_eq!(values, expected_values, "faulted report values moved");
     }
 
     /// A decode engine cannot park work: crashing both shards of a

@@ -12,7 +12,9 @@
 //! The entry points no other constant covers (the preempting decode
 //! scheduler and the three autoscalers) also pin the `{:?}` bytes of
 //! their whole logged report, so a change to any field they return moves
-//! a constant.
+//! a constant. The autoscalers pin a value fingerprint too
+//! ([`value_fold`]), which moves only when a value does: a change that
+//! renames or nests report fields moves the `{:?}` pin and keeps it.
 
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
@@ -42,6 +44,10 @@ use lat_fpga::workloads::datasets::DatasetSpec;
 use lat_fpga::workloads::prefix::PrefixProfile;
 use std::fmt::Debug;
 
+#[path = "support/value_fold.rs"]
+mod value_fold;
+use value_fold::value_fold;
+
 /// Fixed seed: the pins must not move with `HARNESS_SEED`.
 const SEED: u64 = 42;
 
@@ -62,6 +68,12 @@ fn fnv1a(x: &impl Debug) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
         })
+}
+
+/// Pins the value fingerprint of `x` to `want`.
+fn assert_values(what: &str, x: &impl Debug, want: u64) {
+    let got = value_fold(x);
+    assert_eq!(got, want, "{what}: values fold to {got:#018x}");
 }
 
 /// Runs `run` inside and outside `with_batch_log`. Pins the logged
@@ -309,7 +321,7 @@ fn bursty_fleet_trace() -> Vec<Request> {
     )
 }
 
-fn assert_autoscale_pinned(retire: RetirePolicy, log: u64, whole: u64) {
+fn assert_autoscale_pinned(retire: RetirePolicy, log: u64, whole: u64, values: u64) {
     let trace = bursty_fleet_trace();
     let run = || {
         simulate_autoscale(
@@ -340,6 +352,7 @@ fn assert_autoscale_pinned(retire: RetirePolicy, log: u64, whole: u64) {
         r.scale_events.iter().map(|e| e.kind).collect::<Vec<_>>()
     );
     assert_eq!(fnv1a(&r), whole, "{what}: whole report");
+    assert_values(&what, &r, values);
 }
 
 #[test]
@@ -348,6 +361,7 @@ fn autoscale_drain_report_bytes_pinned() {
         RetirePolicy::Drain,
         0xd6f7_8314_aade_4a83,
         0xff59_fa83_c178_522b,
+        0xbeef_4d13_c64e_3163,
     );
 }
 
@@ -357,6 +371,7 @@ fn autoscale_evict_report_bytes_pinned() {
         RetirePolicy::Evict,
         0xf50c_9126_a555_0d8d,
         0x2d55_c60d_5ac4_9c83,
+        0x14bf_ffc9_0c34_0b36,
     );
 }
 
@@ -383,6 +398,7 @@ fn assert_decode_autoscale_pinned(
     scale_down: DecodeScaleDown,
     log: u64,
     whole: u64,
+    values: u64,
 ) {
     let trace = bursty_decode_trace();
     let run = || {
@@ -419,6 +435,7 @@ fn assert_decode_autoscale_pinned(
         assert!(r.migrations > 0, "{what}: no resident migrated");
     }
     assert_eq!(fnv1a(&r), whole, "{what}: whole report");
+    assert_values(&what, &r, values);
 }
 
 #[test]
@@ -431,6 +448,7 @@ fn decode_autoscale_reactive_migrate_report_bytes_pinned() {
         DecodeScaleDown::Migrate,
         0x17d3_f0b4_174f_cee1,
         0x28a6_b302_a32b_1a4d,
+        0x7760_f2c3_5dcd_a357,
     );
 }
 
@@ -446,6 +464,7 @@ fn decode_autoscale_predictive_drain_report_bytes_pinned() {
         DecodeScaleDown::Drain,
         0x3631_3dd0_d178_fe07,
         0xd9df_255d_c8a1_5f31,
+        0x3da5_6190_d6e3_a176,
     );
 }
 
@@ -515,6 +534,75 @@ fn disagg_autoscale_report_bytes_pinned() {
         );
     }
     assert_eq!(fnv1a(&r), 0x4681_ae7f_d61d_288b, "{what}: whole report");
+    // Each pool's books and its own event log, in pool order.
+    let pool_events = |pool: std::ops::Range<usize>| -> Vec<_> {
+        r.scale_events
+            .iter()
+            .filter(|e| pool.contains(&e.shard))
+            .collect()
+    };
+    let books = (
+        &r.disagg,
+        (
+            r.prefill_shard_seconds,
+            r.peak_prefill_shards,
+            pool_events(0..2),
+        ),
+        (
+            r.decode_shard_seconds,
+            r.peak_decode_shards,
+            pool_events(2..4),
+        ),
+    );
+    assert_values(what, &books, 0x0198_ec69_8918_5b13);
+}
+
+/// The value fold reads values, not names: the same values nested into a
+/// sub-struct under other names fold alike, and any changed value, bit
+/// or list boundary moves the fold.
+#[test]
+fn value_fold_ignores_names_and_nesting() {
+    #[derive(Debug)]
+    #[allow(dead_code)] // read through `Debug` only
+    struct Flat {
+        a: f64,
+        b: usize,
+        c: Vec<Option<u32>>,
+    }
+    #[derive(Debug)]
+    #[allow(dead_code)] // read through `Debug` only
+    struct Inner {
+        x: f64,
+        y: usize,
+    }
+    #[derive(Debug)]
+    #[allow(dead_code)] // read through `Debug` only
+    struct Nested {
+        inner: Inner,
+        z: Vec<Option<u32>>,
+    }
+    let flat = |a, b, c| value_fold(&Flat { a, b, c });
+    let base = flat(0.1, 3, vec![Some(1), None]);
+    let nested = Nested {
+        inner: Inner { x: 0.1, y: 3 },
+        z: vec![Some(1), None],
+    };
+    assert_eq!(value_fold(&nested), base);
+    for moved in [
+        flat(f64::from_bits(0.1f64.to_bits() + 1), 3, vec![Some(1), None]),
+        flat(-0.1, 3, vec![Some(1), None]),
+        flat(0.1, 4, vec![Some(1), None]),
+        flat(0.1, 3, vec![None, Some(1)]),
+        flat(0.1, 3, vec![Some(1)]),
+        flat(0.1, 3, vec![Some(1), None, None]),
+    ] {
+        assert_ne!(moved, base);
+    }
+    assert_ne!(value_fold(&0.0f64), value_fold(&-0.0f64));
+    assert_ne!(
+        value_fold(&vec![vec![1], vec![2]]),
+        value_fold(&vec![vec![1, 2]])
+    );
 }
 
 /// The switch's own contract: scopes nest and restore the outer state,
