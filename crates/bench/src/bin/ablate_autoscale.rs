@@ -69,13 +69,13 @@ fn base_cfg(policy: ScalePolicy, min: usize, initial: usize, bounds: Vec<f64>) -
 fn row(name: &str, r: &AutoscaleReport) -> Vec<String> {
     vec![
         name.to_string(),
-        format!("{:.1}", r.shard_seconds),
-        format!("{:.2}", r.mean_active_shards),
-        format!("{}", r.peak_active_shards),
+        format!("{:.1}", r.scale.shard_seconds),
+        format!("{:.2}", r.scale.mean_active_shards),
+        format!("{}", r.scale.peak_active_shards),
         format!("{:.0}", r.fleet.p50_latency_s * 1e3),
         format!("{:.0}", r.fleet.p95_latency_s * 1e3),
         tables::pct(r.slo_attainment),
-        format!("{}", r.scale_events.len()),
+        format!("{}", r.scale.scale_events.len()),
     ]
 }
 
@@ -255,11 +255,11 @@ fn main() {
         fixed_max.fleet.p95_latency_s
     );
     assert!(
-        reactive.shard_seconds <= fixed_max.shard_seconds * AUTOSCALE_COST_MARGIN,
+        reactive.scale.shard_seconds <= fixed_max.scale.shard_seconds * AUTOSCALE_COST_MARGIN,
         "reactive shard-seconds {} !<= {} × fixed-max {}",
-        reactive.shard_seconds,
+        reactive.scale.shard_seconds,
         AUTOSCALE_COST_MARGIN,
-        fixed_max.shard_seconds
+        fixed_max.scale.shard_seconds
     );
     assert!(
         reactive.slo_attainment > fixed_min.slo_attainment,
@@ -311,7 +311,7 @@ fn main() {
         .map(|(name, r)| {
             vec![
                 name.clone(),
-                format!("{:.1}", r.shard_seconds),
+                format!("{:.1}", r.scale.shard_seconds),
                 format!("{:.0}", r.fleet.p95_latency_s * 1e3),
                 tables::pct(r.slo_attainment),
             ]

@@ -99,9 +99,9 @@ fn row(name: &str, mode: &str, r: &DecodeAutoscaleReport) -> Vec<String> {
     vec![
         name.to_string(),
         mode.to_string(),
-        format!("{:.1}", r.shard_seconds),
-        format!("{:.2}", r.mean_active_shards),
-        format!("{}", r.peak_active_shards),
+        format!("{:.1}", r.scale.shard_seconds),
+        format!("{:.2}", r.scale.mean_active_shards),
+        format!("{}", r.scale.peak_active_shards),
         format!("{:.0}", r.decode.ttft_p50_s * 1e3),
         format!("{:.0}", r.decode.ttft_p95_s * 1e3),
         format!("{:.0}", r.decode.goodput_tok_s),
@@ -369,11 +369,11 @@ fn main() {
             fixed_max.decode.ttft_p95_s
         );
         assert!(
-            r.shard_seconds <= fixed_max.shard_seconds * DECODE_AUTOSCALE_COST_MARGIN,
+            r.scale.shard_seconds <= fixed_max.scale.shard_seconds * DECODE_AUTOSCALE_COST_MARGIN,
             "{name}/{mode}: shard-seconds {} !<= {} × fixed-max {}",
-            r.shard_seconds,
+            r.scale.shard_seconds,
             DECODE_AUTOSCALE_COST_MARGIN,
-            fixed_max.shard_seconds
+            fixed_max.scale.shard_seconds
         );
         // Scale-down must never drop work, whatever it does to residents.
         assert_eq!(

@@ -447,7 +447,7 @@ fn main() {
     let migrate = decode_runs.next().expect("migrate report");
     for (name, r) in [("drain", &drain), ("migrate", &migrate)] {
         assert_eq!(
-            r.completed,
+            r.client.completed,
             decode_trace.len(),
             "{name}: a straggler must not lose generations"
         );
@@ -460,7 +460,7 @@ fn main() {
                 format!("{:.2}", r.affected_drain_s),
                 format!("{:.2}", r.decode.fleet.makespan_s),
                 format!("{:.0}", r.decode.ttft_p95_s * 1e3),
-                tables::pct(r.slo_attainment),
+                tables::pct(r.client.slo_attainment),
             ]
         })
         .collect();

@@ -35,10 +35,12 @@
 //! replacement.
 //!
 //! The [`AutoscaleReport`] extends the [`FleetReport`] with the cost side
-//! of the trade: shard-seconds (the cost proxy a deployment bills by), the
-//! scaling-event log, SLO attainment overall and per workload phase, and
-//! mean/peak active shards — enough to sweep a cost × p95 frontier, which
-//! the `ablate_autoscale` bin does under a 4× diurnal swing.
+//! of the trade, its [`ScaleBooks`] — shard-seconds (the cost proxy a
+//! deployment bills by), mean/peak active shards and the scaling-event
+//! log — plus SLO attainment overall and per workload phase: enough to
+//! sweep a cost × p95 frontier, which the `ablate_autoscale` bin does
+//! under a 4× diurnal swing. The decode and disaggregated autoscalers
+//! report the same books, one per scaled pool.
 //!
 //! ## Predictive scaling
 //!
@@ -124,7 +126,7 @@
 //!     },
 //! );
 //! assert_eq!(pinned.fleet, plain);
-//! assert!(pinned.scale_events.is_empty());
+//! assert!(pinned.scale.scale_events.is_empty());
 //! # assert!(!plain.batch_log.is_empty());
 //! # });
 //! ```
@@ -769,7 +771,9 @@ pub struct ScaleEvent {
     pub on_after: usize,
 }
 
-/// SLO attainment over one reporting phase of the trace.
+/// SLO attainment over one reporting phase of the trace. The latency is
+/// end-to-end for the fleet and TTFT for decode, as in
+/// [`AutoscaleConfig::slo_latency_s`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PhaseSlo {
     /// Phase start (arrival-time bucket), inclusive.
@@ -785,13 +789,10 @@ pub struct PhaseSlo {
     pub p95_latency_s: f64,
 }
 
-/// Result of an autoscaling simulation: the fleet-level report plus the
-/// cost/SLO view the scaling trade-off is judged by.
+/// The cost books of one autoscaled pool of shards, closed at the end of
+/// the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AutoscaleReport {
-    /// Fleet-level view (latency percentiles, throughput, per-shard
-    /// stats, batch log). Shards that never joined show zero work.
-    pub fleet: FleetReport,
+pub struct ScaleBooks {
     /// Σ over shards of paid time (launch → retirement, warm-up
     /// included; still-on shards are charged to the makespan) — the cost
     /// proxy autoscaling tries to shrink.
@@ -802,6 +803,17 @@ pub struct AutoscaleReport {
     pub peak_active_shards: usize,
     /// Every scaling action in time order (empty for a pinned policy).
     pub scale_events: Vec<ScaleEvent>,
+}
+
+/// Result of an autoscaling simulation: the fleet-level report plus the
+/// cost/SLO view the scaling trade-off is judged by.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AutoscaleReport {
+    /// Fleet-level view (latency percentiles, throughput, per-shard
+    /// stats, batch log). Shards that never joined show zero work.
+    pub fleet: FleetReport,
+    /// Shard-seconds, active shards and the scaling-event log.
+    pub scale: ScaleBooks,
     /// Fraction of all requests inside `slo_latency_s`.
     pub slo_attainment: f64,
     /// Per-phase SLO attainment along `phase_bounds_s`.
@@ -938,10 +950,9 @@ impl ShardPool {
             .count()
     }
 
-    /// Closes the cost books at `makespan`: Σ paid shard-seconds
-    /// (still-on shards charged to the makespan), time-averaged committed
-    /// shard count, and the committed peak.
-    pub(crate) fn close_books(&self, makespan: f64) -> (f64, f64, usize) {
+    /// Closes the cost books at `makespan`, charging still-on shards to
+    /// the makespan. The event log moves into the books.
+    pub(crate) fn close_books(self, makespan: f64) -> ScaleBooks {
         let mut shard_seconds = self.shard_seconds;
         for (life, since) in self.lifecycle.iter().zip(&self.on_since) {
             if *life != Lifecycle::Off {
@@ -950,7 +961,12 @@ impl ShardPool {
         }
         let end = makespan.max(self.last_on_change_s).max(1e-12);
         let on_integral = self.on_integral + self.on_count as f64 * (end - self.last_on_change_s);
-        (shard_seconds, on_integral / end, self.peak_on)
+        ScaleBooks {
+            shard_seconds,
+            mean_active_shards: on_integral / end,
+            peak_active_shards: self.peak_on,
+            scale_events: self.events,
+        }
     }
 
     /// Advances the committed-shard integral and applies `delta`.
@@ -1352,10 +1368,7 @@ pub fn simulate_autoscale(
         .map(|(&c, req)| c - req.arrival_s)
         .collect();
     let fleet = core.into_report();
-    let makespan = fleet.makespan_s;
-
-    // Close the books on shards still committed at the end of the run.
-    let (shard_seconds, mean_active_shards, peak_active_shards) = ctl.pool.close_books(makespan);
+    let scale = ctl.pool.close_books(fleet.makespan_s);
     let (slo_attainment, phases) = slo_phases(
         trace,
         |r| r.arrival_s,
@@ -1366,10 +1379,7 @@ pub fn simulate_autoscale(
 
     AutoscaleReport {
         fleet,
-        shard_seconds,
-        mean_active_shards,
-        peak_active_shards,
-        scale_events: ctl.pool.events,
+        scale,
         slo_attainment,
         phases,
     }
@@ -1444,22 +1454,6 @@ impl fmt::Display for DecodeScaleDown {
     }
 }
 
-/// TTFT SLO attainment over one reporting phase of a decode trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DecodePhaseSlo {
-    /// Phase start (arrival-time bucket), inclusive.
-    pub start_s: f64,
-    /// Phase end, exclusive (`f64::INFINITY` for the last phase).
-    pub end_s: f64,
-    /// Requests that arrived in the phase.
-    pub requests: usize,
-    /// Fraction of the phase's requests whose TTFT met the SLO (1 when
-    /// the phase is empty).
-    pub slo_attainment: f64,
-    /// 95th-percentile TTFT of the phase's requests (0 when empty).
-    pub p95_ttft_s: f64,
-}
-
 /// Result of a decode autoscaling simulation: the full [`DecodeReport`]
 /// (TTFT/ITL percentiles, token goodput, slot utilization, per-request
 /// outcomes) plus the cost/SLO view and the KV-migration accounting.
@@ -1468,19 +1462,13 @@ pub struct DecodeAutoscaleReport {
     /// Decode-engine view; under a pinned `min == max` policy this is
     /// [`crate::decode::simulate_decode`]'s report bit-for-bit.
     pub decode: DecodeReport,
-    /// Σ over shards of paid time (launch → retirement, warm-up included;
-    /// still-on shards are charged to the makespan).
-    pub shard_seconds: f64,
-    /// Time-averaged committed shard count over the makespan.
-    pub mean_active_shards: f64,
-    /// Peak committed shard count.
-    pub peak_active_shards: usize,
-    /// Every scaling action in time order (empty for a pinned policy).
-    pub scale_events: Vec<ScaleEvent>,
+    /// Shard-seconds, active shards and the scaling-event log.
+    pub scale: ScaleBooks,
     /// Fraction of all requests whose TTFT met `slo_latency_s`.
     pub slo_attainment: f64,
-    /// Per-phase TTFT SLO attainment along `phase_bounds_s`.
-    pub phases: Vec<DecodePhaseSlo>,
+    /// Per-phase TTFT SLO attainment along `phase_bounds_s`; each phase's
+    /// `p95_latency_s` is its p95 TTFT.
+    pub phases: Vec<PhaseSlo>,
     /// KV residents evicted by scale-down ([`DecodeScaleDown::Migrate`]).
     pub migrations: usize,
     /// Context re-prefill passes actually priced (one per preemption or
@@ -1517,10 +1505,7 @@ pub fn simulate_decode_autoscale(
     );
     ctl.drive(&mut core);
     let decode = core.into_report();
-
-    // Close the books on shards still committed at the end of the run.
-    let (shard_seconds, mean_active_shards, peak_active_shards) =
-        ctl.pool.close_books(decode.fleet.makespan_s);
+    let scale = ctl.pool.close_books(decode.fleet.makespan_s);
     let ttfts: Vec<f64> = decode.requests.iter().map(|r| r.ttft_s).collect();
     let (slo_attainment, phases) = slo_phases(
         trace,
@@ -1529,24 +1514,11 @@ pub fn simulate_decode_autoscale(
         cfg.slo_latency_s,
         &cfg.phase_bounds_s,
     );
-    let phases = phases
-        .into_iter()
-        .map(|p| DecodePhaseSlo {
-            start_s: p.start_s,
-            end_s: p.end_s,
-            requests: p.requests,
-            slo_attainment: p.slo_attainment,
-            p95_ttft_s: p.p95_latency_s,
-        })
-        .collect();
     let re_prefills = decode.requests.iter().map(|r| r.re_prefills as usize).sum();
 
     DecodeAutoscaleReport {
         decode,
-        shard_seconds,
-        mean_active_shards,
-        peak_active_shards,
-        scale_events: ctl.pool.events,
+        scale,
         slo_attainment,
         phases,
         migrations: ctl.migrations,
@@ -1634,10 +1606,10 @@ mod tests {
             )
         });
         assert_eq!(auto.fleet, fixed);
-        assert!(auto.scale_events.is_empty());
-        assert_eq!(auto.peak_active_shards, 3);
+        assert!(auto.scale.scale_events.is_empty());
+        assert_eq!(auto.scale.peak_active_shards, 3);
         let expect = 3.0 * fixed.makespan_s;
-        assert!((auto.shard_seconds - expect).abs() < 1e-9);
+        assert!((auto.scale.shard_seconds - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -1653,21 +1625,26 @@ mod tests {
             &reactive_cfg(1, 1),
         );
         assert_eq!(r.fleet.completed, 400);
-        assert!(r.peak_active_shards > 1, "never scaled up under the burst");
         assert!(
-            r.scale_events
+            r.scale.peak_active_shards > 1,
+            "never scaled up under the burst"
+        );
+        assert!(
+            r.scale
+                .scale_events
                 .iter()
                 .any(|e| e.kind == ScaleEventKind::Join),
             "no shard ever joined"
         );
         assert!(
-            r.scale_events
+            r.scale
+                .scale_events
                 .iter()
                 .any(|e| e.kind == ScaleEventKind::Retired),
             "never scaled back down after the burst"
         );
-        assert!(r.mean_active_shards < r.peak_active_shards as f64);
-        assert!(r.shard_seconds < 4.0 * r.fleet.makespan_s);
+        assert!(r.scale.mean_active_shards < r.scale.peak_active_shards as f64);
+        assert!(r.scale.shard_seconds < 4.0 * r.fleet.makespan_s);
     }
 
     #[test]
@@ -1687,11 +1664,13 @@ mod tests {
         // Every batch on a launched shard starts at/after that shard's
         // join; shard 0 (initial) is exempt.
         for e in r
+            .scale
             .scale_events
             .iter()
             .filter(|e| e.kind == ScaleEventKind::Join)
         {
             let launch = r
+                .scale
                 .scale_events
                 .iter()
                 .find(|l| l.shard == e.shard && l.kind == ScaleEventKind::Launch)
@@ -1704,6 +1683,7 @@ mod tests {
                 continue;
             }
             let join = r
+                .scale
                 .scale_events
                 .iter()
                 .filter(|e| e.shard == b.shard && e.kind == ScaleEventKind::Join)
@@ -1748,7 +1728,7 @@ mod tests {
             assert!(!r.fleet.batch_log.is_empty());
             for b in &r.fleet.batch_log {
                 let mut allowed = true;
-                for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
+                for e in r.scale.scale_events.iter().filter(|e| e.shard == b.shard) {
                     if e.time_s > b.start_s + 1e-12 {
                         break;
                     }
@@ -1793,18 +1773,20 @@ mod tests {
         );
         assert_eq!(r.fleet.completed, 360);
         let launches = r
+            .scale
             .scale_events
             .iter()
             .filter(|e| e.kind == ScaleEventKind::Launch)
             .count();
         let retires = r
+            .scale
             .scale_events
             .iter()
             .filter(|e| e.kind == ScaleEventKind::RetireStart)
             .count();
         assert_eq!(launches, 2, "table never scaled to 3");
         assert!(retires >= 2, "table never scaled back to 1");
-        assert_eq!(r.peak_active_shards, 3);
+        assert_eq!(r.scale.peak_active_shards, 3);
     }
 
     #[test]
@@ -1860,7 +1842,10 @@ mod tests {
             },
         );
         assert_eq!(r.fleet.completed, 2000);
-        assert_eq!(r.peak_active_shards, 3, "saturation never filled the fleet");
+        assert_eq!(
+            r.scale.peak_active_shards, 3,
+            "saturation never filled the fleet"
+        );
     }
 
     #[test]
@@ -2035,12 +2020,13 @@ mod tests {
         );
         assert_eq!(r.fleet.completed, 400);
         assert!(
-            r.peak_active_shards >= 3,
+            r.scale.peak_active_shards >= 3,
             "forecast never provisioned the ramp: peak {}",
-            r.peak_active_shards
+            r.scale.peak_active_shards
         );
         assert!(
-            r.scale_events
+            r.scale
+                .scale_events
                 .iter()
                 .any(|e| e.kind == ScaleEventKind::Retired),
             "never scaled back down after the ramp"
@@ -2153,11 +2139,11 @@ mod tests {
             )
         });
         assert_eq!(auto.decode, fixed);
-        assert!(auto.scale_events.is_empty());
+        assert!(auto.scale.scale_events.is_empty());
         assert_eq!(auto.migrations, 0);
-        assert_eq!(auto.peak_active_shards, 3);
+        assert_eq!(auto.scale.peak_active_shards, 3);
         let expect = 3.0 * fixed.fleet.makespan_s;
-        assert!((auto.shard_seconds - expect).abs() < 1e-9);
+        assert!((auto.scale.shard_seconds - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -2181,16 +2167,17 @@ mod tests {
                 "{scale_down}"
             );
             assert!(
-                r.peak_active_shards > 1,
+                r.scale.peak_active_shards > 1,
                 "{scale_down}: never scaled up under the burst"
             );
             assert!(
-                r.scale_events
+                r.scale
+                    .scale_events
                     .iter()
                     .any(|e| e.kind == ScaleEventKind::Retired),
                 "{scale_down}: never scaled back down"
             );
-            assert!(r.mean_active_shards < r.peak_active_shards as f64);
+            assert!(r.scale.mean_active_shards < r.scale.peak_active_shards as f64);
         }
     }
 
@@ -2317,7 +2304,8 @@ mod tests {
         assert_eq!(r.migrations, 0, "drain never evicts");
         assert_eq!(r.re_prefills, 0, "drain pays no re-prefill");
         assert!(
-            r.scale_events
+            r.scale
+                .scale_events
                 .iter()
                 .any(|e| e.kind == ScaleEventKind::Retired),
             "the table scale-down never completed"
@@ -2326,7 +2314,7 @@ mod tests {
         assert!(!r.decode.fleet.batch_log.is_empty());
         for b in &r.decode.fleet.batch_log {
             let mut allowed = true;
-            for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
+            for e in r.scale.scale_events.iter().filter(|e| e.shard == b.shard) {
                 if e.time_s > b.start_s + 1e-12 {
                     break;
                 }
@@ -2353,11 +2341,13 @@ mod tests {
             )
         });
         for e in r
+            .scale
             .scale_events
             .iter()
             .filter(|e| e.kind == ScaleEventKind::Join)
         {
             let launch = r
+                .scale
                 .scale_events
                 .iter()
                 .find(|l| l.shard == e.shard && l.kind == ScaleEventKind::Launch)
@@ -2370,6 +2360,7 @@ mod tests {
                 continue;
             }
             let join = r
+                .scale
                 .scale_events
                 .iter()
                 .filter(|e| e.shard == b.shard && e.kind == ScaleEventKind::Join)

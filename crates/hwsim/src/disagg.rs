@@ -76,7 +76,7 @@
 
 use crate::accelerator::AcceleratorDesign;
 use crate::autoscale::{
-    validate_envelope, validate_timing, PoolHost, ScaleEvent, ScalePolicy, ShardPool, Ticker,
+    validate_envelope, validate_timing, PoolHost, ScaleBooks, ScalePolicy, ShardPool, Ticker,
 };
 use crate::decode::{
     DecodeConfig, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler, KvTransfer, Slots,
@@ -638,23 +638,16 @@ impl DisaggAutoscaleConfig {
 }
 
 /// Result of [`simulate_disagg_autoscale`]: the disagg view plus each
-/// pool's cost and scaling history.
+/// pool's cost books and scaling history. Shard indices in the event logs
+/// are combined-fleet indices.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DisaggAutoscaleReport {
     /// The disaggregated serving report.
     pub disagg: DisaggReport,
-    /// Σ paid shard-seconds of the prefill pool (warm-up included).
-    pub prefill_shard_seconds: f64,
-    /// Σ paid shard-seconds of the decode pool.
-    pub decode_shard_seconds: f64,
-    /// Peak committed prefill shards.
-    pub peak_prefill_shards: usize,
-    /// Peak committed decode shards.
-    pub peak_decode_shards: usize,
-    /// Every scaling action of both pools, in time order (prefill before
-    /// decode at equal instants). Shard indices are combined-fleet
-    /// indices.
-    pub scale_events: Vec<ScaleEvent>,
+    /// The prefill pool's books (shards `0..prefill_shards.len()`).
+    pub prefill_pool: ScaleBooks,
+    /// The decode pool's books (the shards after the prefill pool).
+    pub decode_pool: ScaleBooks,
 }
 
 /// [`PoolHost`] over the disaggregated fleet: prefill shards route
@@ -852,20 +845,11 @@ pub fn simulate_disagg_autoscale(
         "request never completed (conservation bug in the disagg autoscaler)"
     );
     let makespan = decode.fleet.makespan_s;
-    // Close the books on shards still committed at the end of the run.
-    let (prefill_shard_seconds, _, peak_prefill_shards) = ctl.pools[0].close_books(makespan);
-    let (decode_shard_seconds, _, peak_decode_shards) = ctl.pools[1].close_books(makespan);
-    let [prefill, decode_pool] = ctl.pools;
-    let mut scale_events = prefill.events;
-    scale_events.extend(decode_pool.events);
-    scale_events.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
+    let [prefill_pool, decode_pool] = ctl.pools.map(|pool| pool.close_books(makespan));
     DisaggAutoscaleReport {
         disagg: ctl.inner.into_report(decode),
-        prefill_shard_seconds,
-        decode_shard_seconds,
-        peak_prefill_shards,
-        peak_decode_shards,
-        scale_events,
+        prefill_pool,
+        decode_pool,
     }
 }
 
@@ -1086,9 +1070,10 @@ mod tests {
             )
         });
         assert_eq!(scaled.disagg, plain);
-        assert!(scaled.scale_events.is_empty());
-        assert_eq!(scaled.peak_prefill_shards, 2);
-        assert_eq!(scaled.peak_decode_shards, 2);
+        assert!(scaled.prefill_pool.scale_events.is_empty());
+        assert!(scaled.decode_pool.scale_events.is_empty());
+        assert_eq!(scaled.prefill_pool.peak_active_shards, 2);
+        assert_eq!(scaled.decode_pool.peak_active_shards, 2);
     }
 
     #[test]
@@ -1123,13 +1108,14 @@ mod tests {
         );
         assert_eq!(r.disagg.decode.fleet.completed, 200);
         assert!(
-            r.peak_decode_shards > 1,
+            r.decode_pool.peak_active_shards > 1,
             "handoff backlog never triggered decode-pool scale-up"
         );
         assert!(r
+            .decode_pool
             .scale_events
             .iter()
             .any(|e| e.kind == ScaleEventKind::Launch));
-        assert!(r.decode_shard_seconds > 0.0 && r.prefill_shard_seconds > 0.0);
+        assert!(r.decode_pool.shard_seconds > 0.0 && r.prefill_pool.shard_seconds > 0.0);
     }
 }

@@ -100,7 +100,7 @@
 //! ```
 
 use crate::accelerator::AcceleratorDesign;
-use crate::autoscale::{AutoscaleConfig, DecodeScaleDown, ScaleEvent};
+use crate::autoscale::{AutoscaleConfig, DecodeScaleDown, ScaleBooks, ScaleEvent};
 use crate::decode::{
     DecodeConfig, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler, Slots,
 };
@@ -503,7 +503,7 @@ pub struct AutoscaleFailureReport {
     /// The failure-layer view ([`FailureReport`]).
     pub failure: FailureReport,
     /// Σ paid shard-seconds (same books as
-    /// [`crate::autoscale::AutoscaleReport::shard_seconds`]).
+    /// [`ScaleBooks::shard_seconds`]).
     pub shard_seconds: f64,
     /// Time-averaged committed shard count.
     pub mean_active_shards: f64,
@@ -523,21 +523,8 @@ pub struct DecodeFailureReport {
     /// Engine-level decode report (TTFT/ITL percentiles over the
     /// population that got tokens, goodput, per-shard stats).
     pub decode: DecodeReport,
-    /// Per-request client outcomes in trace order.
-    pub outcomes: Vec<ClientOutcome>,
-    /// Requests that completed (on any attempt).
-    pub completed: usize,
-    /// Requests that never completed.
-    pub timed_out: usize,
-    /// Completed requests that needed at least one retry.
-    pub retried: usize,
-    /// Total retry events across all requests.
-    pub retries: usize,
-    /// Fraction of *all* requests whose TTFT met the SLO.
-    pub slo_attainment: f64,
-    /// Pre / during / post incident slices; the latency metric inside is
-    /// TTFT, matching `slo_attainment`.
-    pub phases: Vec<IncidentPhase>,
+    /// Client outcomes, tallies and incident phases, scored on TTFT.
+    pub client: ClientBooks,
     /// Latest completion time among requests that were KV-resident on a
     /// faulty shard at fault onset (0 if none, `f64::INFINITY` if one
     /// never finished) — how long the incident's victims lingered.
@@ -685,11 +672,9 @@ struct FaultInjector<C, P = ()> {
     timeouts: ClientTimeouts,
     /// Retries performed per request.
     attempts: Vec<u32>,
-    /// Total retry events.
-    retries: usize,
-    /// The incident window the client summary slices on.
+    /// The incident window the client books slice on.
     window: Option<(f64, f64)>,
-    /// The latency SLO the client summary scores against.
+    /// The latency SLO the client books score against.
     slo: f64,
 }
 
@@ -717,7 +702,6 @@ impl<C, P> FaultInjector<C, P> {
             client: *client,
             timeouts: ClientTimeouts::new(n_requests),
             attempts: vec![0; n_requests],
-            retries: 0,
             window: plan.incident_window(),
             slo,
         }
@@ -769,7 +753,6 @@ impl<C, P> FaultInjector<C, P> {
                     timeout_at,
                 } => {
                     self.attempts[r] += 1;
-                    self.retries += 1;
                     core.schedule_arrival(r, retry_at);
                     if timeout_at.is_finite() {
                         self.timeouts.arm_retry(r, timeout_at);
@@ -791,7 +774,7 @@ impl<C, P> FaultInjector<C, P> {
         ttft_s: Option<&[f64]>,
         makespan: f64,
         scale_events: &[ScaleEvent],
-    ) -> ClientSummary {
+    ) -> ClientBooks {
         let arrivals: Vec<f64> = trace.iter().map(R::arrival_s).collect();
         summarize_clients(
             self.window,
@@ -815,17 +798,25 @@ impl<C: Controller<Batcher>> FaultInjector<C> {
         let (trace, completion_s) = (core.trace, core.completion_s.clone());
         let fleet = core.into_report();
         let makespan = fleet.makespan_s;
-        let summary = self.summarize(trace, &completion_s, None, makespan, scale_events);
+        let ClientBooks {
+            outcomes,
+            completed,
+            timed_out,
+            retried,
+            retries,
+            slo_attainment,
+            phases,
+        } = self.summarize(trace, &completion_s, None, makespan, scale_events);
         FailureReport {
-            goodput_seq_s: summary.completed as f64 / makespan.max(1e-12),
+            goodput_seq_s: completed as f64 / makespan.max(1e-12),
             fleet,
-            outcomes: summary.outcomes,
-            completed: summary.completed,
-            timed_out: summary.timed_out,
-            retried: summary.retried,
-            retries: self.retries,
-            slo_attainment: summary.slo_attainment,
-            phases: summary.phases,
+            outcomes,
+            completed,
+            timed_out,
+            retried,
+            retries,
+            slo_attainment,
+            phases,
         }
     }
 }
@@ -1039,7 +1030,7 @@ impl FaultResponse<Slots> for DecodeFaults {
 
 impl<C: Controller<Slots>> FaultInjector<C, DecodeFaults> {
     /// The decode entry points' report of the finished run on `core`;
-    /// the client summary is over TTFT, what generative SLOs are written
+    /// the client books are over TTFT, what generative SLOs are written
     /// against.
     fn failure_report(&self, core: DecodeCore<'_>) -> DecodeFailureReport {
         let (trace, completion_s, ttft_s) = (
@@ -1049,33 +1040,40 @@ impl<C: Controller<Slots>> FaultInjector<C, DecodeFaults> {
         );
         let decode = core.into_report();
         let makespan = decode.fleet.makespan_s;
-        let summary = self.summarize(trace, &completion_s, Some(&ttft_s), makespan, &[]);
         DecodeFailureReport {
             decode,
-            outcomes: summary.outcomes,
-            completed: summary.completed,
-            timed_out: summary.timed_out,
-            retried: summary.retried,
-            retries: self.retries,
-            slo_attainment: summary.slo_attainment,
-            phases: summary.phases,
+            client: self.summarize(trace, &completion_s, Some(&ttft_s), makespan, &[]),
             affected_drain_s: self.per_core.affected_drain_s(&completion_s),
         }
     }
 }
 
-// ──────────────────────────── client summary ───────────────────────────
+// ──────────────────────────── client books ────────────────────────────
 
 /// The client's view of one run: per-request outcomes, disposition
-/// tallies, SLO attainment and the incident phases.
-#[cfg_attr(test, derive(Debug))]
-struct ClientSummary {
-    outcomes: Vec<ClientOutcome>,
-    completed: usize,
-    timed_out: usize,
-    retried: usize,
-    slo_attainment: f64,
-    phases: Vec<IncidentPhase>,
+/// tallies, SLO attainment and the incident phases. The latency the SLO
+/// and the phases score is end-to-end for the fleet client and TTFT for
+/// the decode client. [`DecodeFailureReport`] and [`DisaggFailureReport`]
+/// hold it as `client`; [`FailureReport`] holds the same fields flat.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ClientBooks {
+    /// Per-request client outcomes in trace order.
+    pub outcomes: Vec<ClientOutcome>,
+    /// Requests that completed (on any attempt).
+    pub completed: usize,
+    /// Requests that never completed.
+    pub timed_out: usize,
+    /// Completed requests that needed at least one retry.
+    pub retried: usize,
+    /// Total retry events across all requests (including those that
+    /// still timed out).
+    pub retries: usize,
+    /// Fraction of *all* requests inside the SLO (timed-out requests are
+    /// misses).
+    pub slo_attainment: f64,
+    /// Pre / during / post incident slices ([`FaultPlan::incident_window`];
+    /// one all-run phase for an empty plan).
+    pub phases: Vec<IncidentPhase>,
 }
 
 /// Request `r`'s completion − original arrival; `f64::INFINITY` if it
@@ -1110,7 +1108,7 @@ struct PhaseTally {
     latencies: Vec<f64>,
 }
 
-/// Builds the [`ClientSummary`] of a finished run in one pass over the
+/// Builds the [`ClientBooks`] of a finished run in one pass over the
 /// trace. `arrivals` are the *original* trace arrivals; `latency_of(r)`
 /// is the SLO/phase latency metric (end-to-end for the fleet client, TTFT
 /// for the decode client), `f64::INFINITY` when the request never got
@@ -1130,7 +1128,7 @@ fn summarize_clients(
     slo: f64,
     makespan: f64,
     scale_events: &[ScaleEvent],
-) -> ClientSummary {
+) -> ClientBooks {
     let edges: Vec<f64> = match window {
         None => vec![0.0, f64::INFINITY],
         Some((w0, w1)) => vec![0.0, w0, w1, f64::INFINITY],
@@ -1147,22 +1145,24 @@ fn summarize_clients(
         })
         .collect();
     let mut outcomes = Vec::new();
-    let (mut completed, mut retried, mut slo_hits) = (0, 0, 0);
+    let (mut completed, mut retried, mut retries, mut slo_hits) = (0, 0, 0, 0);
     for r in 0..arrivals.len() {
         let done = completion_s[r].is_finite();
         let latency = latency_of(r);
+        let tries = attempts[r];
         completed += usize::from(done);
-        retried += usize::from(done && attempts[r] > 0);
+        retried += usize::from(done && tries > 0);
+        retries += tries as usize;
         slo_hits += usize::from(latency <= slo);
         outcomes.push(ClientOutcome {
             disposition: if !done {
                 Disposition::TimedOut
-            } else if attempts[r] > 0 {
-                Disposition::Retried(attempts[r])
+            } else if tries > 0 {
+                Disposition::Retried(tries)
             } else {
                 Disposition::Completed
             },
-            attempts: attempts[r],
+            attempts: tries,
             completion_s: if done { completion_s[r] } else { f64::INFINITY },
             latency_s: end_to_end_latency(completion_s, arrivals, r),
         });
@@ -1207,11 +1207,12 @@ fn summarize_clients(
             }
         })
         .collect();
-    let summary = ClientSummary {
+    let books = ClientBooks {
         outcomes,
         completed,
         timed_out: arrivals.len() - completed,
         retried,
+        retries,
         // The engines reject an empty trace, so the divisor is positive.
         slo_attainment: slo_hits as f64 / arrivals.len() as f64,
         phases,
@@ -1231,12 +1232,12 @@ fn summarize_clients(
         // `Debug` prints every f64 in its shortest round-trip form, so
         // equal strings mean equal bits.
         assert_eq!(
-            format!("{summary:?}"),
+            format!("{books:?}"),
             format!("{reference:?}"),
-            "client summary diverged from the reference chain"
+            "client books diverged from the reference chain"
         );
     }
-    summary
+    books
 }
 
 /// Reference for [`summarize_clients`]: the chain the entry points ran
@@ -1255,7 +1256,7 @@ fn reference_summary(
     slo: f64,
     makespan: f64,
     scale_events: &[ScaleEvent],
-) -> ClientSummary {
+) -> ClientBooks {
     let outcomes: Vec<ClientOutcome> = (0..arrivals.len())
         .map(|r| {
             let done = completion_s[r].is_finite();
@@ -1340,8 +1341,9 @@ fn reference_summary(
         .collect();
     let slo_attainment =
         overridden.iter().filter(|o| o.latency_s <= slo).count() as f64 / arrivals.len() as f64;
-    ClientSummary {
+    ClientBooks {
         timed_out: outcomes.len() - completed,
+        retries: outcomes.iter().map(|o| o.attempts as usize).sum(),
         outcomes,
         completed,
         retried,
@@ -1438,14 +1440,18 @@ pub fn simulate_autoscale_failure(
     core.run(&mut injector);
 
     let failure = injector.failure_report(core, &injector.inner.pool.events);
-    let (shard_seconds, mean_active_shards, peak_active_shards) =
-        injector.inner.pool.close_books(failure.fleet.makespan_s);
+    let ScaleBooks {
+        shard_seconds,
+        mean_active_shards,
+        peak_active_shards,
+        scale_events,
+    } = injector.inner.pool.close_books(failure.fleet.makespan_s);
     AutoscaleFailureReport {
         failure,
         shard_seconds,
         mean_active_shards,
         peak_active_shards,
-        scale_events: injector.inner.pool.events,
+        scale_events,
     }
 }
 
@@ -1505,20 +1511,8 @@ pub fn simulate_decode_failure(
 pub struct DisaggFailureReport {
     /// Disaggregated-serving view (pools, transfers, prefix cache).
     pub disagg: DisaggReport,
-    /// Per-request client outcomes in trace order.
-    pub outcomes: Vec<ClientOutcome>,
-    /// Requests that completed (on any attempt).
-    pub completed: usize,
-    /// Requests that never completed.
-    pub timed_out: usize,
-    /// Completed requests that needed at least one retry.
-    pub retried: usize,
-    /// Total retry events across all requests.
-    pub retries: usize,
-    /// Fraction of *all* requests whose TTFT met the SLO.
-    pub slo_attainment: f64,
-    /// Pre / during / post incident slices (TTFT as the latency metric).
-    pub phases: Vec<IncidentPhase>,
+    /// Client outcomes, tallies and incident phases, scored on TTFT.
+    pub client: ClientBooks,
     /// Latest completion time among the incident's KV-resident victims.
     pub affected_drain_s: f64,
 }
@@ -1577,17 +1571,15 @@ pub fn simulate_disagg_failure(
     injector.prime(&mut core);
     core.run(&mut injector);
 
-    let r = injector.failure_report(core);
+    let DecodeFailureReport {
+        decode,
+        client,
+        affected_drain_s,
+    } = injector.failure_report(core);
     DisaggFailureReport {
-        disagg: injector.inner.into_report(r.decode),
-        outcomes: r.outcomes,
-        completed: r.completed,
-        timed_out: r.timed_out,
-        retried: r.retried,
-        retries: r.retries,
-        slo_attainment: r.slo_attainment,
-        phases: r.phases,
-        affected_drain_s: r.affected_drain_s,
+        disagg: injector.inner.into_report(decode),
+        client,
+        affected_drain_s,
     }
 }
 
@@ -1891,7 +1883,7 @@ mod tests {
             FaultInjector::new(NullController, (), &plan, &client, 0.25, 1, trace.len());
         injector.prime(&mut core);
         core.run(&mut injector);
-        assert!(injector.retries > 0);
+        assert!(injector.attempts.iter().any(|&a| a > 0));
         assert_fired_hard_cases(&injector.timeouts.fired);
         assert!(injector.timeouts.is_empty() && scan_is_empty(&injector.timeouts));
 
@@ -1935,7 +1927,7 @@ mod tests {
         );
         injector.prime(&mut core);
         core.run(&mut injector);
-        assert!(injector.retries > 0);
+        assert!(injector.attempts.iter().any(|&a| a > 0));
         assert_fired_hard_cases(&injector.timeouts.fired);
         assert!(injector.timeouts.is_empty() && scan_is_empty(&injector.timeouts));
     }
@@ -2088,8 +2080,8 @@ mod tests {
             DecodeScaleDown::Migrate,
             0.25,
         );
-        assert_eq!(report.completed, trace.len());
-        assert_eq!(report.timed_out, 0);
+        assert_eq!(report.client.completed, trace.len());
+        assert_eq!(report.client.timed_out, 0);
         // Every request generated its full output despite the crash.
         let want: u64 = trace.iter().map(|r| r.output_len as u64).sum();
         assert_eq!(report.decode.generated_tokens, want);
@@ -2127,8 +2119,8 @@ mod tests {
         };
         let migrate = run(DecodeScaleDown::Migrate);
         let drain = run(DecodeScaleDown::Drain);
-        assert_eq!(migrate.completed, trace.len());
-        assert_eq!(drain.completed, trace.len());
+        assert_eq!(migrate.client.completed, trace.len());
+        assert_eq!(drain.client.completed, trace.len());
         assert!(
             migrate.affected_drain_s <= drain.affected_drain_s,
             "migrating victims off a ×25 straggler cannot be slower than \
@@ -2259,9 +2251,9 @@ mod tests {
             )
         });
         assert_eq!(healthy.disagg, plain);
-        assert_eq!(healthy.completed, trace.len());
-        assert_eq!(healthy.timed_out, 0);
-        assert_eq!(healthy.retries, 0);
+        assert_eq!(healthy.client.completed, trace.len());
+        assert_eq!(healthy.client.timed_out, 0);
+        assert_eq!(healthy.client.retries, 0);
     }
 
     /// A decode-pool crash orphans in-flight generations; they re-prefill
@@ -2281,8 +2273,8 @@ mod tests {
             }],
         };
         let r = run_disagg_failure(2, 2, &trace, &plan);
-        assert_eq!(r.completed, trace.len());
-        assert_eq!(r.timed_out, 0);
+        assert_eq!(r.client.completed, trace.len());
+        assert_eq!(r.client.timed_out, 0);
         let want: u64 = trace.iter().map(|q| q.output_len as u64).sum();
         assert_eq!(r.disagg.decode.generated_tokens, want);
         // Orphaned generations crossed the interconnect a second time.
@@ -2311,8 +2303,8 @@ mod tests {
             }],
         };
         let r = run_disagg_failure(2, 2, &trace, &plan);
-        assert_eq!(r.completed, trace.len());
-        assert_eq!(r.timed_out, 0);
+        assert_eq!(r.client.completed, trace.len());
+        assert_eq!(r.client.timed_out, 0);
         let multi = trace.iter().filter(|q| q.output_len > 1).count();
         assert!(r.disagg.transfers >= multi);
     }
@@ -2361,7 +2353,7 @@ mod tests {
                 response,
                 0.25,
             );
-            assert_eq!(r.completed, trace.len(), "{response:?}");
+            assert_eq!(r.client.completed, trace.len(), "{response:?}");
             assert_eq!(r.decode.generated_tokens, want, "{response:?}");
         }
     }
@@ -2389,12 +2381,12 @@ mod tests {
                 response,
                 0.25,
             );
-            assert_eq!(r.completed, trace.len(), "{response:?}");
+            assert_eq!(r.client.completed, trace.len(), "{response:?}");
             assert_eq!(r.disagg.decode.generated_tokens, want, "{response:?}");
         }
     }
 
-    // ── exact client summary vs the reference chain ──
+    // ── exact client books vs the reference chain ──
     //
     // Under `cfg(test)`, `summarize_clients` asserts its exact path
     // against `reference_summary` on every call, so each test below
@@ -2544,7 +2536,7 @@ mod tests {
             DecodeScaleDown::Migrate,
             0.1,
         );
-        assert_stormy("decode", r.retries, r.timed_out);
+        assert_stormy("decode", r.client.retries, r.client.timed_out);
     }
 
     #[test]
@@ -2584,7 +2576,7 @@ mod tests {
             DecodeScaleDown::Migrate,
             0.1,
         );
-        assert_stormy("disagg", r.retries, r.timed_out);
+        assert_stormy("disagg", r.client.retries, r.client.timed_out);
     }
 
     /// 64-bit FNV-1a of `s`.
@@ -2646,7 +2638,7 @@ mod tests {
                         shards, dtrace, lp, dp, cont, &dcfg, &plan, &client, response, 0.1,
                     );
                     if shards.len() == 2 {
-                        assert_stormy("decode", r.retries, r.timed_out);
+                        assert_stormy("decode", r.client.retries, r.client.timed_out);
                     }
                     prints.push(fnv1a(&format!("{r:?}")));
                     values.push(value_fold(&r));
@@ -2666,7 +2658,7 @@ mod tests {
                         0.1,
                     );
                     if shards.len() == 2 {
-                        assert_stormy("disagg", r.retries, r.timed_out);
+                        assert_stormy("disagg", r.client.retries, r.client.timed_out);
                     }
                     prints.push(fnv1a(&format!("{r:?}")));
                     values.push(value_fold(&r));
@@ -2679,14 +2671,14 @@ mod tests {
         let expected: [u64; 10] = [
             0x1b6b_3ba3_4eaa_52a6,
             0x216c_0514_401f_3248,
-            0x21a5_5fd1_98b3_f4b2,
-            0x683b_aff8_d6f6_f8c7,
-            0x21a5_5fd1_98b3_f4b2,
-            0x683b_aff8_d6f6_f8c7,
-            0x2aa6_ac30_cda0_be92,
-            0x31cb_aecf_3468_03de,
-            0xed7a_9a04_a6f3_9f75,
-            0xc6d7_8b98_c63d_4b65,
+            0xa179_afb7_2b5c_5b5a,
+            0x68bf_7d23_3d29_7971,
+            0xa179_afb7_2b5c_5b5a,
+            0x68bf_7d23_3d29_7971,
+            0xa4c7_922a_04dc_dbbe,
+            0x38b8_5f0a_9cfe_fd82,
+            0x7cb0_82c9_0bcd_863f,
+            0xfbb1_aa9a_4d8d_f3f7,
         ];
         assert_eq!(prints, expected, "faulted report fingerprints moved");
         // The decode and disagg entries' value fingerprints, which hold

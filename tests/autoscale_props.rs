@@ -101,7 +101,7 @@ fn assert_batches_within_membership(r: &AutoscaleReport, initial_shards: usize) 
     assert!(!r.fleet.batch_log.is_empty(), "empty batch log");
     for b in &r.fleet.batch_log {
         let mut allowed = b.shard < initial_shards;
-        for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
+        for e in r.scale.scale_events.iter().filter(|e| e.shard == b.shard) {
             if e.time_s > b.start_s + 1e-12 {
                 break;
             }
@@ -129,7 +129,7 @@ fn assert_event_log_well_formed(r: &AutoscaleReport, initial_shards: usize, max_
     for s in 0..max_shards {
         // Initially-active shards start life already joined.
         let mut state = if s < initial_shards { 2u8 } else { 0 };
-        for e in r.scale_events.iter().filter(|e| e.shard == s) {
+        for e in r.scale.scale_events.iter().filter(|e| e.shard == s) {
             state = match (state, e.kind) {
                 (0, ScaleEventKind::Launch) => 1,
                 (1, ScaleEventKind::Join) => 2,
@@ -141,7 +141,8 @@ fn assert_event_log_well_formed(r: &AutoscaleReport, initial_shards: usize, max_
         }
     }
     assert!(
-        r.scale_events
+        r.scale
+            .scale_events
             .windows(2)
             .all(|w| w[0].time_s <= w[1].time_s),
         "scale events out of time order"
@@ -160,7 +161,7 @@ fn assert_min_floor(
     let mut state: Vec<u8> = (0..max_shards)
         .map(|s| if s < initial_shards { 2 } else { 0 })
         .collect();
-    for e in &r.scale_events {
+    for e in &r.scale.scale_events {
         state[e.shard] = match e.kind {
             ScaleEventKind::Launch => 1,
             ScaleEventKind::Join => 2,
@@ -225,15 +226,15 @@ proptest! {
         prop_assert_eq!(r.fleet.completed, n);
         prop_assert_eq!(r.fleet.shards.iter().map(|s| s.completed).sum::<usize>(), n);
         prop_assert_eq!(r.fleet.batch_log.iter().map(|b| b.size).sum::<usize>(), n);
-        prop_assert!(r.peak_active_shards <= max_shards);
-        prop_assert!(r.mean_active_shards >= 1.0 - 1e-9);
-        prop_assert!(r.mean_active_shards <= max_shards as f64 + 1e-9);
-        prop_assert!(r.shard_seconds > 0.0);
+        prop_assert!(r.scale.peak_active_shards <= max_shards);
+        prop_assert!(r.scale.mean_active_shards >= 1.0 - 1e-9);
+        prop_assert!(r.scale.mean_active_shards <= max_shards as f64 + 1e-9);
+        prop_assert!(r.scale.shard_seconds > 0.0);
         // Cost can never exceed the whole fleet running the whole time
         // (shard-seconds may close slightly past the makespan when a
         // retire lands on a post-completion tick, hence the epsilon).
         prop_assert!(
-            r.shard_seconds
+            r.scale.shard_seconds
                 <= max_shards as f64 * r.fleet.makespan_s + max_shards as f64 * 0.1 + 1e-9
         );
         prop_assert!((0.0..=1.0 + 1e-12).contains(&r.slo_attainment));
@@ -284,10 +285,10 @@ proptest! {
                 },
             ));
             prop_assert_eq!(&auto.fleet, &fixed);
-            prop_assert!(auto.scale_events.is_empty());
-            prop_assert_eq!(auto.peak_active_shards, shards);
+            prop_assert!(auto.scale.scale_events.is_empty());
+            prop_assert_eq!(auto.scale.peak_active_shards, shards);
             prop_assert!(
-                (auto.shard_seconds - shards as f64 * fixed.makespan_s).abs() < 1e-9
+                (auto.scale.shard_seconds - shards as f64 * fixed.makespan_s).abs() < 1e-9
             );
         }
     }
@@ -328,7 +329,7 @@ proptest! {
             },
         ));
         assert_batches_within_membership(&r, 1);
-        let events = &r.scale_events;
+        let events = &r.scale.scale_events;
         for (i, e) in events.iter().enumerate() {
             if e.kind != ScaleEventKind::Join {
                 continue;

@@ -20,7 +20,7 @@ use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
 use lat_fpga::hwsim::autoscale::{
     simulate_autoscale, simulate_decode_autoscale, AutoscaleConfig, DecodeScaleDown, RetirePolicy,
-    ScaleEventKind, ScalePolicy,
+    ScaleBooks, ScaleEvent, ScaleEventKind, ScalePolicy,
 };
 use lat_fpga::hwsim::decode::{
     decode_trace, nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeRequest,
@@ -345,11 +345,15 @@ fn assert_autoscale_pinned(retire: RetirePolicy, log: u64, whole: u64, values: u
     };
     let what = format!("simulate_autoscale (Reactive, {retire})");
     let r = assert_pinned(&what, run, |r| &mut r.fleet, log);
-    let has = |k| r.scale_events.iter().any(|e| e.kind == k);
+    let has = |k| r.scale.scale_events.iter().any(|e| e.kind == k);
     assert!(
         has(ScaleEventKind::Launch) && has(ScaleEventKind::Retired),
         "{what}: scaled only one way: {:?}",
-        r.scale_events.iter().map(|e| e.kind).collect::<Vec<_>>()
+        r.scale
+            .scale_events
+            .iter()
+            .map(|e| e.kind)
+            .collect::<Vec<_>>()
     );
     assert_eq!(fnv1a(&r), whole, "{what}: whole report");
     assert_values(&what, &r, values);
@@ -360,7 +364,7 @@ fn autoscale_drain_report_bytes_pinned() {
     assert_autoscale_pinned(
         RetirePolicy::Drain,
         0xd6f7_8314_aade_4a83,
-        0xff59_fa83_c178_522b,
+        0xf1c8_068a_dcb3_a871,
         0xbeef_4d13_c64e_3163,
     );
 }
@@ -370,7 +374,7 @@ fn autoscale_evict_report_bytes_pinned() {
     assert_autoscale_pinned(
         RetirePolicy::Evict,
         0xf50c_9126_a555_0d8d,
-        0x2d55_c60d_5ac4_9c83,
+        0x1104_4e63_6fb6_bb15,
         0x14bf_ffc9_0c34_0b36,
     );
 }
@@ -425,11 +429,15 @@ fn assert_decode_autoscale_pinned(
     };
     let what = format!("simulate_decode_autoscale ({policy:?}, {scale_down})");
     let r = assert_pinned(&what, run, |r| &mut r.decode.fleet, log);
-    let has = |k| r.scale_events.iter().any(|e| e.kind == k);
+    let has = |k| r.scale.scale_events.iter().any(|e| e.kind == k);
     assert!(
         has(ScaleEventKind::Launch) && has(ScaleEventKind::Retired),
         "{what}: scaled only one way: {:?}",
-        r.scale_events.iter().map(|e| e.kind).collect::<Vec<_>>()
+        r.scale
+            .scale_events
+            .iter()
+            .map(|e| e.kind)
+            .collect::<Vec<_>>()
     );
     if scale_down == DecodeScaleDown::Migrate {
         assert!(r.migrations > 0, "{what}: no resident migrated");
@@ -447,7 +455,7 @@ fn decode_autoscale_reactive_migrate_report_bytes_pinned() {
         },
         DecodeScaleDown::Migrate,
         0x17d3_f0b4_174f_cee1,
-        0x28a6_b302_a32b_1a4d,
+        0x80ab_c288_5618_d327,
         0x7760_f2c3_5dcd_a357,
     );
 }
@@ -463,7 +471,7 @@ fn decode_autoscale_predictive_drain_report_bytes_pinned() {
         },
         DecodeScaleDown::Drain,
         0x3631_3dd0_d178_fe07,
-        0xd9df_255d_c8a1_5f31,
+        0x3f2e_a1eb_bcbe_cd5f,
         0x3da5_6190_d6e3_a176,
     );
 }
@@ -521,38 +529,31 @@ fn disagg_autoscale_report_bytes_pinned() {
         |r| &mut r.disagg.decode.fleet,
         0xcd8a_b50e_edce_8b1d,
     );
-    for pool in [0..2, 2..4] {
-        let has = |k| {
-            r.scale_events
-                .iter()
-                .any(|e| e.kind == k && pool.contains(&e.shard))
-        };
+    for (pool, range) in [(&r.prefill_pool, 0..2), (&r.decode_pool, 2..4)] {
+        let events = &pool.scale_events;
+        assert!(
+            events.windows(2).all(|w| w[0].time_s <= w[1].time_s),
+            "{what}: pool {range:?} events out of time order: {events:?}"
+        );
+        assert!(
+            events.iter().all(|e| range.contains(&e.shard)),
+            "{what}: pool {range:?} logged another pool's shard: {events:?}"
+        );
+        let has = |k| events.iter().any(|e| e.kind == k);
         assert!(
             has(ScaleEventKind::Launch) && has(ScaleEventKind::Retired),
-            "{what}: pool {pool:?} scaled only one way: {:?}",
-            r.scale_events
+            "{what}: pool {range:?} scaled only one way: {events:?}"
         );
     }
-    assert_eq!(fnv1a(&r), 0x4681_ae7f_d61d_288b, "{what}: whole report");
+    assert_eq!(fnv1a(&r), 0xa8ee_995c_7524_eb51, "{what}: whole report");
     // Each pool's books and its own event log, in pool order.
-    let pool_events = |pool: std::ops::Range<usize>| -> Vec<_> {
-        r.scale_events
-            .iter()
-            .filter(|e| pool.contains(&e.shard))
-            .collect()
-    };
+    fn books_of(p: &ScaleBooks) -> (f64, usize, &[ScaleEvent]) {
+        (p.shard_seconds, p.peak_active_shards, &p.scale_events)
+    }
     let books = (
         &r.disagg,
-        (
-            r.prefill_shard_seconds,
-            r.peak_prefill_shards,
-            pool_events(0..2),
-        ),
-        (
-            r.decode_shard_seconds,
-            r.peak_decode_shards,
-            pool_events(2..4),
-        ),
+        books_of(&r.prefill_pool),
+        books_of(&r.decode_pool),
     );
     assert_values(what, &books, 0x0198_ec69_8918_5b13);
 }

@@ -117,7 +117,7 @@ fn assert_iterations_within_membership(r: &DecodeAutoscaleReport, initial_shards
     assert!(!r.decode.fleet.batch_log.is_empty(), "empty batch log");
     for b in &r.decode.fleet.batch_log {
         let mut allowed = b.shard < initial_shards;
-        for e in r.scale_events.iter().filter(|e| e.shard == b.shard) {
+        for e in r.scale.scale_events.iter().filter(|e| e.shard == b.shard) {
             if e.time_s > b.start_s + 1e-12 {
                 break;
             }
@@ -147,7 +147,7 @@ fn assert_event_log_well_formed(
 ) {
     for s in 0..max_shards {
         let mut state = if s < initial_shards { 2u8 } else { 0 };
-        for e in r.scale_events.iter().filter(|e| e.shard == s) {
+        for e in r.scale.scale_events.iter().filter(|e| e.shard == s) {
             state = match (state, e.kind) {
                 (0, ScaleEventKind::Launch) => 1,
                 (1, ScaleEventKind::Join) => 2,
@@ -159,7 +159,8 @@ fn assert_event_log_well_formed(
         }
     }
     assert!(
-        r.scale_events
+        r.scale
+            .scale_events
             .windows(2)
             .all(|w| w[0].time_s <= w[1].time_s),
         "scale events out of time order"
@@ -177,7 +178,7 @@ fn assert_min_floor(
     let mut state: Vec<u8> = (0..max_shards)
         .map(|s| if s < initial_shards { 2 } else { 0 })
         .collect();
-    for e in &r.scale_events {
+    for e in &r.scale.scale_events {
         state[e.shard] = match e.kind {
             ScaleEventKind::Launch => 1,
             ScaleEventKind::Join => 2,
@@ -258,10 +259,10 @@ proptest! {
         if r.decode.preemptions == 0 {
             prop_assert_eq!(r.re_prefills, r.migrations);
         }
-        prop_assert!(r.peak_active_shards <= max_shards);
-        prop_assert!(r.mean_active_shards >= 1.0 - 1e-9);
-        prop_assert!(r.mean_active_shards <= max_shards as f64 + 1e-9);
-        prop_assert!(r.shard_seconds > 0.0);
+        prop_assert!(r.scale.peak_active_shards <= max_shards);
+        prop_assert!(r.scale.mean_active_shards >= 1.0 - 1e-9);
+        prop_assert!(r.scale.mean_active_shards <= max_shards as f64 + 1e-9);
+        prop_assert!(r.scale.shard_seconds > 0.0);
         prop_assert!((0.0..=1.0 + 1e-12).contains(&r.slo_attainment));
         assert_event_log_well_formed(&r, min_shards, max_shards);
         assert_iterations_within_membership(&r, min_shards);
@@ -321,11 +322,11 @@ proptest! {
                 },
             ));
             prop_assert_eq!(&auto.decode, &fixed);
-            prop_assert!(auto.scale_events.is_empty());
+            prop_assert!(auto.scale.scale_events.is_empty());
             prop_assert_eq!(auto.migrations, 0);
-            prop_assert_eq!(auto.peak_active_shards, shards);
+            prop_assert_eq!(auto.scale.peak_active_shards, shards);
             prop_assert!(
-                (auto.shard_seconds - shards as f64 * fixed.fleet.makespan_s).abs() < 1e-9
+                (auto.scale.shard_seconds - shards as f64 * fixed.fleet.makespan_s).abs() < 1e-9
             );
         }
     }
@@ -422,7 +423,7 @@ proptest! {
             },
         ));
         assert_iterations_within_membership(&r, 1);
-        let events = &r.scale_events;
+        let events = &r.scale.scale_events;
         for (i, e) in events.iter().enumerate() {
             if e.kind != ScaleEventKind::Join {
                 continue;

@@ -10,7 +10,7 @@
 use lat_bench::scenarios::harness_seed;
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
-use lat_fpga::hwsim::autoscale::{ScaleEvent, ScaleEventKind, ScalePolicy};
+use lat_fpga::hwsim::autoscale::{ScaleEventKind, ScalePolicy};
 use lat_fpga::hwsim::decode::{
     decode_trace, nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeRequest,
     DecodeScheduler, KvTransfer, Priority,
@@ -331,9 +331,9 @@ fn burst_then_trickle_trace(seed: u64) -> Vec<DecodeRequest> {
 /// The disagg retire path: with reactive policies and a positive
 /// `scale_down_depth` on both pools, each pool launches a shard during
 /// the burst and retires one during the trickle. Every request still
-/// completes, each pool's events stay inside its own index range, the
-/// merged log is time-sorted, and replaying a pool's own events never
-/// takes its committed count below its floor.
+/// completes, each pool's own log is time-ordered and stays inside the
+/// pool's combined-fleet index range, and replaying it never takes the
+/// pool's committed count below its floor.
 #[test]
 fn disagg_pools_scale_up_then_down() {
     let seed = harness_seed();
@@ -371,26 +371,19 @@ fn disagg_pools_scale_up_then_down() {
         &acfg,
     );
     assert_eq!(r.disagg.decode.fleet.completed, trace.len());
-    assert!(
-        r.scale_events
-            .windows(2)
-            .all(|w| w[0].time_s <= w[1].time_s),
-        "scale events out of time order"
-    );
-    assert!(
-        r.scale_events.iter().all(|e| e.shard < 4),
-        "scale event outside both pools: {:?}",
-        r.scale_events
-    );
-    for (name, range, min) in [
-        ("prefill", 0..2, acfg.prefill.min_shards),
-        ("decode", 2..4, acfg.decode.min_shards),
+    for (name, books, range, min) in [
+        ("prefill", &r.prefill_pool, 0..2, acfg.prefill.min_shards),
+        ("decode", &r.decode_pool, 2..4, acfg.decode.min_shards),
     ] {
-        let events: Vec<&ScaleEvent> = r
-            .scale_events
-            .iter()
-            .filter(|e| range.contains(&e.shard))
-            .collect();
+        let events = &books.scale_events;
+        assert!(
+            events.windows(2).all(|w| w[0].time_s <= w[1].time_s),
+            "{name} pool events out of time order: {events:?}"
+        );
+        assert!(
+            events.iter().all(|e| range.contains(&e.shard)),
+            "{name} pool event outside shards {range:?}: {events:?}"
+        );
         // Replay the pool's own log from its initial state (shard
         // `range.start` warm, the other off): 0 off, 1 warming, 2 active,
         // 3 retiring.
@@ -400,7 +393,7 @@ fn disagg_pools_scale_up_then_down() {
             .collect();
         let mut launched = false;
         let mut retired = false;
-        for e in &events {
+        for e in events {
             let local = e.shard - range.start;
             state[local] = match (state[local], e.kind) {
                 (0, ScaleEventKind::Launch) => {

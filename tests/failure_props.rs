@@ -121,14 +121,14 @@ proptest! {
             DecodeScaleDown::Migrate,
             0.25,
         );
-        prop_assert_eq!(r.completed, n, "a patient client must lose nothing");
-        prop_assert_eq!(r.timed_out, 0);
-        prop_assert_eq!(r.outcomes.len(), n);
+        prop_assert_eq!(r.client.completed, n, "a patient client must lose nothing");
+        prop_assert_eq!(r.client.timed_out, 0);
+        prop_assert_eq!(r.client.outcomes.len(), n);
         // Every generation ran to its full length — tokens from the
         // crashed shards' residents included.
         let want: u64 = trace.iter().map(|q| q.output_len as u64).sum();
         prop_assert_eq!(r.decode.generated_tokens, want);
-        prop_assert!(r.outcomes.iter().all(|o| o.completion_s.is_finite()));
+        prop_assert!(r.client.outcomes.iter().all(|o| o.completion_s.is_finite()));
     }
 
     /// The empty fault plan with the patient client is the plain fleet
@@ -212,8 +212,8 @@ proptest! {
                 0.25,
             ));
             prop_assert_eq!(r.decode, plain);
-            prop_assert_eq!(r.completed, n);
-            prop_assert_eq!(r.timed_out + r.retried + r.retries, 0);
+            prop_assert_eq!(r.client.completed, n);
+            prop_assert_eq!(r.client.timed_out + r.client.retried + r.client.retries, 0);
         }
     }
 
