@@ -15,6 +15,11 @@
 
 use serde::json::{self, Value};
 
+/// The workspace root's `BENCH_fleet.json`, the file
+/// `tests/bench_schema.rs` validates. The path is absolute, so a bin
+/// appends to it from whatever directory it runs in.
+pub const FLEET_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
+
 /// Annotation recorded in place of `speedup` when the host has a single
 /// core — serial vs parallel wall times compare time-slicing overhead,
 /// not parallel speedup.
@@ -68,6 +73,14 @@ pub fn write(path: &str, bench: &str, entries: Vec<Value>) -> std::io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fleet_path_is_the_committed_root_file() {
+        let path = std::path::Path::new(FLEET_PATH);
+        assert!(path.is_absolute(), "{FLEET_PATH}");
+        assert!(path.exists(), "{FLEET_PATH}");
+        assert!(path.parent().unwrap().join("Cargo.lock").exists());
+    }
 
     #[test]
     fn migrates_schema1_and_scrubs_single_core_speedup() {

@@ -554,7 +554,7 @@ fn main() {
     // Read-migrate-append (shared helper): keep prior entries so the file
     // accumulates a PR-over-PR trajectory, scrubbing legacy single-core
     // speedup records along the way.
-    let mut entries: Vec<Value> = benchfile::read_entries("BENCH_fleet.json");
+    let mut entries: Vec<Value> = benchfile::read_entries(benchfile::FLEET_PATH);
     let seed_str = || Value::Str(format!("{HARNESS_SEED:#x}"));
     entries.push(Value::obj([
         ("bench".into(), Value::Str("fleet-failure".into())),
@@ -606,7 +606,7 @@ fn main() {
         ));
     }
     entries.push(Value::obj(sweep_entry));
-    match benchfile::write("BENCH_fleet.json", "fleet", entries) {
+    match benchfile::write(benchfile::FLEET_PATH, "fleet", entries) {
         Ok(()) => println!("wrote BENCH_fleet.json ({events} events in {wall_s:.3} s)"),
         Err(e) => println!("BENCH_fleet.json not written: {e}"),
     }

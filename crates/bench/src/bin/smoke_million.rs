@@ -181,7 +181,7 @@ fn main() {
 
     // Perf trajectory: append the streaming record (wall-clock fields are
     // the deliberate nondeterminism of BENCH files).
-    let mut entries = benchfile::read_entries("BENCH_fleet.json");
+    let mut entries = benchfile::read_entries(benchfile::FLEET_PATH);
     entries.push(Value::obj([
         ("bench".into(), Value::Str("fleet-streaming-1m".into())),
         (
@@ -204,7 +204,7 @@ fn main() {
         ),
         ("seed".into(), Value::Str(format!("{seed:#x}"))),
     ]));
-    match benchfile::write("BENCH_fleet.json", "fleet", entries) {
+    match benchfile::write(benchfile::FLEET_PATH, "fleet", entries) {
         Ok(()) => println!("wrote BENCH_fleet.json"),
         Err(e) => println!("BENCH_fleet.json not written: {e}"),
     }

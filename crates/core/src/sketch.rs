@@ -32,7 +32,9 @@
 ///
 /// - [`ReportMode::Exact`] retains every per-request sample and reads
 ///   its nearest-rank order statistics by in-place selection — the bits a
-///   sort of the population would give, O(n) memory.
+///   sort of the population would give, O(n) memory. The decode engines'
+///   inter-token gaps, one per token, are read the same way from a
+///   value→count multiset of the distinct gaps instead.
 /// - [`ReportMode::Streaming`] feeds each sample into a [`QuantileSketch`]
 ///   as it is produced and drops it, so a million-request trace runs in
 ///   bounded memory. Percentiles are within 2⁻⁷ relative of the exact

@@ -55,6 +55,19 @@
 //! slots and launching iterations, truncating an iteration on a crash,
 //! evicting and preempting residents, and the per-request token books.
 //!
+//! ## Inter-token latency
+//!
+//! The ITL percentiles are exact: the nearest-rank order statistics of
+//! every gap between consecutive tokens of a request, the bits a sort of
+//! all the gaps would give. The engine keeps the gaps as a value→count
+//! multiset, not one `f64` per token: a run of equal consecutive gaps is
+//! one count, and runs are sorted and merged into the distinct values
+//! under `f64::total_cmp`. Its worst case, every gap distinct, costs 16 B
+//! per distinct value plus a buffer of at most as many runs, against 8 B
+//! per token for a kept sample. Decode simulations repeat gaps heavily: the
+//! perfbench workloads `disagg_prefix_warm` and `decode_full_slots` hold
+//! 137× and 837× fewer distinct gaps than gaps.
+//!
 //! Controllers drive the core through the one `Controller` trait:
 //! [`simulate_decode`] runs the no-op `NullController`, and
 //! [`crate::autoscale::simulate_decode_autoscale`] drives the IDENTICAL
@@ -119,6 +132,7 @@ use crate::fleet::{
 };
 use lat_core::pipeline::SchedulingPolicy;
 use lat_tensor::rng::SplitMix64;
+use lat_tensor::stats::percentiles_counted;
 use lat_workloads::datasets::LengthSampler;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -438,6 +452,8 @@ pub struct DecodeReport {
     pub high_ttft_p95_s: Option<f64>,
     /// Median inter-token latency (gaps between consecutive tokens of a
     /// request, TTFT excluded); 0 when no request decodes past one token.
+    /// Like the p95 and p99, an exact nearest rank over every gap, read
+    /// from a value→count multiset (see the module docs).
     pub itl_p50_s: f64,
     /// 95th-percentile inter-token latency.
     pub itl_p95_s: f64,
@@ -513,7 +529,100 @@ pub(crate) struct Slots {
     /// fresh token). All-zero (the default) prices exactly the full
     /// context.
     pub(crate) prefill_skip: Vec<usize>,
-    itl_gaps: Vec<f64>,
+    itl_gaps: GapMultiset,
+}
+
+/// Runs buffered before a compaction, however few distinct values the
+/// sorted part holds.
+const FLOOR: usize = 16_384;
+
+/// The inter-token gaps as an exact multiset of bit patterns: the report
+/// reads only order statistics, and a simulation repeats few distinct
+/// gaps (every resident of one iteration often waits the same time).
+///
+/// A gap first joins a run-length `tail`; a different gap moves the tail
+/// into `pending`, and once `pending` holds `max(FLOOR, distinct.len())`
+/// runs they are sorted and merged into `distinct`. All-distinct gaps so
+/// cost amortized O(log n) each and 16 B per value plus the buffer.
+/// Equal under `f64::total_cmp` means equal bits, so `-0.0` and `+0.0`,
+/// or NaNs with different payloads, stay apart exactly as a sort of
+/// every gap would keep them.
+#[derive(Default)]
+struct GapMultiset {
+    /// Bits of the last gap and how many times in a row it came.
+    tail: (u64, u64),
+    /// Runs not yet merged, in push order.
+    pending: Vec<(f64, u64)>,
+    /// Distinct values in ascending `total_cmp` order, with their counts.
+    distinct: Vec<(f64, u64)>,
+}
+
+impl GapMultiset {
+    fn push(&mut self, gap: f64) {
+        if self.tail.1 > 0 && self.tail.0 == gap.to_bits() {
+            self.tail.1 += 1;
+        } else {
+            self.flush_tail();
+            self.tail = (gap.to_bits(), 1);
+        }
+    }
+
+    fn flush_tail(&mut self) {
+        let (bits, count) = std::mem::take(&mut self.tail);
+        if count > 0 {
+            self.pending.push((f64::from_bits(bits), count));
+            if self.pending.len() >= FLOOR.max(self.distinct.len()) {
+                self.compact();
+            }
+        }
+    }
+
+    /// Sorts `pending` and merges it into `distinct` from the back, in
+    /// `distinct`'s own buffer: each old entry above the next pending value
+    /// moves up in one block, and an equal one folds into it.
+    fn compact(&mut self) {
+        let Self {
+            pending, distinct, ..
+        } = self;
+        pending.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        pending.dedup_by(|later, kept| {
+            let same = later.0.total_cmp(&kept.0).is_eq();
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        // Unmerged old entries are `distinct[..i]`; the merged ones fill
+        // `distinct[w..]` from the end.
+        let mut i = distinct.len();
+        distinct.resize(i + pending.len(), (0.0, 0));
+        let mut w = distinct.len();
+        for (v, mut count) in pending.drain(..).rev() {
+            let above = distinct[..i].partition_point(|e| e.0.total_cmp(&v).is_le());
+            distinct.copy_within(above..i, w - (i - above));
+            w -= i - above;
+            i = above;
+            if let Some(&(_, c)) = distinct[..i].last().filter(|e| e.0.total_cmp(&v).is_eq()) {
+                count += c;
+                i -= 1;
+            }
+            w -= 1;
+            distinct[w] = (v, count);
+        }
+        // One slot per pending value that folded into an old entry.
+        distinct.drain(i..w);
+    }
+
+    /// p50, p95 and p99 by nearest rank over every gap pushed, the bits a
+    /// sort of them all would give; `[0.0; 3]` when none was.
+    fn percentiles(mut self) -> [f64; 3] {
+        self.flush_tail();
+        self.compact();
+        match percentiles_counted(&self.distinct, &[0.50, 0.95, 0.99]).as_deref() {
+            Some(&[p50, p95, p99]) => [p50, p95, p99],
+            _ => [0.0; 3],
+        }
+    }
 }
 
 /// The decode engine's core: [`simulate_decode`] runs it with fixed
@@ -634,7 +743,7 @@ impl<'a> DecodeCore<'a> {
             prefill_passes: vec![0; n],
             kv_warm: vec![false; n],
             prefill_skip: vec![0; n],
-            itl_gaps: Vec::new(),
+            itl_gaps: GapMultiset::default(),
         };
         Core::assemble(shards, trace, policy, dispatch, accepting, slots)
     }
@@ -906,7 +1015,7 @@ impl DecodeCore<'_> {
                 .collect();
             p95_mut(&mut high_ttfts)
         };
-        let (_, _, itl_pcts) = summarize_sample(d.itl_gaps);
+        let [itl_p50_s, itl_p95_s, itl_p99_s] = d.itl_gaps.percentiles();
         let max_slots = d.cfg.max_slots;
         let decode_shards: Vec<DecodeShardReport> = d
             .shards
@@ -940,9 +1049,9 @@ impl DecodeCore<'_> {
             ttft_p95_s: ttft_pcts[1],
             ttft_p99_s: ttft_pcts[2],
             high_ttft_p95_s,
-            itl_p50_s: itl_pcts[0],
-            itl_p95_s: itl_pcts[1],
-            itl_p99_s: itl_pcts[2],
+            itl_p50_s,
+            itl_p95_s,
+            itl_p99_s,
             generated_tokens,
             goodput_tok_s: generated_tokens as f64 / makespan.max(1e-12),
             slot_utilization: d.shards.iter().map(|sh| sh.slot_integral).sum::<f64>()
@@ -1004,6 +1113,7 @@ mod tests {
     use crate::spec::FpgaSpec;
     use lat_model::config::ModelConfig;
     use lat_model::graph::AttentionMode;
+    use lat_tensor::stats::percentiles_mut;
     use lat_workloads::datasets::DatasetSpec;
 
     fn tiny_design(s_avg: usize) -> AcceleratorDesign {
@@ -1421,5 +1531,54 @@ mod tests {
         assert!(!r.ttft_mean_s.is_nan() && !r.fleet.mean_batch_size.is_nan());
         assert!(!r.goodput_tok_s.is_nan() && !r.slot_utilization.is_nan());
         assert!(r.shards.iter().all(|s| !s.slot_utilization.is_nan()));
+    }
+
+    /// The ITL multiset through its compaction path: each order pushes
+    /// more than 3 × `FLOOR` gaps, and the three percentiles are the bits
+    /// `percentiles_mut` reads from the same pushes.
+    #[test]
+    fn gap_multiset_matches_the_kept_sample_through_compaction() {
+        const N: usize = 3 * FLOOR + 1_000;
+        // Two thirds zeros, `-0.0` in the first four fifths of the pushes
+        // and `+0.0` after: the p50 rank falls on `-0.0`, and a compaction
+        // that folded the later `+0.0` into it would move that rank.
+        let with_zeros = |g: fn(usize) -> f64| -> Vec<f64> {
+            (0..N)
+                .map(|i| match i % 3 {
+                    0 => g(i),
+                    _ if i < 4 * N / 5 => -0.0,
+                    _ => 0.0,
+                })
+                .collect()
+        };
+        let orders = [
+            ("ascending", with_zeros(|i| (i + 1) as f64 * 1e-6)),
+            ("descending", with_zeros(|i| (N - i) as f64 * 1e-6)),
+            // `-0.0` first: folding `+0.0` into it would read `-0.0` at p50.
+            (
+                "alternating",
+                (0..N)
+                    .map(|i| if i % 2 == 0 { -0.0 } else { 0.0 })
+                    .collect(),
+            ),
+            // 7919 is prime and does not divide N: a permutation of 0..N.
+            (
+                "all-distinct",
+                (0..N).map(|i| ((i * 7919) % N) as f64 * 1e-6).collect(),
+            ),
+            ("all-equal", vec![2.5e-4; N]),
+        ];
+        for (name, mut gaps) in orders {
+            let mut multiset = GapMultiset::default();
+            gaps.iter().for_each(|&g| multiset.push(g));
+            let want = percentiles_mut(&mut gaps, &[0.50, 0.95, 0.99]).unwrap();
+            let got = multiset.percentiles();
+            assert_eq!(
+                got.map(f64::to_bits).to_vec(),
+                want.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+                "{name}: {got:?} vs {want:?}"
+            );
+        }
+        assert_eq!(GapMultiset::default().percentiles(), [0.0; 3]);
     }
 }

@@ -110,7 +110,7 @@ pub fn percentiles_mut(xs: &mut [f64], ps: &[f64]) -> Option<Vec<f64>> {
     let mut ranks: Vec<(usize, usize, f64)> = ps
         .iter()
         .enumerate()
-        .map(|(i, &p)| (i, rank_index(xs.len(), p), 0.0))
+        .map(|(i, &p)| (i, rank_index(xs.len() as u64, p) as usize, 0.0))
         .collect();
     ranks.sort_unstable_by_key(|&(_, k, _)| Reverse(k));
     let mut end = xs.len();
@@ -128,9 +128,49 @@ pub fn percentiles_mut(xs: &mut [f64], ps: &[f64]) -> Option<Vec<f64>> {
     Some(ranks.into_iter().map(|(_, _, v)| v).collect())
 }
 
+/// Nearest-rank percentiles of a sample held as a multiset: `sorted`
+/// lists each distinct value once, in ascending `f64::total_cmp` order,
+/// with its count. Each `p` reads the value at index `round((n−1)·p)` of
+/// the expanded sample, `n` the total count, so the values are the bits
+/// [`percentiles_mut`] gives on that sample. Values return in `ps` order;
+/// `None` when the total count is zero. O(`sorted.len()`) time for all
+/// ranks together; the only allocation is one of `ps.len()` entries.
+///
+/// # Panics
+///
+/// Panics if any `p` is outside `[0, 1]`.
+pub fn percentiles_counted(sorted: &[(f64, u64)], ps: &[f64]) -> Option<Vec<f64>> {
+    for &p in ps {
+        assert!((0.0..=1.0).contains(&p), "percentile {p} outside [0,1]");
+    }
+    let n: u64 = sorted.iter().map(|&(_, c)| c).sum();
+    if n == 0 {
+        return None;
+    }
+    // (position in `ps`, rank index, value), lowest rank first.
+    let mut ranks: Vec<(usize, u64, f64)> = ps
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (i, rank_index(n, p), 0.0))
+        .collect();
+    ranks.sort_unstable_by_key(|&(_, k, _)| k);
+    let mut walk = sorted.iter().peekable();
+    let (mut cum, mut value) = (0, 0.0);
+    for (_, k, v) in &mut ranks {
+        // Rank `k` holds the first value whose cumulative count passes it.
+        while let Some(&(x, c)) = walk.next_if(|_| cum <= *k) {
+            cum += c;
+            value = x;
+        }
+        *v = value;
+    }
+    ranks.sort_unstable_by_key(|&(i, _, _)| i);
+    Some(ranks.into_iter().map(|(_, _, v)| v).collect())
+}
+
 /// Nearest-rank index of the `p`-th percentile in a sample of `n`.
-fn rank_index(n: usize, p: f64) -> usize {
-    ((n as f64 - 1.0) * p).round() as usize
+fn rank_index(n: u64, p: f64) -> u64 {
+    ((n as f64 - 1.0) * p).round() as u64
 }
 
 /// Fixed-width histogram over `[lo, hi)` with `bins` buckets; values
@@ -302,6 +342,61 @@ mod tests {
             after.sort_unstable();
             proptest::prop_assert!(before == after, "xs is not a permutation of its input");
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        /// `shape` 0 keeps the drawn counts, 1 makes every value occur
+        /// once (all-distinct), 2 keeps one value with the whole count
+        /// (all-equal).
+        #[test]
+        fn percentiles_counted_matches_the_expanded_sample(
+            raw in proptest::collection::vec(((0u8..14, proptest::arbitrary::any::<u64>()), 1u64..=5), 1..=400),
+            raw_ps in proptest::collection::vec((0u8..8, 0.0f64..1.0), 1..=12),
+            shape in 0u8..3,
+        ) {
+            let mut runs: Vec<(f64, u64)> = raw.into_iter().map(|(v, c)| (awkward_f64(v), c)).collect();
+            if shape == 2 {
+                runs = vec![(runs[0].0, runs.iter().map(|&(_, c)| c).sum())];
+            }
+            // The multiset: distinct bit patterns in `total_cmp` order.
+            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            runs.dedup_by(|later, kept| {
+                let same = later.0.to_bits() == kept.0.to_bits();
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
+            if shape == 1 {
+                runs.iter_mut().for_each(|run| run.1 = 1);
+            }
+            let mut expanded: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+                .collect();
+            let ps: Vec<f64> = raw_ps.into_iter().map(any_p).collect();
+            let got = percentiles_counted(&runs, &ps).unwrap_or_default();
+            let want = percentiles_mut(&mut expanded, &ps).unwrap_or_default();
+            proptest::prop_assert_eq!(bits(&got), bits(&want), "ps {:?}, runs {:?}", ps, runs);
+        }
+    }
+
+    #[test]
+    fn percentiles_counted_empty_and_zero_counts() {
+        let ps = [0.0, 0.5, 1.0];
+        assert_eq!(percentiles_counted(&[], &ps), None);
+        assert_eq!(percentiles_counted(&[(1.0, 0)], &ps), None);
+        assert_eq!(percentiles_counted(&[(1.0, 3)], &[]), Some(Vec::new()));
+        // A zero-count entry holds no rank.
+        let runs = [(1.0, 2), (2.0, 0), (3.0, 1)];
+        assert_eq!(percentiles_counted(&runs, &ps), Some(vec![1.0, 1.0, 3.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0,1]")]
+    fn percentiles_counted_range_checked() {
+        let _ = percentiles_counted(&[(1.0, 1)], &[0.5, 1.5]);
     }
 
     #[test]
