@@ -17,10 +17,10 @@
 //! Deterministic under `HARNESS_SEED`.
 
 use lat_bench::scenarios::{
-    autoscale_mix, AUTOSCALE_COOLDOWN_S, AUTOSCALE_COST_MARGIN, AUTOSCALE_DOWN_DEPTH,
-    AUTOSCALE_EVAL_INTERVAL_S, AUTOSCALE_MAX_SHARDS, AUTOSCALE_MEAN_RATE, AUTOSCALE_MIN_SHARDS,
-    AUTOSCALE_P95_TOLERANCE, AUTOSCALE_PERIOD_S, AUTOSCALE_REQUESTS, AUTOSCALE_SLO_LATENCY_S,
-    AUTOSCALE_SWING, AUTOSCALE_UP_DEPTH, AUTOSCALE_WARMUP_S, HARNESS_SEED,
+    autoscale_mix, bert_base_design, AUTOSCALE_COOLDOWN_S, AUTOSCALE_COST_MARGIN,
+    AUTOSCALE_DOWN_DEPTH, AUTOSCALE_EVAL_INTERVAL_S, AUTOSCALE_MAX_SHARDS, AUTOSCALE_MEAN_RATE,
+    AUTOSCALE_MIN_SHARDS, AUTOSCALE_P95_TOLERANCE, AUTOSCALE_PERIOD_S, AUTOSCALE_REQUESTS,
+    AUTOSCALE_SLO_LATENCY_S, AUTOSCALE_SWING, AUTOSCALE_UP_DEPTH, AUTOSCALE_WARMUP_S, HARNESS_SEED,
 };
 use lat_bench::tables;
 use lat_core::pipeline::SchedulingPolicy;
@@ -33,19 +33,7 @@ use lat_hwsim::fleet::{
     homogeneous_fleet, nonstationary_poisson_trace, simulate_fleet, with_batch_log, BatcherConfig,
     DispatchPolicy, RateProfile,
 };
-use lat_hwsim::spec::FpgaSpec;
-use lat_model::config::ModelConfig;
-use lat_model::graph::AttentionMode;
 use lat_workloads::datasets::LengthSampler;
-
-fn design(s_avg: usize) -> AcceleratorDesign {
-    AcceleratorDesign::new(
-        &ModelConfig::bert_base(),
-        AttentionMode::paper_sparse(),
-        FpgaSpec::alveo_u280(),
-        s_avg,
-    )
-}
 
 /// Per-shard sustainable rate on the mix — used only to seed the
 /// time-of-day table (the reactive/utilization policies need no such
@@ -74,7 +62,7 @@ fn row(name: &str, r: &AutoscaleReport) -> Vec<String> {
         format!("{}", r.scale.peak_active_shards),
         format!("{:.0}", r.fleet.p50_latency_s * 1e3),
         format!("{:.0}", r.fleet.p95_latency_s * 1e3),
-        tables::pct(r.slo_attainment),
+        tables::pct(r.client.slo_attainment),
         format!("{}", r.scale.scale_events.len()),
     ]
 }
@@ -95,7 +83,7 @@ fn main() {
         .map(|i| i as f64 * half)
         .take_while(|b| *b < horizon)
         .collect();
-    let fleet = homogeneous_fleet(&design(99), AUTOSCALE_MAX_SHARDS);
+    let fleet = homogeneous_fleet(&bert_base_design(99), AUTOSCALE_MAX_SHARDS);
     let batcher = BatcherConfig::default();
     let run = |shards: &[AcceleratorDesign], cfg: &AutoscaleConfig| {
         simulate_autoscale(
@@ -262,18 +250,19 @@ fn main() {
         fixed_max.scale.shard_seconds
     );
     assert!(
-        reactive.slo_attainment > fixed_min.slo_attainment,
+        reactive.client.slo_attainment > fixed_min.client.slo_attainment,
         "reactive SLO {} !> fixed-min {}",
-        reactive.slo_attainment,
-        fixed_min.slo_attainment
+        reactive.client.slo_attainment,
+        fixed_min.client.slo_attainment
     );
 
     // ── SLO attainment per diurnal half-cycle ───────────────────────────
     let phase_rows: Vec<Vec<String>> = fixed_min
+        .client
         .phases
         .iter()
-        .zip(&fixed_max.phases)
-        .zip(&reactive.phases)
+        .zip(&fixed_max.client.phases)
+        .zip(&reactive.client.phases)
         .map(|((lo, hi), re)| {
             let end = if lo.end_s.is_finite() {
                 format!("{:.0}", lo.end_s)
@@ -282,7 +271,7 @@ fn main() {
             };
             vec![
                 format!("[{:.0}, {end}) s", lo.start_s),
-                format!("{}", lo.requests),
+                format!("{}", lo.arrivals),
                 tables::pct(lo.slo_attainment),
                 tables::pct(hi.slo_attainment),
                 tables::pct(re.slo_attainment),
@@ -313,7 +302,7 @@ fn main() {
                 name.clone(),
                 format!("{:.1}", r.scale.shard_seconds),
                 format!("{:.0}", r.fleet.p95_latency_s * 1e3),
-                tables::pct(r.slo_attainment),
+                tables::pct(r.client.slo_attainment),
             ]
         })
         .collect();

@@ -15,31 +15,19 @@
 //! tables print, not just displayed.
 
 use lat_bench::scenarios::{
-    decode_mix, DECODE_HIGH_FRACTION, DECODE_RATES, DECODE_REQUESTS, DECODE_SATURATING_RATE,
-    DECODE_SHARD_COUNTS, DECODE_SLOTS, DECODE_TTFT_DEADLINE_S, HARNESS_SEED,
+    bert_base_design, decode_mix, DECODE_HIGH_FRACTION, DECODE_RATES, DECODE_REQUESTS,
+    DECODE_SATURATING_RATE, DECODE_SHARD_COUNTS, DECODE_SLOTS, DECODE_TTFT_DEADLINE_S,
+    HARNESS_SEED,
 };
 use lat_bench::tables;
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::pool::Scheduler;
-use lat_hwsim::accelerator::AcceleratorDesign;
 use lat_hwsim::decode::{
     decode_trace, simulate_decode, DecodeConfig, DecodeReport, DecodeScheduler, Priority,
 };
 use lat_hwsim::fleet::{homogeneous_fleet, DispatchPolicy};
-use lat_hwsim::spec::FpgaSpec;
-use lat_model::config::ModelConfig;
-use lat_model::graph::AttentionMode;
 use lat_tensor::stats::percentile;
 use lat_workloads::datasets::LengthSampler;
-
-fn design(s_avg: usize) -> AcceleratorDesign {
-    AcceleratorDesign::new(
-        &ModelConfig::bert_base(),
-        AttentionMode::paper_sparse(),
-        FpgaSpec::alveo_u280(),
-        s_avg,
-    )
-}
 
 /// p95 TTFT of the high-priority class, straight from the report.
 fn high_ttft_p95(report: &DecodeReport) -> f64 {
@@ -78,7 +66,7 @@ fn main() {
         DECODE_HIGH_FRACTION * 100.0,
         pool.parallelism(),
     );
-    let base = design(99); // tuned near the prompt mix's expected average
+    let base = bert_base_design(99); // tuned near the prompt mix's expected average
 
     // ── 1. Scheduler × shard count at saturating load ───────────────────
     let trace = decode_trace(

@@ -24,7 +24,7 @@
 //! Deterministic under `HARNESS_SEED`.
 
 use lat_bench::scenarios::{
-    decode_autoscale_mix, DECODE_AUTOSCALE_ALPHA, DECODE_AUTOSCALE_COOLDOWN_S,
+    bert_base_design, decode_autoscale_mix, DECODE_AUTOSCALE_ALPHA, DECODE_AUTOSCALE_COOLDOWN_S,
     DECODE_AUTOSCALE_COST_MARGIN, DECODE_AUTOSCALE_DOWN_DEPTH, DECODE_AUTOSCALE_EVAL_INTERVAL_S,
     DECODE_AUTOSCALE_MAX_SHARDS, DECODE_AUTOSCALE_MEAN_RATE, DECODE_AUTOSCALE_MIN_SHARDS,
     DECODE_AUTOSCALE_P95_TOLERANCE, DECODE_AUTOSCALE_PERIOD_S, DECODE_AUTOSCALE_REQUESTS,
@@ -43,19 +43,7 @@ use lat_hwsim::decode::{
     nonstationary_decode_trace, simulate_decode, DecodeConfig, DecodeScheduler,
 };
 use lat_hwsim::fleet::{homogeneous_fleet, with_batch_log, DispatchPolicy, RateProfile};
-use lat_hwsim::spec::FpgaSpec;
-use lat_model::config::ModelConfig;
-use lat_model::graph::AttentionMode;
 use lat_workloads::datasets::LengthSampler;
-
-fn design(s_avg: usize) -> AcceleratorDesign {
-    AcceleratorDesign::new(
-        &ModelConfig::bert_base(),
-        AttentionMode::paper_sparse(),
-        FpgaSpec::alveo_u280(),
-        s_avg,
-    )
-}
 
 fn reactive_policy() -> ScalePolicy {
     ScalePolicy::Reactive {
@@ -105,7 +93,7 @@ fn row(name: &str, mode: &str, r: &DecodeAutoscaleReport) -> Vec<String> {
         format!("{:.0}", r.decode.ttft_p50_s * 1e3),
         format!("{:.0}", r.decode.ttft_p95_s * 1e3),
         format!("{:.0}", r.decode.goodput_tok_s),
-        tables::pct(r.slo_attainment),
+        tables::pct(r.client.slo_attainment),
         format!("{}", r.migrations),
         format!("{}", r.re_prefills),
     ]
@@ -117,14 +105,14 @@ fn row(name: &str, mode: &str, r: &DecodeAutoscaleReport) -> Vec<String> {
 fn upramp_attainment(r: &DecodeAutoscaleReport) -> f64 {
     let quarter = DECODE_AUTOSCALE_PERIOD_S / 4.0;
     let (mut hit, mut total) = (0.0, 0usize);
-    for p in &r.phases {
+    for p in &r.client.phases {
         if !p.end_s.is_finite() || p.start_s < DECODE_AUTOSCALE_PERIOD_S {
             continue;
         }
         let q = (p.start_s / quarter).round() as usize % 4;
         if q == 0 || q == 3 {
-            hit += p.slo_attainment * p.requests as f64;
-            total += p.requests;
+            hit += p.slo_attainment * p.arrivals as f64;
+            total += p.arrivals;
         }
     }
     assert!(total > 0, "no up-ramp phases past the first cycle");
@@ -155,7 +143,7 @@ fn main() {
         .map(|i| i as f64 * quarter)
         .take_while(|b| *b < horizon)
         .collect();
-    let fleet = homogeneous_fleet(&design(99), DECODE_AUTOSCALE_MAX_SHARDS);
+    let fleet = homogeneous_fleet(&bert_base_design(99), DECODE_AUTOSCALE_MAX_SHARDS);
     let decode_cfg = DecodeConfig {
         max_slots: DECODE_AUTOSCALE_SLOTS,
         ttft_deadline_s: DECODE_TTFT_DEADLINE_S,
@@ -322,10 +310,17 @@ fn main() {
 
     // ── TTFT SLO attainment per quarter-period phase ───────────────────
     let phase_rows: Vec<Vec<String>> = fixed_min
+        .client
         .phases
         .iter()
-        .zip(&fixed_max.phases)
-        .zip(reactive_drain.phases.iter().zip(&predictive_drain.phases))
+        .zip(&fixed_max.client.phases)
+        .zip(
+            reactive_drain
+                .client
+                .phases
+                .iter()
+                .zip(&predictive_drain.client.phases),
+        )
         .map(|((lo, hi), (re, pr))| {
             let end = if lo.end_s.is_finite() {
                 format!("{:.0}", lo.end_s)
@@ -336,7 +331,7 @@ fn main() {
             let ramp = if q == 0 || q == 3 { "rise" } else { "fall" };
             vec![
                 format!("[{:.0}, {end}) s {ramp}", lo.start_s),
-                format!("{}", lo.requests),
+                format!("{}", lo.arrivals),
                 tables::pct(lo.slo_attainment),
                 tables::pct(hi.slo_attainment),
                 tables::pct(re.slo_attainment),

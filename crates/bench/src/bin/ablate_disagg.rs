@@ -23,7 +23,7 @@
 //! Deterministic under `HARNESS_SEED`.
 
 use lat_bench::scenarios::{
-    disagg_outputs, disagg_prompts, DISAGG_CACHE_CAPACITY, DISAGG_CHEAP_BASE_S,
+    bert_base_design, disagg_outputs, disagg_prompts, DISAGG_CACHE_CAPACITY, DISAGG_CHEAP_BASE_S,
     DISAGG_CHEAP_PER_TOKEN_S, DISAGG_COLOCATED_SHARDS, DISAGG_COSTLY_BASE_S,
     DISAGG_COSTLY_PER_TOKEN_S, DISAGG_DECODE_SHARDS, DISAGG_GROUPED_FRACTION,
     DISAGG_PREFILL_SHARDS, DISAGG_PREFIX_GROUPS, DISAGG_PREFIX_LEN, DISAGG_RATE, DISAGG_REQUESTS,
@@ -32,23 +32,10 @@ use lat_bench::scenarios::{
 use lat_bench::tables;
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::pool::Scheduler;
-use lat_hwsim::accelerator::AcceleratorDesign;
 use lat_hwsim::decode::{decode_trace, simulate_decode, DecodeConfig, DecodeScheduler, KvTransfer};
 use lat_hwsim::disagg::{simulate_disaggregated, DisaggConfig};
 use lat_hwsim::fleet::{homogeneous_fleet, DispatchPolicy};
-use lat_hwsim::spec::FpgaSpec;
-use lat_model::config::ModelConfig;
-use lat_model::graph::AttentionMode;
 use lat_workloads::prefix::PrefixProfile;
-
-fn design() -> AcceleratorDesign {
-    AcceleratorDesign::new(
-        &ModelConfig::bert_base(),
-        AttentionMode::paper_sparse(),
-        FpgaSpec::alveo_u280(),
-        disagg_prompts().avg_len,
-    )
-}
 
 fn cheap_wire() -> KvTransfer {
     KvTransfer::Copy {
@@ -134,7 +121,7 @@ fn main() {
         DISAGG_GROUPED_FRACTION * 100.0,
         pool.parallelism(),
     );
-    let base = design();
+    let base = bert_base_design(disagg_prompts().avg_len);
     let fleet = homogeneous_fleet(&base, DISAGG_COLOCATED_SHARDS);
     let (prefill_pool, decode_pool) = fleet.split_at(DISAGG_PREFILL_SHARDS);
 

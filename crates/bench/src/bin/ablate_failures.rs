@@ -28,18 +28,17 @@
 //! wall-clock fields are the one deliberate exception).
 
 use lat_bench::scenarios::{
-    failure_mix, DECODE_SLOTS, FAILURE_BACKOFF_S, FAILURE_BASE_RATE, FAILURE_BURST_DURATION_S,
-    FAILURE_BURST_RATE, FAILURE_BURST_START_S, FAILURE_CRASH_S, FAILURE_DEADLINE_S,
-    FAILURE_DECODE_GAP_S, FAILURE_DECODE_OUTPUT, FAILURE_DECODE_PREFILL, FAILURE_DECODE_REQUESTS,
-    FAILURE_DECODE_SHARDS, FAILURE_DECODE_SLO_TTFT_S, FAILURE_MAX_RETRIES, FAILURE_MAX_SHARDS,
-    FAILURE_MIN_SHARDS, FAILURE_RECOVERY_TOLERANCE, FAILURE_RECOVER_S, FAILURE_REQUESTS,
-    FAILURE_SHARD_CAPACITY, FAILURE_SLO_LATENCY_S, FAILURE_STRAGGLER_SLOWDOWN,
+    bert_base_design, failure_mix, DECODE_SLOTS, FAILURE_BACKOFF_S, FAILURE_BASE_RATE,
+    FAILURE_BURST_DURATION_S, FAILURE_BURST_RATE, FAILURE_BURST_START_S, FAILURE_CRASH_S,
+    FAILURE_DEADLINE_S, FAILURE_DECODE_GAP_S, FAILURE_DECODE_OUTPUT, FAILURE_DECODE_PREFILL,
+    FAILURE_DECODE_REQUESTS, FAILURE_DECODE_SHARDS, FAILURE_DECODE_SLO_TTFT_S, FAILURE_MAX_RETRIES,
+    FAILURE_MAX_SHARDS, FAILURE_MIN_SHARDS, FAILURE_RECOVERY_TOLERANCE, FAILURE_RECOVER_S,
+    FAILURE_REQUESTS, FAILURE_SHARD_CAPACITY, FAILURE_SLO_LATENCY_S, FAILURE_STRAGGLER_SLOWDOWN,
     FAILURE_STRAGGLER_WINDOW_S, FAILURE_TIMEOUT_S, FAILURE_WARMUP_S, HARNESS_SEED,
 };
 use lat_bench::{benchfile, tables};
 use lat_core::pipeline::SchedulingPolicy;
 use lat_core::pool::Scheduler;
-use lat_hwsim::accelerator::AcceleratorDesign;
 use lat_hwsim::autoscale::{AutoscaleConfig, DecodeScaleDown, RetirePolicy, ScalePolicy};
 use lat_hwsim::decode::{DecodeConfig, DecodeRequest, DecodeScheduler, Priority};
 use lat_hwsim::failure::{
@@ -50,20 +49,8 @@ use lat_hwsim::fleet::{
     homogeneous_fleet, nonstationary_poisson_trace, with_batch_log, BatcherConfig, DispatchPolicy,
     RateProfile, Request,
 };
-use lat_hwsim::spec::FpgaSpec;
-use lat_model::config::ModelConfig;
-use lat_model::graph::AttentionMode;
 use lat_workloads::datasets::LengthSampler;
 use serde::json::Value;
-
-fn design(s_avg: usize) -> AcceleratorDesign {
-    AcceleratorDesign::new(
-        &ModelConfig::bert_base(),
-        AttentionMode::paper_sparse(),
-        FpgaSpec::alveo_u280(),
-        s_avg,
-    )
-}
 
 fn incident_plan() -> FaultPlan {
     FaultPlan {
@@ -195,7 +182,7 @@ fn main() {
     };
     let trace =
         nonstationary_poisson_trace(&failure_mix(), &profile, FAILURE_REQUESTS, HARNESS_SEED);
-    let fleet = homogeneous_fleet(&design(99), FAILURE_MAX_SHARDS);
+    let fleet = homogeneous_fleet(&bert_base_design(99), FAILURE_MAX_SHARDS);
     let batcher = BatcherConfig::default();
     let plan = incident_plan();
     let pool = Scheduler::from_env();
@@ -364,7 +351,7 @@ fn main() {
         })
         .collect();
     let outage = simulate_fleet_failure(
-        &homogeneous_fleet(&design(99), 1),
+        &homogeneous_fleet(&bert_base_design(99), 1),
         &outage_trace,
         SchedulingPolicy::LengthAware,
         DispatchPolicy::RoundRobin,
@@ -419,7 +406,7 @@ fn main() {
             },
         }],
     };
-    let decode_fleet = homogeneous_fleet(&design(99), FAILURE_DECODE_SHARDS);
+    let decode_fleet = homogeneous_fleet(&bert_base_design(99), FAILURE_DECODE_SHARDS);
     let decode_cfg = DecodeConfig {
         max_slots: DECODE_SLOTS,
         ..DecodeConfig::default()

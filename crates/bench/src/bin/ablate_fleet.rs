@@ -13,8 +13,8 @@
 //! binned-beats-round-robin claims are asserted, not just printed.
 
 use lat_bench::scenarios::{
-    fleet_mix, FLEET_BIN_TUNINGS, FLEET_DISPATCH_RATES, FLEET_REQUESTS, FLEET_SATURATING_RATE,
-    FLEET_SHARD_COUNTS, HARNESS_SEED,
+    bert_base_design, fleet_mix, FLEET_BIN_TUNINGS, FLEET_DISPATCH_RATES, FLEET_REQUESTS,
+    FLEET_SATURATING_RATE, FLEET_SHARD_COUNTS, HARNESS_SEED,
 };
 use lat_bench::tables;
 use lat_core::pipeline::SchedulingPolicy;
@@ -23,18 +23,6 @@ use lat_hwsim::accelerator::AcceleratorDesign;
 use lat_hwsim::fleet::{
     homogeneous_fleet, poisson_trace, simulate_fleet, BatcherConfig, DispatchPolicy,
 };
-use lat_hwsim::spec::FpgaSpec;
-use lat_model::config::ModelConfig;
-use lat_model::graph::AttentionMode;
-
-fn design(s_avg: usize) -> AcceleratorDesign {
-    AcceleratorDesign::new(
-        &ModelConfig::bert_base(),
-        AttentionMode::paper_sparse(),
-        FpgaSpec::alveo_u280(),
-        s_avg,
-    )
-}
 
 fn main() {
     let mix = fleet_mix();
@@ -48,7 +36,7 @@ fn main() {
     );
 
     // ── 1. Homogeneous scaling under saturating load ────────────────────
-    let base = design(99); // tuned near the mix's expected average length
+    let base = bert_base_design(99); // tuned near the mix's expected average length
     let trace = poisson_trace(&mix, FLEET_SATURATING_RATE, FLEET_REQUESTS, HARNESS_SEED);
     // Sweep cells are independent and seed-deterministic: fan them across
     // the pool, then assert the cross-cell monotonicity claim serially
@@ -100,7 +88,10 @@ fn main() {
     );
 
     // ── 2. Dispatch policy × scheduling policy on the binned fleet ──────
-    let fleet: Vec<AcceleratorDesign> = FLEET_BIN_TUNINGS.iter().map(|&t| design(t)).collect();
+    let fleet: Vec<AcceleratorDesign> = FLEET_BIN_TUNINGS
+        .iter()
+        .map(|&t| bert_base_design(t))
+        .collect();
     println!(
         "Heterogeneous fleet: shards tuned for s_avg {FLEET_BIN_TUNINGS:?} (1 short + 3 long bins)"
     );

@@ -1,7 +1,10 @@
 //! The evaluation scenarios of §5.2: model × dataset combinations, with
 //! deterministic batch sampling shared by every figure harness.
 
+use lat_hwsim::accelerator::AcceleratorDesign;
+use lat_hwsim::spec::FpgaSpec;
 use lat_model::config::ModelConfig;
+use lat_model::graph::AttentionMode;
 use lat_tensor::rng::SplitMix64;
 use lat_workloads::datasets::{DatasetSpec, MixedWorkload};
 
@@ -37,6 +40,18 @@ pub fn harness_seed() -> u64 {
         }
         Err(_) => HARNESS_SEED,
     }
+}
+
+/// The serving ablations' shard: BERT-base with the paper's sparse
+/// attention on an Alveo U280, its pipeline stages tuned for sequences
+/// of `s_avg` tokens.
+pub fn bert_base_design(s_avg: usize) -> AcceleratorDesign {
+    AcceleratorDesign::new(
+        &ModelConfig::bert_base(),
+        AttentionMode::paper_sparse(),
+        FpgaSpec::alveo_u280(),
+        s_avg,
+    )
 }
 
 /// Shard counts swept by `ablate_fleet`'s homogeneous scaling table.

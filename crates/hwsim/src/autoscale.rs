@@ -37,7 +37,8 @@
 //! The [`AutoscaleReport`] extends the [`FleetReport`] with the cost side
 //! of the trade, its [`ScaleBooks`] — shard-seconds (the cost proxy a
 //! deployment bills by), mean/peak active shards and the scaling-event
-//! log — plus SLO attainment overall and per workload phase: enough to
+//! log — plus its [`ClientBooks`], SLO attainment overall and per
+//! workload phase, scored by the failure layer's one walk: enough to
 //! sweep a cost × p95 frontier, which the `ablate_autoscale` bin does
 //! under a 4× diurnal swing. The decode and disaggregated autoscalers
 //! report the same books, one per scaled pool.
@@ -135,9 +136,10 @@ use crate::accelerator::AcceleratorDesign;
 use crate::decode::{
     DecodeConfig, DecodeCore, DecodeReport, DecodeRequest, DecodeScheduler, Slots,
 };
+use crate::failure::{summarize_clients, ClientBooks};
 use crate::fleet::{
-    p95_mut, Batcher, BatcherConfig, Controller, Core, Discipline, DispatchPolicy, FleetCore,
-    FleetReport, NullController, Request,
+    Batcher, BatcherConfig, Controller, Core, Discipline, DispatchPolicy, FleetCore, FleetReport,
+    NullController, Request, TraceEvent,
 };
 use lat_core::pipeline::SchedulingPolicy;
 use serde::{Deserialize, Serialize};
@@ -611,6 +613,8 @@ pub struct AutoscaleConfig<R = RetirePolicy> {
     pub slo_latency_s: f64,
     /// Ascending arrival-time boundaries splitting the trace into
     /// reporting phases (empty = one phase). Purely observational.
+    /// [`simulate_autoscale_failure`](crate::failure::simulate_autoscale_failure)
+    /// ignores them and slices on the fault plan's incident window.
     pub phase_bounds_s: Vec<f64>,
 }
 
@@ -771,24 +775,6 @@ pub struct ScaleEvent {
     pub on_after: usize,
 }
 
-/// SLO attainment over one reporting phase of the trace. The latency is
-/// end-to-end for the fleet and TTFT for decode, as in
-/// [`AutoscaleConfig::slo_latency_s`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSlo {
-    /// Phase start (arrival-time bucket), inclusive.
-    pub start_s: f64,
-    /// Phase end, exclusive (`f64::INFINITY` for the last phase).
-    pub end_s: f64,
-    /// Requests that arrived in the phase.
-    pub requests: usize,
-    /// Fraction of the phase's requests inside the latency SLO (1 when
-    /// the phase is empty).
-    pub slo_attainment: f64,
-    /// 95th-percentile latency of the phase's requests (0 when empty).
-    pub p95_latency_s: f64,
-}
-
 /// The cost books of one autoscaled pool of shards, closed at the end of
 /// the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -806,7 +792,8 @@ pub struct ScaleBooks {
 }
 
 /// Result of an autoscaling simulation: the fleet-level report plus the
-/// cost/SLO view the scaling trade-off is judged by.
+/// cost view ([`ScaleBooks`]) and the client view ([`ClientBooks`]) the
+/// scaling trade-off is judged by.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AutoscaleReport {
     /// Fleet-level view (latency percentiles, throughput, per-shard
@@ -814,10 +801,10 @@ pub struct AutoscaleReport {
     pub fleet: FleetReport,
     /// Shard-seconds, active shards and the scaling-event log.
     pub scale: ScaleBooks,
-    /// Fraction of all requests inside `slo_latency_s`.
-    pub slo_attainment: f64,
-    /// Per-phase SLO attainment along `phase_bounds_s`.
-    pub phases: Vec<PhaseSlo>,
+    /// End-to-end latency against `slo_latency_s`, overall and per phase
+    /// along `phase_bounds_s`. Every request completes on its first
+    /// attempt.
+    pub client: ClientBooks,
 }
 
 /// Lifecycle of one shard under the autoscaler.
@@ -1361,70 +1348,45 @@ pub fn simulate_autoscale(
     let mut core = FleetCore::new(shards, trace, policy, dispatch, batcher, accepting);
     ctl.drive(&mut core);
 
-    let latencies: Vec<f64> = core
-        .completion_s
-        .iter()
-        .zip(trace)
-        .map(|(&c, req)| c - req.arrival_s)
-        .collect();
+    let completion_s = core.completion_s.clone();
     let fleet = core.into_report();
     let scale = ctl.pool.close_books(fleet.makespan_s);
-    let (slo_attainment, phases) = slo_phases(
-        trace,
-        |r| r.arrival_s,
-        &latencies,
-        cfg.slo_latency_s,
-        &cfg.phase_bounds_s,
-    );
-
+    let client = healthy_client(cfg, trace, &completion_s, None, fleet.makespan_s, &scale);
     AutoscaleReport {
         fleet,
         scale,
-        slo_attainment,
-        phases,
+        client,
     }
 }
 
-/// SLO attainment of `latencies` (one per `trace` request, in trace
-/// order) against `slo_s`: overall, and per arrival-time phase along
-/// `phase_bounds_s` with each phase's p95. Shared by the fleet (latency)
-/// and decode (TTFT) reports.
-fn slo_phases<R>(
+/// The [`ClientBooks`] of a healthy autoscaled run: no retries, phases
+/// along `cfg.phase_bounds_s`, scored on TTFT when `ttft_s` is given
+/// (decode), else on end-to-end latency (fleet). Asserts conservation:
+/// every request completed.
+fn healthy_client<R: TraceEvent, P>(
+    cfg: &AutoscaleConfig<P>,
     trace: &[R],
-    arrival_s: impl Fn(&R) -> f64,
-    latencies: &[f64],
-    slo_s: f64,
-    phase_bounds_s: &[f64],
-) -> (f64, Vec<PhaseSlo>) {
-    let in_slo = |lat: f64| lat <= slo_s;
-    let slo_attainment =
-        latencies.iter().filter(|&&l| in_slo(l)).count() as f64 / latencies.len() as f64;
-    let mut edges = vec![0.0];
-    edges.extend(phase_bounds_s.iter().copied());
-    edges.push(f64::INFINITY);
-    let phases = edges
-        .windows(2)
-        .map(|w| {
-            let mut phase_lat: Vec<f64> = trace
-                .iter()
-                .zip(latencies)
-                .filter(|(r, _)| arrival_s(r) >= w[0] && arrival_s(r) < w[1])
-                .map(|(_, &l)| l)
-                .collect();
-            PhaseSlo {
-                start_s: w[0],
-                end_s: w[1],
-                requests: phase_lat.len(),
-                slo_attainment: if phase_lat.is_empty() {
-                    1.0
-                } else {
-                    phase_lat.iter().filter(|&&l| in_slo(l)).count() as f64 / phase_lat.len() as f64
-                },
-                p95_latency_s: p95_mut(&mut phase_lat).unwrap_or(0.0),
-            }
-        })
-        .collect();
-    (slo_attainment, phases)
+    completion_s: &[f64],
+    ttft_s: Option<&[f64]>,
+    makespan: f64,
+    scale: &ScaleBooks,
+) -> ClientBooks {
+    let client = summarize_clients(
+        trace,
+        completion_s,
+        ttft_s,
+        &vec![0; trace.len()],
+        &cfg.phase_bounds_s,
+        cfg.slo_latency_s,
+        makespan,
+        &scale.scale_events,
+    );
+    assert_eq!(
+        client.completed,
+        trace.len(),
+        "request never completed (conservation bug in the autoscaler)"
+    );
+    client
 }
 
 // ────────────────────────── decode autoscaling ──────────────────────────
@@ -1456,7 +1418,8 @@ impl fmt::Display for DecodeScaleDown {
 
 /// Result of a decode autoscaling simulation: the full [`DecodeReport`]
 /// (TTFT/ITL percentiles, token goodput, slot utilization, per-request
-/// outcomes) plus the cost/SLO view and the KV-migration accounting.
+/// outcomes) plus the cost view, the client view and the KV-migration
+/// accounting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecodeAutoscaleReport {
     /// Decode-engine view; under a pinned `min == max` policy this is
@@ -1464,11 +1427,10 @@ pub struct DecodeAutoscaleReport {
     pub decode: DecodeReport,
     /// Shard-seconds, active shards and the scaling-event log.
     pub scale: ScaleBooks,
-    /// Fraction of all requests whose TTFT met `slo_latency_s`.
-    pub slo_attainment: f64,
-    /// Per-phase TTFT SLO attainment along `phase_bounds_s`; each phase's
-    /// `p95_latency_s` is its p95 TTFT.
-    pub phases: Vec<PhaseSlo>,
+    /// TTFT against `slo_latency_s`, overall and per phase along
+    /// `phase_bounds_s` (each phase's `p95_latency_s` is its p95 TTFT).
+    /// Every request completes on its first attempt.
+    pub client: ClientBooks,
     /// KV residents evicted by scale-down ([`DecodeScaleDown::Migrate`]).
     pub migrations: usize,
     /// Context re-prefill passes actually priced (one per preemption or
@@ -1504,23 +1466,17 @@ pub fn simulate_decode_autoscale(
         shards, trace, policy, dispatch, scheduler, decode_cfg, accepting,
     );
     ctl.drive(&mut core);
+    let (completion_s, ttft_s) = (core.completion_s.clone(), core.disc.ttft_s.clone());
     let decode = core.into_report();
-    let scale = ctl.pool.close_books(decode.fleet.makespan_s);
-    let ttfts: Vec<f64> = decode.requests.iter().map(|r| r.ttft_s).collect();
-    let (slo_attainment, phases) = slo_phases(
-        trace,
-        |r| r.arrival_s,
-        &ttfts,
-        cfg.slo_latency_s,
-        &cfg.phase_bounds_s,
-    );
+    let makespan = decode.fleet.makespan_s;
+    let scale = ctl.pool.close_books(makespan);
+    let client = healthy_client(cfg, trace, &completion_s, Some(&ttft_s), makespan, &scale);
     let re_prefills = decode.requests.iter().map(|r| r.re_prefills as usize).sum();
 
     DecodeAutoscaleReport {
         decode,
         scale,
-        slo_attainment,
-        phases,
+        client,
         migrations: ctl.migrations,
         re_prefills,
     }
@@ -1529,6 +1485,7 @@ pub fn simulate_decode_autoscale(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::Disposition;
     use crate::fleet::{
         homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet,
         with_batch_log, RatePhase, RateProfile,
@@ -1808,12 +1765,46 @@ mod tests {
                 ..AutoscaleConfig::default()
             },
         );
-        assert_eq!(r.slo_attainment, 1.0);
-        assert_eq!(r.phases.len(), 3);
-        assert_eq!(r.phases.iter().map(|p| p.requests).sum::<usize>(), 120);
-        assert!(r.phases.iter().all(|p| p.slo_attainment == 1.0));
-        assert_eq!(r.phases[0].start_s, 0.0);
-        assert_eq!(r.phases[2].end_s, f64::INFINITY);
+        let phases = &r.client.phases;
+        assert_eq!(r.client.slo_attainment, 1.0);
+        assert_eq!(phases.len(), 3);
+        assert_eq!(phases.iter().map(|p| p.arrivals).sum::<usize>(), 120);
+        assert!(phases.iter().all(|p| p.slo_attainment == 1.0));
+        assert_eq!(phases[0].start_s, 0.0);
+        assert_eq!(phases[2].end_s, f64::INFINITY);
+    }
+
+    /// A healthy run's client books: every request completes on its
+    /// first attempt, and the phases partition both the arrivals and the
+    /// scale-event log.
+    #[test]
+    fn healthy_client_books_complete_everything_on_the_first_attempt() {
+        let fleet = homogeneous_fleet(&tiny_design(64), 4);
+        let trace = nonstationary_poisson_trace(&DatasetSpec::mrpc(), &burst_profile(), 400, 7);
+        let r = simulate_autoscale(
+            &fleet,
+            &trace,
+            SchedulingPolicy::LengthAware,
+            DispatchPolicy::JoinShortestQueue,
+            &BatcherConfig::default(),
+            &AutoscaleConfig {
+                phase_bounds_s: vec![1.0, 1.5],
+                ..reactive_cfg(1, 1)
+            },
+        );
+        let c = &r.client;
+        assert_eq!(c.completed, trace.len());
+        assert_eq!((c.timed_out, c.retried, c.retries), (0, 0, 0));
+        assert!(c
+            .outcomes
+            .iter()
+            .all(|o| o.disposition == Disposition::Completed && o.attempts == 0));
+        assert_eq!(c.phases.len(), 3);
+        let arrivals: usize = c.phases.iter().map(|p| p.arrivals).sum();
+        assert_eq!(arrivals, trace.len());
+        let events: usize = c.phases.iter().map(|p| p.scale_events).sum();
+        assert!(events > 0, "never scaled");
+        assert_eq!(events, r.scale.scale_events.len());
     }
 
     #[test]

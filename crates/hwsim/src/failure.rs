@@ -435,9 +435,12 @@ pub struct ClientOutcome {
 
 // ─────────────────────────────── reports ───────────────────────────────
 
-/// One slice of the run relative to the incident window: pre-incident,
-/// during, post-incident. Requests are bucketed by *original* arrival
-/// time; goodput by completion time.
+/// One arrival-time slice of a run: pre-incident, during and
+/// post-incident for the failure entry points (along
+/// [`FaultPlan::incident_window`]), or one slice per interval of
+/// [`AutoscaleConfig::phase_bounds_s`] for the healthy autoscalers.
+/// Requests are bucketed by *original* arrival time; goodput by
+/// completion time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncidentPhase {
     /// Phase start (inclusive).
@@ -672,8 +675,9 @@ struct FaultInjector<C, P = ()> {
     timeouts: ClientTimeouts,
     /// Retries performed per request.
     attempts: Vec<u32>,
-    /// The incident window the client books slice on.
-    window: Option<(f64, f64)>,
+    /// The phase bounds the client books slice on: the incident window's
+    /// two edges, none for an empty plan.
+    bounds: Vec<f64>,
     /// The latency SLO the client books score against.
     slo: f64,
 }
@@ -702,7 +706,9 @@ impl<C, P> FaultInjector<C, P> {
             client: *client,
             timeouts: ClientTimeouts::new(n_requests),
             attempts: vec![0; n_requests],
-            window: plan.incident_window(),
+            bounds: plan
+                .incident_window()
+                .map_or_else(Vec::new, |(w0, w1)| vec![w0, w1]),
             slo,
         }
     }
@@ -763,33 +769,6 @@ impl<C, P> FaultInjector<C, P> {
             }
         }
     }
-
-    /// The client view of a finished run over `trace` — the tail every
-    /// entry point shares. The SLO and phase latency is TTFT when
-    /// `ttft_s` is given (decode), else completion − arrival (fleet).
-    fn summarize<R: TraceEvent>(
-        &self,
-        trace: &[R],
-        completion_s: &[f64],
-        ttft_s: Option<&[f64]>,
-        makespan: f64,
-        scale_events: &[ScaleEvent],
-    ) -> ClientBooks {
-        let arrivals: Vec<f64> = trace.iter().map(R::arrival_s).collect();
-        summarize_clients(
-            self.window,
-            &arrivals,
-            completion_s,
-            &self.attempts,
-            |r| match ttft_s {
-                Some(ttft_s) => ttft_latency(ttft_s, r),
-                None => end_to_end_latency(completion_s, &arrivals, r),
-            },
-            self.slo,
-            makespan,
-            scale_events,
-        )
-    }
 }
 
 impl<C: Controller<Batcher>> FaultInjector<C> {
@@ -806,7 +785,16 @@ impl<C: Controller<Batcher>> FaultInjector<C> {
             retries,
             slo_attainment,
             phases,
-        } = self.summarize(trace, &completion_s, None, makespan, scale_events);
+        } = summarize_clients(
+            trace,
+            &completion_s,
+            None,
+            &self.attempts,
+            &self.bounds,
+            self.slo,
+            makespan,
+            scale_events,
+        );
         FailureReport {
             goodput_seq_s: completed as f64 / makespan.max(1e-12),
             fleet,
@@ -1042,7 +1030,16 @@ impl<C: Controller<Slots>> FaultInjector<C, DecodeFaults> {
         let makespan = decode.fleet.makespan_s;
         DecodeFailureReport {
             decode,
-            client: self.summarize(trace, &completion_s, Some(&ttft_s), makespan, &[]),
+            client: summarize_clients(
+                trace,
+                &completion_s,
+                Some(&ttft_s),
+                &self.attempts,
+                &self.bounds,
+                self.slo,
+                makespan,
+                &[],
+            ),
             affected_drain_s: self.per_core.affected_drain_s(&completion_s),
         }
     }
@@ -1051,10 +1048,16 @@ impl<C: Controller<Slots>> FaultInjector<C, DecodeFaults> {
 // ──────────────────────────── client books ────────────────────────────
 
 /// The client's view of one run: per-request outcomes, disposition
-/// tallies, SLO attainment and the incident phases. The latency the SLO
-/// and the phases score is end-to-end for the fleet client and TTFT for
-/// the decode client. [`DecodeFailureReport`] and [`DisaggFailureReport`]
-/// hold it as `client`; [`FailureReport`] holds the same fields flat.
+/// tallies, SLO attainment and the arrival-time phases. The latency the
+/// SLO and the phases score is end-to-end for the fleet client and TTFT
+/// for the decode client. One walk over the trace builds it for every
+/// entry point.
+/// [`AutoscaleReport`](crate::autoscale::AutoscaleReport),
+/// [`DecodeAutoscaleReport`](crate::autoscale::DecodeAutoscaleReport),
+/// [`DecodeFailureReport`] and [`DisaggFailureReport`] hold it as
+/// `client`; [`FailureReport`] holds the same fields flat. A healthy
+/// autoscaled run retries nothing, so its outcomes are all
+/// [`Disposition::Completed`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientBooks {
     /// Per-request client outcomes in trace order.
@@ -1072,7 +1075,8 @@ pub struct ClientBooks {
     /// misses).
     pub slo_attainment: f64,
     /// Pre / during / post incident slices ([`FaultPlan::incident_window`];
-    /// one all-run phase for an empty plan).
+    /// one all-run phase for an empty plan), or the slices along
+    /// [`AutoscaleConfig::phase_bounds_s`] of a healthy autoscaled run.
     pub phases: Vec<IncidentPhase>,
 }
 
@@ -1108,31 +1112,36 @@ struct PhaseTally {
     latencies: Vec<f64>,
 }
 
-/// Builds the [`ClientBooks`] of a finished run in one pass over the
-/// trace. `arrivals` are the *original* trace arrivals; `latency_of(r)`
-/// is the SLO/phase latency metric (end-to-end for the fleet client, TTFT
-/// for the decode client), `f64::INFINITY` when the request never got
-/// there.
+/// Builds the [`ClientBooks`] of a finished run over `trace` in one pass,
+/// for every entry point that scores an SLO. The SLO and phase latency
+/// is TTFT when `ttft_s` is given (decode), else completion − *original*
+/// arrival (fleet); a request that never got there misses. `attempts`
+/// are the retries per request (all zero without a retrying client).
 ///
-/// The run is sliced into pre / during / post incident phases along
-/// `window`. With no window the whole run is one phase; an unrecovered
-/// incident leaves the post phase empty (`[∞, ∞)`), keeping the
-/// three-phase shape stable for downstream indexing.
+/// The run is sliced into phases at the edges `[0, bounds…, ∞]`. With no
+/// bounds the whole run is one phase. The failure entry points pass the
+/// incident window's two edges: an unrecovered incident leaves the post
+/// phase empty (`[∞, ∞)`), keeping the three-phase shape stable for
+/// downstream indexing.
 #[allow(clippy::too_many_arguments)]
-fn summarize_clients(
-    window: Option<(f64, f64)>,
-    arrivals: &[f64],
+pub(crate) fn summarize_clients<R: TraceEvent>(
+    trace: &[R],
     completion_s: &[f64],
+    ttft_s: Option<&[f64]>,
     attempts: &[u32],
-    latency_of: impl Fn(usize) -> f64,
+    bounds: &[f64],
     slo: f64,
     makespan: f64,
     scale_events: &[ScaleEvent],
 ) -> ClientBooks {
-    let edges: Vec<f64> = match window {
-        None => vec![0.0, f64::INFINITY],
-        Some((w0, w1)) => vec![0.0, w0, w1, f64::INFINITY],
+    let arrivals: Vec<f64> = trace.iter().map(R::arrival_s).collect();
+    let latency_of = |r| match ttft_s {
+        Some(ttft_s) => ttft_latency(ttft_s, r),
+        None => end_to_end_latency(completion_s, &arrivals, r),
     };
+    let mut edges = vec![0.0];
+    edges.extend_from_slice(bounds);
+    edges.push(f64::INFINITY);
     let mut tallies: Vec<PhaseTally> = edges
         .windows(2)
         .map(|w| PhaseTally {
@@ -1164,7 +1173,7 @@ fn summarize_clients(
             },
             attempts: tries,
             completion_s: if done { completion_s[r] } else { f64::INFINITY },
-            latency_s: end_to_end_latency(completion_s, arrivals, r),
+            latency_s: end_to_end_latency(completion_s, &arrivals, r),
         });
         for t in &mut tallies {
             if done && completion_s[r] >= t.lo && completion_s[r] < t.hi {
@@ -1220,8 +1229,8 @@ fn summarize_clients(
     #[cfg(test)]
     {
         let reference = reference_summary(
-            window,
-            arrivals,
+            bounds,
+            &arrivals,
             completion_s,
             attempts,
             &latency_of,
@@ -1248,7 +1257,7 @@ fn summarize_clients(
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn reference_summary(
-    window: Option<(f64, f64)>,
+    bounds: &[f64],
     arrivals: &[f64],
     completion_s: &[f64],
     attempts: &[u32],
@@ -1294,10 +1303,9 @@ fn reference_summary(
             ..*o
         })
         .collect();
-    let edges: Vec<f64> = match window {
-        None => vec![0.0, f64::INFINITY],
-        Some((w0, w1)) => vec![0.0, w0, w1, f64::INFINITY],
-    };
+    let mut edges = vec![0.0];
+    edges.extend_from_slice(bounds);
+    edges.push(f64::INFINITY);
     let phases = edges
         .windows(2)
         .map(|w| {
@@ -1405,6 +1413,9 @@ pub fn simulate_fleet_failure(
 /// and a recovered shard is launchable again but only rejoins through
 /// the normal launch + warm-up path — so post-incident capacity, and
 /// with it SLO recovery, lags the recovery instant by about one warm-up.
+///
+/// The phases slice on the plan's [`FaultPlan::incident_window`], like
+/// every failure entry point's; `cfg.phase_bounds_s` is ignored.
 ///
 /// # Panics
 ///
@@ -2748,16 +2759,18 @@ mod tests {
     /// to the phase it opens, not the one it closes.
     #[test]
     fn summary_buckets_edge_completions_like_the_reference_chain() {
-        let arrivals = [0.0, 0.5, 1.0, 1.5, 2.0];
+        let trace: Vec<Request> = [0.0, 0.5, 1.0, 1.5, 2.0]
+            .iter()
+            .map(|&arrival_s| Request { arrival_s, len: 64 })
+            .collect();
         let completion_s = [1.0, 2.0, f64::INFINITY, 3.0, 2.5];
         let attempts = [0, 1, 2, 0, 1];
-        let latency_of = |r: usize| end_to_end_latency(&completion_s, &arrivals, r);
         let s = summarize_clients(
-            Some((1.0, 2.0)),
-            &arrivals,
+            &trace,
             &completion_s,
+            None,
             &attempts,
-            latency_of,
+            &[1.0, 2.0],
             1.2,
             3.0,
             &[],

@@ -237,7 +237,7 @@ proptest! {
             r.scale.shard_seconds
                 <= max_shards as f64 * r.fleet.makespan_s + max_shards as f64 * 0.1 + 1e-9
         );
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&r.slo_attainment));
+        prop_assert!((0.0..=1.0 + 1e-12).contains(&r.client.slo_attainment));
         assert_event_log_well_formed(&r, min_shards, max_shards);
         assert_batches_within_membership(&r, min_shards);
         assert_min_floor(&r, min_shards, min_shards, max_shards);

@@ -14,7 +14,9 @@
 //! their whole logged report, so a change to any field they return moves
 //! a constant. The autoscalers pin a value fingerprint too
 //! ([`value_fold`]), which moves only when a value does: a change that
-//! renames or nests report fields moves the `{:?}` pin and keeps it.
+//! renames or nests report fields moves the `{:?}` pin and keeps it. The
+//! fleet and decode autoscalers fold a tuple view of their report with
+//! the fields their value pins were recorded over, in that order.
 
 use lat_fpga::core::pipeline::SchedulingPolicy;
 use lat_fpga::hwsim::accelerator::AcceleratorDesign;
@@ -31,7 +33,8 @@ use lat_fpga::hwsim::disagg::{
     PoolPolicy,
 };
 use lat_fpga::hwsim::failure::{
-    simulate_decode_failure, simulate_fleet_failure, ClientConfig, Fault, FaultKind, FaultPlan,
+    simulate_decode_failure, simulate_fleet_failure, ClientBooks, ClientConfig, Fault, FaultKind,
+    FaultPlan,
 };
 use lat_fpga::hwsim::fleet::{
     homogeneous_fleet, nonstationary_poisson_trace, poisson_trace, simulate_fleet, with_batch_log,
@@ -321,6 +324,27 @@ fn bursty_fleet_trace() -> Vec<Request> {
     )
 }
 
+/// One SLO phase as the autoscale value pins were recorded: `(start_s,
+/// end_s, requests, slo_attainment, p95_latency_s)`, the per-phase table
+/// the autoscalers reported before their client view became a
+/// [`ClientBooks`]. [`value_fold`] skips names, so a tuple folds like the
+/// struct it stands for.
+type PhaseView = (f64, f64, usize, f64, f64);
+
+/// The overall SLO attainment and the phases of `client`, cut to the
+/// fields the autoscale value pins cover.
+fn slo_view(client: &ClientBooks) -> (f64, Vec<PhaseView>) {
+    let phases = client
+        .phases
+        .iter()
+        .map(|p| {
+            let (start, end) = (p.start_s, p.end_s);
+            (start, end, p.arrivals, p.slo_attainment, p.p95_latency_s)
+        })
+        .collect();
+    (client.slo_attainment, phases)
+}
+
 fn assert_autoscale_pinned(retire: RetirePolicy, log: u64, whole: u64, values: u64) {
     let trace = bursty_fleet_trace();
     let run = || {
@@ -356,7 +380,10 @@ fn assert_autoscale_pinned(retire: RetirePolicy, log: u64, whole: u64, values: u
             .collect::<Vec<_>>()
     );
     assert_eq!(fnv1a(&r), whole, "{what}: whole report");
-    assert_values(&what, &r, values);
+    // The fields the value pin was recorded over, in that order.
+    let (slo_attainment, phases) = slo_view(&r.client);
+    let view = (&r.fleet, &r.scale, slo_attainment, phases);
+    assert_values(&what, &view, values);
 }
 
 #[test]
@@ -364,7 +391,7 @@ fn autoscale_drain_report_bytes_pinned() {
     assert_autoscale_pinned(
         RetirePolicy::Drain,
         0xd6f7_8314_aade_4a83,
-        0xf1c8_068a_dcb3_a871,
+        0xe7d2_91e1_851c_7dd5,
         0xbeef_4d13_c64e_3163,
     );
 }
@@ -374,7 +401,7 @@ fn autoscale_evict_report_bytes_pinned() {
     assert_autoscale_pinned(
         RetirePolicy::Evict,
         0xf50c_9126_a555_0d8d,
-        0x1104_4e63_6fb6_bb15,
+        0xacdb_4352_8875_37f3,
         0x14bf_ffc9_0c34_0b36,
     );
 }
@@ -443,7 +470,17 @@ fn assert_decode_autoscale_pinned(
         assert!(r.migrations > 0, "{what}: no resident migrated");
     }
     assert_eq!(fnv1a(&r), whole, "{what}: whole report");
-    assert_values(&what, &r, values);
+    // The fields the value pin was recorded over, in that order.
+    let (slo_attainment, phases) = slo_view(&r.client);
+    let view = (
+        &r.decode,
+        &r.scale,
+        slo_attainment,
+        phases,
+        r.migrations,
+        r.re_prefills,
+    );
+    assert_values(&what, &view, values);
 }
 
 #[test]
@@ -455,7 +492,7 @@ fn decode_autoscale_reactive_migrate_report_bytes_pinned() {
         },
         DecodeScaleDown::Migrate,
         0x17d3_f0b4_174f_cee1,
-        0x80ab_c288_5618_d327,
+        0xab3e_56a9_2bae_6955,
         0x7760_f2c3_5dcd_a357,
     );
 }
@@ -471,7 +508,7 @@ fn decode_autoscale_predictive_drain_report_bytes_pinned() {
         },
         DecodeScaleDown::Drain,
         0x3631_3dd0_d178_fe07,
-        0x3f2e_a1eb_bcbe_cd5f,
+        0x7383_0a36_71f7_e6ae,
         0x3da5_6190_d6e3_a176,
     );
 }

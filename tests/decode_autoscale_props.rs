@@ -263,7 +263,7 @@ proptest! {
         prop_assert!(r.scale.mean_active_shards >= 1.0 - 1e-9);
         prop_assert!(r.scale.mean_active_shards <= max_shards as f64 + 1e-9);
         prop_assert!(r.scale.shard_seconds > 0.0);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&r.slo_attainment));
+        prop_assert!((0.0..=1.0 + 1e-12).contains(&r.client.slo_attainment));
         assert_event_log_well_formed(&r, min_shards, max_shards);
         assert_iterations_within_membership(&r, min_shards);
         assert_min_floor(&r, min_shards, min_shards, max_shards);
